@@ -2,11 +2,13 @@
 
 Subcommands: simulate | spine | exact | conditioned | verify | report.
 
-Reproducibility contract: every stochastic command requires --seed, replicate
-r draws from the documented substream (seed, stream id, r), and outputs are
-sorted by replicate index, so reruns are byte-identical and independent of the
-worker count (BRW_THREADS).  Primary outputs carry no timestamps; wall-clock
-metadata goes to a `<out>.meta.json` sidecar.
+Reproducibility contract: every stochastic command requires --seed.
+`simulate` and `spine` run replicates in fixed blocks of BLOCK on the batched
+engines, block b drawing from the substream (seed, stream id, b); `conditioned`
+draws replicate r from (seed, stream id, r).  Outputs are sorted by replicate
+index, so reruns are byte-identical and independent of the worker count
+(BRW_THREADS).  Primary outputs carry no timestamps; wall-clock metadata goes
+to a `<out>.meta.json` sidecar.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .lattice import field_to_csv, transition_field
 from .offspring import parse_offspring
 from .rngstreams import substream
 
-_SENTINEL = object()
+BLOCK = 256  # replicates per block (and per substream) in simulate and spine
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -88,18 +90,29 @@ def _workers() -> int:
 # simulate
 
 
-def _simulate_rep(task):
-    seed, rep, spec, n, d, conditioned, max_attempts = task
+def _blocks(reps: int) -> list[tuple[int, int, int]]:
+    """(block index, first replicate, replicate count) covering 0..reps-1."""
+    return [(b, first, min(BLOCK, reps - first))
+            for b, first in enumerate(range(0, reps, BLOCK))]
+
+
+def _simulate_block(task):
+    seed, block, first, count, spec, n, d, survival, max_attempts = task
     dist = parse_offspring(spec)
-    stream = "conditioned-sim" if conditioned else "simulate"
-    rng = substream(seed, stream, rep)
-    if conditioned:
-        stats = fw.run_conditioned(dist, n, d, rng, max_attempts=max_attempts)
+    if survival is None:
+        stats = fw.run_batch(dist, n, d, count, substream(seed, "simulate", block),
+                             want_typical=True)
     else:
-        stats = fw.run(dist, n, d, rng)
-    stats.rep = rep
-    stats.seed = seed
-    return rep, json.dumps(stats.to_json_dict(), sort_keys=True)
+        stats = fw.run_conditioned_batch(dist, n, d, count,
+                                         substream(seed, "conditioned-sim", block), survival,
+                                         want_typical=True, max_attempts=max_attempts)
+    lines = []
+    for i in range(count):
+        kw = {} if survival is None else {"conditioned": True,
+                                          "attempts": int(stats.attempts[i])}
+        row = stats.genstats(i, n, rep=first + i, seed=seed, **kw).to_json_dict()
+        lines.append(json.dumps(row, sort_keys=True))
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -116,15 +129,20 @@ def cmd_simulate(args) -> int:
     resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
                 "reps": reps, "seed": seed, "conditioned": conditioned,
                 "max_attempts": max_attempts}
-    tasks = [(seed, r, spec, n, d, conditioned, max_attempts) for r in range(reps)]
-    lines = _parallel_map(_simulate_rep, tasks)
-    out = _open_out(args.out)
-    for _, line in sorted(lines):
-        out.write(line + "\n")
-    if out is not sys.stdout:
-        out.close()
+    survival = xf.survival_prob(parse_offspring(spec), n) if conditioned else None
+    tasks = [(seed, *blk, spec, n, d, survival, max_attempts) for blk in _blocks(reps)]
+    _write_blocks(args.out, _parallel_map(_simulate_block, tasks))
     _write_sidecar(args.out, resolved)
     return 0
+
+
+def _write_blocks(path: str | None, blocks) -> None:
+    out = _open_out(path)
+    for lines in blocks:
+        for line in lines:
+            out.write(line + "\n")
+    if out is not sys.stdout:
+        out.close()
 
 
 def _parallel_map(fn, tasks):
@@ -139,21 +157,25 @@ def _parallel_map(fn, tasks):
 # spine
 
 
-def _spine_rep(task):
-    seed, rep, n, d, ell = task
-    rng = substream(seed, "spine", rep)
-    out = sp.spine_typical_batch(n, 1, rng, d)
-    row = {
-        "rep": rep, "n": n, "seed": seed,
-        "Tstar": int(out["Tstar"][0]),
-        "Gamma": float(out["Gamma"][0]),
-        "Delta": float(out["Delta"][0]),
-        "clamp_miss_count": int(out["clamp_misses"][0]),
-    }
-    if ell is not None:
-        row["W"] = int(sp.spine_ball_batch(n, ell, 1, rng, d)[0])
-        row["ell"] = ell
-    return rep, json.dumps(row, sort_keys=True)
+def _spine_block(task):
+    seed, block, first, count, n, d, ell = task
+    rng = substream(seed, "spine", block)
+    out = sp.spine_typical_batch(n, count, rng, d)
+    w = sp.spine_ball_batch(n, ell, count, rng, d) if ell is not None else None
+    lines = []
+    for i in range(count):
+        row = {
+            "rep": first + i, "n": n, "seed": seed,
+            "Tstar": int(out["Tstar"][i]),
+            "Gamma": float(out["Gamma"][i]),
+            "Delta": float(out["Delta"][i]),
+            "clamp_miss_count": int(out["clamp_misses"][i]),
+        }
+        if w is not None:
+            row["W"] = int(w[i])
+            row["ell"] = ell
+        lines.append(json.dumps(row, sort_keys=True))
+    return lines
 
 
 def cmd_spine(args) -> int:
@@ -168,13 +190,8 @@ def cmd_spine(args) -> int:
         raise SystemExit("spine sampling needs n >= 2")
     resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,
                 "ell": ell, "dim": 2, "offspring": "binary"}
-    tasks = [(seed, r, n, 2, ell) for r in range(reps)]
-    lines = _parallel_map(_spine_rep, tasks)
-    out = _open_out(args.out)
-    for _, line in sorted(lines):
-        out.write(line + "\n")
-    if out is not sys.stdout:
-        out.close()
+    tasks = [(seed, *blk, n, 2, ell) for blk in _blocks(reps)]
+    _write_blocks(args.out, _parallel_map(_spine_block, tasks))
     _write_sidecar(args.out, resolved)
     return 0
 
@@ -257,8 +274,7 @@ def cmd_conditioned(args) -> int:
     values = []
     for rep in range(reps):
         rng = substream(seed, "conditioned-rep", rep)
-        path = sampler.sample_path(rng)
-        value = sampler.sample(rng)
+        value, path = sampler.sample(rng)
         values.append(value)
         out.write(json.dumps({"n": n, "x": list(x), "rep": rep, "value": value,
                               "path_len_checksum": _path_checksum(path)},

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import forward as fw
-from .exactfields import _pmean, hitting_bank
-from .lattice import Field, neighborhood, transition_field
+from .exactfields import hitting_bank
+from .lattice import Field, neighborhood, stencil_step, transition_field
 from .offspring import binary
 
 _BINARY = binary()
@@ -36,7 +36,7 @@ class HittingBank:
         self.u = hitting_bank(_BINARY, n, d, clamp=None, method="kpp")
         self.pu = []
         for f in self.u:
-            vals, _ = _pmean(f.values, d, pad=0.0, clamp=None)
+            vals, _ = stencil_step(f.values, d)
             g = Field(d, f.radius + 1, vals, 0.0)
             g.step = f.step
             self.pu.append(g)
@@ -126,8 +126,9 @@ class ConditionedSampler:
             path[m] = z
         return path
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """One draw from the conditional law of U_n(x)."""
+    def sample(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+        """One draw from the conditional law of U_n(x), with the reweighted-walk
+        path X_0..X_n it was built on."""
         n, d, x = self.n, self.d, self.x
         path = self.sample_path(rng)
         total = 1
@@ -144,12 +145,7 @@ class ConditionedSampler:
             if keys.size:
                 total += int(np.count_nonzero(keys == fw.encode_sites(
                     target.reshape(1, d), d)[0]))
-        return total
-
-
-def sample_conditioned(n: int, x, rng: np.random.Generator,
-                       bank: HittingBank | None = None) -> int:
-    return ConditionedSampler(n, x, bank).sample(rng)
+        return total, path
 
 
 def endpoint_audit(n: int, targets, paths_per_target: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, transition_field, clamp_radius
+from .lattice import Field, clamp_radius, stencil_step, transition_field
 from .offspring import OffspringDist
 
 
@@ -58,36 +58,14 @@ def survival_prob(dist: OffspringDist, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stencil helper: mean over the 2d+1 neighbors with a configurable pad value
-
-
-def _pmean(vals: np.ndarray, d: int, pad: float = 0.0, clamp: int | None = None):
-    """(vals', lost): one averaging step, output radius +1 unless clamped.
-
-    `pad` is the implicit field value outside the input box (0 for mass-type
-    fields, 1 for extinction-probability fields).  `lost` is the exact mass
-    dropped by cropping (only meaningful for pad=0).  Uses the symmetric
-    stencil reduction so symmetric inputs stay bit-exactly symmetric."""
-    from .lattice import symmetric_stencil_sum
-
-    R = (vals.shape[0] - 1) // 2
-    src = np.full((2 * R + 5,) * d, pad, dtype=np.float64)
-    src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
-    out = symmetric_stencil_sum(src, d)
-    out /= 2 * d + 1
-    lost = 0.0
-    out_R = R + 1
-    if clamp is not None and out_R > clamp:
-        lo, hi = out_R - clamp, out_R + clamp + 1
-        crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
-        if pad == 0.0:
-            lost = float(out.sum() - crop.sum())
-        out = crop
-    return out, lost
-
-
-# ---------------------------------------------------------------------------
 # hitting probability fields
+
+
+def kpp_step(vals: np.ndarray, d: int, clamp: int | None = None) -> tuple[np.ndarray, float]:
+    """(u', lost): one step u' = Pu - (Pu)^2/2 of the binary hitting recursion;
+    `lost` is the exact P-mass dropped by clamping (see `stencil_step`)."""
+    pu, lost = stencil_step(vals, d, clamp=clamp)
+    return pu - 0.5 * np.square(pu), lost
 
 
 def hitting_field(dist: OffspringDist, n: int, d: int = 2,
@@ -116,8 +94,7 @@ def hitting_bank(dist: OffspringDist, n: int, d: int = 2,
         tail = 0.0
         bank.append(Field(d, 0, vals.copy(), 0.0, step=0))
         for k in range(n):
-            pu, lost = _pmean(vals, d, pad=0.0, clamp=clamp)
-            vals = pu - 0.5 * np.square(pu)
+            vals, lost = kpp_step(vals, d, clamp)
             tail += lost
             f = Field(d, (vals.shape[0] - 1) // 2, vals, tail)
             f.step = k + 1
@@ -126,7 +103,7 @@ def hitting_bank(dist: OffspringDist, n: int, d: int = 2,
         h = np.zeros((1,) * d)  # h_0 = 1 - delta; the pad supplies the ones
         bank.append(Field.delta(d))
         for k in range(n):
-            ph, _ = _pmean(h, d, pad=1.0, clamp=clamp)
+            ph, _ = stencil_step(h, d, pad=1.0, clamp=clamp)
             h = np.asarray(dist.pgf(ph))
             f = Field(d, (h.shape[0] - 1) // 2, 1.0 - h, 0.0)
             f.step = k + 1
@@ -166,7 +143,7 @@ def mgf_bank(dist: OffspringDist, n: int, theta: float, d: int = 2,
         raise MgfBlowupError(0)
     bank = [Field(d, 0, vals.copy(), 0.0, step=0)]
     for k in range(n):
-        pg, _ = _pmean(vals, d, pad=0.0, clamp=clamp)
+        pg, _ = stencil_step(vals, d, clamp=clamp)
         if 1.0 + float(pg.max()) > dist.z_max * (1 - 1e-12):
             raise MgfBlowupError(k + 1)
         vals = np.asarray(dist.pgf_at_one_plus(pg))
@@ -176,12 +153,6 @@ def mgf_bank(dist: OffspringDist, n: int, theta: float, d: int = 2,
         f.step = k + 1
         bank.append(f)
     return bank
-
-
-def mgf_sum_sequence(dist: OffspringDist, n: int, theta: float, d: int = 2,
-                     clamp: int | None = None) -> np.ndarray:
-    """sum_x G_k(x;theta) for k = 0..n (one sweep)."""
-    return np.array([f.total() for f in mgf_bank(dist, n, theta, d, clamp)])
 
 
 def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
@@ -201,7 +172,7 @@ def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
         if 1.0 + h0 > dist.z_max * (1 - 1e-12):
             raise MgfBlowupError(k + 1)
         center_hist.append(h0)
-        ph, _ = _pmean(vals, d, pad=0.0, clamp=clamp)
+        ph, _ = stencil_step(vals, d, clamp=clamp)
         vals = ph * float(dist.pgf_prime(1.0 + h0))
         if not np.all(np.isfinite(vals)):
             raise MgfBlowupError(k + 1)
@@ -311,8 +282,8 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
     f = np.ones((1,) * d)
     p = np.ones((1,) * d)
     for k in range(1, n + 1):
-        p, _ = _pmean(p, d, pad=0.0, clamp=None)
-        pf, _ = _pmean(f, d, pad=0.0, clamp=None)
+        p, _ = stencil_step(p, d)
+        pf, _ = stencil_step(f, d)
         f = pf + sig2 * np.square(p)
         sums[k] = float(f.sum())
     out = Field(d, (f.shape[0] - 1) // 2, f, 0.0)
@@ -342,9 +313,6 @@ class PmfField:
 
     def deficit(self) -> np.ndarray:
         return 1.0 - self.coeffs.sum(axis=-1)
-
-    def p0_field(self) -> Field:
-        return Field(self.dim, self.radius, self.coeffs[..., 0].copy(), 0.0, self.step)
 
     def hitting_values(self) -> Field:
         return Field(self.dim, self.radius, 1.0 - self.coeffs[..., 0], 0.0, self.step)
@@ -580,8 +548,7 @@ def verify_comparison(u_seq: list[Field], v_seq: list[Field], slack: float = 1e-
         if u.dim != v.dim or u.radius > v.radius:
             raise ValueError("comparison boxes must cover the u boxes")
         if k > 0:
-            pu, _ = _pmean(vals, d, pad=0.0, clamp=None)
-            vals = pu - 0.5 * np.square(pu)
+            vals, _ = kpp_step(vals, d)
             if vals.shape != u.values.shape or float(np.abs(vals - u.values).max()) > 1e-12:
                 raise ValueError(f"u_seq[{k}] does not satisfy the hitting recursion")
         off = v.radius - u.radius

@@ -1,18 +1,11 @@
 """Occupancy-level Monte Carlo of the branching random walk under P.
 
-Two engines share the exact particle dynamics:
-
-* `step`/`run`/`run_conditioned` work on SparseOccupancy maps —
-  per site the total offspring is drawn from the k-fold convolution Q^k and
-  scattered over the 2d+1 neighbors by sequential binomial splitting in fixed
-  neighbor order.
-
-* the batched engine packs (replicate, site) into int64 keys and evolves one
-  particle array for thousands of replicates at once: each particle draws its
-  offspring count and each child picks a uniform neighbor.  A multinomial is
-  a sum of independent categorical draws and Q^k splits over subgroups, so
-  the law of every occupancy statistic is identical; only the RNG call
-  pattern differs.
+The engine packs (replicate, site) into int64 keys and evolves one particle
+array for thousands of replicates at once: each particle draws its offspring
+count and each child picks a uniform neighbor.  `BatchStats` reads every
+per-replicate occupancy statistic (Z_n, V_n, M_n(j), Omega_n and the count at
+a typical site) off the final array in one pass; conditioned runs are batched
+rejection over rounds of free runs.
 
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
@@ -24,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import neighborhood, sites_in_ball
+from .lattice import neighborhood
 from .offspring import OffspringDist
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
@@ -66,15 +59,6 @@ def _move_deltas(d: int) -> np.ndarray:
     return deltas
 
 
-def _sample_counts(dist: OffspringDist, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One offspring draw per particle."""
-    if dist.is_binary:
-        return rng.integers(0, 2, size=m) * 2
-    u = rng.random(m) * dist._cdf[-1]
-    idx = np.searchsorted(dist._cdf, u, side="right").clip(0, len(dist.support) - 1)
-    return dist.support[idx]
-
-
 def evolve_particles(keys: np.ndarray, gens: int, dist: OffspringDist, d: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Run `gens` generations of the particle array (keys may carry rep tags)."""
@@ -82,63 +66,13 @@ def evolve_particles(keys: np.ndarray, gens: int, dist: OffspringDist, d: int,
     for _ in range(gens):
         if keys.size == 0:
             break
-        off = _sample_counts(dist, keys.size, rng)
+        off = dist.sample_each(keys.size, rng)
         keys = np.repeat(keys, off)
         if keys.size == 0:
             break
         moves = rng.integers(0, 2 * d + 1, size=keys.size)
         keys = keys + deltas[moves]
     return keys
-
-
-# ---------------------------------------------------------------------------
-# SparseOccupancy and single-replicate stepping
-
-
-@dataclass
-class SparseOccupancy:
-    """Map site -> positive particle count for one generation."""
-
-    entries: dict[tuple[int, ...], int]
-    n: int
-    d: int
-
-    def __post_init__(self):
-        self.entries = {k: int(v) for k, v in self.entries.items() if v}
-        if any(v < 0 for v in self.entries.values()):
-            raise ValueError("counts must be >= 1")
-
-    @classmethod
-    def origin(cls, d: int) -> "SparseOccupancy":
-        return cls({(0,) * d: 1}, 0, d)
-
-    @property
-    def z(self) -> int:
-        return sum(self.entries.values())
-
-
-def step(occ: SparseOccupancy, dist: OffspringDist, rng: np.random.Generator) -> SparseOccupancy:
-    """One generation: per site, total offspring ~ Q^k, scattered multinomially
-    over the 2d+1 neighbors by sequential binomial splitting in fixed order."""
-    d = occ.d
-    if not occ.entries:
-        return SparseOccupancy({}, occ.n + 1, d)
-    sites = sorted(occ.entries)
-    counts = np.array([occ.entries[s] for s in sites], dtype=np.int64)
-    totals = dist.sample_offspring_sum(counts, rng)
-    offs = neighborhood(d)
-    out: dict[tuple[int, ...], int] = {}
-    rem = np.asarray(totals, dtype=np.int64).copy()
-    for j in range(2 * d + 1):
-        if j < 2 * d:
-            c = rng.binomial(rem, 1.0 / (2 * d + 1 - j))
-        else:
-            c = rem
-        rem = rem - c
-        for i in np.nonzero(c)[0]:
-            site = tuple(int(x) + int(offs[j][k]) for k, x in enumerate(sites[i]))
-            out[site] = out.get(site, 0) + int(c[i])
-    return SparseOccupancy(out, occ.n + 1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +106,10 @@ class GenStats:
         }
 
 
-def stats_from_occupancy(occ: SparseOccupancy, rng: np.random.Generator | None = None) -> GenStats:
-    counts = np.array(sorted(occ.entries.values()), dtype=np.int64) if occ.entries else np.array([], dtype=np.int64)
-    z = int(counts.sum())
-    hist = np.zeros(J_MAX, dtype=np.int64)
-    over_sites = over_mass = 0
-    for c in counts:
-        if c <= J_MAX:
-            hist[c - 1] += 1
-        else:
-            over_sites += 1
-            over_mass += int(c)
-    stats = GenStats(occ.n, occ.d, z, int(counts.max()) if z else 0,
-                     len(occ.entries), hist.tolist(), over_sites, over_mass)
-    if rng is not None and z > 0:
-        sites = sorted(occ.entries)
-        w = np.array([occ.entries[s] for s in sites], dtype=np.float64)
-        pick = sites[int(rng.choice(len(sites), p=w / w.sum()))]
-        stats.S = [int(c) for c in pick]
-        stats.T = int(occ.entries[pick])
-    return stats
-
-
 class BatchStats:
     """Segmented per-replicate statistics of a final particle array."""
+
+    attempts: np.ndarray | None = None  # free runs per survivor (conditioned runs)
 
     def __init__(self, keys: np.ndarray, reps: int, d: int,
                  rng: np.random.Generator | None = None):
@@ -239,30 +153,6 @@ class BatchStats:
 # runs
 
 
-def run(dist: OffspringDist, n: int, d: int, rng: np.random.Generator,
-        want_occupancy: bool = False, want_typical: bool = True):
-    """Free run of n generations from one particle at the origin."""
-    keys = evolve_particles(encode_sites(np.zeros((1, d)), d), n, dist, d, rng)
-    uk, cnt = np.unique(keys, return_counts=True)
-    coords = decode_sites(uk, d)
-    occ = SparseOccupancy({tuple(map(int, c)): int(v) for c, v in zip(coords, cnt)}, n, d)
-    stats = stats_from_occupancy(occ, rng if want_typical else None)
-    return (stats, occ) if want_occupancy else stats
-
-
-def run_conditioned(dist: OffspringDist, n: int, d: int, rng: np.random.Generator,
-                    max_attempts: int = 10**7, want_occupancy: bool = False):
-    """Rejection sampling of the conditional law given survival to n."""
-    for attempt in range(1, max_attempts + 1):
-        out = run(dist, n, d, rng, want_occupancy=want_occupancy)
-        stats = out[0] if want_occupancy else out
-        if stats.Z > 0:
-            stats.conditioned = True
-            stats.attempts = attempt
-            return out
-    raise RuntimeError(f"no survival to generation {n} within {max_attempts} attempts")
-
-
 def run_batch(dist: OffspringDist, n: int, d: int, reps: int,
               rng: np.random.Generator, want_typical: bool = False) -> BatchStats:
     """`reps` independent free runs in one particle array."""
@@ -275,38 +165,51 @@ def run_batch(dist: OffspringDist, n: int, d: int, reps: int,
 def run_conditioned_batch(dist: OffspringDist, n: int, d: int, want: int,
                           rng: np.random.Generator, survival: float,
                           want_typical: bool = False,
-                          max_rounds: int = 200) -> BatchStats:
-    """Batched rejection: free-run rounds, survivors re-tagged 0..want-1."""
+                          max_attempts: int = 10**7) -> BatchStats:
+    """Batched rejection: free-run rounds, survivors re-tagged 0..want-1.
+
+    The result's `attempts[i]` counts the free runs since survivor i-1,
+    survivor i included, so it is Geometric(survival).  Raises RuntimeError
+    once some replicate needs more than `max_attempts` free runs."""
+    _check_capacity(n, d, want)
     shift = _rep_shift(d)
     site_mask = (np.int64(1) << shift) - 1
     round_size = min(int(1.25 * want / survival) + 64, 100_000)
     collected: list[np.ndarray] = []
+    attempts = np.zeros(want, dtype=np.int64)
     got = 0
+    started = 0  # free runs started so far
+    last = -1    # index of the latest kept survivor among them
     origin_key = encode_sites(np.zeros((1, d)), d)[0]
-    for _ in range(max_rounds):
-        if got >= want:
-            break
+    while got < want:
         rep_ids = np.arange(round_size, dtype=np.int64) << shift
         keys = evolve_particles(rep_ids + origin_key, n, dist, d, rng)
-        if keys.size == 0:
-            continue
-        rep = keys >> shift
-        alive = np.zeros(round_size, dtype=bool)
-        alive[rep] = True
-        new_id = np.cumsum(alive) - 1  # survivor rank within the round
-        keep = new_id[rep] + got < want
-        retagged = ((new_id[rep[keep]] + got) << shift) | (keys[keep] & site_mask)
-        collected.append(retagged)
-        got += int(alive.sum())
-    if got < want:
-        raise RuntimeError(f"only {got} survivors after {max_rounds} rounds")
-    return BatchStats(np.concatenate(collected), want, d, rng if want_typical else None)
+        if keys.size:
+            rep = keys >> shift
+            alive = np.zeros(round_size, dtype=bool)
+            alive[rep] = True
+            new_id = np.cumsum(alive) - 1  # survivor rank within the round
+            keep = new_id[rep] + got < want
+            retagged = ((new_id[rep[keep]] + got) << shift) | (keys[keep] & site_mask)
+            collected.append(retagged)
+            idx = started + np.nonzero(alive)[0][: want - got]
+            attempts[got: got + len(idx)] = np.diff(idx, prepend=last)
+            got += len(idx)
+            last = int(idx[-1])
+        started += round_size
+        needed = attempts.max() if got == want else started - last
+        if needed > max_attempts:
+            raise RuntimeError(f"a replicate needed more than {max_attempts} free runs "
+                               f"to survive to generation {n}")
+    out = BatchStats(np.concatenate(collected), want, d, rng if want_typical else None)
+    out.attempts = attempts
+    return out
 
 
 def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Per-replicate particle counts at one fixed site after n free generations."""
-    _check_capacity(n, d, reps)
+    _check_capacity(max(n, int(np.abs(site).max())), d, reps)
     shift = _rep_shift(d)
     rep_ids = np.arange(reps, dtype=np.int64) << shift
     keys = evolve_particles(rep_ids + encode_sites(np.zeros((1, d)), d)[0], n, dist, d, rng)
@@ -320,9 +223,12 @@ def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
     return out
 
 
-def _check_capacity(n: int, d: int, reps: int) -> None:
-    if n >= COORD_OFF:
-        raise ValueError(f"n={n} exceeds the coordinate packing range")
+def _check_capacity(reach: int, d: int, reps: int) -> None:
+    """Fail fast unless keys can pack `reps` replicates and every coordinate
+    of absolute value up to `reach` (particles and queried sites alike)."""
+    if reach >= COORD_OFF:
+        raise ValueError(f"coordinates up to {reach} exceed the packing range "
+                         f"|x| < {COORD_OFF}")
     if reps >= 1 << (62 - _rep_shift(d)):
         raise ValueError("too many replicates for one batch; use rounds")
 
@@ -367,19 +273,15 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 
 
 # ---------------------------------------------------------------------------
-# overlap statistic and ball counts
-
-
-def overlap_stat(dist: OffspringDist, n: int, d: int, x_u, x_v,
-                 rng: np.random.Generator) -> int:
-    """D_n for two independent walks from x_u and x_v: total particles at
-    sites holding descendants of both."""
-    return int(overlap_batch(dist, n, d, x_u, x_v, 1, rng)[0])
+# overlap statistic
 
 
 def overlap_batch(dist: OffspringDist, n: int, d: int, x_u, x_v, reps: int,
                   rng: np.random.Generator) -> np.ndarray:
-    _check_capacity(n, d, reps)
+    """D_n per replicate for two independent walks from x_u and x_v: total
+    particles at sites holding descendants of both."""
+    _check_capacity(n + int(np.abs(np.concatenate([np.ravel(x_u), np.ravel(x_v)])).max()),
+                    d, reps)
     shift = _rep_shift(d)
     rep_ids = np.arange(reps, dtype=np.int64) << shift
     ku = evolve_particles(rep_ids + encode_sites(np.asarray(x_u).reshape(1, d), d)[0],
@@ -398,18 +300,3 @@ def overlap_batch(dist: OffspringDist, n: int, d: int, x_u, x_v, reps: int,
         contrib = sc[both] + sc[both + 1]
         np.add.at(d_n, (sk[both] >> shift).astype(np.int64), contrib)
     return d_n
-
-
-def ball_stats(occ: SparseOccupancy, center, ell: float) -> dict:
-    """Exact counts of unoccupied sites and particles in the Euclidean ball."""
-    offsets = sites_in_ball(occ.d, ell)
-    unocc = 0
-    particles = 0
-    c = tuple(int(x) for x in center)
-    for off in offsets:
-        site = tuple(int(c[i]) + int(off[i]) for i in range(occ.d))
-        cnt = occ.entries.get(site, 0)
-        if cnt == 0:
-            unocc += 1
-        particles += cnt
-    return {"ball_sites": len(offsets), "unoccupied": unocc, "particles": particles}

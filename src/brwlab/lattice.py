@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.signal import convolve as _direct_convolve
 
 Site = tuple[int, ...]
 
@@ -89,15 +88,22 @@ class Field:
         return float(self.values.sum())
 
 
-def symmetric_stencil_sum(src: np.ndarray, d: int) -> np.ndarray:
-    """Sum of the 2d+1 neighbor translates of a padded source, organized so
-    that mirror-symmetric and permutation-symmetric inputs give bit-identical
-    symmetric outputs: opposite shifts are added pairwise (commutative), and
-    for d = 3 the axis pair-sums are sorted elementwise before reduction.
+def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
+                 clamp: int | None = None) -> tuple[np.ndarray, float]:
+    """(vals', lost): one application of the averaging operator P to a centered
+    box of values; the output radius grows by one unless clamped.
 
-    `src` must be padded by one cell on each side; the result has the
-    unpadded shape."""
-    size = src.shape[0] - 2
+    `pad` is the implicit field value outside the input box (0 for mass-type
+    fields, 1 for extinction-probability fields).  `lost` is the exact mass
+    dropped by cropping to radius `clamp` (only meaningful for pad=0).
+
+    Opposite shifts are added pairwise (commutative), and for d = 3 the axis
+    pair-sums are sorted elementwise before reduction, so mirror-symmetric and
+    permutation-symmetric inputs give bit-identical symmetric outputs."""
+    R = (vals.shape[0] - 1) // 2
+    src = np.full((2 * R + 5,) * d, pad, dtype=np.float64)
+    src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
+    size = 2 * R + 3
     base = tuple(slice(1, 1 + size) for _ in range(d))
     pairs = []
     for axis in range(d):
@@ -113,28 +119,17 @@ def symmetric_stencil_sum(src: np.ndarray, d: int) -> np.ndarray:
     else:
         s = np.sort(np.stack(pairs), axis=0)
         acc = (s[0] + s[1]) + s[2]
-    return acc + src[base]
-
-
-def apply_markov(f: Field, clamp: int | None = None) -> Field:
-    """One application of the averaging operator P; output radius grows by one
-    unless clamped, in which case the exactly-dropped mass is added to the
-    tail bound."""
-    d, R = f.dim, f.radius
+    out = acc + src[base]
+    out /= 2 * d + 1
+    lost = 0.0
     out_R = R + 1
-    src = np.zeros((2 * R + 5,) * d)
-    src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = f.values
-    vals = symmetric_stencil_sum(src, d)
-    vals /= 2 * d + 1
-    tail = f.tail_bound
     if clamp is not None and out_R > clamp:
         lo, hi = out_R - clamp, out_R + clamp + 1
-        crop = vals[tuple(slice(lo, hi) for _ in range(d))].copy()
-        tail += float(vals.sum() - crop.sum())
-        vals, out_R = crop, clamp
-    out = Field(d, out_R, vals, tail)
-    out.step = None if f.step is None else f.step + 1
-    return out
+        crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
+        if pad == 0.0:
+            lost = float(out.sum() - crop.sum())
+        out = crop
+    return out, lost
 
 
 def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
@@ -146,14 +141,18 @@ def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = Field.delta(d)
+    vals = np.ones((1,) * d)
+    tail = 0.0
     for _ in range(n):
-        f = apply_markov(f, clamp=clamp)
-    return f
+        vals, lost = stencil_step(vals, d, clamp=clamp)
+        tail += lost
+    return Field(d, (vals.shape[0] - 1) // 2, vals, tail, step=n)
 
 
 def convolve(f: Field, g: Field) -> Field:
     """Dense direct convolution (no FFT); tail bounds compose additively."""
+    from scipy.signal import convolve as _direct_convolve
+
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
     vals = _direct_convolve(f.values, g.values, mode="full", method="direct")
@@ -161,18 +160,6 @@ def convolve(f: Field, g: Field) -> Field:
     if f.step is not None and g.step is not None:
         out.step = f.step + g.step
     return out
-
-
-def sample_srw(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Path of a lazy simple random walk from the origin: array (n+1, d)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    offs = neighborhood(d)
-    idx = rng.integers(0, 2 * d + 1, size=n)
-    path = np.zeros((n + 1, d), dtype=np.int64)
-    if n:
-        np.cumsum(offs[idx], axis=0, out=path[1:])
-    return path
 
 
 def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,13 +174,6 @@ def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.
 
 # ---------------------------------------------------------------------------
 # Clamp policy and certified tail bounds.
-
-
-def hoeffding_tail(n: int, d: int, radius: int) -> float:
-    """Sub-Gaussian bound 2d*exp(-R^2/(2n)) on the exit probability."""
-    if n == 0:
-        return 0.0
-    return min(1.0, 2 * d * math.exp(-(radius**2) / (2.0 * n)))
 
 
 def escape_bound(n: int, d: int, radius: int) -> float:
@@ -225,11 +205,6 @@ def clamp_radius(n: int, d: int, eps: float = 1e-12) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def default_clamp(n: int, c: float = 6.0) -> int:
-    """Default clamp policy radius ceil(c*sqrt(n*ln(n+2)))."""
-    return math.ceil(c * math.sqrt(n * math.log(n + 2)))
 
 
 # ---------------------------------------------------------------------------

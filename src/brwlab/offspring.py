@@ -10,7 +10,8 @@ Built-in families:
 Sampling of offspring sums is exact: finite support uses sequential binomial
 splitting across support values, the geometric family uses its negative
 binomial closed form, and infinite-support tables fall back to per-particle
-inverse-CDF draws on a cache truncated at cumulative weight 1 - 1e-15.
+inverse-CDF draws (`sample_each`) on a cache truncated at cumulative weight
+1 - 1e-15.
 """
 
 from __future__ import annotations
@@ -158,17 +159,22 @@ class OffspringDist:
         return out
 
     def _sum_by_expansion(self, karr, rng):
-        # one inverse-CDF draw per particle, then segment sums
+        # one draw per particle, then segment sums
         total = int(karr.sum())
         out = np.zeros_like(karr)
         if total == 0:
             return out
-        u = rng.random(total)
-        idx = np.searchsorted(self._cdf, u * self._cdf[-1], side="right")
-        draws = self.support[idx.clip(0, len(self.support) - 1)]
         seg = np.repeat(np.arange(len(karr)), karr)
-        np.add.at(out, seg, draws)
+        np.add.at(out, seg, self.sample_each(total, rng))
         return out
+
+    def sample_each(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """One offspring draw for each of m particles (inverse CDF on the table)."""
+        if self.is_binary:
+            return rng.integers(0, 2, size=m) * 2
+        u = rng.random(m) * self._cdf[-1]
+        idx = np.searchsorted(self._cdf, u, side="right").clip(0, len(self.support) - 1)
+        return self.support[idx]
 
     def population_step(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Next-generation sizes for an array of current populations."""
@@ -196,19 +202,15 @@ def geometric(m: float) -> OffspringDist:
     if m <= 1:
         raise ValueError("geometric family needs m > 1")
     r = 1.0 - 1.0 / m
-    # table kept for inspection; sampling and pgf use the closed forms
-    ls, qs = [0], [r]
-    mass, l, ql = r, 1, (1 - r) ** 2
-    while mass < 1 - _TRUNC and l < 5_000_000:
-        ls.append(l)
-        qs.append(ql)
-        mass += ql
-        l += 1
-        ql *= r
+    # Table for per-particle draws and inspection; offspring sums and the pgf
+    # use the closed forms.  The first L litters l >= 1 carry mass
+    # 1 - r - (1-r) r^L, so L is the least integer with (1-r) r^L <= _TRUNC.
+    L = min(max(1, math.ceil(math.log(_TRUNC / (1 - r)) / math.log(r))), 5_000_000)
+    qs = np.cumprod(np.concatenate(([(1 - r) ** 2], np.full(L - 1, r))))
     return OffspringDist(
         name=f"geometric:{m:g}",
-        support=np.array(ls, dtype=np.int64),
-        probs=np.array(qs),
+        support=np.arange(L + 1, dtype=np.int64),
+        probs=np.concatenate(([r], qs)),
         sigma2=2 * r / (1 - r),
         tail_class="exponential",
         z_max=1.0 / r,

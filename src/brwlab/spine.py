@@ -22,13 +22,11 @@ construction, which realizes the exact joint occupancy law around the tip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import forward as fw
-from .exactfields import _pmean
-from .lattice import clamp_radius, neighborhood, sample_srw_batch, sites_in_ball
+from .lattice import clamp_radius, neighborhood, sample_srw_batch, sites_in_ball, stencil_step
 from .offspring import binary
 
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
@@ -47,7 +45,7 @@ def return_probs(max_n: int, d: int = 2) -> np.ndarray:
     out[0] = 1.0
     vals = np.ones((1,) * d)
     for m in range(1, max_n + 1):
-        vals, _ = _pmean(vals, d, pad=0.0, clamp=clamp)
+        vals, _ = stencil_step(vals, d, clamp=clamp)
         out[m] = vals[(vals.shape[0] // 2,) * d]
     _return_cache[d] = out
     return out
@@ -74,7 +72,7 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     misses = np.zeros(reps, dtype=np.int64)
     cur = np.ones((1,) * d)
     for i in range(1, n + 1):
-        cur, _ = _pmean(cur, d, pad=0.0, clamp=clamp)
+        cur, _ = stencil_step(cur, d, clamp=clamp)
         R = (cur.shape[0] - 1) // 2
         pos = positions[:, i, :]
         inside = np.all(np.abs(pos) <= R, axis=1)
@@ -87,33 +85,8 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     return vals, misses
 
 
-@dataclass
-class SpineRealization:
-    """One draw of the distinguished-line construction: the spine path, the
-    sibling displacements, the tip-sibling collision coin, and the resulting
-    typical-site statistics."""
-
-    S: np.ndarray            # spine positions, (n+1, d)
-    xi: np.ndarray           # sibling displacements, (n, d)
-    b0: bool
-    tstar: int
-    gamma: float
-    delta: float
-    clamp_misses: int
-
-
-def sample_spine_realization(n: int, d: int = 2,
-                             rng: np.random.Generator = None) -> SpineRealization:
-    out = spine_typical_batch(n, 1, rng, d, keep_paths=True)
-    return SpineRealization(
-        S=out["S"][0], xi=out["xi"][0], b0=bool(out["B0"][0]),
-        tstar=int(out["Tstar"][0]), gamma=float(out["Gamma"][0]),
-        delta=float(out["Delta"][0]), clamp_misses=int(out["clamp_misses"][0]))
-
-
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
-                        keep_increments: tuple[int, ...] = (),
-                        keep_paths: bool = False) -> dict:
+                        keep_increments: tuple[int, ...] = ()) -> dict:
     """Batched draws of (T**_n, Gamma_n, Delta_n) under the size-biased law.
 
     keep_increments: indices i for which the centered increments
@@ -122,7 +95,7 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
-    fw._check_capacity(n, d, reps)
+    fw._check_capacity(n + 1, d, reps)  # query sites S_j + xi_{j-1} reach n + 1
     S = sample_srw_batch(n, d, reps, rng)                  # (reps, n+1, d)
     offs = neighborhood(d)
     xi = offs[rng.integers(0, 2 * d + 1, size=(reps, n))]  # xi_0..xi_{n-1}
@@ -149,7 +122,7 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
             kept[j] = u_j - p_at_s[:, j]
     tstar = 1 + b0.astype(np.int64) + u_sum
     assert tstar.min() >= 1  # the spine survives on every sample
-    out = {
+    return {
         "Tstar": tstar,
         "Gamma": gamma,
         "Delta": u_sum - gamma,
@@ -158,22 +131,6 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
         "increments": kept,
         "Z_attached_total": u_sum,
     }
-    if keep_paths:
-        out["S"] = S
-        out["xi"] = xi
-    return out
-
-
-def sample_typical_occupancy(n: int, d: int = 2, rng: np.random.Generator = None) -> int:
-    """One draw of the particle count at the typical site under the
-    size-biased measure (always >= 1: the spine counts itself)."""
-    out = spine_typical_batch(n, 1, rng, d)
-    return int(out["Tstar"][0])
-
-
-def sample_gamma_delta(n: int, d: int = 2, rng: np.random.Generator = None) -> tuple[float, float]:
-    out = spine_typical_batch(n, 1, rng, d)
-    return float(out["Gamma"][0]), float(out["Delta"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +216,6 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
         "unoccupied": nball - occupied.sum(axis=1),
         "ball_sites": nball,
     }
-
-
-def sample_ball_count(n: int, ell: float, d: int = 2,
-                      rng: np.random.Generator = None) -> int:
-    return int(spine_ball_batch(n, ell, 1, rng, d)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 
 @dataclass
@@ -102,7 +102,7 @@ def chi_square(observed, probs, min_expected: float = 5.0) -> dict:
         raise ValueError("pooling left a single cell; nothing to test")
     stat = float(((obs_g - exp_g) ** 2 / exp_g).sum())
     dof = len(exp_g) - 1
-    return {"stat": stat, "dof": dof, "p_value": float(sps.chi2.sf(stat, dof))}
+    return {"stat": stat, "dof": dof, "p_value": float(special.chdtrc(dof, stat))}
 
 
 def tightness_table(samples_by_n: dict[int, np.ndarray], normalizer,

@@ -24,7 +24,7 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import Field, transition_field, clamp_radius
+from .lattice import Field, clamp_radius, stencil_step, transition_field
 from .offspring import binary
 from .rngstreams import substream
 from .stats import ReportRow
@@ -285,7 +285,7 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     reps = 100_000
     bank1 = cr.HittingBank(1, 2)
     s1 = cr.ConditionedSampler(1, (1, 0), bank1)
-    draws = np.array([s1.sample(rng) for _ in range(reps)])
+    draws = np.array([s1.sample(rng)[0] for _ in range(reps)])
     support_ok = bool(np.all((draws == 1) | (draws == 2)))
     obs = np.bincount(draws, minlength=3)[1:3]
     chi = st.chi_square(obs, np.array([8.0, 1.0]) / 9.0)
@@ -298,7 +298,7 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
         pf = xf.pmf_oracle(_B, n, 2, degree=32)
         cond = pf.conditional_pmf_at((1, 0))
         s = cr.ConditionedSampler(n, (1, 0), bk)
-        draws = np.array([s.sample(rng) for _ in range(reps)])
+        draws = np.array([s.sample(rng)[0] for _ in range(reps)])
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         rows.append(_row("C10-conditioned", f"n{n}-chi-square-vs-oracle", chi["p_value"],
@@ -324,8 +324,7 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     worst = -math.inf
     for k in range(513):
         if k > 0:
-            pu, _ = xf._pmean(vals, 2, pad=0.0, clamp=None)
-            vals = pu - 0.5 * np.square(pu)
+            vals, _ = xf.kpp_step(vals, 2)
         R = (vals.shape[0] - 1) // 2
         ax = np.arange(-R, R + 1, dtype=np.float64)
         sq = ax[:, None] ** 2 + ax[None, :] ** 2
@@ -381,8 +380,8 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
         worst = -math.inf
         f = Field.delta(d)
         for n in range(1, 65):
-            f = xf._pmean(f.values, d, pad=0.0, clamp=None)[0]
-            f = Field(d, (f.shape[0] - 1) // 2, f, 0.0)
+            vals, _ = stencil_step(f.values, d)
+            f = Field(d, (vals.shape[0] - 1) // 2, vals, 0.0)
             worst = max(worst, _orthant_violation(f))
         rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
                          worst <= 1e-12, n=64, d=d))

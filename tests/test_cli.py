@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from brwlab import conditioned as cr
 from brwlab.cli import main
+from brwlab.rngstreams import substream
 
 
 def run_cli(args):
@@ -33,15 +36,18 @@ def test_simulate_requires_seed(tmp_path):
 
 
 def test_simulate_byte_identical_and_thread_invariant(tmp_path):
-    a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
-    run_cli(["simulate", "--n", "4", "--reps", "12", "--seed", "3", "--out", str(a)])
-    run_cli(["simulate", "--n", "4", "--reps", "12", "--seed", "3", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-    env = dict(os.environ, BRW_THREADS="3")
-    subprocess.run([sys.executable, "-m", "brwlab.cli", "simulate", "--n", "4",
-                    "--reps", "12", "--seed", "3", "--out", str(c)],
-                   check=True, env=env)
-    assert a.read_bytes() == c.read_bytes()
+    # 1100 replicates span 5 blocks, so BRW_THREADS=3 takes the process pool
+    for argv in (["simulate", "--n", "4", "--reps", "1100", "--seed", "3"],
+                 ["spine", "--n", "3", "--reps", "1100", "--ell", "2", "--seed", "3"]):
+        a, b, c = (tmp_path / f"{argv[0]}-{name}" for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        run_cli(argv + ["--out", str(a)])
+        run_cli(argv + ["--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 1100
+        env = dict(os.environ, BRW_THREADS="3")
+        subprocess.run([sys.executable, "-m", "brwlab.cli", *argv, "--out", str(c)],
+                       check=True, env=env)
+        assert a.read_bytes() == c.read_bytes()
 
 
 def test_conditioned_simulate_records_attempts(tmp_path):
@@ -94,6 +100,12 @@ def test_conditioned_cli_and_chi_square_report(tmp_path):
     assert all(r["value"] >= 1 and r["x"] == [1, 0] for r in rows)
     chi = json.loads(rep.read_text())
     assert chi["p_value"] > 1e-4
+    # replaying row r's substream reproduces its value and its path's checksum
+    sampler = cr.ConditionedSampler(2, (1, 0))
+    for r in rows[:25]:
+        value, path = sampler.sample(substream(9, "conditioned-rep", r["rep"]))
+        checksum = int((np.arange(1, len(path) + 1)[:, None] * np.abs(path)).sum() % (1 << 31))
+        assert (value, checksum) == (r["value"], r["path_len_checksum"])
 
 
 def test_report_aggregates_jsonl(tmp_path):
@@ -135,3 +147,11 @@ def test_config_file_with_flag_override(tmp_path):
     rows = out.read_text().splitlines()
     assert len(rows) == 5  # flag wins over config
     assert json.loads(rows[0])["n"] == 2  # config wins over default
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    code = ("import sys, brwlab.cli, brwlab.verify; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True)
+    assert out.stdout.strip() == "[]"

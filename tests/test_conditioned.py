@@ -34,7 +34,7 @@ def test_beta_coin_value_at_origin():
 def test_one_step_law_is_one_plus_bernoulli_ninth():
     rng = substream(40, "conditioned-rep")
     s = cr.ConditionedSampler(1, (0, 1))
-    draws = np.array([s.sample(rng) for _ in range(30_000)])
+    draws = np.array([s.sample(rng)[0] for _ in range(30_000)])
     assert set(np.unique(draws)) <= {1, 2}
     obs = np.bincount(draws, minlength=3)[1:3]
     chi = chi_square(obs, np.array([8.0, 1.0]) / 9.0)
@@ -80,7 +80,7 @@ def test_conditional_mean_identity():
     n, x = 12, (2, 0)
     bank = cr.HittingBank(n, 2)
     s = cr.ConditionedSampler(n, x, bank)
-    draws = np.array([s.sample(rng) for _ in range(20_000)])
+    draws = np.array([s.sample(rng)[0] for _ in range(20_000)])
     exact = cr.conditional_mean(n, x, bank)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - exact) <= 3 * se
@@ -99,7 +99,7 @@ def test_distribution_matches_pmf_oracle(n, targets):
     for x in targets:
         cond = pf.conditional_pmf_at(x)
         s = cr.ConditionedSampler(n, x, bank)
-        draws = np.array([s.sample(rng) for _ in range(20_000)])
+        draws = np.array([s.sample(rng)[0] for _ in range(20_000)])
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = chi_square(obs, cond)
         assert chi["p_value"] > 0.01, (n, x)
@@ -128,4 +128,6 @@ def test_path_and_sample_reproducible():
     s = cr.ConditionedSampler(5, (1, 1))
     a = [s.sample(substream(9, "conditioned-rep", rep)) for rep in range(20)]
     b = [s.sample(substream(9, "conditioned-rep", rep)) for rep in range(20)]
-    assert a == b
+    assert [v for v, _ in a] == [v for v, _ in b]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a, b))
+    assert all(tuple(p[-1]) == (1, 1) for _, p in a)

@@ -40,48 +40,57 @@ def test_encode_decode_round_trip():
         assert np.array_equal(fw.decode_sites(keys, d), coords)
 
 
+def _tagged(sites, reps, d):
+    """Keys for `reps` replicates of the same hand-made occupancy `sites`
+    (one entry per particle)."""
+    rep_ids = np.repeat(np.arange(reps, dtype=np.int64), len(sites)) << fw._rep_shift(d)
+    return rep_ids + np.tile(fw.encode_sites(np.asarray(sites), d), reps)
+
+
 def test_step_on_empty_is_empty():
-    occ = fw.SparseOccupancy({}, 3, 2)
-    out = fw.step(occ, B, substream(1, "selftest"))
-    assert out.entries == {} and out.n == 4
+    keys = fw.evolve_particles(np.zeros(0, dtype=np.int64), 1, B, 2, substream(1, "selftest"))
+    assert keys.size == 0
+    bs = fw.run_batch(B, 3, 2, 0, substream(1, "selftest"))
+    assert bs.Z.size == 0
 
 
 def test_step_from_single_particle_law():
     rng = substream(2, "selftest")
     offs = {tuple(o) for o in lat.neighborhood(2)}
-    reps, extinct = 4000, 0
-    for _ in range(reps):
-        out = fw.step(fw.SparseOccupancy.origin(2), B, rng)
-        if not out.entries:
-            extinct += 1
-            continue
-        assert out.z == 2
-        assert set(out.entries) <= offs
+    reps = 4000
+    keys = fw.evolve_particles(_tagged([(0, 0)], reps, 2), 1, B, 2, rng)
+    site_mask = (np.int64(1) << fw._rep_shift(2)) - 1
+    assert {tuple(s) for s in fw.decode_sites(keys & site_mask, 2)} <= offs
+    bs = fw.BatchStats(keys, reps, 2)
+    assert set(np.unique(bs.Z)) <= {0, 2}
+    extinct = int((bs.Z == 0).sum())
     assert abs(extinct / reps - 0.5) <= 3 * math.sqrt(0.25 / reps)
 
 
 def test_step_preserves_mean_population():
     rng = substream(3, "selftest")
-    occ = fw.SparseOccupancy({(0, 0): 3, (1, 0): 2}, 0, 2)
-    zs = np.array([fw.step(occ, B, rng).z for _ in range(20000)])
+    sites = [(0, 0)] * 3 + [(1, 0)] * 2
+    reps = 20000
+    zs = fw.BatchStats(fw.evolve_particles(_tagged(sites, reps, 2), 1, B, 2, rng), reps, 2).Z
     se = zs.std(ddof=1) / math.sqrt(len(zs))
-    assert abs(zs.mean() - occ.z) <= 3 * se
+    assert abs(zs.mean() - len(sites)) <= 3 * se
 
 
 def test_step_general_offspring_mean():
     rng = substream(4, "selftest")
     g = geometric(2)
-    occ = fw.SparseOccupancy({(0, 0, 0): 4}, 0, 3)
-    zs = np.array([fw.step(occ, g, rng).z for _ in range(20000)])
+    reps = 20000
+    zs = fw.BatchStats(fw.evolve_particles(_tagged([(0, 0, 0)] * 4, reps, 3), 1, g, 3, rng),
+                       reps, 3).Z
     se = zs.std(ddof=1) / math.sqrt(len(zs))
     assert abs(zs.mean() - 4) <= 3 * se
 
 
 def test_stats_from_handmade_occupancy():
-    s = fw.stats_from_occupancy(fw.SparseOccupancy({(0, 0): 2}, 5, 2))
+    s = fw.BatchStats(_tagged([(0, 0)] * 2, 1, 2), 1, 2).genstats(0, 5)
     assert (s.Z, s.V, s.Omega) == (2, 2, 1)
     assert s.M[1] == 1 and sum(s.M) == 1
-    big = fw.stats_from_occupancy(fw.SparseOccupancy({(0, 0): 70, (1, 0): 3}, 5, 2))
+    big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2).genstats(0, 5)
     assert big.overflow_sites == 1 and big.overflow_mass == 70
     assert big.Z == 73 and big.V == 70
 
@@ -114,22 +123,21 @@ def test_markov_bound_and_fundamental_identity_mc():
 
 def test_run_conditioned_one_step_always_pair():
     rng = substream(7, "selftest")
-    for _ in range(50):
-        s = fw.run_conditioned(B, 1, 2, rng)
-        assert s.Z == 2 and s.conditioned and s.attempts >= 1
+    bs = fw.run_conditioned_batch(B, 1, 2, 50, rng, xf.survival_prob(B, 1))
+    assert np.all(bs.Z == 2) and np.all(bs.attempts >= 1)
 
 
 def test_run_conditioned_attempt_budget_exceeded():
     rng = substream(77, "selftest")
     with pytest.raises(RuntimeError):
-        fw.run_conditioned(B, 512, 2, rng, max_attempts=1)
+        fw.run_conditioned_batch(B, 512, 2, 1, rng, xf.survival_prob(B, 512), max_attempts=1)
 
 
 def test_run_conditioned_attempt_count_geometric():
     rng = substream(8, "selftest")
     n = 6
     s_n = xf.survival_prob(B, n)
-    attempts = np.array([fw.run_conditioned(B, n, 2, rng).attempts for _ in range(3000)])
+    attempts = fw.run_conditioned_batch(B, n, 2, 3000, rng, s_n).attempts
     se = attempts.std(ddof=1) / math.sqrt(len(attempts))
     assert abs(attempts.mean() - 1.0 / s_n) <= 3 * se
 
@@ -148,15 +156,15 @@ def test_conditioned_batch_matches_survival_conditioning():
 def test_typical_site_draw_weighted_by_occupancy():
     from brwlab.stats import chi_square
     rng = substream(10, "selftest")
-    occ = fw.SparseOccupancy({(0, 0): 5, (2, 1): 1, (-1, 0): 2}, 4, 2)
-    sites = sorted(occ.entries)
-    draws = []
-    for _ in range(8000):
-        s = fw.stats_from_occupancy(occ, rng)
-        draws.append(tuple(s.S))
-        assert s.T == occ.entries[tuple(s.S)]
+    occ = {(0, 0): 5, (2, 1): 1, (-1, 0): 2}
+    sites = sorted(occ)
+    reps = 8000
+    particles = [s for s in sites for _ in range(occ[s])]
+    bs = fw.BatchStats(_tagged(particles, reps, 2), reps, 2, rng)
+    draws = [tuple(s) for s in bs.S.tolist()]
+    assert all(t == occ[s] for t, s in zip(bs.T.tolist(), draws))
     counts = np.array([draws.count(s) for s in sites], dtype=np.float64)
-    probs = np.array([occ.entries[s] for s in sites], dtype=np.float64) / occ.z
+    probs = np.array([occ[s] for s in sites], dtype=np.float64) / len(particles)
     chi = chi_square(counts, probs)
     assert chi["p_value"] > 1e-3
 
@@ -199,23 +207,21 @@ def test_overlap_mean_bounded_by_double_step():
     assert vals.mean() <= bound + 3 * se
 
 
-def test_ball_stats_counts():
-    empty = fw.SparseOccupancy({}, 0, 2)
-    out = fw.ball_stats(empty, (0, 0), 2)
-    assert out == {"ball_sites": 13, "unoccupied": 13, "particles": 0}
-    one = fw.SparseOccupancy({(0, 0): 1}, 0, 2)
-    out = fw.ball_stats(one, (0, 0), 2)
-    assert out["unoccupied"] == 12 and out["particles"] == 1
-    shifted = fw.ball_stats(one, (5, 5), 2)
-    assert shifted["unoccupied"] == 13 and shifted["particles"] == 0
-
-
 def test_genstats_json_schema():
     rng = substream(15, "selftest")
-    s = fw.run_conditioned(B, 3, 2, rng)
-    s.rep, s.seed = 7, 123
+    bs = fw.run_conditioned_batch(B, 3, 2, 1, rng, xf.survival_prob(B, 3), want_typical=True)
+    s = bs.genstats(0, 3, conditioned=True, attempts=int(bs.attempts[0]), rep=7, seed=123)
     d = s.to_json_dict()
     assert set(d) == {"rep", "n", "d", "seed", "conditioned", "attempts", "Z", "V",
                       "Omega", "M", "overflow", "T", "S"}
     assert d["conditioned"] is True and len(d["M"]) == fw.J_MAX
     assert set(d["overflow"]) == {"sites", "mass"}
+    assert d["attempts"] >= 1 and d["T"] >= 1 and len(d["S"]) == 2
+
+
+def test_key_packing_range_checked():
+    rng = substream(16, "selftest")
+    with pytest.raises(ValueError):
+        fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_prob(B, 4))
+    with pytest.raises(ValueError):
+        fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)

@@ -147,6 +147,11 @@ def test_geometric_closed_forms_match_table():
     # inside the domain but beyond the table's reliable range: closed form only
     assert g.pgf(1.6) == pytest.approx(0.5 + 0.25 * 1.6 / 0.2, abs=1e-12)
     assert g.sigma2 == pytest.approx(2.0)
+    # the table length comes in closed form, also where the float running
+    # sum of the weights never reaches 1 - 1e-15
+    g50 = off.geometric(50)
+    assert len(g50.support) < 2000
+    assert abs(g50.probs.sum() - 1.0) <= 1e-12
 
 
 def test_parse_offspring_specs():

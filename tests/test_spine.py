@@ -67,20 +67,15 @@ def test_typical_mean_identity_fast():
     assert abs(dlt.mean()) <= 3 * se_d
 
 
-def test_single_draw_wrappers():
+def test_typical_batch_single_draw():
     rng = substream(23, "spine")
-    assert sp.sample_typical_occupancy(8, 2, rng) >= 1
-    g, dlt = sp.sample_gamma_delta(8, 2, rng)
-    assert g >= 0.0 and isinstance(dlt, float)
     with pytest.raises(ValueError):
         sp.spine_typical_batch(1, 10, rng)
-    r = sp.sample_spine_realization(8, 2, rng)
-    assert r.S.shape == (9, 2) and r.xi.shape == (8, 2)
-    assert not r.S[0].any()  # starts at the origin
-    assert np.abs(np.diff(r.S, axis=0)).sum(axis=1).max() <= 1
-    assert np.abs(r.xi).sum(axis=1).max() <= 1
-    assert r.tstar >= 1
-    assert r.tstar - 1 - int(r.b0) == pytest.approx(r.gamma + r.delta)
+    out = sp.spine_typical_batch(8, 1, rng, 2)
+    tstar, b0 = int(out["Tstar"][0]), bool(out["B0"][0])
+    gamma, delta = float(out["Gamma"][0]), float(out["Delta"][0])
+    assert tstar >= 1 and gamma >= 0.0
+    assert tstar - 1 - int(b0) == pytest.approx(gamma + delta)
 
 
 def test_centered_increments_uncorrelated():
@@ -121,13 +116,13 @@ def test_gamma_variance_halves_by_1024_as_stated():
 
 def test_gamma_variance_matches_exact_evaluation():
     # oracle: E Gamma^2 = sum_i <P_i^2, P_i> + 2 sum_{i<j} <P_i^2, P_{2j-i}>
-    from brwlab.exactfields import _pmean
+    from brwlab.lattice import stencil_step
 
     n = 32
     fields = {0: np.ones((1, 1))}
     vals = fields[0]
     for m in range(1, 2 * n + 1):
-        vals, _ = _pmean(vals, 2, pad=0.0, clamp=None)
+        vals, _ = stencil_step(vals, 2)
         fields[m] = vals
 
     def dot(a, b):
@@ -169,13 +164,13 @@ def test_delta_variance_band_at_1024_as_stated():
 def test_delta_variance_matches_exact_evaluation():
     # independent oracle: var(Delta_n) = sum_i [P_{2i}(0) - sum_z P_i(z)^3
     #                                    + sum_{j<i} <P_j^2, P_{2i-j}>]
-    from brwlab.exactfields import _pmean
+    from brwlab.lattice import stencil_step
 
     n = 24
     fields = {0: np.ones((1, 1))}
     vals = fields[0]
     for m in range(1, 2 * n + 1):
-        vals, _ = _pmean(vals, 2, pad=0.0, clamp=None)
+        vals, _ = stencil_step(vals, 2)
         fields[m] = vals
 
     def dot(a, b):
@@ -227,8 +222,7 @@ def test_ball_count_floor_and_saturation():
 def test_ball_count_mean_band_and_exact_window_sums():
     # exact E W = 2 + sum_{i=1}^{n-1} sum_{|x|<=ell} P_{2i+2}(x); the mean over
     # pi*ell^2*log n must sit in [A/4, A]
-    from brwlab.exactfields import _pmean
-    from brwlab.lattice import sites_in_ball, clamp_radius
+    from brwlab.lattice import clamp_radius, sites_in_ball, stencil_step
 
     n, ell = 512, 7
     offsets = sites_in_ball(2, ell)
@@ -236,7 +230,7 @@ def test_ball_count_mean_band_and_exact_window_sums():
     vals = np.ones((1, 1))
     exact = 2.0
     for m in range(1, 2 * n + 1):
-        vals, _ = _pmean(vals, 2, pad=0.0, clamp=clamp)
+        vals, _ = stencil_step(vals, 2, clamp=clamp)
         if m >= 4 and m % 2 == 0:  # m = 2i+2 for i = 1..n-1
             R = (vals.shape[0] - 1) // 2
             keep = np.all(np.abs(offsets) <= R, axis=1)

@@ -43,6 +43,8 @@ def test_chi_square_self_test():
     obs = np.bincount(draws, minlength=4)
     out = st.chi_square(obs, probs)
     assert out["p_value"] > 1e-3
+    from scipy.stats import chi2
+    assert out["p_value"] == pytest.approx(chi2.sf(out["stat"], out["dof"]), rel=1e-12)
     shifted = np.roll(probs, 1)
     out_bad = st.chi_square(obs, shifted)
     assert out_bad["p_value"] < 1e-6
