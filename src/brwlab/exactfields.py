@@ -101,11 +101,13 @@ def hitting_bank(dist: OffspringDist, n: int, d: int = 2,
             bank.append(f)
     else:
         h = np.zeros((1,) * d)  # h_0 = 1 - delta; the pad supplies the ones
+        tail = 0.0
         bank.append(Field.delta(d))
         for k in range(n):
-            ph, _ = stencil_step(h, d, pad=1.0, clamp=clamp)
+            ph, lost = stencil_step(h, d, pad=1.0, clamp=clamp)
+            tail += lost
             h = np.asarray(dist.pgf(ph))
-            f = Field(d, (h.shape[0] - 1) // 2, 1.0 - h, 0.0)
+            f = Field(d, (h.shape[0] - 1) // 2, 1.0 - h, tail)
             f.step = k + 1
             bank.append(f)
     return bank

@@ -29,6 +29,11 @@ def _rep_shift(d: int) -> int:
     return d * COORD_BITS
 
 
+def _max_tags(d: int) -> int:
+    """Replicate tags must stay below this bound so that keys fit int64."""
+    return 1 << (62 - _rep_shift(d))
+
+
 def encode_sites(coords: np.ndarray, d: int) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, d)
     keys = np.zeros(len(coords), dtype=np.int64)
@@ -229,7 +234,7 @@ def _check_capacity(reach: int, d: int, reps: int) -> None:
     if reach >= COORD_OFF:
         raise ValueError(f"coordinates up to {reach} exceed the packing range "
                          f"|x| < {COORD_OFF}")
-    if reps >= 1 << (62 - _rep_shift(d)):
+    if reps >= _max_tags(d):
         raise ValueError("too many replicates for one batch; use rounds")
 
 

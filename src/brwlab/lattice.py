@@ -95,7 +95,8 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
 
     `pad` is the implicit field value outside the input box (0 for mass-type
     fields, 1 for extinction-probability fields).  `lost` is the exact mass
-    dropped by cropping to radius `clamp` (only meaningful for pad=0).
+    dropped by cropping to radius `clamp`: of vals' itself for pad = 0, of
+    pad - vals' otherwise (for an extinction field h, the mass of 1 - Ph).
 
     Opposite shifts are added pairwise (commutative), and for d = 3 the axis
     pair-sums are sorted elementwise before reduction, so mirror-symmetric and
@@ -128,6 +129,8 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
         crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
         if pad == 0.0:
             lost = float(out.sum() - crop.sum())
+        else:
+            lost = float((pad - out).sum() - (pad - crop).sum())
         out = crop
     return out, lost
 

@@ -13,10 +13,20 @@ Gamma_n = sum_{i=2..n} P_i(S_i) (a walk functional with exact mean
 sum P_{2i}(0)) plus a centered part Delta_n with orthogonal increments.
 
 The ball count within distance ell of the typical site has the analogous
-representation  W_n = 2 + sum_{i=1..n-1} sum_{|x|<=ell} U^i_i(x + S_{i+1} + xi_i);
-the constant 2 presumes the spine tip's sibling lands in the ball, true for
-ell >= 2.  Vacancy statistics are sampled from the forward (unreversed)
-construction, which realizes the exact joint occupancy law around the tip.
+representation  W_n = 1 + sum_{i=0..n-1} sum_{|x|<=ell} U^i_i(x + S_{i+1} + xi_i):
+the 1 is the spine tip, and the age-0 walk U^0 (the tip's sibling, a single
+particle at the origin) counts only when it lies in the ball, which is
+always so for ell >= 2.  Vacancy statistics are sampled from the forward
+(unreversed) construction, which realizes the exact joint occupancy law
+around the tip.
+
+Cost.  All attached walks of a construction run in one particle array with
+staggered births: a walk of age a enters n-1-a generation steps into the
+run, so a replicate chunk takes n-1 one-generation steps of
+`evolve_particles` instead of a fresh run per spine height (about n^2/2
+steps).  Replicates are processed in chunks of at most max(1, 2**18 // n),
+which keeps the fused array near 2**18 particles, and small enough that
+chunk * (n+1) walk tags fit the key packing range (d = 3 splits further).
 """
 
 from __future__ import annotations
@@ -85,6 +95,36 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     return vals, misses
 
 
+def _chunks(n: int, reps: int, d: int, reach: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) for the fused walk arrays (see module doc);
+    fails fast unless chunk * (n+1) tags and coordinates up to `reach` pack."""
+    size = max(1, min(2**18 // n, (fw._max_tags(d) - 1) // (n + 1)))
+    fw._check_capacity(reach, d, size * (n + 1))
+    return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
+
+
+def _staggered_walks(starts: list[np.ndarray], d: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Final keys of independent binary branching random walks with staggered
+    births: the keys in starts[t] enter before generation step t, so they
+    evolve for len(starts) - 1 - t generations."""
+    keys = starts[0]
+    for new in starts[1:]:
+        keys = np.concatenate((fw.evolve_particles(keys, 1, _BINARY, d, rng), new))
+    return keys
+
+
+def _tag_keys(tags: np.ndarray, sites, d: int) -> np.ndarray:
+    return (tags << fw._rep_shift(d)) + sites
+
+
+def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
+    """Spine positions S_0..S_n (reps, n+1, d) and sibling steps xi_0..xi_{n-1}."""
+    S = sample_srw_batch(n, d, reps, rng)
+    xi = neighborhood(d)[rng.integers(0, 2 * d + 1, size=(reps, n))]
+    return S, xi
+
+
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
                         keep_increments: tuple[int, ...] = ()) -> dict:
     """Batched draws of (T**_n, Gamma_n, Delta_n) under the size-biased law.
@@ -95,31 +135,35 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
-    fw._check_capacity(n + 1, d, reps)  # query sites S_j + xi_{j-1} reach n + 1
-    S = sample_srw_batch(n, d, reps, rng)                  # (reps, n+1, d)
-    offs = neighborhood(d)
-    xi = offs[rng.integers(0, 2 * d + 1, size=(reps, n))]  # xi_0..xi_{n-1}
-    b0 = rng.integers(0, 2 * d + 1, size=reps) == 0
-    p_at_s, misses = _field_values_at(n, d, S)
-    gamma = p_at_s[:, 2:].sum(axis=1)
+    chunks = _chunks(n, reps, d, n + 1)  # query sites S_j + xi_{j-1} reach n + 1
     shift = fw._rep_shift(d)
-    rep_ids = np.arange(reps, dtype=np.int64) << shift
     origin = fw.encode_sites(np.zeros((1, d)), d)[0]
+    keep = [j for j in keep_increments if 2 <= j <= n]
+    # every chunk's spine, kept for one field sweep after the loop
+    # (int16 holds it: _chunks bounds |S| <= n < 2**14)
+    S_all = np.empty((reps, n + 1, d), dtype=np.int16)
+    b0 = np.empty(reps, dtype=bool)
     u_sum = np.zeros(reps, dtype=np.int64)
-    kept = {}
-    for j in range(2, n + 1):
-        keys = fw.evolve_particles(rep_ids + origin, j - 1, _BINARY, d, rng)
-        target = S[:, j, :] + xi[:, j - 1, :]
-        qkeys = rep_ids + fw.encode_sites(target, d)
-        u_j = np.zeros(reps, dtype=np.int64)
-        if keys.size:
-            hit = keys == qkeys[keys >> shift]
-            if hit.any():
-                u_j = np.bincount((keys[hit] >> shift).astype(np.int64),
-                                  minlength=reps).astype(np.int64)
-        u_sum += u_j
-        if j in keep_increments:
-            kept[j] = u_j - p_at_s[:, j]
+    u_kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
+    for lo, hi in chunks:
+        S, xi = _spine_steps(n, d, hi - lo, rng)
+        b0[lo:hi] = rng.integers(0, 2 * d + 1, size=hi - lo) == 0
+        S_all[lo:hi] = S
+        # walk j = 2..n (tag r*(n+1) + j) has age j-1: it enters at step n-j
+        tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
+        starts = [_tag_keys(tags[:, n - t], origin, d) if n - t >= 2
+                  else np.empty(0, dtype=np.int64) for t in range(n)]
+        keys = _staggered_walks(starts, d, rng)
+        qsites = np.zeros((hi - lo, n + 1), dtype=np.int64)
+        qsites[:, 2:] = fw.encode_sites(S[:, 2:, :] + xi[:, 1:, :], d).reshape(hi - lo, n - 1)
+        tag = keys >> shift
+        hit = keys == _tag_keys(tags, qsites, d).ravel()[tag]
+        u = np.bincount(tag[hit], minlength=tags.size).reshape(hi - lo, n + 1)
+        u_sum[lo:hi] = u.sum(axis=1)
+        for j in keep:
+            u_kept[j][lo:hi] = u[:, j]
+    p_at_s, misses = _field_values_at(n, d, S_all)
+    gamma = p_at_s[:, 2:].sum(axis=1)
     tstar = 1 + b0.astype(np.int64) + u_sum
     assert tstar.min() >= 1  # the spine survives on every sample
     return {
@@ -128,7 +172,7 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
         "Delta": u_sum - gamma,
         "B0": b0,
         "clamp_misses": misses,
-        "increments": kept,
+        "increments": {j: u_kept[j] - p_at_s[:, j] for j in keep},
         "Z_attached_total": u_sum,
     }
 
@@ -143,26 +187,22 @@ def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
     typical site, via the reversed window representation."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    fw._check_capacity(n, d, reps)
-    S = sample_srw_batch(n, d, reps, rng)
-    offs = neighborhood(d)
-    xi = offs[rng.integers(0, 2 * d + 1, size=(reps, n))]
+    chunks = _chunks(n, reps, d, n)
     shift = fw._rep_shift(d)
-    rep_ids = np.arange(reps, dtype=np.int64) << shift
     origin = fw.encode_sites(np.zeros((1, d)), d)[0]
-    w = np.full(reps, 2, dtype=np.int64)
+    w = np.ones(reps, dtype=np.int64)  # the spine tip
     ell2 = float(ell) ** 2 + 1e-9
-    for i in range(1, n):
-        keys = fw.evolve_particles(rep_ids + origin, i, _BINARY, d, rng)
-        if keys.size == 0:
-            continue
-        rep = (keys >> shift).astype(np.int64)
+    for lo, hi in chunks:
+        S, xi = _spine_steps(n, d, hi - lo, rng)
+        # walk i = 0..n-1 (tag r*(n+1) + i) has age i: it enters at step n-1-i
+        tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
+        starts = [_tag_keys(tags[:, n - 1 - t], origin, d) for t in range(n)]
+        keys = _staggered_walks(starts, d, rng)
+        rep, age = np.divmod(keys >> shift, n + 1)
         sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
-        center = S[:, i + 1, :] + xi[:, i, :]
-        rel = sites - center[rep]
+        rel = sites - (S[rep, age + 1, :] + xi[rep, age, :])
         inside = (rel.astype(np.float64) ** 2).sum(axis=1) <= ell2
-        if inside.any():
-            w += np.bincount(rep[inside], minlength=reps)
+        w[lo:hi] += np.bincount(rep[inside], minlength=hi - lo)
     return w
 
 
@@ -173,7 +213,7 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
 
     Returns per-replicate particle counts, unoccupied-site counts, and the
     ball size."""
-    fw._check_capacity(n, d, reps)
+    chunks = _chunks(n, reps, d, n)
     offsets = sites_in_ball(d, ell)
     nball = len(offsets)
     lookup_radius = int(math.floor(ell))
@@ -181,36 +221,30 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
     widx = -np.ones((side,) * d, dtype=np.int64)
     for w_i, off in enumerate(offsets):
         widx[tuple(off + lookup_radius)] = w_i
-    S = sample_srw_batch(n, d, reps, rng)       # spine positions, increments eta
-    offs = neighborhood(d)
-    xi = offs[rng.integers(0, 2 * d + 1, size=(reps, n))]
     shift = fw._rep_shift(d)
-    rep_ids = np.arange(reps, dtype=np.int64) << shift
     occupied = np.zeros((reps, nball), dtype=bool)
     particles = np.zeros(reps, dtype=np.int64)
     # the spine tip itself
     particles += 1
     occupied[:, widx[(lookup_radius,) * d]] = True
-    for j in range(n):
-        # sibling born at S_j + xi_j, then an ordinary walk for n-1-j generations
-        start = S[:, j, :] + xi[:, j, :]
-        keys = fw.evolve_particles(rep_ids + fw.encode_sites(start, d), n - 1 - j,
-                                   _BINARY, d, rng)
-        if keys.size == 0:
-            continue
-        rep = (keys >> shift).astype(np.int64)
+    for lo, hi in chunks:
+        S, xi = _spine_steps(n, d, hi - lo, rng)  # spine positions, increments eta
+        # sibling j (tag r) is born at S_j + xi_j at step j, then walks for
+        # n-1-j generations
+        tags = np.arange(hi - lo, dtype=np.int64)
+        starts = [_tag_keys(tags, fw.encode_sites(S[:, j, :] + xi[:, j, :], d), d)
+                  for j in range(n)]
+        keys = _staggered_walks(starts, d, rng)
+        rep = keys >> shift
         sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
         rel = sites - S[rep, n, :]
         inb = np.all(np.abs(rel) <= lookup_radius, axis=1)
-        if not inb.any():
-            continue
         rel_in = rel[inb] + lookup_radius
         w_i = widx[tuple(rel_in[:, k] for k in range(d))]
         ok = w_i >= 0
-        if ok.any():
-            rr = rep[inb][ok]
-            particles += np.bincount(rr, minlength=reps)
-            occupied[rr, w_i[ok]] = True
+        rr = rep[inb][ok]
+        particles[lo:hi] += np.bincount(rr, minlength=hi - lo)
+        occupied[lo + rr, w_i[ok]] = True
     return {
         "particles": particles,
         "unoccupied": nball - occupied.sum(axis=1),

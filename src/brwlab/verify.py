@@ -418,7 +418,8 @@ SUITES = {
 
 def run_suites(names, seed: int, budget_seconds: float | None = None,
                echo=None) -> list[ReportRow]:
-    """Run the named suites in order; one pass/fail line per suite via `echo`."""
+    """Run the named suites in order; one pass/fail line per suite via `echo`,
+    with the suite's wall time (the rows themselves carry no timing)."""
     bank = SimBank(seed)
     rows: list[ReportRow] = []
     start = time.monotonic()
@@ -429,11 +430,13 @@ def run_suites(names, seed: int, budget_seconds: float | None = None,
             if echo:
                 echo(f"SKIP {name}: budget exceeded")
             continue
+        t0 = time.monotonic()
         suite_rows = SUITES[name](seed, bank)
+        seconds = time.monotonic() - t0
         rows.extend(suite_rows)
         ok = all(r.passed for r in suite_rows if not r.soft)
         if echo:
             detail = "; ".join(f"{r.statistic}={'ok' if r.passed else 'FAIL'}"
                                for r in suite_rows)
-            echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            echo(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.1f} s): {detail}")
     return rows

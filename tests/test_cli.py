@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import brwlab
 from brwlab import conditioned as cr
 from brwlab.cli import main
 from brwlab.rngstreams import substream
@@ -13,6 +14,13 @@ from brwlab.rngstreams import substream
 
 def run_cli(args):
     return main(args)
+
+
+def child_env(**extra):
+    """Environment under which a child interpreter imports this brwlab."""
+    src = os.path.dirname(os.path.dirname(brwlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_simulate_jsonl_rows_and_sidecar(tmp_path):
@@ -44,9 +52,8 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path):
         run_cli(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 1100
-        env = dict(os.environ, BRW_THREADS="3")
         subprocess.run([sys.executable, "-m", "brwlab.cli", *argv, "--out", str(c)],
-                       check=True, env=env)
+                       check=True, env=child_env(BRW_THREADS="3"))
         assert a.read_bytes() == c.read_bytes()
 
 
@@ -153,5 +160,5 @@ def test_import_leaves_scipy_stats_and_signal_unloaded():
     code = ("import sys, brwlab.cli, brwlab.verify; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True)
+                         text=True, env=child_env())
     assert out.stdout.strip() == "[]"

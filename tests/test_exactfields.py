@@ -5,7 +5,7 @@ import pytest
 
 from brwlab import exactfields as xf
 from brwlab import lattice as lat
-from brwlab.offspring import binary, geometric, zeta
+from brwlab.offspring import binary, geometric, parse_offspring, zeta
 
 B = binary()
 
@@ -68,6 +68,16 @@ def test_hitting_routes_agree_for_general_law():
     assert np.abs(u.values - pf.hitting_values().values).max() <= 1e-9
     with pytest.raises(ValueError):
         xf.hitting_field(g, 3, 2, method="kpp")
+
+
+def test_pgf_route_reports_clamped_tail():
+    # the same law on both routes: the pgf route must count the mass of
+    # 1 - h that the clamp drops, as the kpp route counts that of u
+    kpp = xf.hitting_field(B, 12, 2, clamp=3)
+    pgf = xf.hitting_field(parse_offspring("table:0=0.5,2=0.5"), 12, 2, clamp=3)
+    assert kpp.tail_bound > 0.2
+    assert abs(pgf.tail_bound - kpp.tail_bound) <= 1e-12
+    assert np.abs(pgf.values - kpp.values).max() <= 1e-12
 
 
 def test_mean_occupied_frozen_and_oracle():

@@ -78,6 +78,27 @@ def test_typical_batch_single_draw():
     assert tstar - 1 - int(b0) == pytest.approx(gamma + delta)
 
 
+def test_attached_walks_have_their_ages():
+    # X_{j-1} = U^{j-1}_{j-1}(S_j + xi_{j-1}) - P_j(S_j) has mean 0 only if
+    # walk j ran exactly j-1 generations; one generation more or less shifts it
+    rng = substream(37, "spine")
+    n, reps = 16, 20_000
+    out = sp.spine_typical_batch(n, reps, rng, keep_increments=(2, 3, n))
+    for j in (2, 3, n):
+        x = out["increments"][j]
+        assert abs(x.mean()) <= 4 * x.std(ddof=1) / math.sqrt(reps), j
+
+
+def test_d3_batch_beyond_one_key_range_is_chunked():
+    # 2**17 replicates exceed the d = 3 tag range of one particle array
+    rng = substream(39, "spine")
+    n, reps = 2, 2**17 + 10
+    t = sp.spine_typical_batch(n, reps, rng, d=3)["Tstar"].astype(np.float64)
+    exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)
+    assert len(t) == reps
+    assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(reps)
+
+
 def test_centered_increments_uncorrelated():
     rng = substream(24, "spine")
     n, reps = 96, 5000
@@ -243,6 +264,17 @@ def test_ball_count_mean_band_and_exact_window_sums():
     w = sp.spine_ball_batch(n, ell, 400, rng)
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("ell", [1, 1.5])
+def test_reversed_ball_count_small_radius(ell):
+    # below ell = 2 the tip's sibling can fall outside the ball
+    rng = substream(38, "spine-ball")
+    n, reps = 16, 40_000
+    fwd = sp.spine_ball_forward_batch(n, ell, reps, rng)["particles"]
+    rev = sp.spine_ball_batch(n, ell, reps, rng)
+    se = math.sqrt(fwd.var(ddof=1) / reps + rev.var(ddof=1) / reps)
+    assert abs(fwd.mean() - rev.mean()) <= 4 * se
 
 
 def test_forward_ball_consistent_with_reversed_count():

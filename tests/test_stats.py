@@ -95,6 +95,20 @@ def test_verify_budget_flags_skipped_suites():
     assert st.summary_dict(rows)["hard_pass"] is False
 
 
+def test_verify_lines_carry_suite_seconds():
+    import re
+    import time
+
+    from brwlab import verify as vf
+    lines = []
+    t0 = time.monotonic()
+    vf.run_suites(["fundamental"], 1, echo=lines.append)
+    wall = time.monotonic() - t0
+    m = re.match(r"PASS fundamental \((\d+\.\d) s\): ", lines[0])
+    assert m, lines[0]
+    assert 0.0 <= float(m.group(1)) <= wall + 0.05
+
+
 def test_report_rows_csv_shape():
     rows = [st.ReportRow("C00-demo", 8, 2, "binary", "stat-a", 0.5, "<=1", True),
             st.ReportRow("C00-demo", 8, 2, "binary", "stat-b", 2.0, "<=1", False, soft=True)]
