@@ -97,19 +97,19 @@ def _blocks(reps: int) -> list[tuple[int, int, int]]:
 
 
 def _simulate_block(task):
-    seed, block, first, count, spec, n, d, survival, max_attempts = task
+    seed, block, first, count, spec, n, d, survival = task
     dist = parse_offspring(spec)
     if survival is None:
         stats = fw.run_batch(dist, n, d, count, substream(seed, "simulate", block),
                              want_typical=True)
     else:
-        stats = fw.run_conditioned_batch(dist, n, d, count,
-                                         substream(seed, "conditioned-sim", block), survival,
-                                         want_typical=True, max_attempts=max_attempts)
+        rng = substream(seed, "conditioned-sim", block)
+        stats = fw.run_conditioned_batch(dist, n, d, count, rng, survival, want_typical=True)
+        # the free runs rejection would have needed per survivor, from its exact law
+        attempts = rng.geometric(survival[n], size=count)
     lines = []
     for i in range(count):
-        kw = {} if survival is None else {"conditioned": True,
-                                          "attempts": int(stats.attempts[i])}
+        kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
         row = stats.genstats(i, n, rep=first + i, seed=seed, **kw).to_json_dict()
         lines.append(json.dumps(row, sort_keys=True))
     return lines
@@ -123,14 +123,12 @@ def cmd_simulate(args) -> int:
     reps = resolve(args, cfg, "reps", int, 10)
     seed = resolve(args, cfg, "seed", int, None)
     conditioned = bool(resolve(args, cfg, "conditioned", lambda s: s == "true", False))
-    max_attempts = resolve(args, cfg, "max-attempts", int, 10**7)
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
-                "reps": reps, "seed": seed, "conditioned": conditioned,
-                "max_attempts": max_attempts}
-    survival = xf.survival_prob(parse_offspring(spec), n) if conditioned else None
-    tasks = [(seed, *blk, spec, n, d, survival, max_attempts) for blk in _blocks(reps)]
+                "reps": reps, "seed": seed, "conditioned": conditioned}
+    survival = xf.survival_sequence(parse_offspring(spec), n) if conditioned else None
+    tasks = [(seed, *blk, spec, n, d, survival) for blk in _blocks(reps)]
     _write_blocks(args.out, _parallel_map(_simulate_block, tasks))
     _write_sidecar(args.out, resolved)
     return 0
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--offspring")
     q.add_argument("--reps", type=int)
     q.add_argument("--conditioned", action="store_const", const=True, default=None)
-    q.add_argument("--max-attempts", type=int)
     q.set_defaults(fn=cmd_simulate)
 
     q = sub.add_parser("spine", help="size-biased spine samples (JSONL)")

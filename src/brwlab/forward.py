@@ -4,8 +4,18 @@ The engine packs (replicate, site) into int64 keys and evolves one particle
 array for thousands of replicates at once: each particle draws its offspring
 count and each child picks a uniform neighbor.  `BatchStats` reads every
 per-replicate occupancy statistic (Z_n, V_n, M_n(j), Omega_n and the count at
-a typical site) off the final array in one pass; conditioned runs are batched
-rejection over rounds of free runs.
+a typical site) off the final array in one pass.
+
+Runs conditioned on survival to generation n (the event G_n) are drawn
+exactly from the reduced tree (Fleischmann & Siegmund-Schultze 1977; Geiger
+1999): only particles with a descendant at generation n are kept.  A kept
+particle with m generations left has K >= 1 kept children, each child
+surviving independently with probability s_{m-1} = P(Z_{m-1} > 0) given that
+at least one does (`OffspringDist.sample_kept`).  Dropped branches add nothing
+at generation n and motion does not depend on the genealogy, so the final
+array has the law of a free run's given G_n, at an expected cost of
+sum_k s_{n-k}/s_n (about n H_n) particle-generations per replicate instead of
+the n^2/2 that rejection of free runs spends.
 
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
@@ -61,17 +71,30 @@ def _move_deltas(d: int) -> np.ndarray:
         for i in range(d):
             acc = (acc << COORD_BITS) + int(off[i])
         deltas[j] = acc
+    deltas.flags.writeable = False
     return deltas
 
 
+# read-only: shared by every call of evolve_particles
+_MOVE_DELTAS = {d: _move_deltas(d) for d in (1, 2, 3)}
+
+
 def evolve_particles(keys: np.ndarray, gens: int, dist: OffspringDist, d: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Run `gens` generations of the particle array (keys may carry rep tags)."""
-    deltas = _move_deltas(d)
-    for _ in range(gens):
+                     rng: np.random.Generator,
+                     survival: np.ndarray | None = None) -> np.ndarray:
+    """Run `gens` generations of the particle array (keys may carry rep tags).
+
+    With `survival` (s_m = P(Z_m > 0) for m = 0..gens-1 at least), each
+    particle is conditioned to have a descendant `gens` generations on, and
+    only particles with a descendant then are kept (the reduced tree)."""
+    deltas = _MOVE_DELTAS[d]
+    for g in range(gens):
         if keys.size == 0:
             break
-        off = dist.sample_each(keys.size, rng)
+        if survival is None:
+            off = dist.sample_each(keys.size, rng)
+        else:
+            off = dist.sample_kept(keys.size, survival[gens - 1 - g], rng)
         keys = np.repeat(keys, off)
         if keys.size == 0:
             break
@@ -97,7 +120,7 @@ class GenStats:
     T: int | None = None          # count at the typical site
     S: list[int] | None = None    # typical-particle site
     conditioned: bool = False
-    attempts: int | None = None
+    attempts: int | None = None   # free runs rejection would have needed (Geometric(s_n))
     rep: int | None = None
     seed: int | None = None
 
@@ -113,8 +136,6 @@ class GenStats:
 
 class BatchStats:
     """Segmented per-replicate statistics of a final particle array."""
-
-    attempts: np.ndarray | None = None  # free runs per survivor (conditioned runs)
 
     def __init__(self, keys: np.ndarray, reps: int, d: int,
                  rng: np.random.Generator | None = None):
@@ -158,57 +179,30 @@ class BatchStats:
 # runs
 
 
+def _origin_keys(reps: int, d: int) -> np.ndarray:
+    """One particle at the origin for each of `reps` replicates."""
+    return (np.arange(reps, dtype=np.int64) << _rep_shift(d)) \
+        + encode_sites(np.zeros((1, d)), d)[0]
+
+
 def run_batch(dist: OffspringDist, n: int, d: int, reps: int,
               rng: np.random.Generator, want_typical: bool = False) -> BatchStats:
     """`reps` independent free runs in one particle array."""
     _check_capacity(n, d, reps)
-    rep_ids = np.arange(reps, dtype=np.int64) << _rep_shift(d)
-    keys = evolve_particles(rep_ids + encode_sites(np.zeros((1, d)), d)[0], n, dist, d, rng)
+    keys = evolve_particles(_origin_keys(reps, d), n, dist, d, rng)
     return BatchStats(keys, reps, d, rng if want_typical else None)
 
 
 def run_conditioned_batch(dist: OffspringDist, n: int, d: int, want: int,
-                          rng: np.random.Generator, survival: float,
-                          want_typical: bool = False,
-                          max_attempts: int = 10**7) -> BatchStats:
-    """Batched rejection: free-run rounds, survivors re-tagged 0..want-1.
-
-    The result's `attempts[i]` counts the free runs since survivor i-1,
-    survivor i included, so it is Geometric(survival).  Raises RuntimeError
-    once some replicate needs more than `max_attempts` free runs."""
+                          rng: np.random.Generator, survival: np.ndarray,
+                          want_typical: bool = False) -> BatchStats:
+    """`want` independent runs conditioned on survival to generation n, drawn
+    exactly from the reduced tree.  `survival` is `xf.survival_sequence(dist,
+    n')` for some n' >= n (s_0..s_n')."""
     _check_capacity(n, d, want)
-    shift = _rep_shift(d)
-    site_mask = (np.int64(1) << shift) - 1
-    round_size = min(int(1.25 * want / survival) + 64, 100_000)
-    collected: list[np.ndarray] = []
-    attempts = np.zeros(want, dtype=np.int64)
-    got = 0
-    started = 0  # free runs started so far
-    last = -1    # index of the latest kept survivor among them
-    origin_key = encode_sites(np.zeros((1, d)), d)[0]
-    while got < want:
-        rep_ids = np.arange(round_size, dtype=np.int64) << shift
-        keys = evolve_particles(rep_ids + origin_key, n, dist, d, rng)
-        if keys.size:
-            rep = keys >> shift
-            alive = np.zeros(round_size, dtype=bool)
-            alive[rep] = True
-            new_id = np.cumsum(alive) - 1  # survivor rank within the round
-            keep = new_id[rep] + got < want
-            retagged = ((new_id[rep[keep]] + got) << shift) | (keys[keep] & site_mask)
-            collected.append(retagged)
-            idx = started + np.nonzero(alive)[0][: want - got]
-            attempts[got: got + len(idx)] = np.diff(idx, prepend=last)
-            got += len(idx)
-            last = int(idx[-1])
-        started += round_size
-        needed = attempts.max() if got == want else started - last
-        if needed > max_attempts:
-            raise RuntimeError(f"a replicate needed more than {max_attempts} free runs "
-                               f"to survive to generation {n}")
-    out = BatchStats(np.concatenate(collected), want, d, rng if want_typical else None)
-    out.attempts = attempts
-    return out
+    _check_survival(survival, n)
+    keys = evolve_particles(_origin_keys(want, d), n, dist, d, rng, survival)
+    return BatchStats(keys, want, d, rng if want_typical else None)
 
 
 def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
@@ -216,8 +210,7 @@ def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
     """Per-replicate particle counts at one fixed site after n free generations."""
     _check_capacity(max(n, int(np.abs(site).max())), d, reps)
     shift = _rep_shift(d)
-    rep_ids = np.arange(reps, dtype=np.int64) << shift
-    keys = evolve_particles(rep_ids + encode_sites(np.zeros((1, d)), d)[0], n, dist, d, rng)
+    keys = evolve_particles(_origin_keys(reps, d), n, dist, d, rng)
     out = np.zeros(reps, dtype=np.int64)
     if keys.size:
         site_mask = (np.int64(1) << shift) - 1
@@ -236,6 +229,11 @@ def _check_capacity(reach: int, d: int, reps: int) -> None:
                          f"|x| < {COORD_OFF}")
     if reps >= _max_tags(d):
         raise ValueError("too many replicates for one batch; use rounds")
+
+
+def _check_survival(survival: np.ndarray, n: int) -> None:
+    if len(survival) <= n or survival[0] != 1.0:
+        raise ValueError(f"need the survival sequence s_0..s_{n} (s_0 = 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +257,16 @@ def population_batch(dist: OffspringDist, n: int, reps: int,
 
 
 def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
-                                 rng: np.random.Generator, survival: float,
-                                 max_rounds: int = 200) -> np.ndarray:
-    """Conditional Z_n samples by batched rejection (exact conditional law)."""
-    out: list[np.ndarray] = []
-    got = 0
-    round_size = min(int(1.25 * want / survival) + 64, 4_000_000)
-    for _ in range(max_rounds):
-        if got >= want:
-            break
-        z = population_batch(dist, n, round_size, rng)
-        z = z[z > 0]
-        out.append(z)
-        got += len(z)
-    if got < want:
-        raise RuntimeError(f"only {got} survivors after {max_rounds} rounds")
-    return np.concatenate(out)[:want]
+                                 rng: np.random.Generator,
+                                 survival: np.ndarray) -> np.ndarray:
+    """Z_n for `want` runs conditioned on survival to generation n: the size
+    of the reduced tree's last generation (`survival` as in
+    `run_conditioned_batch`)."""
+    _check_survival(survival, n)
+    r = np.ones(want, dtype=np.int64)
+    for g in range(n):
+        r = dist.sample_kept_sum(r, survival[n - 1 - g], rng)
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ Sampling of offspring sums is exact: finite support uses sequential binomial
 splitting across support values, the geometric family uses its negative
 binomial closed form, and infinite-support tables fall back to per-particle
 inverse-CDF draws (`sample_each`) on a cache truncated at cumulative weight
-1 - 1e-15.
+1 - 1e-15.  `sample_kept` draws the reduced-tree step of survival-conditioned runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,14 +160,7 @@ class OffspringDist:
         return out
 
     def _sum_by_expansion(self, karr, rng):
-        # one draw per particle, then segment sums
-        total = int(karr.sum())
-        out = np.zeros_like(karr)
-        if total == 0:
-            return out
-        seg = np.repeat(np.arange(len(karr)), karr)
-        np.add.at(out, seg, self.sample_each(total, rng))
-        return out
+        return _segment_sum(karr, self.sample_each(int(karr.sum()), rng))
 
     def sample_each(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """One offspring draw for each of m particles (inverse CDF on the table)."""
@@ -179,6 +173,60 @@ class OffspringDist:
     def population_step(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Next-generation sizes for an array of current populations."""
         return self.sample_offspring_sum(z, rng)
+
+    # -- reduced-tree (survival-conditioned) sampling ---------------------------
+
+    @cached_property
+    def _size_biased_cdf(self) -> np.ndarray:
+        # l*Q_l sums to the mean, 1: the size-biased law, fixed per law
+        return np.cumsum(self.support * self.probs)
+
+    def sample_kept(self, m: int, s: float, rng: np.random.Generator) -> np.ndarray:
+        """Surviving-children counts K >= 1 for m parents, each conditioned on
+        at least one surviving child, when every child survives independently
+        with probability s:
+        P(l, K) = Q_l C(l, K) s^K (1-s)^(l-K) / (1 - Phi(1-s)).
+
+        Binary fission: K = 1 + Bernoulli(s/(2-s)).  Other laws draw l from
+        the size-biased table and accept it with probability
+        (1-(1-s)^l)/(l s), which leaves l with its law given K >= 1 (expected
+        rounds <= 1/(1-Q_0)); the first surviving child J is then a geometric
+        truncated to 1..l, and K = 1 + Binomial(l-J, s)."""
+        if not 0.0 < s <= 1.0:
+            raise ValueError("survival probability must lie in (0, 1]")
+        if self.is_binary:
+            return 1 + (rng.random(m) < s / (2.0 - s))
+        cdf = self._size_biased_cdf
+        log_q = math.log1p(-s) if s < 1.0 else -math.inf  # log P(a child dies)
+        out = np.empty(m, dtype=np.int64)
+        todo = np.arange(m)
+        while todo.size:
+            u = rng.random(todo.size) * cdf[-1]
+            l = self.support[np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1)]
+            hit = -np.expm1(l * log_q)  # P(some child of l survives)
+            ok = rng.random(todo.size) * (l * s) < hit
+            l, hit = l[ok], hit[ok]
+            first = np.ceil(np.log1p(-rng.random(l.size) * hit) / log_q)
+            first = first.clip(1, l).astype(np.int64)
+            out[todo[ok]] = 1 + rng.binomial(l - first, s)
+            todo = todo[~ok]
+        return out
+
+    def sample_kept_sum(self, r, s: float, rng: np.random.Generator) -> np.ndarray:
+        """Next reduced-tree generation sizes: the sum of `sample_kept` over
+        r parents, for an integer array r."""
+        r = np.asarray(r, dtype=np.int64)
+        if self.is_binary:
+            return r + rng.binomial(r, s / (2.0 - s))
+        return _segment_sum(r, self.sample_kept(int(r.sum()), s, rng))
+
+
+def _segment_sum(counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of `draws`, counts[i] draws for entry i."""
+    out = np.zeros_like(counts)
+    if draws.size:
+        np.add.at(out, np.repeat(np.arange(len(counts)), counts), draws)
+    return out
 
 
 # ---------------------------------------------------------------------------

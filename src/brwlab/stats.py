@@ -44,6 +44,13 @@ class ReportRow:
     band: str
     passed: bool
     soft: bool = False
+    # strict expected failure: evaluated and reported like any hard row, but
+    # the gate requires it to fail and breaks if it passes
+    expect_fail: bool = False
+
+    @property
+    def as_expected(self) -> bool:
+        return self.passed != self.expect_fail
 
     CSV_HEADER = "theorem,n,d,offspring,statistic,value,band,passed,soft"
 
@@ -160,5 +167,6 @@ def summary_dict(rows) -> dict:
         "criteria": sorted({r.theorem for r in rows}),
         "rows": len(rows),
         "failed_rows": [f"{r.theorem}:{r.statistic}" for r in rows if not r.passed],
-        "hard_pass": all(r.passed for r in hard),
+        "expected_failures": [f"{r.theorem}:{r.statistic}" for r in rows if r.expect_fail],
+        "hard_pass": all(r.as_expected for r in hard),
     }

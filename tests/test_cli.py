@@ -46,8 +46,10 @@ def test_simulate_requires_seed(tmp_path):
 def test_simulate_byte_identical_and_thread_invariant(tmp_path):
     # 1100 replicates span 5 blocks, so BRW_THREADS=3 takes the process pool
     for argv in (["simulate", "--n", "4", "--reps", "1100", "--seed", "3"],
+                 ["simulate", "--n", "4", "--conditioned", "--reps", "1100", "--seed", "3"],
                  ["spine", "--n", "3", "--reps", "1100", "--ell", "2", "--seed", "3"]):
-        a, b, c = (tmp_path / f"{argv[0]}-{name}" for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        a, b, c = (tmp_path / f"{len(argv)}-{argv[0]}-{name}"
+                   for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
         run_cli(argv + ["--out", str(a)])
         run_cli(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
@@ -139,6 +141,16 @@ def test_verify_suite_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(sa.read_text()) == json.loads(sb.read_text())
     assert json.loads(sa.read_text())["hard_pass"] is True
+
+
+def test_verify_exits_zero_with_yaglom_expected_failure(tmp_path):
+    # the as-stated Yaglom row fails as expected; every hard row passes
+    summary = tmp_path / "s.json"
+    rc = run_cli(["verify", "--suite", "yaglom", "--seed", "20240817",
+                  "--out", str(tmp_path / "r.csv"), "--summary", str(summary)])
+    assert rc == 0
+    doc = json.loads(summary.read_text())
+    assert doc["expected_failures"] == doc["failed_rows"] == ["C05-yaglom:ks-exp-mean-2-as-stated"]
 
 
 def test_verify_unknown_suite_rejected(tmp_path):

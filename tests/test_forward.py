@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from brwlab import exactfields as xf
 from brwlab import forward as fw
 from brwlab import lattice as lat
-from brwlab.offspring import binary, geometric
+from brwlab.offspring import binary, geometric, parse_offspring
 from brwlab.rngstreams import substream
+from brwlab.stats import chi_square
 
 B = binary()
 
@@ -38,6 +40,14 @@ def test_encode_decode_round_trip():
         coords = rng.integers(-5000, 5001, size=(200, d))
         keys = fw.encode_sites(coords, d)
         assert np.array_equal(fw.decode_sites(keys, d), coords)
+
+
+def test_move_deltas_are_read_only_neighbor_steps():
+    for d in (1, 2, 3):
+        deltas = fw._MOVE_DELTAS[d]
+        assert not deltas.flags.writeable
+        origin = fw.encode_sites(np.zeros((1, d)), d)[0]
+        assert np.array_equal(fw.decode_sites(origin + deltas, d), lat.neighborhood(d))
 
 
 def _tagged(sites, reps, d):
@@ -123,21 +133,19 @@ def test_markov_bound_and_fundamental_identity_mc():
 
 def test_run_conditioned_one_step_always_pair():
     rng = substream(7, "selftest")
-    bs = fw.run_conditioned_batch(B, 1, 2, 50, rng, xf.survival_prob(B, 1))
-    assert np.all(bs.Z == 2) and np.all(bs.attempts >= 1)
+    bs = fw.run_conditioned_batch(B, 1, 2, 50, rng, xf.survival_sequence(B, 1))
+    assert np.all(bs.Z == 2)
 
 
-def test_run_conditioned_attempt_budget_exceeded():
-    rng = substream(77, "selftest")
-    with pytest.raises(RuntimeError):
-        fw.run_conditioned_batch(B, 512, 2, 1, rng, xf.survival_prob(B, 512), max_attempts=1)
-
-
-def test_run_conditioned_attempt_count_geometric():
-    rng = substream(8, "selftest")
-    n = 6
+def test_run_conditioned_attempt_count_geometric(tmp_path):
+    # CLI rows report the free runs rejection would have needed: Geometric(s_n)
+    from brwlab.cli import main
+    n, out = 6, tmp_path / "cond.jsonl"
+    main(["simulate", "--n", str(n), "--conditioned", "--reps", "3000", "--seed", "8",
+          "--out", str(out)])
+    attempts = np.array([json.loads(line)["attempts"] for line in out.read_text().splitlines()])
     s_n = xf.survival_prob(B, n)
-    attempts = fw.run_conditioned_batch(B, n, 2, 3000, rng, s_n).attempts
+    assert attempts.min() >= 1
     se = attempts.std(ddof=1) / math.sqrt(len(attempts))
     assert abs(attempts.mean() - 1.0 / s_n) <= 3 * se
 
@@ -145,8 +153,9 @@ def test_run_conditioned_attempt_count_geometric():
 def test_conditioned_batch_matches_survival_conditioning():
     rng = substream(9, "selftest")
     n = 32
-    s_n = xf.survival_prob(B, n)
-    bs = fw.run_conditioned_batch(B, n, 2, 4000, rng, s_n)
+    s = xf.survival_sequence(B, n)
+    s_n = s[n]
+    bs = fw.run_conditioned_batch(B, n, 2, 4000, rng, s)
     assert np.all(bs.Z > 0)
     # conditional mean Z equals 1/s_n exactly
     se = bs.Z.std(ddof=1) / math.sqrt(len(bs.Z))
@@ -209,19 +218,70 @@ def test_overlap_mean_bounded_by_double_step():
 
 def test_genstats_json_schema():
     rng = substream(15, "selftest")
-    bs = fw.run_conditioned_batch(B, 3, 2, 1, rng, xf.survival_prob(B, 3), want_typical=True)
-    s = bs.genstats(0, 3, conditioned=True, attempts=int(bs.attempts[0]), rep=7, seed=123)
+    bs = fw.run_conditioned_batch(B, 3, 2, 1, rng, xf.survival_sequence(B, 3), want_typical=True)
+    s = bs.genstats(0, 3, conditioned=True, attempts=4, rep=7, seed=123)
     d = s.to_json_dict()
     assert set(d) == {"rep", "n", "d", "seed", "conditioned", "attempts", "Z", "V",
                       "Omega", "M", "overflow", "T", "S"}
     assert d["conditioned"] is True and len(d["M"]) == fw.J_MAX
     assert set(d["overflow"]) == {"sites", "mass"}
-    assert d["attempts"] >= 1 and d["T"] >= 1 and len(d["S"]) == 2
+    assert d["attempts"] == 4 and d["T"] >= 1 and len(d["S"]) == 2
 
 
 def test_key_packing_range_checked():
     rng = substream(16, "selftest")
     with pytest.raises(ValueError):
-        fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_prob(B, 4))
+        fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
     with pytest.raises(ValueError):
         fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)
+
+
+COND_LAWS = ("binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1")
+
+
+def exact_population_law(dist, n, degree=256):
+    """P(Z_n = k), k = 0..degree, by iterating the pgf on truncated
+    coefficient arrays: f_0(z) = z, f_{j+1} = Phi(f_j)."""
+    f = np.zeros(degree + 1)
+    f[1] = 1.0
+    q = dict(zip(dist.support.tolist(), dist.probs))
+    for _ in range(n):
+        acc = np.zeros(degree + 1)
+        power = np.zeros(degree + 1)
+        power[0] = 1.0
+        for l in range(int(dist.support.max()) + 1):
+            acc += q.get(l, 0.0) * power
+            power = np.convolve(power, f)[:degree + 1]
+        f = acc
+    return f
+
+
+@pytest.mark.parametrize("spec", COND_LAWS)
+def test_conditioned_z_law_matches_pgf_iteration(spec):
+    dist = parse_offspring(spec)
+    n, want = 6, 20_000
+    s = xf.survival_sequence(dist, n)
+    law = exact_population_law(dist, n)
+    assert 1.0 - law[0] == pytest.approx(s[n], rel=1e-12)
+    cond = law[1:] / s[n]
+    pop = fw.population_conditioned_batch(dist, n, want, substream(20, "selftest"), s)
+    spatial = fw.run_conditioned_batch(dist, n, 2, want, substream(21, "selftest"), s).Z
+    for z in (pop, spatial):
+        assert z.min() >= 1
+        obs = np.bincount(np.minimum(z, len(cond) + 1), minlength=len(cond) + 2)[1:-1]
+        assert chi_square(obs, cond)["p_value"] > 1e-3
+
+
+@pytest.mark.parametrize("spec", ["binary", "geometric:2"])
+def test_conditioned_runs_match_rejection_reference(spec):
+    # reference: free runs kept only when they survive (rejection sampling)
+    dist = parse_offspring(spec)
+    n, d = 8, 2
+    s = xf.survival_sequence(dist, n)
+    free = fw.run_batch(dist, n, d, 120_000, substream(22, "selftest"))
+    alive = free.Z > 0
+    tree = fw.run_conditioned_batch(dist, n, d, 20_000, substream(23, "selftest"), s)
+    for ref, got in ((free.V[alive], tree.V), (free.Omega[alive], tree.Omega)):
+        se = math.hypot(ref.std(ddof=1) / math.sqrt(len(ref)),
+                        got.std(ddof=1) / math.sqrt(len(got)))
+        assert abs(ref.mean() - got.mean()) <= 4 * se

@@ -171,3 +171,40 @@ def test_population_step_matches_convolution_law():
     # mean 3, variance 3*sigma2
     assert abs(z.mean() - 3.0) <= 3 * z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.var(ddof=1) / 3 - g.sigma2) <= 0.05 * g.sigma2
+
+
+KEPT_LAWS = ("binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1")
+
+
+def thinned_pmf(dist, s):
+    """Brute-force P(K = k), k = 1..max l, for the number K of surviving
+    children when each child survives independently with probability s."""
+    top = int(dist.support.max())
+    pmf = np.zeros(top + 1)
+    for l, q in zip(dist.support.tolist(), dist.probs):
+        for k in range(1, l + 1):
+            pmf[k] += q * math.comb(l, k) * s**k * (1 - s) ** (l - k)
+    return pmf[1:]
+
+
+@pytest.mark.parametrize("spec", KEPT_LAWS)
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_kept_children_law_matches_thinned_pmf(spec, m):
+    from brwlab.exactfields import survival_sequence
+    from brwlab.stats import chi_square
+    dist = off.parse_offspring(spec)
+    s = survival_sequence(dist, m)
+    pmf = thinned_pmf(dist, s[m - 1])
+    # P(K >= 1) is the survival recursion's s_m = 1 - Phi(1 - s_{m-1})
+    assert pmf.sum() == pytest.approx(s[m], rel=1e-12)
+    pmf /= s[m]
+    top = len(pmf)
+    draws = dist.sample_kept(40_000, s[m - 1], substream(60 + m, "selftest", top))
+    assert draws.min() >= 1 and draws.max() <= top
+    obs = np.bincount(draws, minlength=top + 1)[1:]
+    if np.count_nonzero(pmf) == 1:  # binary with one generation left: always K = 2
+        assert np.array_equal(obs > 0, pmf > 0)
+    else:
+        assert chi_square(obs, pmf)["p_value"] > 1e-3
+    sums = dist.sample_kept_sum(np.array([0, 3, 1]), s[m - 1], substream(m, "selftest"))
+    assert sums[0] == 0 and sums[1] >= 3 and sums[2] >= 1

@@ -121,3 +121,15 @@ def test_report_rows_csv_shape():
     summary = st.summary_dict(rows)
     assert summary["hard_pass"] is True
     assert summary["failed_rows"] == ["C00-demo:stat-b"]
+
+
+def test_expected_failure_row_breaks_gate_only_when_it_passes():
+    ok = st.ReportRow("C00-demo", 8, 2, "binary", "stat-a", 0.5, "<=1", True)
+    xfail = st.ReportRow("C00-demo", 8, 2, "binary", "stat-x", 2.0, "<=1", False,
+                         expect_fail=True)
+    xpass = st.ReportRow("C00-demo", 8, 2, "binary", "stat-x", 0.5, "<=1", True,
+                         expect_fail=True)
+    assert st.summary_dict([ok, xfail])["hard_pass"] is True
+    summary = st.summary_dict([ok, xpass])
+    assert summary["hard_pass"] is False
+    assert summary["expected_failures"] == ["C00-demo:stat-x"]
