@@ -3,12 +3,12 @@
 Subcommands: simulate | spine | exact | conditioned | verify | report.
 
 Reproducibility contract: every stochastic command requires --seed.
-`simulate` and `spine` run replicates in fixed blocks of BLOCK on the batched
-engines, block b drawing from the substream (seed, stream id, b); `conditioned`
-draws replicate r from (seed, stream id, r).  Outputs are sorted by replicate
-index, so reruns are byte-identical and independent of the worker count
-(BRW_THREADS).  Primary outputs carry no timestamps; wall-clock metadata goes
-to a `<out>.meta.json` sidecar.
+`simulate`, `spine` and `conditioned` run replicates in fixed blocks of BLOCK
+on the batched engines, block b drawing from the substream (seed, stream id,
+b).  Outputs are sorted by replicate index, so reruns are byte-identical and
+independent of the worker count (BRW_THREADS, a positive integer; the pool
+never has more workers than blocks).  Primary outputs carry no timestamps;
+wall-clock metadata goes to a `<out>.meta.json` sidecar.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .lattice import field_to_csv, transition_field
 from .offspring import parse_offspring
 from .rngstreams import substream
 
-BLOCK = 256  # replicates per block (and per substream) in simulate and spine
+BLOCK = 256  # replicates per block (and per substream) in every stochastic command
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -80,10 +80,14 @@ def _provenance(resolved: dict) -> str:
 
 
 def _workers() -> int:
+    raw = os.environ.get("BRW_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("BRW_THREADS", "1")))
+        w = int(raw)
     except ValueError:
-        return 1
+        w = 0
+    if w < 1:
+        raise SystemExit(f"BRW_THREADS must be a positive integer, got {raw!r}")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def _write_blocks(path: str | None, blocks) -> None:
 
 
 def _parallel_map(fn, tasks):
-    w = _workers()
+    w = min(_workers(), len(tasks))
     if w == 1 or len(tasks) < 4:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=w) as pool:
@@ -254,8 +258,15 @@ def cmd_exact(args) -> int:
 # conditioned
 
 
-def _path_checksum(path: np.ndarray) -> int:
-    return int(((np.arange(1, len(path) + 1)[:, None] * np.abs(path)).sum()) % (1 << 31))
+def _conditioned_block(task):
+    seed, block, first, count, sampler = task
+    values, paths = sampler.sample(count, substream(seed, "conditioned-rep", block))
+    x = sampler.x.tolist()
+    checksums = (np.arange(1, sampler.n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
+    lines = [json.dumps({"n": sampler.n, "x": x, "rep": first + i, "value": int(values[i]),
+                         "path_len_checksum": int(checksums[i])}, sort_keys=True)
+             for i in range(count)]
+    return lines, values
 
 
 def cmd_conditioned(args) -> int:
@@ -266,26 +277,17 @@ def cmd_conditioned(args) -> int:
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     x = tuple(int(c) for c in resolve(args, cfg, "x", str, "1,0").split(","))
-    bank = cr.HittingBank(n, len(x))
-    sampler = cr.ConditionedSampler(n, x, bank)
-    out = _open_out(args.out)
-    values = []
-    for rep in range(reps):
-        rng = substream(seed, "conditioned-rep", rep)
-        value, path = sampler.sample(rng)
-        values.append(value)
-        out.write(json.dumps({"n": n, "x": list(x), "rep": rep, "value": value,
-                              "path_len_checksum": _path_checksum(path)},
-                             sort_keys=True) + "\n")
-    if out is not sys.stdout:
-        out.close()
+    sampler = cr.ConditionedSampler(n, x)
+    blocks = _parallel_map(_conditioned_block, [(seed, *blk, sampler) for blk in _blocks(reps)])
+    _write_blocks(args.out, [lines for lines, _ in blocks])
     resolved = {"command": "conditioned", "n": n, "x": ",".join(map(str, x)),
                 "reps": reps, "seed": seed}
     _write_sidecar(args.out, resolved)
     if args.chi_square_report:
         pf = xf.pmf_oracle(parse_offspring("binary"), n, len(x), degree=64)
         cond = pf.conditional_pmf_at(x)
-        obs = np.bincount(np.array(values), minlength=len(cond) + 1)[1:]
+        values = np.concatenate([v for _, v in blocks])
+        obs = np.bincount(values, minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         with open(args.chi_square_report, "w") as fh:
             json.dump({"n": n, "x": list(x), "reps": reps, **chi}, fh, sort_keys=True)

@@ -13,6 +13,12 @@ coin tosses with success probability beta_m(w) = 1/(2 - (P u_{n-m-1})(x-w)):
 The reweighting uses hitting probabilities, not transition probabilities, so
 the walk is not the pinned (space-time-harmonic) bridge; `pinned_row` exposes
 the bridge rows for comparison.
+
+Sampling is batched over replicates: all paths step the reweighted walk
+together, the coins and the steps xi are drawn as (reps, n) arrays, and the
+attached walks of a batch run in one array of the staggered-walk engine
+(`forward.staggered_walks`), each counted at its own query site
+(`forward.counts_at_query_sites`).
 """
 
 from __future__ import annotations
@@ -41,30 +47,24 @@ class HittingBank:
             g.step = f.step
             self.pu.append(g)
 
-    def u_at(self, m: int, site) -> float:
-        return self.u[m].lookup(site, 0.0)
-
-    def pu_at(self, m: int, site) -> float:
-        return self.pu[m].lookup(site, 0.0)
-
 
 def utransform_row(m: int, z, n: int, x, bank: HittingBank):
-    """Transition row q_m(z, .) of the reweighted walk with endpoint (n, x).
+    """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x),
+    for states z[..., d].
 
-    Returns (neighbor sites (2d+1, d), probabilities).  Raises if (m-1, z) is
-    not a reachable state, i.e. the normalizer (P u_{n-m})(x-z) vanishes.
+    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]).  Raises
+    if some (m-1, z) is not a reachable state, i.e. the normalizer
+    (P u_{n-m})(x-z) vanishes.
     """
     d = bank.d
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    horizon = n - m
-    denom = bank.pu_at(horizon, x - z)
-    if denom <= 0.0:
-        raise ValueError(f"state {tuple(z)} at step {m - 1} cannot reach {tuple(x)} at {n}")
-    offs = neighborhood(d)
-    ys = z + offs
-    w = np.array([bank.u_at(horizon, x - y) for y in ys])
-    probs = w / ((2 * d + 1) * denom)
+    denom = bank.pu[n - m].values_at(x - z)
+    if np.any(denom <= 0.0):
+        bad = z.reshape(-1, d)[np.ravel(denom <= 0.0)][0]
+        raise ValueError(f"state {tuple(bad)} at step {m - 1} cannot reach {tuple(x)} at {n}")
+    ys = z[..., None, :] + neighborhood(d)
+    probs = bank.u[n - m].values_at(x - ys) / ((2 * d + 1) * denom[..., None])
     return ys, probs
 
 
@@ -74,78 +74,66 @@ def pinned_row(m: int, z, n: int, x, p_fields: list):
     d = p_fields[0].dim
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    offs = neighborhood(d)
-    ys = z + offs
-    denom = p_fields[n - m + 1].lookup(x - z, 0.0)
+    ys = z + neighborhood(d)
+    denom = p_fields[n - m + 1].values_at(x - z)
     if denom <= 0.0:
         raise ValueError("unreachable bridge state")
-    w = np.array([p_fields[n - m].lookup(x - y, 0.0) for y in ys])
-    return ys, w / ((2 * d + 1) * denom)
+    return ys, p_fields[n - m].values_at(x - ys) / ((2 * d + 1) * denom)
 
 
 class ConditionedSampler:
-    """Sampler for the law of U_n(x) given {U_n(x) >= 1}; caches walk rows."""
+    """Sampler for the law of U_n(x) given {U_n(x) >= 1}, batched over replicates."""
 
     def __init__(self, n: int, x, bank: HittingBank | None = None):
+        if n < 1:
+            raise ValueError("the conditioned representation needs n >= 1")
         self.n = n
         self.d = bank.d if bank is not None else len(x)
         self.x = np.asarray(x, dtype=np.int64)
         self.bank = bank if bank is not None else HittingBank(n, self.d)
-        if self.bank.u_at(n, self.x) <= 0.0:
+        if self.bank.u[n].values_at(self.x) <= 0.0:
             raise ValueError(f"target {tuple(self.x)} is unreachable at generation {n}")
-        self._rows: dict[tuple[int, tuple], tuple] = {}
-        self._betas: dict[tuple[int, tuple], float] = {}
-        self._offs = neighborhood(self.d)
 
-    def _row(self, m: int, z: tuple):
-        key = (m, z)
-        row = self._rows.get(key)
-        if row is None:
-            ys, probs = utransform_row(m, z, self.n, self.x, self.bank)
-            row = (ys, np.cumsum(probs))
-            self._rows[key] = row
-        return row
-
-    def _beta(self, m: int, w: tuple) -> float:
-        key = (m, w)
-        b = self._betas.get(key)
-        if b is None:
-            pu = self.bank.pu_at(self.n - m - 1, self.x - np.asarray(w))
-            b = 1.0 / (2.0 - pu)
-            self._betas[key] = b
-        return b
-
-    def sample_path(self, rng: np.random.Generator) -> np.ndarray:
-        """One reweighted-walk path X_0..X_n (always ends at x)."""
-        path = np.zeros((self.n + 1, self.d), dtype=np.int64)
-        z = (0,) * self.d
+    def sample_paths(self, reps: int, rng: np.random.Generator) -> np.ndarray:
+        """`reps` reweighted-walk paths X_0..X_n, array (reps, n+1, d); every
+        path ends at x."""
+        paths = np.zeros((reps, self.n + 1, self.d), dtype=np.int64)
         for m in range(1, self.n + 1):
-            ys, cdf = self._row(m, z)
-            pick = int(np.searchsorted(cdf, rng.random(), side="right"))
-            z = tuple(int(c) for c in ys[min(pick, len(ys) - 1)])
-            path[m] = z
-        return path
+            ys, probs = utransform_row(m, paths[:, m - 1], self.n, self.x, self.bank)
+            pick = (np.cumsum(probs, axis=1) <= rng.random((reps, 1))).sum(axis=1)
+            paths[:, m] = ys[np.arange(reps), np.minimum(pick, 2 * self.d)]
+        return paths
 
-    def sample(self, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-        """One draw from the conditional law of U_n(x), with the reweighted-walk
-        path X_0..X_n it was built on."""
-        n, d, x = self.n, self.d, self.x
-        path = self.sample_path(rng)
-        total = 1
-        for m in range(n):
-            if rng.random() >= self._beta(m, tuple(path[m])):
-                continue
-            xi = self._offs[int(rng.integers(0, 2 * d + 1))]
-            target = x - path[m] - xi
-            gens = n - m - 1
-            if int(np.abs(target).sum()) > gens:
-                continue  # unreachable, the attached walk contributes 0
-            keys = fw.evolve_particles(fw.encode_sites(np.zeros((1, d), dtype=np.int64), d),
-                                       gens, _BINARY, d, rng)
-            if keys.size:
-                total += int(np.count_nonzero(keys == fw.encode_sites(
-                    target.reshape(1, d), d)[0]))
-        return total, path
+    def _coin_probs(self, paths: np.ndarray) -> np.ndarray:
+        """beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) for m < n: (reps, n)."""
+        pu = [self.bank.pu[self.n - m - 1].values_at(self.x - paths[:, m])
+              for m in range(self.n)]
+        return 1.0 / (2.0 - np.stack(pu, axis=1))
+
+    def sample(self, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """`reps` draws from the conditional law of U_n(x), with the
+        reweighted-walk paths they were built on: (values[reps],
+        paths[reps, n+1, d]).
+
+        Walk (r, m) is attached with probability beta_m(X_m), has age n-1-m,
+        so it enters the staggered array at step m, and is counted at its
+        query site x - X_m - xi_{m+1}."""
+        n, d = self.n, self.d
+        paths = self.sample_paths(reps, rng)
+        attach = rng.random((reps, n)) < self._coin_probs(paths)
+        xi = neighborhood(d)[rng.integers(0, 2 * d + 1, size=(reps, n))]
+        query = self.x - paths[:, :n] - xi
+        # a walk of age a never reaches a query site farther than a: it adds 0
+        attach &= np.abs(query).sum(axis=2) <= n - 1 - np.arange(n)
+        values = np.ones(reps, dtype=np.int64)
+        origin = fw.encode_sites(np.zeros((1, d)), d)[0]
+        for lo, hi in fw.walk_chunks(n, reps, d, max(n, int(np.abs(query).max(initial=0)))):
+            tags = np.arange((hi - lo) * n, dtype=np.int64).reshape(hi - lo, n)
+            starts = [fw.tag_keys(tags[:, m][attach[lo:hi, m]], origin, d) for m in range(n)]
+            keys = fw.staggered_walks(starts, _BINARY, d, rng)
+            counts = fw.counts_at_query_sites(keys, fw.encode_sites(query[lo:hi], d), d)
+            values[lo:hi] += counts.reshape(hi - lo, n).sum(axis=1)
+        return values, paths
 
 
 def endpoint_audit(n: int, targets, paths_per_target: int,
@@ -154,15 +142,10 @@ def endpoint_audit(n: int, targets, paths_per_target: int,
     if bank is None:
         bank = HittingBank(n, len(targets[0]))
     violations = 0
-    paths = 0
     for x in targets:
-        s = ConditionedSampler(n, x, bank)
-        for _ in range(paths_per_target):
-            path = s.sample_path(rng)
-            paths += 1
-            if not np.array_equal(path[n], np.asarray(x)):
-                violations += 1
-    return {"paths": paths, "violations": violations}
+        paths = ConditionedSampler(n, x, bank).sample_paths(paths_per_target, rng)
+        violations += int(np.any(paths[:, n] != np.asarray(x), axis=1).sum())
+    return {"paths": len(targets) * paths_per_target, "violations": violations}
 
 
 def reachable_targets(n: int, d: int, count: int, rng: np.random.Generator) -> list:
@@ -179,4 +162,4 @@ def conditional_mean(n: int, x, bank: HittingBank, p_field=None) -> float:
     """Exact E[U_n(x) | U_n(x) >= 1] = P_n(x) / u_n(x)."""
     if p_field is None:
         p_field = transition_field(n, bank.d)
-    return p_field.lookup(x, 0.0) / bank.u_at(n, x)
+    return float(p_field.values_at(x) / bank.u[n].values_at(x))

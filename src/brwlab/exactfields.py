@@ -442,7 +442,8 @@ def supersolution_margin(params: SuperSolutionParams, n: int):
     """min over |x| <= 3n of v_{n+1}(x) - (Pv_n)(x)*(1 - (Pv_n)(x)/2).
 
     Evaluated in closed form on one quadrant (v is even in each coordinate)
-    with the exact 5-point average for Pv.  Returns (min_margin, argmin site).
+    with the exact 5-point average for Pv.  Returns (min_margin, argmin site,
+    min relative margin), the last over the same sites of margin / v_{n+1}.
     """
     S = 3 * n  # margin grid: 0 <= x1, x2 <= 3n
     q = _quadrant_v(params, n, S + 2)
@@ -452,13 +453,14 @@ def supersolution_margin(params: SuperSolutionParams, n: int):
     y_plus = q[: S + 1, 1: S + 2]
     y_minus = np.concatenate([q[: S + 1, 1:2], q[: S + 1, : S]], axis=1)
     pv = (center + x_plus + x_minus + y_plus + y_minus) / 5.0
-    margin = _quadrant_v(params, n + 1, S + 1) - pv * (1.0 - 0.5 * pv)
+    v_next = _quadrant_v(params, n + 1, S + 1)
+    margin = v_next - pv * (1.0 - 0.5 * pv)
     ax = np.arange(S + 1, dtype=np.float64)
     inside = (ax[:, None] ** 2 + ax[None, :] ** 2) <= (3.0 * n) ** 2
     masked = np.where(inside, margin, np.inf)
     flat = int(np.argmin(masked))
     i, j = divmod(flat, S + 1)
-    return float(masked[i, j]), (i, j)
+    return float(masked[i, j]), (i, j), float(np.where(inside, margin / v_next, np.inf).min())
 
 
 def _regime(n: int, site) -> str:
@@ -484,7 +486,7 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     arg = None
     holds = True
     for n in n_range:
-        m, site = supersolution_margin(params, int(n))
+        m, site, _ = supersolution_margin(params, int(n))
         if m < worst:
             worst, arg = m, {"n": int(n), "x": [int(site[0]), int(site[1])],
                              "regime": _regime(int(n), site)}

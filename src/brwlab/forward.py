@@ -19,6 +19,17 @@ the n^2/2 that rejection of free runs spends.
 
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
+
+Staggered walks.  Independent walks that are each read at one site (the
+attached walks of the spine and of the conditioned representation, and the
+free runs of `site_count_batch`) share one array, tagged per walk instead of
+per replicate.  A walk of age a enters n-1-a generation steps into the run, so
+a chunk of replicates costs n-1 one-generation `evolve_particles` steps
+instead of a fresh run per walk (about n^2/2 steps), and
+`counts_at_query_sites` reads every tag's count at its own site in one pass.
+Chunks hold at most max(1, 2**18 // n) replicates, which keeps the array near
+2**18 particles, and few enough that chunk * (n+1) tags pack (d = 3 splits
+further).
 """
 
 from __future__ import annotations
@@ -209,16 +220,9 @@ def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Per-replicate particle counts at one fixed site after n free generations."""
     _check_capacity(max(n, int(np.abs(site).max())), d, reps)
-    shift = _rep_shift(d)
     keys = evolve_particles(_origin_keys(reps, d), n, dist, d, rng)
-    out = np.zeros(reps, dtype=np.int64)
-    if keys.size:
-        site_mask = (np.int64(1) << shift) - 1
-        hits = (keys & site_mask) == encode_sites(np.asarray(site).reshape(1, d), d)[0]
-        if hits.any():
-            out = np.bincount((keys[hits] >> shift).astype(np.int64),
-                              minlength=reps).astype(np.int64)
-    return out
+    query = np.full(reps, encode_sites(np.asarray(site).reshape(1, d), d)[0])
+    return counts_at_query_sites(keys, query, d)
 
 
 def _check_capacity(reach: int, d: int, reps: int) -> None:
@@ -228,7 +232,8 @@ def _check_capacity(reach: int, d: int, reps: int) -> None:
         raise ValueError(f"coordinates up to {reach} exceed the packing range "
                          f"|x| < {COORD_OFF}")
     if reps >= _max_tags(d):
-        raise ValueError("too many replicates for one batch; use rounds")
+        raise ValueError(f"{reps} replicate tags exceed the packing range "
+                         f"(fewer than {_max_tags(d)} in d = {d})")
 
 
 def _check_survival(survival: np.ndarray, n: int) -> None:
@@ -249,7 +254,7 @@ def population_batch(dist: OffspringDist, n: int, reps: int,
     for _ in range(n):
         if len(z) == 0:
             break
-        z = dist.population_step(z, rng)
+        z = dist.sample_offspring_sum(z, rng)
         alive = z > 0
         idx, z = idx[alive], z[alive]
     z_final[idx] = z
@@ -267,6 +272,43 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
     for g in range(n):
         r = dist.sample_kept_sum(r, survival[n - 1 - g], rng)
     return r
+
+
+# ---------------------------------------------------------------------------
+# staggered walks: many independent walks in one array, each read at one site
+
+
+def walk_chunks(n: int, reps: int, d: int, reach: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) for staggered-walk arrays of n+1 tags per
+    replicate (see module doc); fails fast unless every coordinate up to
+    `reach` (particles and query sites alike) packs."""
+    size = max(1, min(2**18 // n, (_max_tags(d) - 1) // (n + 1)))
+    _check_capacity(reach, d, size * (n + 1))
+    return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
+
+
+def tag_keys(tags: np.ndarray, sites, d: int) -> np.ndarray:
+    """Keys carrying walk tags in place of replicate indices."""
+    return (tags << _rep_shift(d)) + sites
+
+
+def staggered_walks(starts: list[np.ndarray], dist: OffspringDist, d: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Final keys of independent branching random walks with staggered
+    births: the keys in starts[t] enter before generation step t, so they
+    evolve for len(starts) - 1 - t generations."""
+    keys = starts[0]
+    for new in starts[1:]:
+        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng), new))
+    return keys
+
+
+def counts_at_query_sites(keys: np.ndarray, query: np.ndarray, d: int) -> np.ndarray:
+    """Per-tag particle counts at each tag's own query site: query[t] is the
+    encoded site read for tag t, and every key's tag is below len(query)."""
+    tag = keys >> _rep_shift(d)
+    hit = keys == tag_keys(tag, query[tag], d)
+    return np.bincount(tag[hit], minlength=len(query))
 
 
 # ---------------------------------------------------------------------------

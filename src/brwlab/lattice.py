@@ -70,19 +70,21 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.dim, self.radius, self.values.copy(), self.tail_bound, self.step)
 
-    def index_of(self, site: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(c) + self.radius for c in site)
-
-    def in_box(self, site: Sequence[int]) -> bool:
-        return all(abs(int(c)) <= self.radius for c in site)
+    def in_box(self, sites) -> np.ndarray:
+        """Whether each integer site of sites[..., d] lies in the box."""
+        return np.all(np.abs(np.asarray(sites, dtype=np.int64)) <= self.radius, axis=-1)
 
     def value_at(self, site: Sequence[int]) -> float:
         if not self.in_box(site):
             raise IndexError(f"site {tuple(site)} outside box of radius {self.radius}")
-        return float(self.values[self.index_of(site)])
+        return float(self.values_at(site))
 
-    def lookup(self, site: Sequence[int], default: float = 0.0) -> float:
-        return self.value_at(site) if self.in_box(site) else default
+    def values_at(self, sites) -> np.ndarray:
+        """Values at the integer sites sites[..., d]; sites outside the box read as 0."""
+        sites = np.asarray(sites, dtype=np.int64)
+        inside = self.in_box(sites)
+        idx = np.where(inside[..., None], sites + self.radius, 0)
+        return np.where(inside, self.values[tuple(np.moveaxis(idx, -1, 0))], 0.0)
 
     def total(self) -> float:
         return float(self.values.sum())

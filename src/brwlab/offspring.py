@@ -170,10 +170,6 @@ class OffspringDist:
         idx = np.searchsorted(self._cdf, u, side="right").clip(0, len(self.support) - 1)
         return self.support[idx]
 
-    def population_step(self, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Next-generation sizes for an array of current populations."""
-        return self.sample_offspring_sum(z, rng)
-
     # -- reduced-tree (survival-conditioned) sampling ---------------------------
 
     @cached_property

@@ -20,13 +20,10 @@ always so for ell >= 2.  Vacancy statistics are sampled from the forward
 (unreversed) construction, which realizes the exact joint occupancy law
 around the tip.
 
-Cost.  All attached walks of a construction run in one particle array with
-staggered births: a walk of age a enters n-1-a generation steps into the
-run, so a replicate chunk takes n-1 one-generation steps of
-`evolve_particles` instead of a fresh run per spine height (about n^2/2
-steps).  Replicates are processed in chunks of at most max(1, 2**18 // n),
-which keeps the fused array near 2**18 particles, and small enough that
-chunk * (n+1) walk tags fit the key packing range (d = 3 splits further).
+Cost.  All attached walks of a construction run in one particle array of
+the shared staggered-walk engine (`forward.staggered_walks`), so a replicate
+chunk takes n-1 one-generation steps instead of a fresh run per spine height
+(about n^2/2 steps); chunk sizes come from `forward.walk_chunks`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,8 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import clamp_radius, neighborhood, sample_srw_batch, sites_in_ball, stencil_step
+from .lattice import (Field, clamp_radius, neighborhood, sample_srw_batch, sites_in_ball,
+                      stencil_step)
 from .offspring import binary
 
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
@@ -83,39 +81,10 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     cur = np.ones((1,) * d)
     for i in range(1, n + 1):
         cur, _ = stencil_step(cur, d, clamp=clamp)
-        R = (cur.shape[0] - 1) // 2
-        pos = positions[:, i, :]
-        inside = np.all(np.abs(pos) <= R, axis=1)
-        idx = pos[inside] + R
-        flat = np.zeros(reps)
-        if idx.size:
-            flat[inside] = cur[tuple(idx[:, k] for k in range(d))]
-        vals[:, i] = flat
-        misses += ~inside
+        f = Field(d, (cur.shape[0] - 1) // 2, cur)
+        vals[:, i] = f.values_at(positions[:, i, :])
+        misses += ~f.in_box(positions[:, i, :])
     return vals, misses
-
-
-def _chunks(n: int, reps: int, d: int, reach: int) -> list[tuple[int, int]]:
-    """Replicate ranges [lo, hi) for the fused walk arrays (see module doc);
-    fails fast unless chunk * (n+1) tags and coordinates up to `reach` pack."""
-    size = max(1, min(2**18 // n, (fw._max_tags(d) - 1) // (n + 1)))
-    fw._check_capacity(reach, d, size * (n + 1))
-    return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
-
-
-def _staggered_walks(starts: list[np.ndarray], d: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Final keys of independent binary branching random walks with staggered
-    births: the keys in starts[t] enter before generation step t, so they
-    evolve for len(starts) - 1 - t generations."""
-    keys = starts[0]
-    for new in starts[1:]:
-        keys = np.concatenate((fw.evolve_particles(keys, 1, _BINARY, d, rng), new))
-    return keys
-
-
-def _tag_keys(tags: np.ndarray, sites, d: int) -> np.ndarray:
-    return (tags << fw._rep_shift(d)) + sites
 
 
 def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
@@ -135,12 +104,11 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
-    chunks = _chunks(n, reps, d, n + 1)  # query sites S_j + xi_{j-1} reach n + 1
-    shift = fw._rep_shift(d)
+    chunks = fw.walk_chunks(n, reps, d, n + 1)  # query sites S_j + xi_{j-1} reach n + 1
     origin = fw.encode_sites(np.zeros((1, d)), d)[0]
     keep = [j for j in keep_increments if 2 <= j <= n]
     # every chunk's spine, kept for one field sweep after the loop
-    # (int16 holds it: _chunks bounds |S| <= n < 2**14)
+    # (int16 holds it: walk_chunks bounds |S| <= n < 2**14)
     S_all = np.empty((reps, n + 1, d), dtype=np.int16)
     b0 = np.empty(reps, dtype=bool)
     u_sum = np.zeros(reps, dtype=np.int64)
@@ -151,14 +119,12 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
         S_all[lo:hi] = S
         # walk j = 2..n (tag r*(n+1) + j) has age j-1: it enters at step n-j
         tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
-        starts = [_tag_keys(tags[:, n - t], origin, d) if n - t >= 2
+        starts = [fw.tag_keys(tags[:, n - t], origin, d) if n - t >= 2
                   else np.empty(0, dtype=np.int64) for t in range(n)]
-        keys = _staggered_walks(starts, d, rng)
+        keys = fw.staggered_walks(starts, _BINARY, d, rng)
         qsites = np.zeros((hi - lo, n + 1), dtype=np.int64)
         qsites[:, 2:] = fw.encode_sites(S[:, 2:, :] + xi[:, 1:, :], d).reshape(hi - lo, n - 1)
-        tag = keys >> shift
-        hit = keys == _tag_keys(tags, qsites, d).ravel()[tag]
-        u = np.bincount(tag[hit], minlength=tags.size).reshape(hi - lo, n + 1)
+        u = fw.counts_at_query_sites(keys, qsites.ravel(), d).reshape(hi - lo, n + 1)
         u_sum[lo:hi] = u.sum(axis=1)
         for j in keep:
             u_kept[j][lo:hi] = u[:, j]
@@ -187,7 +153,7 @@ def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
     typical site, via the reversed window representation."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    chunks = _chunks(n, reps, d, n)
+    chunks = fw.walk_chunks(n, reps, d, n)
     shift = fw._rep_shift(d)
     origin = fw.encode_sites(np.zeros((1, d)), d)[0]
     w = np.ones(reps, dtype=np.int64)  # the spine tip
@@ -196,8 +162,8 @@ def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
         S, xi = _spine_steps(n, d, hi - lo, rng)
         # walk i = 0..n-1 (tag r*(n+1) + i) has age i: it enters at step n-1-i
         tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
-        starts = [_tag_keys(tags[:, n - 1 - t], origin, d) for t in range(n)]
-        keys = _staggered_walks(starts, d, rng)
+        starts = [fw.tag_keys(tags[:, n - 1 - t], origin, d) for t in range(n)]
+        keys = fw.staggered_walks(starts, _BINARY, d, rng)
         rep, age = np.divmod(keys >> shift, n + 1)
         sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
         rel = sites - (S[rep, age + 1, :] + xi[rep, age, :])
@@ -213,7 +179,7 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
 
     Returns per-replicate particle counts, unoccupied-site counts, and the
     ball size."""
-    chunks = _chunks(n, reps, d, n)
+    chunks = fw.walk_chunks(n, reps, d, n)
     offsets = sites_in_ball(d, ell)
     nball = len(offsets)
     lookup_radius = int(math.floor(ell))
@@ -232,9 +198,9 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
         # sibling j (tag r) is born at S_j + xi_j at step j, then walks for
         # n-1-j generations
         tags = np.arange(hi - lo, dtype=np.int64)
-        starts = [_tag_keys(tags, fw.encode_sites(S[:, j, :] + xi[:, j, :], d), d)
+        starts = [fw.tag_keys(tags, fw.encode_sites(S[:, j, :] + xi[:, j, :], d), d)
                   for j in range(n)]
-        keys = _staggered_walks(starts, d, rng)
+        keys = fw.staggered_walks(starts, _BINARY, d, rng)
         rep = keys >> shift
         sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
         rel = sites - S[rep, n, :]
@@ -266,7 +232,7 @@ def sizebias_population_batch(n: int, reps: int, rng: np.random.Generator) -> np
         for _ in range(n - 1 - j):
             if len(w) == 0:
                 break
-            w = _BINARY.population_step(w, rng)
+            w = _BINARY.sample_offspring_sum(w, rng)
             alive = w > 0
             idx, w = idx[alive], w[alive]
         np.add.at(z, idx, w)

@@ -41,6 +41,8 @@ COND_REPS = {
 }
 TIGHTNESS_RATIO_BOUND = 1.5
 OCC2D_RATIO_BOUND = 2.0
+U_RATE_GRID = (64, 128, 256, 512)  # n log n * u_n(0) is read at these n (C11)
+U_RATE_RATIO_BOUND = 2.0
 CLUSTER_W_BAND = (0.02, 2.0)
 
 
@@ -292,9 +294,7 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     rng = substream(seed, "conditioned-rep", rep=10)
     reps = 100_000
-    bank1 = cr.HittingBank(1, 2)
-    s1 = cr.ConditionedSampler(1, (1, 0), bank1)
-    draws = np.array([s1.sample(rng)[0] for _ in range(reps)])
+    draws = cr.ConditionedSampler(1, (1, 0)).sample(reps, rng)[0]
     support_ok = bool(np.all((draws == 1) | (draws == 2)))
     obs = np.bincount(draws, minlength=3)[1:3]
     chi = st.chi_square(obs, np.array([8.0, 1.0]) / 9.0)
@@ -303,44 +303,45 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     rows.append(_row("C10-conditioned", "n1-bernoulli-ninth", chi["p_value"], ">0.01",
                      chi["p_value"] > 0.01, n=1))
     for n in (2, 3):
-        bk = cr.HittingBank(n, 2)
-        pf = xf.pmf_oracle(_B, n, 2, degree=32)
-        cond = pf.conditional_pmf_at((1, 0))
-        s = cr.ConditionedSampler(n, (1, 0), bk)
-        draws = np.array([s.sample(rng)[0] for _ in range(reps)])
+        cond = xf.pmf_oracle(_B, n, 2, degree=32).conditional_pmf_at((1, 0))
+        draws = cr.ConditionedSampler(n, (1, 0)).sample(reps, rng)[0]
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         rows.append(_row("C10-conditioned", f"n{n}-chi-square-vs-oracle", chi["p_value"],
                          ">0.01", chi["p_value"] > 0.01, n=n))
-    bk = cr.HittingBank(32, 2)
     targets = cr.reachable_targets(32, 2, 50, rng)
-    audit = cr.endpoint_audit(32, targets, 1000, rng, bk)
+    audit = cr.endpoint_audit(32, targets, 1000, rng)
     rows.append(_row("C10-conditioned", "endpoint-violations", audit["violations"],
                      "==0", audit["violations"] == 0, n=32))
     return rows
 
 
 def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
-    """One-step inequality for the quadratic bump, and domination of u_n."""
+    """One-step inequality for the quadratic bump (relative margin), domination
+    of u_k (k >= 1) by the shifted bump, and the d = 2 decay n log n * u_n(0)."""
     rows = []
     n0 = xf.find_supersolution_start(xf.KAPPA0)
-    rep = xf.verify_supersolution(xf.SuperSolutionParams(xf.KAPPA0), range(n0, 4 * n0 + 1))
-    rows.append(_row("C11-supersolution", f"margin-holds-N0-{n0}", rep["min_margin"],
-                     ">=0", rep["holds"], n=4 * n0))
+    params = xf.SuperSolutionParams(xf.KAPPA0)
+    rel = min(xf.supersolution_margin(params, n)[2] for n in range(n0, 4 * n0 + 1))
+    rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, ">=0", rel >= 0,
+                     n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
     params = xf.SuperSolutionParams(n1 * math.log(n1))
     vals = np.ones((1,) * 2)
     worst = -math.inf
-    for k in range(513):
-        if k > 0:
-            vals, _ = xf.kpp_step(vals, 2)
+    rate = {}
+    for k in range(1, 513):  # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
+        vals, _ = xf.kpp_step(vals, 2)
         R = (vals.shape[0] - 1) // 2
-        ax = np.arange(-R, R + 1, dtype=np.float64)
-        sq = ax[:, None] ** 2 + ax[None, :] ** 2
-        v = params.amplitude(n1 + k) * np.exp(-params.beta_n(n1 + k) * sq / (2.0 * (n1 + k)))
+        v = xf.supersolution_field(params, n1 + k, radius=R).values
         worst = max(worst, float((vals - v).max()))
+        if k in U_RATE_GRID:
+            rate[k] = k * math.log(k) * float(vals[R, R])
     rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", worst,
                      "<=1e-12", worst <= 1e-12, n=512))
+    ratio = max(rate.values()) / min(rate.values())
+    rows.append(_row("C11-supersolution", "u-times-n-log-n-ratio", ratio,
+                     f"<={U_RATE_RATIO_BOUND}", ratio <= U_RATE_RATIO_BOUND, n=512))
     return rows
 
 

@@ -92,6 +92,16 @@ def test_c11_supersolution_and_comparison(bank):
     assert_hard_rows(run_suite("supersolution", bank))
 
 
+def test_c11_rows_carry_information(bank):
+    # the margin is relative (not ~1e-104 at the box edge), the comparison
+    # skips k = 0 (where u_0(0) = v_{N1}(0) = 1 makes it read 0), and the
+    # n log n decay rate of u_n(0) has its own row
+    rows = {r.statistic.split("-N")[0]: r.value for r in run_suite("supersolution", bank)}
+    assert 0.01 < rows["relative-margin"] < 1.0
+    assert rows["u-dominated-by-shift"] < -0.1
+    assert 1.0 <= rows["u-times-n-log-n-ratio"] <= 2.0
+
+
 def test_c12_occupied_sites_2d(bank):
     assert_hard_rows(run_suite("occupied-2d", bank))
 

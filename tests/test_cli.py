@@ -8,7 +8,7 @@ import pytest
 
 import brwlab
 from brwlab import conditioned as cr
-from brwlab.cli import main
+from brwlab.cli import BLOCK, main
 from brwlab.rngstreams import substream
 
 
@@ -47,7 +47,8 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path):
     # 1100 replicates span 5 blocks, so BRW_THREADS=3 takes the process pool
     for argv in (["simulate", "--n", "4", "--reps", "1100", "--seed", "3"],
                  ["simulate", "--n", "4", "--conditioned", "--reps", "1100", "--seed", "3"],
-                 ["spine", "--n", "3", "--reps", "1100", "--ell", "2", "--seed", "3"]):
+                 ["spine", "--n", "3", "--reps", "1100", "--ell", "2", "--seed", "3"],
+                 ["conditioned", "--n", "3", "--x", "1,0", "--reps", "1100", "--seed", "3"]):
         a, b, c = (tmp_path / f"{len(argv)}-{argv[0]}-{name}"
                    for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
         run_cli(argv + ["--out", str(a)])
@@ -57,6 +58,14 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path):
         subprocess.run([sys.executable, "-m", "brwlab.cli", *argv, "--out", str(c)],
                        check=True, env=child_env(BRW_THREADS="3"))
         assert a.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_invalid_brw_threads_fail_fast(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("BRW_THREADS", value)
+    with pytest.raises(SystemExit, match="BRW_THREADS"):
+        run_cli(["simulate", "--n", "1", "--reps", "2", "--seed", "1",
+                 "--out", str(tmp_path / "x.jsonl")])
 
 
 def test_conditioned_simulate_records_attempts(tmp_path):
@@ -109,10 +118,10 @@ def test_conditioned_cli_and_chi_square_report(tmp_path):
     assert all(r["value"] >= 1 and r["x"] == [1, 0] for r in rows)
     chi = json.loads(rep.read_text())
     assert chi["p_value"] > 1e-4
-    # replaying row r's substream reproduces its value and its path's checksum
-    sampler = cr.ConditionedSampler(2, (1, 0))
-    for r in rows[:25]:
-        value, path = sampler.sample(substream(9, "conditioned-rep", r["rep"]))
+    # replaying block 0's substream reproduces its values and its paths' checksums
+    rng = substream(9, "conditioned-rep", 0)
+    values, paths = cr.ConditionedSampler(2, (1, 0)).sample(BLOCK, rng)
+    for r, value, path in zip(rows, values, paths):
         checksum = int((np.arange(1, len(path) + 1)[:, None] * np.abs(path)).sum() % (1 << 31))
         assert (value, checksum) == (r["value"], r["path_len_checksum"])
 

@@ -28,13 +28,14 @@ def test_one_step_walk_is_forced(bank8):
 
 def test_beta_coin_value_at_origin():
     s = cr.ConditionedSampler(1, (1, 0))
-    assert s._beta(0, (0, 0)) == pytest.approx(5 / 9, abs=1e-15)
+    beta = s._coin_probs(np.zeros((1, 2, 2), dtype=np.int64))
+    assert beta.shape == (1, 1) and beta[0, 0] == pytest.approx(5 / 9, abs=1e-15)
 
 
 def test_one_step_law_is_one_plus_bernoulli_ninth():
     rng = substream(40, "conditioned-rep")
     s = cr.ConditionedSampler(1, (0, 1))
-    draws = np.array([s.sample(rng)[0] for _ in range(30_000)])
+    draws = s.sample(30_000, rng)[0]
     assert set(np.unique(draws)) <= {1, 2}
     obs = np.bincount(draws, minlength=3)[1:3]
     chi = chi_square(obs, np.array([8.0, 1.0]) / 9.0)
@@ -44,11 +45,14 @@ def test_one_step_law_is_one_plus_bernoulli_ninth():
 def test_rows_are_stochastic_everywhere_visited(bank8):
     rng = substream(41, "conditioned-rep")
     s = cr.ConditionedSampler(8, (2, -1), bank8)
-    for _ in range(200):
-        path = s.sample_path(rng)
-        for m in range(1, 9):
-            _, probs = cr.utransform_row(m, tuple(path[m - 1]), 8, (2, -1), bank8)
-            assert abs(probs.sum() - 1.0) <= 1e-12
+    paths = s.sample_paths(200, rng)
+    for m in range(1, 9):
+        ys, probs = cr.utransform_row(m, paths[:, m - 1], 8, (2, -1), bank8)
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+        # the batched rows are the rows of the single states
+        for r in range(0, 200, 40):
+            ys1, probs1 = cr.utransform_row(m, tuple(paths[r, m - 1]), 8, (2, -1), bank8)
+            assert np.array_equal(ys1, ys[r]) and np.array_equal(probs1, probs[r])
 
 
 def test_row_symmetry_for_symmetric_target(bank8):
@@ -80,7 +84,7 @@ def test_conditional_mean_identity():
     n, x = 12, (2, 0)
     bank = cr.HittingBank(n, 2)
     s = cr.ConditionedSampler(n, x, bank)
-    draws = np.array([s.sample(rng)[0] for _ in range(20_000)])
+    draws = s.sample(20_000, rng)[0]
     exact = cr.conditional_mean(n, x, bank)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - exact) <= 3 * se
@@ -99,7 +103,7 @@ def test_distribution_matches_pmf_oracle(n, targets):
     for x in targets:
         cond = pf.conditional_pmf_at(x)
         s = cr.ConditionedSampler(n, x, bank)
-        draws = np.array([s.sample(rng)[0] for _ in range(20_000)])
+        draws = s.sample(20_000, rng)[0]
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = chi_square(obs, cond)
         assert chi["p_value"] > 0.01, (n, x)
@@ -126,8 +130,7 @@ def test_reweighted_walk_differs_from_bridge_at_horizon_three():
 
 def test_path_and_sample_reproducible():
     s = cr.ConditionedSampler(5, (1, 1))
-    a = [s.sample(substream(9, "conditioned-rep", rep)) for rep in range(20)]
-    b = [s.sample(substream(9, "conditioned-rep", rep)) for rep in range(20)]
-    assert [v for v, _ in a] == [v for v, _ in b]
-    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a, b))
-    assert all(tuple(p[-1]) == (1, 1) for _, p in a)
+    va, pa = s.sample(20, substream(9, "conditioned-rep", 0))
+    vb, pb = s.sample(20, substream(9, "conditioned-rep", 0))
+    assert np.array_equal(va, vb) and np.array_equal(pa, pb)
+    assert pa.shape == (20, 6, 2) and (pa[:, -1] == (1, 1)).all()

@@ -54,6 +54,18 @@ def test_two_step_frozen_values():
     assert f.value_at((1, 1)) == pytest.approx(2 / 25, abs=1e-15)
 
 
+def test_values_at_batches_sites_and_reads_zero_outside():
+    f = lat.transition_field(2, 2)
+    sites = np.array([[[0, 0], [1, 1], [3, 0]], [[-2, 0], [0, -5], [1, -1]]])
+    vals = f.values_at(sites)
+    assert vals.shape == (2, 3)
+    assert list(f.in_box(sites).ravel()) == [True, True, False, True, False, True]
+    for site, v in zip(sites.reshape(-1, 2), vals.ravel()):
+        assert v == (f.value_at(site) if f.in_box(site) else 0.0)
+    with pytest.raises(IndexError):
+        f.value_at((3, 0))
+
+
 def test_zero_steps_is_a_point_mass():
     f = lat.transition_field(0, 2)
     assert f.radius == 0 and f.values[0, 0] == 1.0

@@ -167,7 +167,7 @@ def test_parse_offspring_specs():
 def test_population_step_matches_convolution_law():
     rng = substream(13, "selftest")
     g = off.geometric(2)
-    z = g.population_step(np.full(200_000, 3, dtype=np.int64), rng)
+    z = g.sample_offspring_sum(np.full(200_000, 3, dtype=np.int64), rng)
     # mean 3, variance 3*sigma2
     assert abs(z.mean() - 3.0) <= 3 * z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.var(ddof=1) / 3 - g.sigma2) <= 0.05 * g.sigma2
