@@ -27,45 +27,41 @@ import numpy as np
 
 from . import forward as fw
 from .exactfields import hitting_bank
-from .lattice import Field, neighborhood, stencil_step, transition_field
+from .lattice import neighborhood, transition_field
 from .offspring import binary
 
 _BINARY = binary()
 
 
 class HittingBank:
-    """u_m and (P u_m) for all horizons m <= n, exact unclamped boxes."""
+    """u_m for all horizons m <= n, exact unclamped boxes.  (P u_m)(y) is read
+    from the 2d+1 values of u_m around y when needed, so no P u bank is kept."""
 
     def __init__(self, n: int, d: int = 2):
         self.n = n
         self.d = d
         self.u = hitting_bank(_BINARY, n, d, clamp=None, method="kpp")
-        self.pu = []
-        for f in self.u:
-            vals, _ = stencil_step(f.values, d)
-            g = Field(d, f.radius + 1, vals, 0.0)
-            g.step = f.step
-            self.pu.append(g)
 
 
 def utransform_row(m: int, z, n: int, x, bank: HittingBank):
     """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x),
     for states z[..., d].
 
-    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]).  Raises
-    if some (m-1, z) is not a reachable state, i.e. the normalizer
-    (P u_{n-m})(x-z) vanishes.
+    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]).  The
+    normalizer is the sum of the 2d+1 weights u_{n-m}(x-y), which is
+    (2d+1) (P u_{n-m})(x-z) because the neighborhood is symmetric.  Raises if
+    some (m-1, z) is not a reachable state, i.e. the normalizer vanishes.
     """
     d = bank.d
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    denom = bank.pu[n - m].values_at(x - z)
+    ys = z[..., None, :] + neighborhood(d)
+    weights = bank.u[n - m].values_at(x - ys)
+    denom = weights.sum(axis=-1)
     if np.any(denom <= 0.0):
         bad = z.reshape(-1, d)[np.ravel(denom <= 0.0)][0]
         raise ValueError(f"state {tuple(bad)} at step {m - 1} cannot reach {tuple(x)} at {n}")
-    ys = z[..., None, :] + neighborhood(d)
-    probs = bank.u[n - m].values_at(x - ys) / ((2 * d + 1) * denom[..., None])
-    return ys, probs
+    return ys, weights / denom[..., None]
 
 
 def pinned_row(m: int, z, n: int, x, p_fields: list):
@@ -105,8 +101,10 @@ class ConditionedSampler:
         return paths
 
     def _coin_probs(self, paths: np.ndarray) -> np.ndarray:
-        """beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) for m < n: (reps, n)."""
-        pu = [self.bank.pu[self.n - m - 1].values_at(self.x - paths[:, m])
+        """beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) for m < n: (reps, n),
+        with P u read as the mean of u over the neighborhood."""
+        sites = self.x - paths[:, :, None, :] - neighborhood(self.d)
+        pu = [self.bank.u[self.n - m - 1].values_at(sites[:, m]).mean(axis=-1)
               for m in range(self.n)]
         return 1.0 / (2.0 - np.stack(pu, axis=1))
 

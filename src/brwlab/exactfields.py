@@ -12,7 +12,13 @@ Everything here is obtained by conditioning on the first generation:
                   C_{k+1} = Phi(P C_k) truncated at a fixed degree
 
 plus the quadratic super-solution bump v_n(x) = kappa/(n log n) *
-exp(-beta_n |x|^2 / (2n)) and its one-step inequality / comparison checks.
+exp(-beta_n |x|^2 / (2n)) and its one-step inequality.
+
+Every recursion starts from the origin delta, so every field is symmetric
+under coordinate sign flips: all of them run on the orthant storage of
+`lattice.Field`, advanced by the one stencil `lattice.stencil_step`, clamped
+or not.  The pmf oracle alone keeps its own full-box average, so that the
+checks compare two independent computations.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, clamp_radius, stencil_step, transition_field
+from .lattice import Field, clamp_radius, orthant_sum, stencil_step, transition_field
 from .offspring import OffspringDist
 
 
@@ -88,28 +94,21 @@ def hitting_bank(dist: OffspringDist, n: int, d: int = 2,
         method = "kpp" if dist.is_binary else "pgf"
     if method == "kpp" and not dist.is_binary:
         raise ValueError("the quadratic recursion form is binary-only")
-    bank = []
+    bank = [Field.delta(d)]
+    tail = 0.0
     if method == "kpp":
         vals = np.ones((1,) * d)
-        tail = 0.0
-        bank.append(Field(d, 0, vals.copy(), 0.0, step=0))
         for k in range(n):
             vals, lost = kpp_step(vals, d, clamp)
             tail += lost
-            f = Field(d, (vals.shape[0] - 1) // 2, vals, tail)
-            f.step = k + 1
-            bank.append(f)
+            bank.append(Field(vals, tail, step=k + 1))
     else:
         h = np.zeros((1,) * d)  # h_0 = 1 - delta; the pad supplies the ones
-        tail = 0.0
-        bank.append(Field.delta(d))
         for k in range(n):
             ph, lost = stencil_step(h, d, pad=1.0, clamp=clamp)
             tail += lost
             h = np.asarray(dist.pgf(ph))
-            f = Field(d, (h.shape[0] - 1) // 2, 1.0 - h, tail)
-            f.step = k + 1
-            bank.append(f)
+            bank.append(Field(1.0 - h, tail, step=k + 1))
     return bank
 
 
@@ -143,7 +142,7 @@ def mgf_bank(dist: OffspringDist, n: int, theta: float, d: int = 2,
     vals = np.full((1,) * d, math.expm1(theta))
     if 1.0 + vals[(0,) * d] > dist.z_max:
         raise MgfBlowupError(0)
-    bank = [Field(d, 0, vals.copy(), 0.0, step=0)]
+    bank = [Field(vals.copy(), step=0)]
     for k in range(n):
         pg, _ = stencil_step(vals, d, clamp=clamp)
         if 1.0 + float(pg.max()) > dist.z_max * (1 - 1e-12):
@@ -151,9 +150,7 @@ def mgf_bank(dist: OffspringDist, n: int, theta: float, d: int = 2,
         vals = np.asarray(dist.pgf_at_one_plus(pg))
         if not np.all(np.isfinite(vals)):
             raise MgfBlowupError(k + 1)
-        f = Field(d, (vals.shape[0] - 1) // 2, vals, 0.0)
-        f.step = k + 1
-        bank.append(f)
+        bank.append(Field(vals, step=k + 1))
     return bank
 
 
@@ -169,8 +166,9 @@ def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
     g1 = mgf_field(dist, 1, theta, d)
     vals = g1.values.copy()
     center_hist = []
+    origin = (0,) * d
     for k in range(1, n):
-        h0 = float(vals[(vals.shape[0] // 2,) * d])
+        h0 = Field(vals).value_at(origin)
         if 1.0 + h0 > dist.z_max * (1 - 1e-12):
             raise MgfBlowupError(k + 1)
         center_hist.append(h0)
@@ -178,11 +176,10 @@ def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
         vals = ph * float(dist.pgf_prime(1.0 + h0))
         if not np.all(np.isfinite(vals)):
             raise MgfBlowupError(k + 1)
-    out = Field(d, (vals.shape[0] - 1) // 2, vals, 0.0)
-    out.step = n
+    out = Field(vals, step=n)
     if check_closed_form:
         pn = transition_field(n, d, clamp=clamp)
-        h1_0 = g1.value_at((0,) * d)
+        h1_0 = g1.value_at(origin)
         prod = h1_0 * (2 * d + 1)
         for h0 in center_hist:
             prod *= float(dist.pgf_prime(1.0 + h0))
@@ -204,93 +201,27 @@ def second_moment_field(dist: OffspringDist, n: int, d: int = 2,
     return second_moment_sweep(dist, n, d, clamp)[0]
 
 
-def _octant_stencil(src: np.ndarray, dst: np.ndarray, d: int) -> None:
-    """One averaging step on the nonnegative orthant of a fully symmetric
-    field: index 0 reflects (the -1 neighbor equals the +1 one), the outer
-    face kills.  Exact for fields symmetric under coordinate sign flips."""
-    dst[...] = src
-    for ax in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        dst[tuple(lo)] += src[tuple(hi)]
-        dst[tuple(hi)] += src[tuple(lo)]
-        zero = [slice(None)] * d
-        zero[ax] = 0
-        one = [slice(None)] * d
-        one[ax] = 1
-        dst[tuple(zero)] += src[tuple(one)]
-    dst /= 2 * d + 1
-
-
-def _octant_weights(radius: int, d: int) -> np.ndarray:
-    w = np.ones((radius + 1,) * d)
-    for ax in range(d):
-        sl = [slice(None)] * d
-        sl[ax] = slice(1, None)
-        w[tuple(sl)] *= 2.0
-    return w
-
-
-def _unfold_octant(oct_vals: np.ndarray, d: int) -> np.ndarray:
-    R = oct_vals.shape[0] - 1
-    full = np.empty((2 * R + 1,) * d)
-    for idx in np.ndindex(*(2,) * d):
-        sl_full, sl_oct = [], []
-        for ax, mirrored in enumerate(idx):
-            if mirrored:
-                sl_full.append(slice(0, R))
-                sl_oct.append(slice(R, 0, -1))
-            else:
-                sl_full.append(slice(R, 2 * R + 1))
-                sl_oct.append(slice(0, R + 1))
-        full[tuple(sl_full)] = oct_vals[tuple(sl_oct)]
-    return full
-
-
 def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
                         clamp: int | None = None):
     """(f_n, sums) where f_n(x) = E U_n(x)^2 and sums[k] = sum_x f_k(x).
 
     Linear recursion f_k = P f_{k-1} + sigma^2 * P_k^2 from first-generation
-    conditioning; P_k is advanced alongside on the same box.  Clamped sweeps
-    fold onto one octant (both fields are symmetric under sign flips and
-    coordinate permutations of the initial delta).
+    conditioning; P_k is advanced alongside on the same box, and its killed
+    mass is the `tail_bound` of f_n.
     """
     sig2 = dist.sigma2
     sums = np.empty(n + 1)
     sums[0] = 1.0
-    if clamp is not None:
-        shape = (clamp + 1,) * d
-        p = np.zeros(shape)
-        f = np.zeros(shape)
-        p[(0,) * d] = 1.0
-        f[(0,) * d] = 1.0
-        scratch = np.empty(shape)
-        w = _octant_weights(clamp, d)
-        for k in range(1, n + 1):
-            _octant_stencil(p, scratch, d)
-            p, scratch = scratch, p
-            _octant_stencil(f, scratch, d)
-            f, scratch = scratch, f
-            f += sig2 * np.square(p)
-            sums[k] = float((w * f).sum())
-        full = _unfold_octant(f, d)
-        escaped = max(0.0, 1.0 - float((w * p).sum()))  # exact killed P mass
-        out = Field(d, clamp, full, escaped)
-        out.step = n
-        return out, sums
     f = np.ones((1,) * d)
     p = np.ones((1,) * d)
+    tail = 0.0
     for k in range(1, n + 1):
-        p, _ = stencil_step(p, d)
-        pf, _ = stencil_step(f, d)
-        f = pf + sig2 * np.square(p)
-        sums[k] = float(f.sum())
-    out = Field(d, (f.shape[0] - 1) // 2, f, 0.0)
-    out.step = n
-    return out, sums
+        p, lost = stencil_step(p, d, clamp=clamp)
+        tail += lost
+        f, _ = stencil_step(f, d, clamp=clamp)
+        f += sig2 * np.square(p)
+        sums[k] = orthant_sum(f)
+    return Field(f, tail, step=n), sums
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +230,7 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
 
 @dataclass
 class PmfField:
-    """Exact truncated pmf of U_n(x) per site.
+    """Exact truncated pmf of U_n(x) per site of the full box {-R..R}^d.
 
     coeffs[..., k] = P{U_n(x) = k} for k <= degree; truncating polynomial
     products leaves the low-order coefficients exact, so the per-site deficit
@@ -316,16 +247,18 @@ class PmfField:
     def deficit(self) -> np.ndarray:
         return 1.0 - self.coeffs.sum(axis=-1)
 
-    def hitting_values(self) -> Field:
-        return Field(self.dim, self.radius, 1.0 - self.coeffs[..., 0], 0.0, self.step)
+    # the moment arrays below cover the full box, to compare site by site
+    # with the unfolded recursions
 
-    def mean_field(self) -> Field:
-        k = np.arange(self.degree + 1, dtype=np.float64)
-        return Field(self.dim, self.radius, self.coeffs @ k, 0.0, self.step)
+    def hitting_values(self) -> np.ndarray:
+        return 1.0 - self.coeffs[..., 0]
 
-    def second_moment_values(self) -> Field:
+    def mean_field(self) -> np.ndarray:
+        return self.coeffs @ np.arange(self.degree + 1, dtype=np.float64)
+
+    def second_moment_values(self) -> np.ndarray:
         k = np.arange(self.degree + 1, dtype=np.float64)
-        return Field(self.dim, self.radius, self.coeffs @ (k * k), 0.0, self.step)
+        return self.coeffs @ (k * k)
 
     def pmf_at(self, site) -> np.ndarray:
         idx = tuple(int(c) + self.radius for c in site)
@@ -424,43 +357,29 @@ def supersolution_field(params: SuperSolutionParams, n: int, d: int = 2,
         raise ValueError("needs n >= 2 (log n)")
     if radius is None:
         radius = 3 * n
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
+    ax = np.arange(radius + 1, dtype=np.float64)
     sq = ax[:, None] ** 2 + ax[None, :] ** 2
-    vals = params.amplitude(n) * np.exp(-params.beta_n(n) * sq / (2.0 * n))
-    f = Field(2, radius, vals, 0.0)
-    f.step = n
-    return f
-
-
-def _quadrant_v(params: SuperSolutionParams, n: int, size: int) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64)
-    sq = ax[:, None] ** 2 + ax[None, :] ** 2
-    return params.amplitude(n) * np.exp(-params.beta_n(n) * sq / (2.0 * n))
+    return Field(params.amplitude(n) * np.exp(-params.beta_n(n) * sq / (2.0 * n)), step=n)
 
 
 def supersolution_margin(params: SuperSolutionParams, n: int):
-    """min over |x| <= 3n of v_{n+1}(x) - (Pv_n)(x)*(1 - (Pv_n)(x)/2).
+    """Margins of the one-step inequality v_{n+1} >= Pv_n (1 - Pv_n / 2) over
+    |x| <= 3n, with Pv_n from the stencil on the box of radius 3n + 1.
 
-    Evaluated in closed form on one quadrant (v is even in each coordinate)
-    with the exact 5-point average for Pv.  Returns (min_margin, argmin site,
-    min relative margin), the last over the same sites of margin / v_{n+1}.
+    Returns (min margin, min relative margin, argmin site of the relative
+    margin); the relative margin is (v_{n+1} - Pv_n (1 - Pv_n/2)) / v_{n+1},
+    taken where v_{n+1} does not underflow to 0.
     """
     S = 3 * n  # margin grid: 0 <= x1, x2 <= 3n
-    q = _quadrant_v(params, n, S + 2)
-    center = q[: S + 1, : S + 1]
-    x_plus = q[1: S + 2, : S + 1]
-    x_minus = np.concatenate([q[1:2, : S + 1], q[: S, : S + 1]], axis=0)
-    y_plus = q[: S + 1, 1: S + 2]
-    y_minus = np.concatenate([q[: S + 1, 1:2], q[: S + 1, : S]], axis=1)
-    pv = (center + x_plus + x_minus + y_plus + y_minus) / 5.0
-    v_next = _quadrant_v(params, n + 1, S + 1)
+    pv, _ = stencil_step(supersolution_field(params, n, radius=S + 1).values, 2, clamp=S)
+    v_next = supersolution_field(params, n + 1, radius=S).values
     margin = v_next - pv * (1.0 - 0.5 * pv)
     ax = np.arange(S + 1, dtype=np.float64)
     inside = (ax[:, None] ** 2 + ax[None, :] ** 2) <= (3.0 * n) ** 2
-    masked = np.where(inside, margin, np.inf)
-    flat = int(np.argmin(masked))
-    i, j = divmod(flat, S + 1)
-    return float(masked[i, j]), (i, j), float(np.where(inside, margin / v_next, np.inf).min())
+    rel = np.divide(margin, v_next, out=np.full_like(margin, np.inf),
+                    where=inside & (v_next > 0.0))
+    i, j = divmod(int(np.argmin(rel)), S + 1)
+    return float(np.where(inside, margin, np.inf).min()), float(rel[i, j]), (i, j)
 
 
 def _regime(n: int, site) -> str:
@@ -475,28 +394,30 @@ def _regime(n: int, site) -> str:
 def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     """Direct numerical check of the one-step inequality over n_range.
 
-    holds=False is a valid outcome; the report carries the violating point.
+    holds=False is a valid outcome.  The report carries the smallest relative
+    margin and where it sits (the absolute margin is smallest at the far edge
+    of the box, where the bump itself is negligible).
     """
     if params.kappa <= 0:
         return {"params": {"kappa": params.kappa, "beta": params.beta},
                 "n_range": [int(min(n_range)), int(max(n_range))], "holds": False,
-                "min_margin": -math.inf, "argmin": None,
+                "min_relative_margin": -math.inf, "argmin": None,
                 "note": "degenerate prefactor: the zero bump dominates nothing"}
     worst = math.inf
     arg = None
     holds = True
     for n in n_range:
-        m, site, _ = supersolution_margin(params, int(n))
-        if m < worst:
-            worst, arg = m, {"n": int(n), "x": [int(site[0]), int(site[1])],
-                             "regime": _regime(int(n), site)}
+        m, rel, site = supersolution_margin(params, int(n))
+        if rel < worst:
+            worst, arg = rel, {"n": int(n), "x": [int(site[0]), int(site[1])],
+                               "regime": _regime(int(n), site)}
         if m < 0:
             holds = False
     return {
         "params": {"kappa": params.kappa, "beta": params.beta},
         "n_range": [int(min(n_range)), int(max(n_range))],
         "holds": holds,
-        "min_margin": worst,
+        "min_relative_margin": worst,
         "argmin": arg,
     }
 
@@ -538,26 +459,3 @@ def comparison_shift(kappa0: float = KAPPA0, n_min: int = 2) -> int:
         else:
             lo = mid + 1
     return max(hi, n_min)
-
-
-def verify_comparison(u_seq: list[Field], v_seq: list[Field], slack: float = 1e-12) -> bool:
-    """True iff v_k >= u_k - slack pointwise for every supplied index, after
-    recomputing the binary hitting recursion from u_seq[0] and checking the
-    supplied u fields satisfy it to 1e-12."""
-    if len(u_seq) != len(v_seq):
-        raise ValueError("sequences must align")
-    vals = u_seq[0].values.copy()
-    d = u_seq[0].dim
-    for k, (u, v) in enumerate(zip(u_seq, v_seq)):
-        if u.dim != v.dim or u.radius > v.radius:
-            raise ValueError("comparison boxes must cover the u boxes")
-        if k > 0:
-            vals, _ = kpp_step(vals, d)
-            if vals.shape != u.values.shape or float(np.abs(vals - u.values).max()) > 1e-12:
-                raise ValueError(f"u_seq[{k}] does not satisfy the hitting recursion")
-        off = v.radius - u.radius
-        vv = v.values[tuple(slice(off, off + 2 * u.radius + 1) for _ in range(d))] \
-            if off else v.values
-        if float((u.values - vv).max()) > slack:
-            return False
-    return True

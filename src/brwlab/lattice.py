@@ -6,10 +6,16 @@ position (holding included), so the one-step Markov operator is
     (P f)(x) = (2d+1)^{-1} sum_{e in N} f(x - e),
 
 and P_n denotes the n-step transition probabilities started from the origin.
-Fields are dense real arrays over a centered box {-R..R}^d; a field carries a
-certified `tail_bound` on the mass living outside its box.  Clamped recursions
-kill mass at the box boundary, so stored values are exact lower bounds and the
-killed mass is tracked exactly.
+
+Every field here starts from the origin delta (or a constant) under P, so it
+is symmetric under coordinate sign flips.  A `Field` therefore stores only the
+nonnegative orthant {0..R}^d of its box {-R..R}^d: values[i1, ..., id] is the
+value at (+-i1, ..., +-id), and `stencil_step` advances such orthant arrays.
+Sites are read through `values_at`, `value_at`, `total` (the full-box sum)
+and `unfolded` (the full box, for export and oracles).  A field carries a
+certified `tail_bound` on the mass living outside its box.  Clamped
+recursions kill mass at the box boundary, so stored values are exact lower
+bounds and the killed mass is tracked exactly.
 
 All field arithmetic is double precision and every kernel is a fixed-order
 numpy reduction, so results are bit-identical across runs and thread counts.
@@ -37,38 +43,43 @@ def neighborhood(d: int) -> np.ndarray:
     return np.array(offs)
 
 
+def orthant_sum(vals: np.ndarray) -> float:
+    """Sum over the full box of a sign-flip-symmetric field stored on its
+    orthant: each cell counts 2^(number of nonzero coordinates) times."""
+    t = vals
+    for _ in range(vals.ndim):
+        t = t[0] + 2.0 * t[1:].sum(axis=0)
+    return float(t)
+
+
 @dataclass
 class Field:
-    """Dense real field on the centered box {-R..R}^d.
+    """Sign-flip-symmetric real field on the box {-R..R}^d, stored on the
+    orthant {0..R}^d (values of shape (R+1)^d).
 
     `tail_bound` certifies the total mass outside the box for probability-type
     fields; it never decreases under the operations in this module.
     """
 
-    dim: int
-    radius: int
     values: np.ndarray
     tail_bound: float = 0.0
     step: int | None = None  # generation index for fields indexed by time
 
     def __post_init__(self):
-        expect = (2 * self.radius + 1,) * self.dim
-        if self.values.shape != expect:
-            raise ValueError(f"field shape {self.values.shape} != {expect}")
+        if len(set(self.values.shape)) != 1:
+            raise ValueError(f"orthant values must be a cube, got shape {self.values.shape}")
 
-    @classmethod
-    def zeros(cls, d: int, radius: int, tail_bound: float = 0.0) -> "Field":
-        return cls(d, radius, np.zeros((2 * radius + 1,) * d), tail_bound)
+    @property
+    def dim(self) -> int:
+        return self.values.ndim
+
+    @property
+    def radius(self) -> int:
+        return self.values.shape[0] - 1
 
     @classmethod
     def delta(cls, d: int) -> "Field":
-        f = cls.zeros(d, 0)
-        f.values[(0,) * d] = 1.0
-        f.step = 0
-        return f
-
-    def copy(self) -> "Field":
-        return Field(self.dim, self.radius, self.values.copy(), self.tail_bound, self.step)
+        return cls(np.ones((1,) * d), step=0)
 
     def in_box(self, sites) -> np.ndarray:
         """Whether each integer site of sites[..., d] lies in the box."""
@@ -81,59 +92,89 @@ class Field:
 
     def values_at(self, sites) -> np.ndarray:
         """Values at the integer sites sites[..., d]; sites outside the box read as 0."""
-        sites = np.asarray(sites, dtype=np.int64)
+        sites = np.abs(np.asarray(sites, dtype=np.int64))
         inside = self.in_box(sites)
-        idx = np.where(inside[..., None], sites + self.radius, 0)
+        idx = np.where(inside[..., None], sites, 0)
         return np.where(inside, self.values[tuple(np.moveaxis(idx, -1, 0))], 0.0)
 
     def total(self) -> float:
-        return float(self.values.sum())
+        return orthant_sum(self.values)
+
+    def unfolded(self) -> np.ndarray:
+        """The values on the full box {-R..R}^d, index i holding coordinate i - R."""
+        full = self.values
+        for axis in range(self.dim):
+            mirror = np.flip(np.delete(full, 0, axis=axis), axis=axis)
+            full = np.concatenate([mirror, full], axis=axis)
+        return full
 
 
-def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
-                 clamp: int | None = None) -> tuple[np.ndarray, float]:
-    """(vals', lost): one application of the averaging operator P to a centered
-    box of values; the output radius grows by one unless clamped.
+_SLAB_CELLS = 1 << 15  # about this many cells per slab keep its temporaries in cache
 
-    `pad` is the implicit field value outside the input box (0 for mass-type
-    fields, 1 for extinction-probability fields).  `lost` is the exact mass
-    dropped by cropping to radius `clamp`: of vals' itself for pad = 0, of
-    pad - vals' otherwise (for an extinction field h, the mass of 1 - Ph).
 
-    Opposite shifts are added pairwise (commutative), and for d = 3 the axis
-    pair-sums are sorted elementwise before reduction, so mirror-symmetric and
-    permutation-symmetric inputs give bit-identical symmetric outputs."""
-    R = (vals.shape[0] - 1) // 2
-    src = np.full((2 * R + 5,) * d, pad, dtype=np.float64)
-    src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
-    size = 2 * R + 3
-    base = tuple(slice(1, 1 + size) for _ in range(d))
+def _slab_average(vals: np.ndarray, d: int, pad: float, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 (coordinates on axis 0) of P applied to the orthant
+    array `vals` of radius R, over coordinates 0..R+1 on the other axes."""
+    R = vals.shape[0] - 1
+    # plane j holds coordinate lo - 1 + j on axis 0, and index i holds
+    # coordinate i - 1 (-1..R+2) on the other axes: -1 mirrors +1, and every
+    # coordinate beyond R reads pad
+    blk = np.full((hi - lo + 2,) + (R + 4,) * (d - 1), pad)
+    coords = np.abs(np.arange(lo - 1, hi + 1))
+    inside = np.flatnonzero(coords <= R)
+    blk[(inside,) + (slice(1, R + 2),) * (d - 1)] = vals[coords[inside]]
+    for axis in range(1, d):
+        blk[(slice(None),) * axis + (0,)] = blk[(slice(None),) * axis + (2,)]
+    base = (slice(1, 1 + hi - lo),) + (slice(1, R + 3),) * (d - 1)
     pairs = []
     for axis in range(d):
-        hi = list(base)
-        hi[axis] = slice(2, 2 + size)
-        lo = list(base)
-        lo[axis] = slice(0, size)
-        pairs.append(src[tuple(hi)] + src[tuple(lo)])
+        up, down = list(base), list(base)
+        up[axis] = slice(base[axis].start + 1, base[axis].stop + 1)
+        down[axis] = slice(base[axis].start - 1, base[axis].stop - 1)
+        pairs.append(blk[tuple(up)] + blk[tuple(down)])
     if d == 1:
         acc = pairs[0]
     elif d == 2:
         acc = pairs[0] + pairs[1]
-    else:
-        s = np.sort(np.stack(pairs), axis=0)
-        acc = (s[0] + s[1]) + s[2]
-    out = acc + src[base]
-    out /= 2 * d + 1
+    else:  # (smallest + middle) + largest pair-sum, by a min/max network
+        a, b, c = pairs
+        small, big = np.minimum(a, b), np.maximum(a, b)
+        acc = (small + np.minimum(big, c)) + np.maximum(big, c)
+    acc += blk[base]
+    acc /= 2 * d + 1
+    return acc
+
+
+def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
+                 clamp: int | None = None) -> tuple[np.ndarray, float]:
+    """(vals', lost): one application of the averaging operator P to a
+    sign-flip-symmetric field stored on its orthant {0..R}^d; the output
+    radius grows by one unless clamped.
+
+    Index -1 mirrors +1, and `pad` is the implicit field value outside the
+    input box (0 for mass-type fields, 1 for extinction-probability fields).
+    `lost` is the exact full-box mass dropped by cropping to radius `clamp`
+    (each orthant cell weighted as in `orthant_sum`): of vals' itself for
+    pad = 0, of pad - vals' otherwise (for an extinction field h, the mass of
+    1 - Ph).
+
+    Opposite shifts are added pairwise (commutative), and for d = 3 the axis
+    pair-sums are added in sorted order, so every cell gets the value the
+    full-box step gives it, and permutation-symmetric inputs give
+    bit-identical permutation-symmetric outputs.  The output is computed in
+    slabs along axis 0, which changes no value."""
+    size = vals.shape[0] + 1  # output coordinates 0..R+1
+    out = np.empty((size,) * d)
+    rows = max(1, _SLAB_CELLS // (size + 2) ** (d - 1))
+    for lo in range(0, size, rows):
+        out[lo:lo + rows] = _slab_average(vals, d, pad, lo, min(lo + rows, size))
     lost = 0.0
-    out_R = R + 1
-    if clamp is not None and out_R > clamp:
-        lo, hi = out_R - clamp, out_R + clamp + 1
-        crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
-        if pad == 0.0:
-            lost = float(out.sum() - crop.sum())
-        else:
-            lost = float((pad - out).sum() - (pad - crop).sum())
-        out = crop
+    if clamp is not None and size > clamp + 1:
+        keep = clamp + 1
+        for axis in range(d):  # the shell, split by its first axis beyond the clamp
+            face = out[(slice(0, keep),) * axis + (slice(keep, None),)]
+            lost += 2.0 * orthant_sum((face if pad == 0.0 else pad - face).sum(axis=axis))
+        out = out[(slice(0, keep),) * d].copy()
     return out, lost
 
 
@@ -151,20 +192,21 @@ def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     for _ in range(n):
         vals, lost = stencil_step(vals, d, clamp=clamp)
         tail += lost
-    return Field(d, (vals.shape[0] - 1) // 2, vals, tail, step=n)
+    return Field(vals, tail, step=n)
 
 
 def convolve(f: Field, g: Field) -> Field:
-    """Dense direct convolution (no FFT); tail bounds compose additively."""
+    """Dense direct convolution (no FFT) of the unfolded boxes, folded back
+    onto the orthant; tail bounds compose additively."""
     from scipy.signal import convolve as _direct_convolve
 
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    vals = _direct_convolve(f.values, g.values, mode="full", method="direct")
-    out = Field(f.dim, f.radius + g.radius, vals, f.tail_bound + g.tail_bound)
-    if f.step is not None and g.step is not None:
-        out.step = f.step + g.step
-    return out
+    full = _direct_convolve(f.unfolded(), g.unfolded(), mode="full", method="direct")
+    R = f.radius + g.radius
+    step = f.step + g.step if f.step is not None and g.step is not None else None
+    return Field(np.ascontiguousarray(full[(slice(R, None),) * f.dim]),
+                 f.tail_bound + g.tail_bound, step)
 
 
 def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,9 +263,10 @@ def field_to_csv(f: Field, n: int, fh: IO[str]) -> None:
     rows in lexicographic site order."""
     fh.write(f"# dim={f.dim} n={n} radius={f.radius} tail_bound={float(f.tail_bound)!r}\n")
     R = f.radius
-    for idx in np.ndindex(*f.values.shape):
+    full = f.unfolded()
+    for idx in np.ndindex(*full.shape):
         coords = ",".join(str(i - R) for i in idx)
-        fh.write(f"{coords},{float(f.values[idx])!r}\n")
+        fh.write(f"{coords},{float(full[idx])!r}\n")
 
 
 def sites_in_ball(d: int, ell: float) -> np.ndarray:

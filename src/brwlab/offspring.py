@@ -320,23 +320,3 @@ def parse_offspring(spec: str) -> OffspringDist:
             entries[int(l)] = float(p)
         return table(entries, name=spec)
     raise ValueError(f"unknown offspring spec {spec!r}")
-
-
-def theorem3_delta(dist: OffspringDist, d: int) -> float:
-    """Largest exponent delta for which fixed-site pileups force
-    V_n >= delta*log(n) with conditional probability -> 1:
-    sup over support points l0 > 1 of (l0-1)/(-l0*log p), where
-    p = Q_{l0} * (2d+1)^{-l0} is the probability that a parent produces l0
-    children and all of them hold still.  The ratio decays once l0*log(2d+1)
-    dominates, so scanning the first thousand support points suffices."""
-    best = -math.inf
-    for l, q in zip(dist.support, dist.probs):
-        if l <= 1:
-            continue
-        p = q * (1.0 / (2 * d + 1)) ** int(l)
-        best = max(best, (l - 1) / (-l * math.log(p)))
-        if l > 1000:
-            break
-    if best == -math.inf:
-        raise ValueError("degenerate offspring law: no support point above 1")
-    return best

@@ -54,7 +54,7 @@ def return_probs(max_n: int, d: int = 2) -> np.ndarray:
     vals = np.ones((1,) * d)
     for m in range(1, max_n + 1):
         vals, _ = stencil_step(vals, d, clamp=clamp)
-        out[m] = vals[(vals.shape[0] // 2,) * d]
+        out[m] = Field(vals).value_at((0,) * d)
     _return_cache[d] = out
     return out
 
@@ -81,7 +81,7 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     cur = np.ones((1,) * d)
     for i in range(1, n + 1):
         cur, _ = stencil_step(cur, d, clamp=clamp)
-        f = Field(d, (cur.shape[0] - 1) // 2, cur)
+        f = Field(cur)
         vals[:, i] = f.values_at(positions[:, i, :])
         misses += ~f.in_box(positions[:, i, :])
     return vals, misses
@@ -227,15 +227,7 @@ def sizebias_population_batch(n: int, reps: int, rng: np.random.Generator) -> np
     process of age n-1-j for every spine height j < n."""
     z = np.ones(reps, dtype=np.int64)
     for j in range(n):
-        w = np.ones(reps, dtype=np.int64)
-        idx = np.arange(reps)
-        for _ in range(n - 1 - j):
-            if len(w) == 0:
-                break
-            w = _BINARY.sample_offspring_sum(w, rng)
-            alive = w > 0
-            idx, w = idx[alive], w[alive]
-        np.add.at(z, idx, w)
+        z += fw.population_batch(_BINARY, n - 1 - j, reps, rng)
     assert z.min() >= 1  # the spine survives on every sample
     return z
 

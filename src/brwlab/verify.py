@@ -104,13 +104,10 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
 
 def _orthant_violation(f: Field) -> float:
     """Largest increase of the field along a +axis step inside the positive
-    orthant (<= 0 means monotone non-increasing, as required)."""
-    R = f.radius
-    quad = f.values[(slice(R, None),) * f.dim]
-    worst = -math.inf
-    for ax in range(f.dim):
-        worst = max(worst, float(np.diff(quad, axis=ax).max(initial=-math.inf)))
-    return worst
+    orthant, which is where the field is stored (<= 0 means monotone
+    non-increasing, as required)."""
+    return max(float(np.diff(f.values, axis=ax).max(initial=-math.inf))
+               for ax in range(f.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def c01_fundamental(seed: int, bank: SimBank) -> list[ReportRow]:
     for n in range(1, 13):
         pf = xf.pmf_oracle(_B, n, 2, degree=64)
         pn = transition_field(n, 2)
-        worst = max(worst, float(np.abs(pf.mean_field().values - pn.values).max()))
+        worst = max(worst, float(np.abs(pf.mean_field() - pn.unfolded()).max()))
     rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
     rng = substream(seed, "simulate", rep=1)
@@ -145,7 +142,7 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     for n in range(1, 13):
         pf = xf.pmf_oracle(_B, n, 2, degree=64)
         u = xf.hitting_field(_B, n, 2)
-        worst = max(worst, float(np.abs(pf.hitting_values().values - u.values).max()))
+        worst = max(worst, float(np.abs(pf.hitting_values() - u.unfolded()).max()))
     rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
     clamp = clamp_radius(256, 2, 1e-12)
@@ -165,7 +162,7 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
     for n in range(1, 13):
         pf = xf.pmf_oracle(_B, n, 2, degree=64)
         f = xf.second_moment_field(_B, n, 2)
-        worst = max(worst, float(np.abs(pf.second_moment_values().values - f.values).max()))
+        worst = max(worst, float(np.abs(pf.second_moment_values() - f.unfolded()).max()))
     rows.append(_row("C03-second-moment", "oracle-vs-recursion", worst, "<=1e-8",
                      worst <= 1e-8, n=12))
     for d, eps in ((2, 1e-10), (3, 5e-10)):
@@ -322,7 +319,7 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     params = xf.SuperSolutionParams(xf.KAPPA0)
-    rel = min(xf.supersolution_margin(params, n)[2] for n in range(n0, 4 * n0 + 1))
+    rel = min(xf.supersolution_margin(params, n)[1] for n in range(n0, 4 * n0 + 1))
     rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, ">=0", rel >= 0,
                      n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
@@ -332,11 +329,11 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     rate = {}
     for k in range(1, 513):  # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
         vals, _ = xf.kpp_step(vals, 2)
-        R = (vals.shape[0] - 1) // 2
-        v = xf.supersolution_field(params, n1 + k, radius=R).values
-        worst = max(worst, float((vals - v).max()))
+        u = Field(vals)
+        v = xf.supersolution_field(params, n1 + k, radius=u.radius)
+        worst = max(worst, float((u.values - v.values).max()))
         if k in U_RATE_GRID:
-            rate[k] = k * math.log(k) * float(vals[R, R])
+            rate[k] = k * math.log(k) * u.value_at((0, 0))
     rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", worst,
                      "<=1e-12", worst <= 1e-12, n=512))
     ratio = max(rate.values()) / min(rate.values())
@@ -388,11 +385,10 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     for d in (2, 3):
         worst = -math.inf
-        f = Field.delta(d)
+        vals = np.ones((1,) * d)
         for n in range(1, 65):
-            vals, _ = stencil_step(f.values, d)
-            f = Field(d, (vals.shape[0] - 1) // 2, vals, 0.0)
-            worst = max(worst, _orthant_violation(f))
+            vals, _ = stencil_step(vals, d)
+            worst = max(worst, _orthant_violation(Field(vals)))
         rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
                          worst <= 1e-12, n=64, d=d))
     worst = max(_orthant_violation(u) for u in xf.hitting_bank(_B, 64, 2)[1:])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -92,7 +93,25 @@ def test_exact_scalars_and_supersolution(tmp_path):
     out2 = tmp_path / "v.json"
     run_cli(["exact", "supersolution-verify", "--n0", "8", "--out", str(out2)])
     rep = json.loads(out2.read_text())
-    assert rep["holds"] is True and rep["min_margin"] >= 0
+    assert rep["holds"] is True and rep["min_relative_margin"] >= 0
+    assert "min_margin" not in rep and rep["argmin"]["n"] >= 8
+
+
+def test_exact_p_field_writes_the_full_symmetric_box(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run_cli(["exact", "p-field", "--dim", "3", "--n", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "# dim=3 n=3 radius=3 tail_bound=0.0"
+    rows = {}
+    for line in lines[1:]:
+        *coords, value = line.split(",")
+        rows[tuple(int(c) for c in coords)] = value
+    assert len(rows) == len(lines) - 1 == 7 ** 3
+    assert list(rows) == sorted(rows)  # lexicographic site order
+    for site, value in rows.items():
+        for flip in itertools.product((1, -1), repeat=3):
+            assert rows[tuple(f * c for f, c in zip(flip, site))] == value
+    assert sum(float(v) for v in rows.values()) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_spine_jsonl_schema(tmp_path):

@@ -19,8 +19,64 @@ def enumerate_two_step(d=2):
     return {s: c / (2 * d + 1) ** 2 for s, c in counts.items()}
 
 
+def full_box_step(vals, d, pad=0.0, clamp=None):
+    """Plain reference for one step of P on a full centered box {-R..R}^d:
+    the same pair order as `stencil_step` (x+e plus x-e, axis by axis) and
+    the same sorted pair-sum for d = 3.  Returns (vals', lost)."""
+    R = (vals.shape[0] - 1) // 2
+    src = np.full((2 * R + 5,) * d, pad, dtype=np.float64)
+    src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
+    size = 2 * R + 3
+    base = tuple(slice(1, 1 + size) for _ in range(d))
+    pairs = []
+    for axis in range(d):
+        hi = list(base)
+        hi[axis] = slice(2, 2 + size)
+        lo = list(base)
+        lo[axis] = slice(0, size)
+        pairs.append(src[tuple(hi)] + src[tuple(lo)])
+    if d == 1:
+        acc = pairs[0]
+    elif d == 2:
+        acc = pairs[0] + pairs[1]
+    else:
+        s = np.sort(np.stack(pairs), axis=0)
+        acc = (s[0] + s[1]) + s[2]
+    out = (acc + src[base]) / (2 * d + 1)
+    lost = 0.0
+    if clamp is not None and R + 1 > clamp:
+        lo, hi = R + 1 - clamp, R + 2 + clamp
+        crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
+        if pad == 0.0:
+            lost = float(out.sum() - crop.sum())
+        else:
+            lost = float((pad - out).sum() - (pad - crop).sum())
+        out = crop
+    return out, lost
+
+
+@pytest.mark.parametrize("d,steps", [(1, 12), (2, 10), (3, 6)])
+@pytest.mark.parametrize("pad", [0.0, 1.0])
+@pytest.mark.parametrize("clamp", [None, 3])
+def test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp):
+    # pad 0 runs the binary hitting map u <- Pu - (Pu)^2/2 from the delta,
+    # pad 1 the extinction map h <- (1 + (Ph)^2)/2 from 1 - delta
+    start = np.ones((1,) * d) if pad == 0.0 else np.zeros((1,) * d)
+    orth, full = start, start
+    for _ in range(steps):
+        orth, lost = lat.stencil_step(orth, d, pad=pad, clamp=clamp)
+        full, ref_lost = full_box_step(full, d, pad=pad, clamp=clamp)
+        assert np.array_equal(lat.Field(orth).unfolded(), full)
+        assert lost == pytest.approx(ref_lost, abs=1e-15)
+        orth, full = ((x - 0.5 * x * x) if pad == 0.0 else 0.5 * (1.0 + x * x)
+                      for x in (orth, full))
+    if clamp is not None:
+        assert lost > 0.0  # the last steps did crop
+
+
 def test_one_step_kernel_is_uniform_on_neighborhood():
-    vals, lost = lat.stencil_step(lat.Field.delta(2).values, 2)
+    orth, lost = lat.stencil_step(lat.Field.delta(2).values, 2)
+    vals = lat.Field(orth).unfolded()
     assert vals.shape == (3, 3) and lost == 0.0
     offs = [tuple(o) for o in lat.neighborhood(2)]
     for idx in np.ndindex(*vals.shape):
@@ -30,22 +86,24 @@ def test_one_step_kernel_is_uniform_on_neighborhood():
 
 
 def test_kernel_preserves_constants_in_the_interior():
-    vals, _ = lat.stencil_step(np.full((7, 7), 0.37), 2)
+    out, _ = lat.stencil_step(np.full((4, 4), 0.37), 2)  # the box of radius 3
+    vals = lat.Field(out).unfolded()
     R = (vals.shape[0] - 1) // 2
     interior = vals[R - 2: R + 3, R - 2: R + 3]
     assert np.allclose(interior, 0.37, atol=0, rtol=0)
     # pad=1 extends the constant field past the box: the whole output is flat
-    ones, _ = lat.stencil_step(np.ones((3, 3)), 2, pad=1.0)
-    assert np.array_equal(ones, np.ones((5, 5)))
+    ones, _ = lat.stencil_step(np.ones((2, 2)), 2, pad=1.0)
+    assert np.array_equal(lat.Field(ones).unfolded(), np.ones((5, 5)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_two_step_field_matches_path_enumeration(d):
     oracle = enumerate_two_step(d)
     f = lat.transition_field(2, d)
-    for idx in np.ndindex(*f.values.shape):
+    full = f.unfolded()
+    for idx in np.ndindex(*full.shape):
         site = tuple(i - f.radius for i in idx)
-        assert f.values[idx] == pytest.approx(oracle.get(site, 0.0), abs=1e-15)
+        assert full[idx] == pytest.approx(oracle.get(site, 0.0), abs=1e-15)
 
 
 def test_two_step_frozen_values():
@@ -60,15 +118,18 @@ def test_values_at_batches_sites_and_reads_zero_outside():
     vals = f.values_at(sites)
     assert vals.shape == (2, 3)
     assert list(f.in_box(sites).ravel()) == [True, True, False, True, False, True]
+    full = f.unfolded()
     for site, v in zip(sites.reshape(-1, 2), vals.ravel()):
         assert v == (f.value_at(site) if f.in_box(site) else 0.0)
+        if f.in_box(site):
+            assert v == full[tuple(site + f.radius)]
     with pytest.raises(IndexError):
         f.value_at((3, 0))
 
 
 def test_zero_steps_is_a_point_mass():
     f = lat.transition_field(0, 2)
-    assert f.radius == 0 and f.values[0, 0] == 1.0
+    assert f.radius == 0 and f.value_at((0, 0)) == 1.0
 
 
 def test_transition_normalization_and_tail():
@@ -84,17 +145,20 @@ def test_clamped_values_lower_bound_the_exact_ones():
     exact = lat.transition_field(24, 2)
     cl = lat.transition_field(24, 2, clamp=10)
     off = exact.radius - cl.radius
-    window = exact.values[off:-off, off:-off]
-    assert np.all(cl.values <= window + 1e-18)
-    assert np.abs(cl.values - window).max() <= cl.tail_bound
+    window = exact.unfolded()[off:-off, off:-off]
+    assert np.all(cl.unfolded() <= window + 1e-18)
+    assert np.abs(cl.unfolded() - window).max() <= cl.tail_bound
 
 
 def test_symmetry_under_flips_and_permutations():
     f = lat.transition_field(9, 2)
-    v = f.values
+    v = f.unfolded()
     assert np.array_equal(v, np.flip(v, axis=0))
     assert np.array_equal(v, np.flip(v, axis=1))
     assert np.array_equal(v, v.T)
+    v3 = lat.transition_field(7, 3, clamp=4).values
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(v3, v3.transpose(perm))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (8, 8), (5, 19), (32, 32)])
@@ -122,9 +186,9 @@ def test_shifted_product_sums_to_double_step_return():
     p2n = lat.transition_field(2 * n, 2)
     R = pn.radius
     grid = np.zeros((2 * R + 5,) * 2)
-    grid[2 + a[0]: 2 + a[0] + 2 * R + 1, 2 + a[1]: 2 + a[1] + 2 * R + 1] = pn.values
+    grid[2 + a[0]: 2 + a[0] + 2 * R + 1, 2 + a[1]: 2 + a[1] + 2 * R + 1] = pn.unfolded()
     shifted = np.zeros_like(grid)
-    shifted[2 + b[0]: 2 + b[0] + 2 * R + 1, 2 + b[1]: 2 + b[1] + 2 * R + 1] = pn.values
+    shifted[2 + b[0]: 2 + b[0] + 2 * R + 1, 2 + b[1]: 2 + b[1] + 2 * R + 1] = pn.unfolded()
     total = float((grid * shifted).sum())
     assert total == pytest.approx(p2n.value_at((b[0] - a[0], b[1] - a[1])), abs=1e-10)
 
@@ -133,7 +197,7 @@ def test_orthant_monotonicity_small():
     for n in (4, 9, 16):
         f = lat.transition_field(n, 2)
         R = f.radius
-        quad = f.values[R:, R:]
+        quad = f.unfolded()[R:, R:]
         assert np.diff(quad, axis=0).max() <= 1e-12
         assert np.diff(quad, axis=1).max() <= 1e-12
 
@@ -175,7 +239,7 @@ def test_walk_functional_matches_double_step_return():
     pi = lat.transition_field(i, 2)
     p2i0 = lat.transition_field(2 * i, 2).value_at((0, 0))
     pos = lat.sample_srw_batch(i, 2, 40_000, rng)[:, i, :]
-    vals = pi.values[pos[:, 0] + pi.radius, pos[:, 1] + pi.radius]
+    vals = pi.values_at(pos)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - p2i0) <= 3 * se
 

@@ -31,21 +31,6 @@ def test_construction_rejects_noncritical_tables():
         off.table({0: 0.4, 2: 0.5})
 
 
-def test_degenerate_law_has_no_pileup_exponent():
-    with pytest.raises(ValueError):
-        # mean-one, but the only support point above zero is 1
-        off.theorem3_delta(off.OffspringDist(
-            "point", np.array([1], dtype=np.int64), np.array([1.0 - 1e-13]),
-            sigma2=1e-3, tail_class="finite-support", z_max=math.inf), 2)
-
-
-def test_pileup_exponent_frozen_values(families):
-    b = families["binary"]
-    # l0 = 2 and p = Q_2 / (2d+1)^2 give (l0-1)/(-l0 log p)
-    assert off.theorem3_delta(b, 2) == pytest.approx(1.0 / (2 * math.log(50)), abs=1e-15)
-    assert off.theorem3_delta(b, 3) == pytest.approx(1.0 / (2 * math.log(98)), abs=1e-15)
-
-
 def test_pgf_domain_errors(families):
     g = families["geometric"]
     with pytest.raises(off.PgfDomainError):

@@ -137,14 +137,14 @@ def test_gamma_variance_halves_by_1024_as_stated():
 
 def test_gamma_variance_matches_exact_evaluation():
     # oracle: E Gamma^2 = sum_i <P_i^2, P_i> + 2 sum_{i<j} <P_i^2, P_{2j-i}>
-    from brwlab.lattice import stencil_step
+    from brwlab.lattice import Field, stencil_step
 
     n = 32
-    fields = {0: np.ones((1, 1))}
+    fields = {0: np.ones((1, 1))}  # full boxes
     vals = fields[0]
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2)
-        fields[m] = vals
+        fields[m] = Field(vals).unfolded()
 
     def dot(a, b):
         ra, rb = (a.shape[0] - 1) // 2, (b.shape[0] - 1) // 2
@@ -185,14 +185,14 @@ def test_delta_variance_band_at_1024_as_stated():
 def test_delta_variance_matches_exact_evaluation():
     # independent oracle: var(Delta_n) = sum_i [P_{2i}(0) - sum_z P_i(z)^3
     #                                    + sum_{j<i} <P_j^2, P_{2i-j}>]
-    from brwlab.lattice import stencil_step
+    from brwlab.lattice import Field, stencil_step
 
     n = 24
-    fields = {0: np.ones((1, 1))}
+    fields = {0: np.ones((1, 1))}  # full boxes
     vals = fields[0]
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2)
-        fields[m] = vals
+        fields[m] = Field(vals).unfolded()
 
     def dot(a, b):
         ra, rb = (a.shape[0] - 1) // 2, (b.shape[0] - 1) // 2
@@ -243,7 +243,7 @@ def test_ball_count_floor_and_saturation():
 def test_ball_count_mean_band_and_exact_window_sums():
     # exact E W = 2 + sum_{i=1}^{n-1} sum_{|x|<=ell} P_{2i+2}(x); the mean over
     # pi*ell^2*log n must sit in [A/4, A]
-    from brwlab.lattice import clamp_radius, sites_in_ball, stencil_step
+    from brwlab.lattice import Field, clamp_radius, sites_in_ball, stencil_step
 
     n, ell = 512, 7
     offsets = sites_in_ball(2, ell)
@@ -253,10 +253,7 @@ def test_ball_count_mean_band_and_exact_window_sums():
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2, clamp=clamp)
         if m >= 4 and m % 2 == 0:  # m = 2i+2 for i = 1..n-1
-            R = (vals.shape[0] - 1) // 2
-            keep = np.all(np.abs(offsets) <= R, axis=1)
-            o = offsets[keep]
-            exact += float(vals[o[:, 0] + R, o[:, 1] + R].sum())
+            exact += float(Field(vals).values_at(offsets).sum())
     norm = math.pi * ell**2 * math.log(n)
     band = (sp.RETURN_COEF_2D / 4, sp.RETURN_COEF_2D)
     assert band[0] <= exact / norm <= band[1]
