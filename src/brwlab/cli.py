@@ -79,6 +79,12 @@ def _provenance(resolved: dict) -> str:
     return " ".join(f"{k}={resolved[k]}" for k in sorted(resolved))
 
 
+def _check_dim(d: int, flag: str) -> int:
+    if not 1 <= d <= 3:
+        raise SystemExit(f"{flag} must give 1, 2 or 3 dimensions, got {d}")
+    return d
+
+
 def _workers() -> int:
     raw = os.environ.get("BRW_THREADS", "1")
     try:
@@ -122,7 +128,7 @@ def _simulate_block(task):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     n = resolve(args, cfg, "n", int, 32)
-    d = resolve(args, cfg, "dim", int, 2)
+    d = _check_dim(resolve(args, cfg, "dim", int, 2), "--dim")
     spec = resolve(args, cfg, "offspring", str, "binary")
     reps = resolve(args, cfg, "reps", int, 10)
     seed = resolve(args, cfg, "seed", int, None)
@@ -206,7 +212,7 @@ def cmd_exact(args) -> int:
     cfg = load_config(args.config)
     kind = args.kind
     n = resolve(args, cfg, "n", int, 8)
-    d = resolve(args, cfg, "dim", int, 2)
+    d = _check_dim(resolve(args, cfg, "dim", int, 2), "--dim")
     spec = resolve(args, cfg, "offspring", str, "binary")
     theta = resolve(args, cfg, "theta", float, 0.05)
     clamp = resolve(args, cfg, "clamp", int, None)
@@ -277,6 +283,7 @@ def cmd_conditioned(args) -> int:
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     x = tuple(int(c) for c in resolve(args, cfg, "x", str, "1,0").split(","))
+    _check_dim(len(x), "--x")
     sampler = cr.ConditionedSampler(n, x)
     blocks = _parallel_map(_conditioned_block, [(seed, *blk, sampler) for blk in _blocks(reps)])
     _write_blocks(args.out, [lines for lines, _ in blocks])

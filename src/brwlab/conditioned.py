@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forward as fw
-from .exactfields import hitting_bank
+from .exactfields import hitting_sweep
 from .lattice import neighborhood, transition_field
 from .offspring import binary
 
@@ -40,7 +40,7 @@ class HittingBank:
     def __init__(self, n: int, d: int = 2):
         self.n = n
         self.d = d
-        self.u = hitting_bank(_BINARY, n, d, clamp=None, method="kpp")
+        self.u = list(hitting_sweep(_BINARY, n, d, method="kpp"))
 
 
 def utransform_row(m: int, z, n: int, x, bank: HittingBank):

@@ -14,21 +14,25 @@ Everything here is obtained by conditioning on the first generation:
 plus the quadratic super-solution bump v_n(x) = kappa/(n log n) *
 exp(-beta_n |x|^2 / (2n)) and its one-step inequality.
 
-Every recursion starts from the origin delta, so every field is symmetric
-under coordinate sign flips: all of them run on the orthant storage of
-`lattice.Field`, advanced by the one stencil `lattice.stencil_step`, clamped
-or not.  The pmf oracle alone keeps its own full-box average, so that the
-checks compare two independent computations.
+Every field recursion is P followed by a pointwise map, written here as an
+update map on the one loop `lattice.sweep`, which checks the horizon and
+keeps the killed mass of every clamped field, mgf and dominating included.
+All start from the origin delta and live on the orthant storage of
+`lattice.Field`.  The `*_sweep` functions yield the whole sequence, the
+single-field ones keep only its last field.  The pmf oracle alone keeps its
+own full-box average, so that the checks compare two independent computations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .lattice import Field, clamp_radius, orthant_sum, stencil_step, transition_field
+from .lattice import (Field, clamp_radius, last, orthant_sum, stencil_step, sweep,
+                      transition_field)
 from .offspring import OffspringDist
 
 
@@ -67,13 +71,6 @@ def survival_prob(dist: OffspringDist, n: int) -> float:
 # hitting probability fields
 
 
-def kpp_step(vals: np.ndarray, d: int, clamp: int | None = None) -> tuple[np.ndarray, float]:
-    """(u', lost): one step u' = Pu - (Pu)^2/2 of the binary hitting recursion;
-    `lost` is the exact P-mass dropped by clamping (see `stencil_step`)."""
-    pu, lost = stencil_step(vals, d, clamp=clamp)
-    return pu - 0.5 * np.square(pu), lost
-
-
 def hitting_field(dist: OffspringDist, n: int, d: int = 2,
                   clamp: int | None = None, method: str = "auto") -> Field:
     """u_n(x) = P{U_n(x) >= 1} started from one particle at the origin.
@@ -82,34 +79,22 @@ def hitting_field(dist: OffspringDist, n: int, d: int = 2,
     method "pgf" iterates extinction fields h <- Phi(P h) with h_0 = 1 - delta
     and returns 1 - h.  "auto" picks kpp for binary fission.
     """
-    return hitting_bank(dist, n, d, clamp, method)[n]
+    return last(hitting_sweep(dist, n, d, clamp, method))
 
 
-def hitting_bank(dist: OffspringDist, n: int, d: int = 2,
-                 clamp: int | None = None, method: str = "auto") -> list[Field]:
-    """[u_0, ..., u_n] in one sweep (shared by the conditioned-walk sampler)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = None,
+                  method: str = "auto") -> Iterator[Field]:
+    """u_0, ..., u_n in one sweep (the conditioned-walk sampler keeps them all)."""
     if method == "auto":
         method = "kpp" if dist.is_binary else "pgf"
     if method == "kpp" and not dist.is_binary:
         raise ValueError("the quadratic recursion form is binary-only")
-    bank = [Field.delta(d)]
-    tail = 0.0
     if method == "kpp":
-        vals = np.ones((1,) * d)
-        for k in range(n):
-            vals, lost = kpp_step(vals, d, clamp)
-            tail += lost
-            bank.append(Field(vals, tail, step=k + 1))
-    else:
-        h = np.zeros((1,) * d)  # h_0 = 1 - delta; the pad supplies the ones
-        for k in range(n):
-            ph, lost = stencil_step(h, d, pad=1.0, clamp=clamp)
-            tail += lost
-            h = np.asarray(dist.pgf(ph))
-            bank.append(Field(1.0 - h, tail, step=k + 1))
-    return bank
+        return sweep(n, d, lambda pu, _: pu - 0.5 * np.square(pu), clamp)
+    # h_0 = 1 - delta; the pad supplies the ones outside the box
+    hs = sweep(n, d, lambda ph, _: np.asarray(dist.pgf(ph)), clamp, pad=1.0,
+               start=Field(np.zeros((1,) * d), step=0))
+    return (Field(1.0 - h.values, h.tail_bound, h.step) for h in hs)
 
 
 def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
@@ -131,64 +116,54 @@ def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
 
 def mgf_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
               clamp: int | None = None) -> Field:
-    return mgf_bank(dist, n, theta, d, clamp)[n]
+    return last(mgf_sweep(dist, n, theta, d, clamp))
 
 
-def mgf_bank(dist: OffspringDist, n: int, theta: float, d: int = 2,
-             clamp: int | None = None) -> list[Field]:
-    """[G_0, ..., G_n] for G_k(x;theta) = E exp(theta U_k(x)) - 1."""
+def _blowup_check(dist: OffspringDist, top: float, vals, step: int):
+    """vals(), unless 1 + top leaves the pgf domain or the values overflow:
+    then MgfBlowupError(step)."""
+    if 1.0 + top <= dist.z_max * (1 - 1e-12):
+        out = vals()
+        if np.all(np.isfinite(out)):
+            return out
+    raise MgfBlowupError(step)
+
+
+def mgf_sweep(dist: OffspringDist, n: int, theta: float, d: int = 2,
+              clamp: int | None = None) -> Iterator[Field]:
+    """G_0, ..., G_n for G_k(x;theta) = E exp(theta U_k(x)) - 1."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    vals = np.full((1,) * d, math.expm1(theta))
-    if 1.0 + vals[(0,) * d] > dist.z_max:
+    g0 = math.expm1(theta)
+    if 1.0 + g0 > dist.z_max:
         raise MgfBlowupError(0)
-    bank = [Field(vals.copy(), step=0)]
-    for k in range(n):
-        pg, _ = stencil_step(vals, d, clamp=clamp)
-        if 1.0 + float(pg.max()) > dist.z_max * (1 - 1e-12):
-            raise MgfBlowupError(k + 1)
-        vals = np.asarray(dist.pgf_at_one_plus(pg))
-        if not np.all(np.isfinite(vals)):
-            raise MgfBlowupError(k + 1)
-        bank.append(Field(vals, step=k + 1))
-    return bank
+
+    def update(pg, prev):
+        return _blowup_check(dist, float(pg.max()),
+                             lambda: np.asarray(dist.pgf_at_one_plus(pg)), prev.step + 1)
+    return sweep(n, d, update, clamp, start=Field(np.full((1,) * d, g0), step=0))
 
 
 def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
-                     clamp: int | None = None, check_closed_form: bool = True) -> Field:
+                     clamp: int | None = None) -> Field:
     """H_n with H_1 = G_1 and H_{k+1} = (P H_k) * Phi'(1 + H_k(0)).
 
     The iterative values are cross-checked against the closed product form
     H_n(x) = P_n(x) * (2d+1) * H_1(0) * prod_{j<n} Phi'(1 + H_j(0)) to 1e-10.
     """
-    if n < 1:
-        raise ValueError("H_n is defined for n >= 1")
-    g1 = mgf_field(dist, 1, theta, d)
-    vals = g1.values.copy()
-    center_hist = []
-    origin = (0,) * d
-    for k in range(1, n):
-        h0 = Field(vals).value_at(origin)
-        if 1.0 + h0 > dist.z_max * (1 - 1e-12):
-            raise MgfBlowupError(k + 1)
-        center_hist.append(h0)
-        ph, _ = stencil_step(vals, d, clamp=clamp)
-        vals = ph * float(dist.pgf_prime(1.0 + h0))
-        if not np.all(np.isfinite(vals)):
-            raise MgfBlowupError(k + 1)
-    out = Field(vals, step=n)
-    if check_closed_form:
-        pn = transition_field(n, d, clamp=clamp)
-        h1_0 = g1.value_at(origin)
-        prod = h1_0 * (2 * d + 1)
-        for h0 in center_hist:
-            prod *= float(dist.pgf_prime(1.0 + h0))
-        closed = pn.values * prod
-        if pn.radius != out.radius:
-            raise AssertionError("closed-form box mismatch")
-        err = float(np.abs(closed - out.values).max())
-        if err > 1e-10:
-            raise AssertionError(f"closed product form deviates by {err}")
+    g1 = mgf_field(dist, 1, theta, d, clamp)
+
+    def update(ph, prev):
+        h0 = float(prev.values.flat[0])
+        return _blowup_check(dist, h0, lambda: ph * float(dist.pgf_prime(1.0 + h0)),
+                             prev.step + 1)
+    prod = float(g1.values.flat[0]) * (2 * d + 1)
+    for out in sweep(n, d, update, clamp, start=g1):  # H_n is defined for n >= 1
+        if out.step < n:
+            prod *= float(dist.pgf_prime(1.0 + float(out.values.flat[0])))
+    err = float(np.abs(transition_field(n, d, clamp=clamp).values * prod - out.values).max())
+    if err > 1e-10:
+        raise AssertionError(f"closed product form deviates by {err}")
     return out
 
 
@@ -209,19 +184,16 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
     conditioning; P_k is advanced alongside on the same box, and its killed
     mass is the `tail_bound` of f_n.
     """
-    sig2 = dist.sigma2
+    ps = sweep(n, d, clamp=clamp)
+    p = next(ps)
+    f = p.values  # f_0 = delta
     sums = np.empty(n + 1)
     sums[0] = 1.0
-    f = np.ones((1,) * d)
-    p = np.ones((1,) * d)
-    tail = 0.0
-    for k in range(1, n + 1):
-        p, lost = stencil_step(p, d, clamp=clamp)
-        tail += lost
+    for p in ps:
         f, _ = stencil_step(f, d, clamp=clamp)
-        f += sig2 * np.square(p)
-        sums[k] = orthant_sum(f)
-    return Field(f, tail, step=n), sums
+        f += dist.sigma2 * np.square(p.values)
+        sums[p.step] = orthant_sum(f)
+    return Field(f, p.tail_bound, step=n), sums
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ is symmetric under coordinate sign flips.  A `Field` therefore stores only the
 nonnegative orthant {0..R}^d of its box {-R..R}^d: values[i1, ..., id] is the
 value at (+-i1, ..., +-id), and `stencil_step` advances such orthant arrays.
 Sites are read through `values_at`, `value_at`, `total` (the full-box sum)
-and `unfolded` (the full box, for export and oracles).  A field carries a
-certified `tail_bound` on the mass living outside its box.  Clamped
-recursions kill mass at the box boundary, so stored values are exact lower
-bounds and the killed mass is tracked exactly.
+and `unfolded` (the full box, for export and oracles).
+
+Every exact recursion is P followed by a pointwise map, F_{k+1} =
+update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
+order, from the delta or from any field it yielded (a checkpoint).  A field
+carries a certified `tail_bound` on the mass outside its box: clamped sweeps
+kill mass at the boundary, so stored values are exact lower bounds, and the
+sweep adds up the killed mass exactly.
 
 All field arithmetic is double precision and every kernel is a fixed-order
 numpy reduction, so results are bit-identical across runs and thread counts.
@@ -24,8 +28,9 @@ numpy reduction, so results are bit-identical across runs and thread counts.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -163,6 +168,8 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
     full-box step gives it, and permutation-symmetric inputs give
     bit-identical permutation-symmetric outputs.  The output is computed in
     slabs along axis 0, which changes no value."""
+    if clamp is not None and clamp < 1:
+        raise ValueError(f"clamp must be >= 1, got {clamp}")
     size = vals.shape[0] + 1  # output coordinates 0..R+1
     out = np.empty((size,) * d)
     rows = max(1, _SLAB_CELLS // (size + 2) ** (d - 1))
@@ -178,6 +185,38 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
     return out, lost
 
 
+def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | None = None,
+          clamp: int | None = None, pad: float = 0.0,
+          start: Field | None = None) -> Iterator[Field]:
+    """Yield F_k for k = start.step..n, with F_{k+1} = update(P F_k, F_k)
+    (update None keeps P F_k) and `start` defaulting to the origin delta.
+
+    P is `stencil_step` with this `pad` and `clamp`.  Each yielded field's
+    `tail_bound` is the start's plus every clamp loss so far, added in step
+    order, so a sweep restarted from any field it yielded continues it bit
+    for bit.  The arguments are checked here, before the first field.
+    """
+    start = Field.delta(d) if start is None else start
+    if start.dim != d:
+        raise ValueError(f"start field has dimension {start.dim}, not {d}")
+    if n < start.step:
+        raise ValueError(f"n = {n} is below the start step {start.step}")
+    return _sweep(n, d, update, clamp, pad, start)
+
+
+def _sweep(n, d, update, clamp, pad, f):
+    yield f
+    while f.step < n:
+        pf, lost = stencil_step(f.values, d, pad, clamp)
+        f = Field(pf if update is None else update(pf, f), f.tail_bound + lost, f.step + 1)
+        yield f
+
+
+def last(fields: Iterator[Field]) -> Field:
+    """The final field of a sweep; the earlier ones are dropped as it runs."""
+    return deque(fields, maxlen=1)[0]
+
+
 def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     """Exact P_n on the box of radius min(n, clamp).
 
@@ -185,14 +224,7 @@ def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     are then pointwise lower bounds on P_n and `tail_bound` is the exact
     killed mass, itself bounded by `escape_bound(n, d, clamp)`.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    vals = np.ones((1,) * d)
-    tail = 0.0
-    for _ in range(n):
-        vals, lost = stencil_step(vals, d, clamp=clamp)
-        tail += lost
-    return Field(vals, tail, step=n)
+    return last(sweep(n, d, clamp=clamp))
 
 
 def convolve(f: Field, g: Field) -> Field:

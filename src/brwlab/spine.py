@@ -33,8 +33,7 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import (Field, clamp_radius, neighborhood, sample_srw_batch, sites_in_ball,
-                      stencil_step)
+from .lattice import clamp_radius, neighborhood, sample_srw_batch, sites_in_ball, sweep
 from .offspring import binary
 
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
@@ -49,12 +48,7 @@ def return_probs(max_n: int, d: int = 2) -> np.ndarray:
     if cached is not None and len(cached) > max_n:
         return cached[: max_n + 1]
     clamp = clamp_radius(max(max_n, 2), d, 1e-14)
-    out = np.empty(max_n + 1)
-    out[0] = 1.0
-    vals = np.ones((1,) * d)
-    for m in range(1, max_n + 1):
-        vals, _ = stencil_step(vals, d, clamp=clamp)
-        out[m] = Field(vals).value_at((0,) * d)
+    out = np.array([f.values.flat[0] for f in sweep(max_n, d, clamp=clamp)])
     _return_cache[d] = out
     return out
 
@@ -75,15 +69,12 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     read as 0 and count as clamp misses.
     """
     reps = positions.shape[0]
-    clamp = clamp_radius(n, d, eps)
     vals = np.zeros((reps, n + 1))
     misses = np.zeros(reps, dtype=np.int64)
-    cur = np.ones((1,) * d)
-    for i in range(1, n + 1):
-        cur, _ = stencil_step(cur, d, clamp=clamp)
-        f = Field(cur)
-        vals[:, i] = f.values_at(positions[:, i, :])
-        misses += ~f.in_box(positions[:, i, :])
+    for f in sweep(n, d, clamp=clamp_radius(n, d, eps)):
+        if f.step:
+            vals[:, f.step] = f.values_at(positions[:, f.step, :])
+            misses += ~f.in_box(positions[:, f.step, :])
     return vals, misses
 
 

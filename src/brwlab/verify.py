@@ -16,6 +16,7 @@ classical-constant check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from functools import cached_property
@@ -27,7 +28,7 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import Field, clamp_radius, stencil_step, transition_field
+from .lattice import Field, clamp_radius, sweep, transition_field
 from .offspring import binary
 from .rngstreams import substream
 from .stats import ReportRow
@@ -84,14 +85,15 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     k = np.arange(L // 2 + 1)
     w = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
     c = np.cos(2.0 * np.pi * k / L)
-    if d == 2:
-        phi = (1.0 + 2.0 * (c[:, None] + c[None, :])) / 5.0
-        wt = (w[:, None] * w[None, :]) / L**2
-    elif d == 3:
-        phi = (1.0 + 2.0 * (c[:, None, None] + c[None, :, None] + c[None, None, :])) / 7.0
-        wt = (w[:, None, None] * w[None, :, None] * w[None, None, :]) / L**3
-    else:
-        raise ValueError("d must be 2 or 3")
+    # the summand is symmetric in the d frequencies: sum each sorted tuple once,
+    # weighted by its number of distinct orderings d! / prod(multiplicity!)
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
+        range(L // 2 + 1), d)), dtype=np.int64).reshape(-1, d)
+    ties = np.ones(len(idx))
+    for i in range(1, d):
+        ties *= (idx[:, :i + 1] == idx[:, i:i + 1]).sum(axis=1)
+    wt = math.factorial(d) / ties * w[idx].prod(axis=1) / L**d
+    phi = (1.0 + 2.0 * c[idx].sum(axis=1)) / (2 * d + 1)
     phi2 = phi * phi
     out = np.empty(max_j + 1)
     out[0] = 1.0
@@ -146,8 +148,8 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
     clamp = clamp_radius(256, 2, 1e-12)
-    kpp = xf.hitting_bank(_B, 256, 2, clamp=clamp, method="kpp")
-    pgf = xf.hitting_bank(_B, 256, 2, clamp=clamp, method="pgf")
+    kpp = xf.hitting_sweep(_B, 256, 2, clamp=clamp, method="kpp")
+    pgf = xf.hitting_sweep(_B, 256, 2, clamp=clamp, method="pgf")
     worst = max(float(np.abs(a.values - b.values).max()) for a, b in zip(kpp, pgf))
     rows.append(_row("C02-hitting", "quadratic-vs-pgf-route", worst, "<=1e-12",
                      worst <= 1e-12, n=256))
@@ -324,12 +326,11 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
                      n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
     params = xf.SuperSolutionParams(n1 * math.log(n1))
-    vals = np.ones((1,) * 2)
     worst = -math.inf
     rate = {}
-    for k in range(1, 513):  # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
-        vals, _ = xf.kpp_step(vals, 2)
-        u = Field(vals)
+    # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
+    for u in itertools.islice(xf.hitting_sweep(_B, 512, 2), 1, None):
+        k = u.step
         v = xf.supersolution_field(params, n1 + k, radius=u.radius)
         worst = max(worst, float((u.values - v.values).max()))
         if k in U_RATE_GRID:
@@ -384,14 +385,10 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     """Orthant monotonicity of P_n and u_n; overlap expectation bound."""
     rows = []
     for d in (2, 3):
-        worst = -math.inf
-        vals = np.ones((1,) * d)
-        for n in range(1, 65):
-            vals, _ = stencil_step(vals, d)
-            worst = max(worst, _orthant_violation(Field(vals)))
+        worst = max(_orthant_violation(p) for p in sweep(64, d))
         rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
                          worst <= 1e-12, n=64, d=d))
-    worst = max(_orthant_violation(u) for u in xf.hitting_bank(_B, 64, 2)[1:])
+    worst = max(_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2))
     rows.append(_row("C14-monotonicity", "hitting-orthant-d2", worst, "<=1e-12",
                      worst <= 1e-12, n=64))
     rng = substream(seed, "overlap", rep=14)

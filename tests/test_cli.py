@@ -85,6 +85,25 @@ def test_exact_u_field_contains_two_step_value(tmp_path, capsys):
     assert "0,0,0.1638" in text
 
 
+@pytest.mark.parametrize("argv", [["mgf-field", "--n", "-1"], ["m2-field", "--n", "-1"],
+                                  ["u-field", "--n", "3", "--clamp", "-2"],
+                                  ["h-field", "--n", "3", "--clamp", "0"]])
+def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
+    with pytest.raises(ValueError):
+        run_cli(["exact", *argv, "--out", str(tmp_path / "f.csv")])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["exact", "p-field", "--dim", "4"], "--dim"),
+    (["exact", "u-field", "--dim", "0"], "--dim"),
+    (["simulate", "--dim", "4", "--seed", "1"], "--dim"),
+    (["conditioned", "--n", "2", "--x", "1,0,0,0", "--seed", "1"], "--x"),
+])
+def test_dimension_out_of_range_names_its_flag(tmp_path, argv, flag):
+    with pytest.raises(SystemExit, match=flag):
+        run_cli([*argv, "--out", str(tmp_path / "o")])
+
+
 def test_exact_scalars_and_supersolution(tmp_path):
     out = tmp_path / "s.json"
     run_cli(["exact", "survival", "--n", "2", "--out", str(out)])

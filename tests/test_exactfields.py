@@ -129,7 +129,7 @@ def test_mgf_blowup_signaled_with_step():
 
 
 def test_mgf_sums_stabilize_in_d3():
-    bank = xf.mgf_bank(B, 64, 0.05, 3, clamp=lat.clamp_radius(64, 3, 1e-12))
+    bank = xf.mgf_sweep(B, 64, 0.05, 3, clamp=lat.clamp_radius(64, 3, 1e-12))
     sums = np.array([f.total() for f in bank])
     assert np.all(np.diff(sums) >= -1e-15)
     assert abs(sums[64] / sums[48] - 1.0) <= 0.01
@@ -146,6 +146,27 @@ def test_dominating_field_basics():
         assert np.all(h.values >= g.values - 1e-15)
     h0 = xf.dominating_field(B, 6, 0.0, 2)
     assert np.abs(h0.values).max() == 0.0
+
+
+@pytest.mark.parametrize("field,killed", [(xf.mgf_field, 0.001376145281257048),
+                                          (xf.dominating_field, 0.0014322270253319203)])
+def test_clamped_mgf_and_dominating_fields_report_killed_mass(field, killed):
+    clamped = field(B, 12, 0.05, 2, clamp=5)
+    assert clamped.tail_bound == pytest.approx(killed, rel=1e-9)
+    exact = field(B, 12, 0.05, 2)
+    for clamp in (12, 13):  # a clamp the box never reaches kills nothing
+        wide = field(B, 12, 0.05, 2, clamp=clamp)
+        assert wide.tail_bound == 0.0 and np.array_equal(wide.values, exact.values)
+    assert np.all(clamped.values <= exact.values[:6, :6])  # the clamp only kills mass
+
+
+def test_sweeps_reject_a_negative_horizon():
+    for call in (lambda: xf.mgf_field(B, -1, 0.05, 2),
+                 lambda: xf.hitting_field(B, -1, 2),
+                 lambda: xf.second_moment_field(B, -1, 2),
+                 lambda: xf.dominating_field(B, 0, 0.05, 2)):
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------------------------------------------------------------------------

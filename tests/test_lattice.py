@@ -1,6 +1,9 @@
+import ast
 import io
 import itertools
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,69 @@ def test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp):
                       for x in (orth, full))
     if clamp is not None:
         assert lost > 0.0  # the last steps did crop
+
+
+def _same_fields(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(f.values, g.values) and f.tail_bound == g.tail_bound
+        and f.step == g.step for f, g in zip(a, b))
+
+
+def _kpp(pu, _):
+    return pu - 0.5 * np.square(pu)
+
+
+@pytest.mark.parametrize("d,update,clamp", [(2, _kpp, 4), (2, None, 5), (3, None, 3)])
+def test_sweep_restarts_from_any_stored_field(d, update, clamp):
+    n = 12
+    bank = list(lat.sweep(n, d, update, clamp))
+    assert [f.step for f in bank] == list(range(n + 1)) and bank[-1].tail_bound > 0
+    for k in (0, 1, 5, n):
+        assert _same_fields(list(lat.sweep(n, d, update, clamp, start=bank[k])), bank[k:])
+
+
+def test_sweep_rejects_a_horizon_below_its_start():
+    with pytest.raises(ValueError, match="below the start step"):
+        lat.sweep(-1, 2)
+    five = lat.transition_field(5, 2)
+    with pytest.raises(ValueError, match="below the start step 5"):
+        lat.sweep(4, 2, start=five)
+    with pytest.raises(ValueError, match="dimension"):
+        lat.sweep(6, 3, start=five)
+    with pytest.raises(ValueError):
+        lat.transition_field(-1, 2)
+
+
+@pytest.mark.parametrize("clamp", [0, -2])
+def test_stencil_step_rejects_a_clamp_below_one(clamp):
+    with pytest.raises(ValueError, match="clamp"):
+        lat.stencil_step(np.ones((3, 3)), 2, clamp=clamp)
+    with pytest.raises(ValueError, match="clamp"):
+        lat.transition_field(3, 2, clamp=clamp)
+
+
+def _stencil_callers():
+    """(module file, top-level definition) -> number of `stencil_step(` calls,
+    over the package outside lattice.py."""
+    found = Counter()
+    for path in sorted(Path(lat.__file__).parent.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "stencil_step" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found[(path.name, getattr(top, "name", "<module>"))] += 1
+    return found
+
+
+def test_every_field_recursion_runs_on_the_one_sweep():
+    # P f is computed by `lattice.sweep`; only the second-moment source term
+    # (f advanced beside P_k) and the super-solution margin (a bump that is
+    # not a sweep field) call the stencil directly
+    allowed = Counter({("exactfields.py", "second_moment_sweep"): 1,
+                       ("exactfields.py", "supersolution_margin"): 1})
+    assert not _stencil_callers() - allowed
 
 
 def test_one_step_kernel_is_uniform_on_neighborhood():
@@ -209,6 +275,28 @@ def test_return_probability_asymptote_d2():
     val = 2048 * p0[2048]
     assert abs(val - RETURN_COEF_2D) <= 0.01 * RETURN_COEF_2D
     assert abs(1024 * p0[1024] - RETURN_COEF_2D) >= abs(val - RETURN_COEF_2D) * 0.2
+
+
+def full_torus_return_probs(max_j, d):
+    """Reference for `verify._spectral_return_probs`: the same torus average
+    summed over every frequency tuple, not once per symmetric class."""
+    L = 512 if d == 2 else 256
+    k = np.arange(L // 2 + 1)
+    w = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
+    c = np.cos(2.0 * np.pi * k / L)
+    phi2 = ((1.0 + 2.0 * sum(np.ix_(*[c] * d))) / (2 * d + 1)) ** 2
+    wt = math.prod(np.ix_(*[w] * d)) / L**d
+    return np.array([float((phi2**j * wt).sum()) for j in range(max_j + 1)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spectral_oracle_matches_full_torus_sum_and_stencil(d):
+    from brwlab.spine import return_probs
+    from brwlab.verify import _spectral_return_probs
+    spectral = _spectral_return_probs(64, d)
+    ref = full_torus_return_probs(64, d)
+    assert np.abs(spectral / ref - 1.0).max() <= 1e-13  # summation order only
+    assert np.abs(spectral - return_probs(128, d)[::2]).max() <= 1e-14
 
 
 def test_walk_sampling_start_and_empty():
