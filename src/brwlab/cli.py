@@ -79,10 +79,12 @@ def _provenance(resolved: dict) -> str:
     return " ".join(f"{k}={resolved[k]}" for k in sorted(resolved))
 
 
-def _check_dim(d: int, flag: str) -> int:
-    if not 1 <= d <= 3:
-        raise SystemExit(f"{flag} must give 1, 2 or 3 dimensions, got {d}")
-    return d
+def _check_range(value, flag: str, lo, hi=None):
+    """Fail fast, naming the flag, unless lo <= value (<= hi)."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise SystemExit(f"{flag} must be {bound}, got {value}")
+    return value
 
 
 def _workers() -> int:
@@ -127,10 +129,10 @@ def _simulate_block(task):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    n = resolve(args, cfg, "n", int, 32)
-    d = _check_dim(resolve(args, cfg, "dim", int, 2), "--dim")
+    n = _check_range(resolve(args, cfg, "n", int, 32), "--n", 0)
+    d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
     spec = resolve(args, cfg, "offspring", str, "binary")
-    reps = resolve(args, cfg, "reps", int, 10)
+    reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
     seed = resolve(args, cfg, "seed", int, None)
     conditioned = bool(resolve(args, cfg, "conditioned", lambda s: s == "true", False))
     if seed is None:
@@ -188,14 +190,14 @@ def _spine_block(task):
 
 def cmd_spine(args) -> int:
     cfg = load_config(args.config)
-    n = resolve(args, cfg, "n", int, 64)
-    reps = resolve(args, cfg, "reps", int, 10)
+    n = _check_range(resolve(args, cfg, "n", int, 64), "--n", 2)
+    reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
     seed = resolve(args, cfg, "seed", int, None)
     ell = resolve(args, cfg, "ell", float, None)
+    if ell is not None:
+        _check_range(ell, "--ell", 1)
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
-    if n < 2:
-        raise SystemExit("spine sampling needs n >= 2")
     resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,
                 "ell": ell, "dim": 2, "offspring": "binary"}
     tasks = [(seed, *blk, n, 2, ell) for blk in _blocks(reps)]
@@ -211,49 +213,52 @@ def cmd_spine(args) -> int:
 def cmd_exact(args) -> int:
     cfg = load_config(args.config)
     kind = args.kind
-    n = resolve(args, cfg, "n", int, 8)
-    d = _check_dim(resolve(args, cfg, "dim", int, 2), "--dim")
+    n = _check_range(resolve(args, cfg, "n", int, 8), "--n", 0)
+    d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
     spec = resolve(args, cfg, "offspring", str, "binary")
-    theta = resolve(args, cfg, "theta", float, 0.05)
+    theta = _check_range(resolve(args, cfg, "theta", float, 0.05), "--theta", 0)
     clamp = resolve(args, cfg, "clamp", int, None)
+    if clamp is not None:
+        _check_range(clamp, "--clamp", 1)
     dist = parse_offspring(spec)
-    out = _open_out(args.out)
     resolved = {"command": "exact", "kind": kind, "n": n, "dim": d,
                 "offspring": spec, "theta": theta, "clamp": clamp}
+    # a field or a JSON document, computed before --out is opened so that a
+    # failure leaves no file behind
     if kind == "p-field":
-        field_to_csv(transition_field(n, d, clamp=clamp), n, out)
+        result = transition_field(n, d, clamp=clamp)
     elif kind == "u-field":
-        field_to_csv(xf.hitting_field(dist, n, d, clamp=clamp), n, out)
+        result = xf.hitting_field(dist, n, d, clamp=clamp)
     elif kind == "mgf-field":
-        field_to_csv(xf.mgf_field(dist, n, theta, d, clamp=clamp), n, out)
+        result = xf.mgf_field(dist, n, theta, d, clamp=clamp)
     elif kind == "h-field":
-        field_to_csv(xf.dominating_field(dist, n, theta, d, clamp=clamp), n, out)
+        result = xf.dominating_field(dist, n, theta, d, clamp=clamp)
     elif kind == "m2-field":
-        field_to_csv(xf.second_moment_field(dist, n, d, clamp=clamp), n, out)
+        result = xf.second_moment_field(dist, n, d, clamp=clamp)
     elif kind == "survival":
-        json.dump({"n": n, "offspring": spec, "survival": xf.survival_prob(dist, n),
-                   "n_times_survival": n * xf.survival_prob(dist, n)}, out, sort_keys=True)
-        out.write("\n")
+        s_n = xf.survival_prob(dist, n)
+        result = {"n": n, "offspring": spec, "survival": s_n, "n_times_survival": n * s_n}
     elif kind == "mean-occupied":
         total, tail = xf.mean_occupied(dist, n, d, clamp=clamp)
-        json.dump({"n": n, "dim": d, "offspring": spec, "mean_occupied": total,
-                   "tail_bound": tail}, out, sort_keys=True)
-        out.write("\n")
+        result = {"n": n, "dim": d, "offspring": spec, "mean_occupied": total,
+                  "tail_bound": tail}
     elif kind == "gamma":
-        json.dump({"n": n, "exact_mean_gamma": sp.exact_mean_gamma(n, d)}, out,
-                  sort_keys=True)
-        out.write("\n")
+        result = {"n": n, "exact_mean_gamma": sp.exact_mean_gamma(n, d)}
     elif kind == "supersolution-verify":
         kappa = resolve(args, cfg, "kappa", float, xf.KAPPA0)
         n0 = resolve(args, cfg, "n0", int, None)
         if n0 is None:
             n0 = xf.find_supersolution_start(kappa)
-        rep = xf.verify_supersolution(xf.SuperSolutionParams(kappa),
-                                      range(n0, 4 * n0 + 1))
-        json.dump(rep, out, sort_keys=True)
-        out.write("\n")
+        result = xf.verify_supersolution(xf.SuperSolutionParams(kappa),
+                                         range(n0, 4 * n0 + 1))
     else:
         raise SystemExit(f"unknown exact kind {kind!r}")
+    out = _open_out(args.out)
+    if isinstance(result, dict):
+        json.dump(result, out, sort_keys=True)
+        out.write("\n")
+    else:
+        field_to_csv(result, n, out)
     if out is not sys.stdout:
         out.close()
     _write_sidecar(args.out, resolved)
@@ -277,13 +282,13 @@ def _conditioned_block(task):
 
 def cmd_conditioned(args) -> int:
     cfg = load_config(args.config)
-    n = resolve(args, cfg, "n", int, 2)
-    reps = resolve(args, cfg, "reps", int, 100)
+    n = _check_range(resolve(args, cfg, "n", int, 2), "--n", 1)
+    reps = _check_range(resolve(args, cfg, "reps", int, 100), "--reps", 1)
     seed = resolve(args, cfg, "seed", int, None)
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     x = tuple(int(c) for c in resolve(args, cfg, "x", str, "1,0").split(","))
-    _check_dim(len(x), "--x")
+    _check_range(len(x), "--x dimension", 1, 3)
     sampler = cr.ConditionedSampler(n, x)
     blocks = _parallel_map(_conditioned_block, [(seed, *blk, sampler) for blk in _blocks(reps)])
     _write_blocks(args.out, [lines for lines, _ in blocks])
@@ -422,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # bad input found past the flag checks
+        raise SystemExit(f"brwlab {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ the bridge rows for comparison.
 
 Sampling is batched over replicates: all paths step the reweighted walk
 together, the coins and the steps xi are drawn as (reps, n) arrays, and the
-attached walks of a batch run in one array of the staggered-walk engine
-(`forward.staggered_walks`), each counted at its own query site
-(`forward.counts_at_query_sites`).
+attached walks of a batch run in one particle array (`forward.attached_walks`
+with ages n-1-m, -1 where no walk is attached), each counted at its own query
+site x - X_m - xi_{m+1}.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def utransform_row(m: int, z, n: int, x, bank: HittingBank):
     denom = weights.sum(axis=-1)
     if np.any(denom <= 0.0):
         bad = z.reshape(-1, d)[np.ravel(denom <= 0.0)][0]
-        raise ValueError(f"state {tuple(bad)} at step {m - 1} cannot reach {tuple(x)} at {n}")
+        raise ValueError(f"state {tuple(bad.tolist())} at step {m - 1} cannot reach "
+                         f"{tuple(x.tolist())} at {n}")
     return ys, weights / denom[..., None]
 
 
@@ -88,7 +89,7 @@ class ConditionedSampler:
         self.x = np.asarray(x, dtype=np.int64)
         self.bank = bank if bank is not None else HittingBank(n, self.d)
         if self.bank.u[n].values_at(self.x) <= 0.0:
-            raise ValueError(f"target {tuple(self.x)} is unreachable at generation {n}")
+            raise ValueError(f"target {tuple(self.x.tolist())} is unreachable at generation {n}")
 
     def sample_paths(self, reps: int, rng: np.random.Generator) -> np.ndarray:
         """`reps` reweighted-walk paths X_0..X_n, array (reps, n+1, d); every
@@ -113,24 +114,21 @@ class ConditionedSampler:
         reweighted-walk paths they were built on: (values[reps],
         paths[reps, n+1, d]).
 
-        Walk (r, m) is attached with probability beta_m(X_m), has age n-1-m,
-        so it enters the staggered array at step m, and is counted at its
-        query site x - X_m - xi_{m+1}."""
+        Walk (r, m) is attached with probability beta_m(X_m), has age n-1-m
+        and is counted at its query site x - X_m - xi_{m+1}."""
         n, d = self.n, self.d
         paths = self.sample_paths(reps, rng)
         attach = rng.random((reps, n)) < self._coin_probs(paths)
         xi = neighborhood(d)[rng.integers(0, 2 * d + 1, size=(reps, n))]
         query = self.x - paths[:, :n] - xi
+        ages = n - 1 - np.arange(n)
         # a walk of age a never reaches a query site farther than a: it adds 0
-        attach &= np.abs(query).sum(axis=2) <= n - 1 - np.arange(n)
+        attach &= np.abs(query).sum(axis=2) <= ages
+        ages = np.where(attach, ages, -1)
         values = np.ones(reps, dtype=np.int64)
-        origin = fw.encode_sites(np.zeros((1, d)), d)[0]
-        for lo, hi in fw.walk_chunks(n, reps, d, max(n, int(np.abs(query).max(initial=0)))):
-            tags = np.arange((hi - lo) * n, dtype=np.int64).reshape(hi - lo, n)
-            starts = [fw.tag_keys(tags[:, m][attach[lo:hi, m]], origin, d) for m in range(n)]
-            keys = fw.staggered_walks(starts, _BINARY, d, rng)
-            counts = fw.counts_at_query_sites(keys, fw.encode_sites(query[lo:hi], d), d)
-            values[lo:hi] += counts.reshape(hi - lo, n).sum(axis=1)
+        for lo, hi in fw.walk_chunks(n, reps, d):
+            walk, _ = fw.attached_walks(ages[lo:hi], query[lo:hi], 0, _BINARY, d, rng)
+            values[lo:hi] += np.bincount(walk // n, minlength=hi - lo)
         return values, paths
 
 

@@ -20,16 +20,15 @@ the n^2/2 that rejection of free runs spends.
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
 
-Staggered walks.  Independent walks that are each read at one site (the
-attached walks of the spine and of the conditioned representation, and the
-free runs of `site_count_batch`) share one array, tagged per walk instead of
-per replicate.  A walk of age a enters n-1-a generation steps into the run, so
-a chunk of replicates costs n-1 one-generation `evolve_particles` steps
-instead of a fresh run per walk (about n^2/2 steps), and
-`counts_at_query_sites` reads every tag's count at its own site in one pass.
-Chunks hold at most max(1, 2**18 // n) replicates, which keeps the array near
-2**18 particles, and few enough that chunk * (n+1) tags pack (d = 3 splits
-further).
+Attached walks.  Independent walks from the origin that are each read near
+one query site (the attached walks of the spine and of the conditioned
+representation) share one array, tagged per walk instead of per replicate
+(`attached_walks`).  A walk of age a enters max_age - a generation steps into
+the run, so the array takes max_age one-generation `evolve_particles` steps
+instead of a fresh run per walk (about n^2/2 steps for ages 0..n-1), and one
+readout gives every particle near its own walk's query site.  Callers run
+replicates in chunks (`walk_chunks`) that keep the array near 2**18
+particles and the walk tags within the packing range (d = 3 splits further).
 """
 
 from __future__ import annotations
@@ -190,17 +189,16 @@ class BatchStats:
 # runs
 
 
-def _origin_keys(reps: int, d: int) -> np.ndarray:
-    """One particle at the origin for each of `reps` replicates."""
-    return (np.arange(reps, dtype=np.int64) << _rep_shift(d)) \
-        + encode_sites(np.zeros((1, d)), d)[0]
+def _origin_keys(tags: np.ndarray, d: int) -> np.ndarray:
+    """One particle at the origin for each (replicate or walk) tag."""
+    return (tags.astype(np.int64) << _rep_shift(d)) + encode_sites(np.zeros((1, d)), d)[0]
 
 
 def run_batch(dist: OffspringDist, n: int, d: int, reps: int,
               rng: np.random.Generator, want_typical: bool = False) -> BatchStats:
     """`reps` independent free runs in one particle array."""
     _check_capacity(n, d, reps)
-    keys = evolve_particles(_origin_keys(reps, d), n, dist, d, rng)
+    keys = evolve_particles(_origin_keys(np.arange(reps), d), n, dist, d, rng)
     return BatchStats(keys, reps, d, rng if want_typical else None)
 
 
@@ -212,7 +210,7 @@ def run_conditioned_batch(dist: OffspringDist, n: int, d: int, want: int,
     n')` for some n' >= n (s_0..s_n')."""
     _check_capacity(n, d, want)
     _check_survival(survival, n)
-    keys = evolve_particles(_origin_keys(want, d), n, dist, d, rng, survival)
+    keys = evolve_particles(_origin_keys(np.arange(want), d), n, dist, d, rng, survival)
     return BatchStats(keys, want, d, rng if want_typical else None)
 
 
@@ -220,19 +218,20 @@ def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Per-replicate particle counts at one fixed site after n free generations."""
     _check_capacity(max(n, int(np.abs(site).max())), d, reps)
-    keys = evolve_particles(_origin_keys(reps, d), n, dist, d, rng)
-    query = np.full(reps, encode_sites(np.asarray(site).reshape(1, d), d)[0])
-    return counts_at_query_sites(keys, query, d)
+    keys = evolve_particles(_origin_keys(np.arange(reps), d), n, dist, d, rng)
+    rep = keys >> _rep_shift(d)
+    hit = keys == (rep << _rep_shift(d)) + encode_sites(np.reshape(site, (1, d)), d)[0]
+    return np.bincount(rep[hit], minlength=reps)
 
 
 def _check_capacity(reach: int, d: int, reps: int) -> None:
-    """Fail fast unless keys can pack `reps` replicates and every coordinate
-    of absolute value up to `reach` (particles and queried sites alike)."""
+    """Fail fast unless keys can pack `reps` replicate (or walk) tags and
+    every coordinate of absolute value up to `reach`."""
     if reach >= COORD_OFF:
         raise ValueError(f"coordinates up to {reach} exceed the packing range "
                          f"|x| < {COORD_OFF}")
     if reps >= _max_tags(d):
-        raise ValueError(f"{reps} replicate tags exceed the packing range "
+        raise ValueError(f"{reps} tags exceed the packing range "
                          f"(fewer than {_max_tags(d)} in d = {d})")
 
 
@@ -275,40 +274,41 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 
 
 # ---------------------------------------------------------------------------
-# staggered walks: many independent walks in one array, each read at one site
+# attached walks: many independent walks in one array, each read near one site
 
 
-def walk_chunks(n: int, reps: int, d: int, reach: int) -> list[tuple[int, int]]:
-    """Replicate ranges [lo, hi) for staggered-walk arrays of n+1 tags per
-    replicate (see module doc); fails fast unless every coordinate up to
-    `reach` (particles and query sites alike) packs."""
-    size = max(1, min(2**18 // n, (_max_tags(d) - 1) // (n + 1)))
-    _check_capacity(reach, d, size * (n + 1))
+def walk_chunks(walks_per_rep: int, reps: int, d: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) for `attached_walks` arrays of `walks_per_rep`
+    walks per replicate (see module doc)."""
+    size = max(1, min(2**18 // walks_per_rep, (_max_tags(d) - 1) // walks_per_rep))
     return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
 
 
-def tag_keys(tags: np.ndarray, sites, d: int) -> np.ndarray:
-    """Keys carrying walk tags in place of replicate indices."""
-    return (tags << _rep_shift(d)) + sites
+def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: OffspringDist,
+                   d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Independent branching random walks from the origin in one particle array.
 
-
-def staggered_walks(starts: list[np.ndarray], dist: OffspringDist, d: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Final keys of independent branching random walks with staggered
-    births: the keys in starts[t] enter before generation step t, so they
-    evolve for len(starts) - 1 - t generations."""
-    keys = starts[0]
-    for new in starts[1:]:
-        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng), new))
-    return keys
-
-
-def counts_at_query_sites(keys: np.ndarray, query: np.ndarray, d: int) -> np.ndarray:
-    """Per-tag particle counts at each tag's own query site: query[t] is the
-    encoded site read for tag t, and every key's tag is below len(query)."""
-    tag = keys >> _rep_shift(d)
-    hit = keys == tag_keys(tag, query[tag], d)
-    return np.bincount(tag[hit], minlength=len(query))
+    Walk w has age ages.flat[w] (negative: not started) and query site
+    query.reshape(-1, d)[w].  Returns (walk, rel): for every final particle
+    within Euclidean distance `ell` of its walk's query site, the walk's flat
+    index and the particle's offset from that site."""
+    ages = np.asarray(ages, dtype=np.int64).ravel()
+    query = np.asarray(query, dtype=np.int64).reshape(-1, d)
+    top = int(ages.max(initial=-1))
+    _check_capacity(top, d, len(ages))
+    started = np.flatnonzero(ages >= 0)
+    # walks by entry step top - age, in flat order within a step
+    order = started[np.argsort(top - ages[started], kind="stable")]
+    bounds = np.searchsorted(top - ages[order], np.arange(max(top, 0) + 2))
+    entries = _origin_keys(order, d)
+    keys = entries[: bounds[1]]
+    for t in range(1, top + 1):
+        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng),
+                               entries[bounds[t]: bounds[t + 1]]))
+    walk = keys >> _rep_shift(d)
+    rel = decode_sites(keys, d) - query[walk]
+    near = (rel.astype(np.float64) ** 2).sum(axis=1) <= float(ell) ** 2 + 1e-9
+    return walk[near], rel[near]
 
 
 # ---------------------------------------------------------------------------

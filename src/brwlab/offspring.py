@@ -115,10 +115,6 @@ class OffspringDist:
         if float(arr.min()) < 0 or float(arr.max()) > self.z_max * (1 + 1e-12):
             raise PgfDomainError(f"pgf argument outside [0, {self.z_max}]")
 
-    def moment(self, k: int) -> float:
-        """k-th moment of the (truncated) table."""
-        return float((self.probs * self.support.astype(np.float64) ** k).sum())
-
     # -- exact sampling ---------------------------------------------------------
 
     def sample_offspring_sum(self, k, rng: np.random.Generator):

@@ -2,28 +2,28 @@
 
 Binary fission only.  The size-biased tree is a spine of distinguished
 particles, each fissioning surely; the spare child at height j starts an
-ordinary branching random walk.  Reversing time turns the count at the
-typical site into
+ordinary branching random walk.  Reversing time turns the number of
+particles within Euclidean distance ell of the typical site into
 
-    T**_n = 1 + B_0 + sum_{j=2..n} U^{j-1}_{j-1}(S_j + xi_{j-1}),
+    W_n(ell) = 1 + sum_{i=0..n-1} U^i_i(B(S_{i+1} + xi_i; ell)),
 
-with S a lazy walk, xi_j uniform neighbor steps, B_0 ~ Bernoulli(1/(2d+1))
-and U^i independent unbiased branching random walks.  The sum splits into
-Gamma_n = sum_{i=2..n} P_i(S_i) (a walk functional with exact mean
-sum P_{2i}(0)) plus a centered part Delta_n with orthogonal increments.
+with S a lazy walk, xi_i uniform neighbor steps and U^i independent
+unbiased branching random walks of age i; the 1 is the spine tip, and U^0 is
+the tip's sibling, one particle that lies in the ball whenever ell >= 2.  The
+count at the typical site is the same construction at radius 0:
 
-The ball count within distance ell of the typical site has the analogous
-representation  W_n = 1 + sum_{i=0..n-1} sum_{|x|<=ell} U^i_i(x + S_{i+1} + xi_i):
-the 1 is the spine tip, and the age-0 walk U^0 (the tip's sibling, a single
-particle at the origin) counts only when it lies in the ball, which is
-always so for ell >= 2.  Vacancy statistics are sampled from the forward
-(unreversed) construction, which realizes the exact joint occupancy law
-around the tip.
+    T**_n = W_n(0) = 1 + B_0 + sum_{j=2..n} U^{j-1}_{j-1}(S_j + xi_{j-1}),
 
-Cost.  All attached walks of a construction run in one particle array of
-the shared staggered-walk engine (`forward.staggered_walks`), so a replicate
-chunk takes n-1 one-generation steps instead of a fresh run per spine height
-(about n^2/2 steps); chunk sizes come from `forward.walk_chunks`.
+where B_0 = 1{S_1 + xi_0 = 0}, the age-0 term, is Bernoulli(1/(2d+1)) and
+independent of S.  The sum over j >= 2 splits into Gamma_n = sum_{i=2..n}
+P_i(S_i) (a walk functional with exact mean sum P_{2i}(0)) plus a centered
+part Delta_n with orthogonal increments.  Vacancy statistics are sampled
+from the forward (unreversed) construction, which realizes the exact joint
+occupancy law around the tip.
+
+Every construction runs its n attached walks per replicate in one particle
+array (`forward.attached_walks`), in replicate chunks from
+`forward.walk_chunks`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,18 @@ def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
     return S, xi
 
 
+def _reversed_counts(n: int, ell: float, reps: int, rng: np.random.Generator, d: int):
+    """The reversed construction, one replicate chunk at a time: yields
+    (lo, hi, S, u) with spine positions S (hi-lo, n+1, d) and u[r, i] the
+    particles of the age-i walk within distance ell of S_{i+1} + xi_i."""
+    ages = np.arange(n)
+    for lo, hi in fw.walk_chunks(n, reps, d):
+        S, xi = _spine_steps(n, d, hi - lo, rng)
+        walk, _ = fw.attached_walks(np.broadcast_to(ages, (hi - lo, n)), S[:, 1:] + xi,
+                                    ell, _BINARY, d, rng)
+        yield lo, hi, S, np.bincount(walk, minlength=(hi - lo) * n).reshape(hi - lo, n)
+
+
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
                         keep_increments: tuple[int, ...] = ()) -> dict:
     """Batched draws of (T**_n, Gamma_n, Delta_n) under the size-biased law.
@@ -95,42 +107,28 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
-    chunks = fw.walk_chunks(n, reps, d, n + 1)  # query sites S_j + xi_{j-1} reach n + 1
-    origin = fw.encode_sites(np.zeros((1, d)), d)[0]
     keep = [j for j in keep_increments if 2 <= j <= n]
     # every chunk's spine, kept for one field sweep after the loop
-    # (int16 holds it: walk_chunks bounds |S| <= n < 2**14)
+    # (int16 holds it: attached_walks bounds |S| <= n <= 2**14)
     S_all = np.empty((reps, n + 1, d), dtype=np.int16)
     b0 = np.empty(reps, dtype=bool)
     u_sum = np.zeros(reps, dtype=np.int64)
     u_kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
-    for lo, hi in chunks:
-        S, xi = _spine_steps(n, d, hi - lo, rng)
-        b0[lo:hi] = rng.integers(0, 2 * d + 1, size=hi - lo) == 0
+    for lo, hi, S, u in _reversed_counts(n, 0, reps, rng, d):
         S_all[lo:hi] = S
-        # walk j = 2..n (tag r*(n+1) + j) has age j-1: it enters at step n-j
-        tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
-        starts = [fw.tag_keys(tags[:, n - t], origin, d) if n - t >= 2
-                  else np.empty(0, dtype=np.int64) for t in range(n)]
-        keys = fw.staggered_walks(starts, _BINARY, d, rng)
-        qsites = np.zeros((hi - lo, n + 1), dtype=np.int64)
-        qsites[:, 2:] = fw.encode_sites(S[:, 2:, :] + xi[:, 1:, :], d).reshape(hi - lo, n - 1)
-        u = fw.counts_at_query_sites(keys, qsites.ravel(), d).reshape(hi - lo, n + 1)
-        u_sum[lo:hi] = u.sum(axis=1)
+        b0[lo:hi] = u[:, 0]
+        u_sum[lo:hi] = u[:, 1:].sum(axis=1)
         for j in keep:
-            u_kept[j][lo:hi] = u[:, j]
+            u_kept[j][lo:hi] = u[:, j - 1]
     p_at_s, misses = _field_values_at(n, d, S_all)
     gamma = p_at_s[:, 2:].sum(axis=1)
-    tstar = 1 + b0.astype(np.int64) + u_sum
-    assert tstar.min() >= 1  # the spine survives on every sample
     return {
-        "Tstar": tstar,
+        "Tstar": 1 + b0.astype(np.int64) + u_sum,
         "Gamma": gamma,
         "Delta": u_sum - gamma,
         "B0": b0,
         "clamp_misses": misses,
         "increments": {j: u_kept[j] - p_at_s[:, j] for j in keep},
-        "Z_attached_total": u_sum,
     }
 
 
@@ -141,25 +139,12 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
 def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
                      d: int = 2) -> np.ndarray:
     """W_n: particles of generation n within Euclidean distance ell of the
-    typical site, via the reversed window representation."""
+    typical site, via the reversed construction."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    chunks = fw.walk_chunks(n, reps, d, n)
-    shift = fw._rep_shift(d)
-    origin = fw.encode_sites(np.zeros((1, d)), d)[0]
     w = np.ones(reps, dtype=np.int64)  # the spine tip
-    ell2 = float(ell) ** 2 + 1e-9
-    for lo, hi in chunks:
-        S, xi = _spine_steps(n, d, hi - lo, rng)
-        # walk i = 0..n-1 (tag r*(n+1) + i) has age i: it enters at step n-1-i
-        tags = np.arange((hi - lo) * (n + 1), dtype=np.int64).reshape(hi - lo, n + 1)
-        starts = [fw.tag_keys(tags[:, n - 1 - t], origin, d) for t in range(n)]
-        keys = fw.staggered_walks(starts, _BINARY, d, rng)
-        rep, age = np.divmod(keys >> shift, n + 1)
-        sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
-        rel = sites - (S[rep, age + 1, :] + xi[rep, age, :])
-        inside = (rel.astype(np.float64) ** 2).sum(axis=1) <= ell2
-        w[lo:hi] += np.bincount(rep[inside], minlength=hi - lo)
+    for lo, hi, _, u in _reversed_counts(n, ell, reps, rng, d):
+        w[lo:hi] += u.sum(axis=1)
     return w
 
 
@@ -170,42 +155,27 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
 
     Returns per-replicate particle counts, unoccupied-site counts, and the
     ball size."""
-    chunks = fw.walk_chunks(n, reps, d, n)
     offsets = sites_in_ball(d, ell)
-    nball = len(offsets)
-    lookup_radius = int(math.floor(ell))
-    side = 2 * lookup_radius + 1
-    widx = -np.ones((side,) * d, dtype=np.int64)
-    for w_i, off in enumerate(offsets):
-        widx[tuple(off + lookup_radius)] = w_i
-    shift = fw._rep_shift(d)
-    occupied = np.zeros((reps, nball), dtype=bool)
-    particles = np.zeros(reps, dtype=np.int64)
-    # the spine tip itself
-    particles += 1
-    occupied[:, widx[(lookup_radius,) * d]] = True
-    for lo, hi in chunks:
-        S, xi = _spine_steps(n, d, hi - lo, rng)  # spine positions, increments eta
-        # sibling j (tag r) is born at S_j + xi_j at step j, then walks for
-        # n-1-j generations
-        tags = np.arange(hi - lo, dtype=np.int64)
-        starts = [fw.tag_keys(tags, fw.encode_sites(S[:, j, :] + xi[:, j, :], d), d)
-                  for j in range(n)]
-        keys = fw.staggered_walks(starts, _BINARY, d, rng)
-        rep = keys >> shift
-        sites = fw.decode_sites(keys & ((np.int64(1) << shift) - 1), d)
-        rel = sites - S[rep, n, :]
-        inb = np.all(np.abs(rel) <= lookup_radius, axis=1)
-        rel_in = rel[inb] + lookup_radius
-        w_i = widx[tuple(rel_in[:, k] for k in range(d))]
-        ok = w_i >= 0
-        rr = rep[inb][ok]
-        particles[lo:hi] += np.bincount(rr, minlength=hi - lo)
-        occupied[lo + rr, w_i[ok]] = True
+    r = int(math.floor(ell))
+    widx = np.zeros((2 * r + 1,) * d, dtype=np.int64)  # ball-site index of each offset
+    widx[tuple((offsets + r).T)] = np.arange(len(offsets))
+    occupied = np.zeros((reps, len(offsets)), dtype=bool)
+    occupied[:, widx[(r,) * d]] = True  # the spine tip
+    particles = np.ones(reps, dtype=np.int64)
+    ages = n - 1 - np.arange(n)
+    for lo, hi in fw.walk_chunks(n, reps, d):
+        S, xi = _spine_steps(n, d, hi - lo, rng)
+        # sibling j is born at S_j + xi_j and walks n-1-j generations; in its
+        # own birth frame the tip sits at S_n - S_j - xi_j
+        walk, rel = fw.attached_walks(np.broadcast_to(ages, (hi - lo, n)),
+                                      S[:, n:] - S[:, :n] - xi, ell, _BINARY, d, rng)
+        rep = walk // n
+        particles[lo:hi] += np.bincount(rep, minlength=hi - lo)
+        occupied[lo + rep, widx[tuple((rel + r).T)]] = True
     return {
         "particles": particles,
-        "unoccupied": nball - occupied.sum(axis=1),
-        "ball_sites": nball,
+        "unoccupied": len(offsets) - occupied.sum(axis=1),
+        "ball_sites": len(offsets),
     }
 
 

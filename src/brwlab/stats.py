@@ -29,9 +29,6 @@ class EstimateCI:
             out.q10, out.q50, out.q90 = (float(q) for q in np.quantile(x, [0.1, 0.5, 0.9]))
         return out
 
-    def covers(self, value: float, z: float = 1.96) -> bool:
-        return abs(self.mean - value) <= z * self.std_error
-
 
 @dataclass
 class ReportRow:
@@ -141,16 +138,6 @@ def kappa_estimates(m_hist: np.ndarray, z: np.ndarray, overflow_mass: np.ndarray
     j = np.arange(1, J + 1)
     weighted = float((kappa * j).sum() + (overflow_mass / z).mean())
     return {"kappa": kappa, "se": se, "weighted_sum": weighted, "reps": reps}
-
-
-def coverage_selftest(rng: np.random.Generator, p: float = 0.3,
-                      trials: int = 1000, samples: int = 400) -> float:
-    """Fraction of 95% CIs covering the true Bernoulli mean (sanity >= 0.90)."""
-    draws = rng.random((trials, samples)) < p
-    means = draws.mean(axis=1)
-    ses = np.sqrt(means * (1 - means) / samples)
-    covered = np.abs(means - p) <= 1.96 * np.maximum(ses, 1e-12)
-    return float(covered.mean())
 
 
 def write_report_csv(rows, fh, header_lines: list[str] | None = None) -> None:

@@ -89,8 +89,37 @@ def test_exact_u_field_contains_two_step_value(tmp_path, capsys):
                                   ["u-field", "--n", "3", "--clamp", "-2"],
                                   ["h-field", "--n", "3", "--clamp", "0"]])
 def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
-    with pytest.raises(ValueError):
-        run_cli(["exact", *argv, "--out", str(tmp_path / "f.csv")])
+    # argv ends with the offending flag and its value
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit, match=argv[-2]):
+        run_cli(["exact", *argv, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--n", "-1", "--seed", "1"], "--n"),
+    (["simulate", "--reps", "-3", "--seed", "1"], "--reps"),
+    (["spine", "--n", "8", "--reps", "0", "--seed", "1"], "--reps"),
+    (["spine", "--n", "8", "--ell", "0.5", "--seed", "1"], "--ell"),
+    (["exact", "mgf-field", "--n", "3", "--theta", "-0.5"], "--theta"),
+])
+def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=flag):
+        run_cli([*argv, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "2", "--offspring", "table:0=0.5,2=0.4", "--seed", "1"],
+    ["conditioned", "--n", "2", "--x", "5,0", "--seed", "1"],
+])
+def test_rejected_input_is_one_line_naming_the_command(tmp_path, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=f"^brwlab {argv[0]}: ") as exc:
+        run_cli([*argv, "--out", str(out)])
+    assert "\n" not in str(exc.value)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [

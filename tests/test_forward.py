@@ -1,10 +1,13 @@
+import ast
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import brwlab
 from brwlab import exactfields as xf
 from brwlab import forward as fw
 from brwlab import lattice as lat
@@ -131,6 +134,46 @@ def test_markov_bound_and_fundamental_identity_mc():
     assert hit.mean() <= counts.mean()
 
 
+def test_attached_walks_unstarted_and_age_zero():
+    rng = substream(60, "selftest")
+    query = np.array([[2, -1], [0, 3], [5, 5]])
+    walk, rel = fw.attached_walks(np.array([-1, 0, -1]), query, 10, B, 2, rng)
+    # unstarted walks yield nothing; an age-0 walk is its start particle
+    assert walk.tolist() == [1] and rel.tolist() == [[0, -3]]
+    walk, rel = fw.attached_walks(np.full(4, -1), np.zeros((4, 2)), 10, B, 2, rng)
+    assert len(walk) == 0 and rel.shape == (0, 2)
+
+
+def test_attached_walks_counts_match_transition_field():
+    # E U_a(x) = P_a(x): age-3 walks staggered with age-1 walks in one array,
+    # read at (1, 0) and summed over the ball of radius 1.5 around it
+    rng = substream(61, "selftest")
+    reps, ell, site = 40_000, 1.5, np.array([1, 0])
+    ages = np.tile([3, 1], reps)
+    walk, rel = fw.attached_walks(ages, np.tile(site, (2 * reps, 1)), ell, B, 2, rng)
+    at_site = np.bincount(walk[np.all(rel == 0, axis=1)], minlength=2 * reps)
+    in_ball = np.bincount(walk, minlength=2 * reps)
+    ball = site + lat.sites_in_ball(2, ell)
+    for age, col in ((3, 0), (1, 1)):
+        p = lat.transition_field(age, 2)
+        for counts, exact in ((at_site, p.value_at(site)), (in_ball, p.values_at(ball).sum())):
+            x = counts[col::2]
+            assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (age, exact)
+
+
+def test_key_packing_lives_in_forward():
+    # no other module packs, evolves or unpacks particle keys
+    packing = {"evolve_particles", "encode_sites", "decode_sites", "_rep_shift"}
+    for path in pathlib.Path(brwlab.__file__).parent.glob("*.py"):
+        if path.name == "forward.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            assert name not in packing, f"{path.name}:{getattr(node, 'lineno', '?')} uses {name}"
+
+
 def test_run_conditioned_one_step_always_pair():
     rng = substream(7, "selftest")
     bs = fw.run_conditioned_batch(B, 1, 2, 50, rng, xf.survival_sequence(B, 1))
@@ -234,6 +277,11 @@ def test_key_packing_range_checked():
         fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
     with pytest.raises(ValueError):
         fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)
+    # attached walks: particle reach and walk tags, checked before any step
+    with pytest.raises(ValueError):
+        fw.attached_walks(np.array([2**14]), np.zeros((1, 2)), 0, B, 2, rng)
+    with pytest.raises(ValueError):
+        fw.attached_walks(np.full(2**17, -1), np.zeros((2**17, 3)), 0, B, 3, rng)
 
 
 COND_LAWS = ("binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1")

@@ -89,6 +89,15 @@ def test_attached_walks_have_their_ages():
         assert abs(x.mean()) <= 4 * x.std(ddof=1) / math.sqrt(reps), j
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_b0_is_bernoulli_one_over_2d_plus_1(d):
+    # B_0 = 1{S_1 + xi_0 = 0}, the age-0 column of the reversed construction
+    rng = substream(40, "spine")
+    reps, p = 40_000, 1.0 / (2 * d + 1)
+    b0 = sp.spine_typical_batch(2, reps, rng, d=d)["B0"].astype(np.float64)
+    assert abs(b0.mean() - p) <= 4 * math.sqrt(p * (1 - p) / reps)
+
+
 def test_d3_batch_beyond_one_key_range_is_chunked():
     # 2**17 replicates exceed the d = 3 tag range of one particle array
     rng = substream(39, "spine")

@@ -14,7 +14,6 @@ def test_estimate_ci_from_samples():
     assert e.mean == pytest.approx(50.5)
     assert e.std_error == pytest.approx(x.std(ddof=1) / 10)
     assert e.q50 == pytest.approx(50.5)
-    assert e.covers(50.5)
     with pytest.raises(ValueError):
         st.EstimateCI.from_samples([1.0])
 
@@ -79,11 +78,6 @@ def test_kappa_estimates_identity():
     assert np.all(out["kappa"] >= 0)
     with pytest.raises(ValueError):
         st.kappa_estimates(m, np.zeros(reps), overflow)
-
-
-def test_coverage_selftest():
-    rng = substream(54, "selftest")
-    assert st.coverage_selftest(rng) >= 0.90
 
 
 def test_verify_budget_flags_skipped_suites():
