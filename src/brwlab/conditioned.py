@@ -16,9 +16,9 @@ the bridge rows for comparison.
 
 Sampling is batched over replicates: all paths step the reweighted walk
 together, the coins and the steps xi are drawn as (reps, n) arrays, and the
-attached walks of a batch run in one particle array (`forward.attached_walks`
-with ages n-1-m, -1 where no walk is attached), each counted at its own query
-site x - X_m - xi_{m+1}.
+attached walks of a batch go to `forward.attached_walks` together (ages
+n-1-m, -1 where no walk is attached), each counted at its own query site
+x - X_m - xi_{m+1}.
 """
 
 from __future__ import annotations
@@ -47,22 +47,20 @@ def utransform_row(m: int, z, n: int, x, bank: HittingBank):
     """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x),
     for states z[..., d].
 
-    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]).  The
-    normalizer is the sum of the 2d+1 weights u_{n-m}(x-y), which is
+    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]): the
+    row of u_{n-m} around x - z (`Field.neighbor_row`), whose normalizer is
     (2d+1) (P u_{n-m})(x-z) because the neighborhood is symmetric.  Raises if
     some (m-1, z) is not a reachable state, i.e. the normalizer vanishes.
     """
     d = bank.d
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
-    ys = z[..., None, :] + neighborhood(d)
-    weights = bank.u[n - m].values_at(x - ys)
-    denom = weights.sum(axis=-1)
-    if np.any(denom <= 0.0):
-        bad = z.reshape(-1, d)[np.ravel(denom <= 0.0)][0]
+    row, pu = bank.u[n - m].neighbor_row(x - z)
+    if np.any(pu <= 0.0):
+        bad = z.reshape(-1, d)[np.ravel(pu <= 0.0)][0]
         raise ValueError(f"state {tuple(bad.tolist())} at step {m - 1} cannot reach "
                          f"{tuple(x.tolist())} at {n}")
-    return ys, weights / denom[..., None]
+    return z[..., None, :] + neighborhood(d), row
 
 
 def pinned_row(m: int, z, n: int, x, p_fields: list):
@@ -104,8 +102,7 @@ class ConditionedSampler:
     def _coin_probs(self, paths: np.ndarray) -> np.ndarray:
         """beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) for m < n: (reps, n),
         with P u read as the mean of u over the neighborhood."""
-        sites = self.x - paths[:, :, None, :] - neighborhood(self.d)
-        pu = [self.bank.u[self.n - m - 1].values_at(sites[:, m]).mean(axis=-1)
+        pu = [self.bank.u[self.n - m - 1].neighbor_row(self.x - paths[:, m])[1]
               for m in range(self.n)]
         return 1.0 / (2.0 - np.stack(pu, axis=1))
 

@@ -82,6 +82,11 @@ def hitting_field(dist: OffspringDist, n: int, d: int = 2,
     return last(hitting_sweep(dist, n, d, clamp, method))
 
 
+def kpp_update(pu: np.ndarray, _prev: Field) -> np.ndarray:
+    """The binary hitting update u' = Pu - (Pu)^2/2, as a `sweep` update map."""
+    return pu - 0.5 * np.square(pu)
+
+
 def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = None,
                   method: str = "auto") -> Iterator[Field]:
     """u_0, ..., u_n in one sweep (the conditioned-walk sampler keeps them all)."""
@@ -90,7 +95,7 @@ def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = N
     if method == "kpp" and not dist.is_binary:
         raise ValueError("the quadratic recursion form is binary-only")
     if method == "kpp":
-        return sweep(n, d, lambda pu, _: pu - 0.5 * np.square(pu), clamp)
+        return sweep(n, d, kpp_update, clamp)
     # h_0 = 1 - delta; the pad supplies the ones outside the box
     hs = sweep(n, d, lambda ph, _: np.asarray(dist.pgf(ph)), clamp, pad=1.0,
                start=Field(np.zeros((1,) * d), step=0))

@@ -20,24 +20,41 @@ the n^2/2 that rejection of free runs spends.
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
 
-Attached walks.  Independent walks from the origin that are each read near
-one query site (the attached walks of the spine and of the conditioned
-representation) share one array, tagged per walk instead of per replicate
-(`attached_walks`).  A walk of age a enters max_age - a generation steps into
-the run, so the array takes max_age one-generation `evolve_particles` steps
-instead of a fresh run per walk (about n^2/2 steps for ages 0..n-1), and one
-readout gives every particle near its own walk's query site.  Callers run
-replicates in chunks (`walk_chunks`) that keep the array near 2**18
+Attached walks.  Independent walks from the origin, each read near its own
+query site (the spine's and the conditioned representation's), run in
+`attached_walks` on one of two routes.  The staggered array (any law) enters
+a walk of age a max_age - a one-generation steps into one particle array
+tagged per walk, at an expected cost of the sum of the ages in
+particle-generations.  The reduced tree (binary fission) is the site-targeted
+form of the tree above: with u_m(x) the probability that a walk from offset x
+(query site minus position) has a descendant in B(0, ell) after m generations
+(the hitting recursion from the ball's indicator), a walk of age m enters as
+Bernoulli(u_m(q)) on one clock m = max_age..0, and a kept particle at x has
+K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_{m-1})(x), each moving to
+x - e with probability u_{m-1}(x - e) / ((2d+1) p).  At m = 0 the kept
+particles are exactly those in the ball.  The fields come in reverse from
+about sqrt(max_age) checkpoints of one forward sweep, cached for the last
+(max_age, d, ell, clamp), and are clamped at clamp_radius(max_age, d, 1e-14)
++ floor(ell) (at most max_age + floor(ell), which clamps nothing): a lost
+particle ends in the ball after its lineage strayed more than
+clamp_radius(max_age) from it, so each walk's expected count is low by at
+most 1e-14.  The tree is taken when the staggered array's expected
+particle-generations exceed the 2 max_age (clamp+1)^d stencil cells of its
+two sweeps (both about 27 ns per unit on a 2-core VM).  Callers run
+replicates in chunks (`walk_chunks`) that keep the staggered array near 2**18
 particles and the walk tags within the packing range (d = 3 splits further).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .lattice import neighborhood
+from .exactfields import kpp_update
+from .lattice import Field, clamp_radius, neighborhood, sites_in_ball, sweep
 from .offspring import OffspringDist
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
@@ -274,7 +291,7 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 
 
 # ---------------------------------------------------------------------------
-# attached walks: many independent walks in one array, each read near one site
+# attached walks: many independent walks, each read near its own query site
 
 
 def walk_chunks(walks_per_rep: int, reps: int, d: int) -> list[tuple[int, int]]:
@@ -286,20 +303,38 @@ def walk_chunks(walks_per_rep: int, reps: int, d: int) -> list[tuple[int, int]]:
 
 def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: OffspringDist,
                    d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Independent branching random walks from the origin in one particle array.
+    """Independent branching random walks from the origin, each read near its
+    own query site.
 
     Walk w has age ages.flat[w] (negative: not started) and query site
     query.reshape(-1, d)[w].  Returns (walk, rel): for every final particle
     within Euclidean distance `ell` of its walk's query site, the walk's flat
-    index and the particle's offset from that site."""
+    index and the particle's offset from that site.  The range check runs
+    first; the route (module doc) follows from the input alone."""
     ages = np.asarray(ages, dtype=np.int64).ravel()
     query = np.asarray(query, dtype=np.int64).reshape(-1, d)
     top = int(ages.max(initial=-1))
     _check_capacity(top, d, len(ages))
+    # expected particle-generations of the staggered array against the
+    # stencil cells of the tree's two sweeps
+    if (dist.is_binary and top > 0
+            and np.maximum(ages, 0).sum() > 2 * top * (_tree_clamp(top, d, ell) + 1) ** d):
+        return _tree_walks(ages, query, ell, d, rng)
+    return _staggered_walks(ages, query, ell, dist, d, rng)
+
+
+def _by_age(ages: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Started walks in order of decreasing age (flat order within an age),
+    and bounds: the walks of age top - t are order[bounds[t]:bounds[t + 1]]."""
     started = np.flatnonzero(ages >= 0)
-    # walks by entry step top - age, in flat order within a step
     order = started[np.argsort(top - ages[started], kind="stable")]
-    bounds = np.searchsorted(top - ages[order], np.arange(max(top, 0) + 2))
+    return order, np.searchsorted(top - ages[order], np.arange(max(top, 0) + 2))
+
+
+def _staggered_walks(ages, query, ell, dist, d, rng):
+    """`attached_walks` on the staggered particle array (module doc)."""
+    top = int(ages.max(initial=-1))
+    order, bounds = _by_age(ages, top)
     entries = _origin_keys(order, d)
     keys = entries[: bounds[1]]
     for t in range(1, top + 1):
@@ -309,6 +344,59 @@ def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: Offspr
     rel = decode_sites(keys, d) - query[walk]
     near = (rel.astype(np.float64) ** 2).sum(axis=1) <= float(ell) ** 2 + 1e-9
     return walk[near], rel[near]
+
+
+def _tree_clamp(top: int, d: int, ell: float) -> int:
+    """Box radius of the tree's hitting fields: a walk's expected count in
+    the ball loses at most 1e-14 to it (module doc)."""
+    return clamp_radius(top, d, 1e-14) + math.floor(ell)
+
+
+_ball_marks: dict[tuple, list[Field]] = {}  # one entry: (top, d, ell, clamp) -> checkpoints
+
+
+def _ball_fields_reversed(top: int, d: int, ell: float, clamp: int) -> Iterator[Field]:
+    """u_top, ..., u_0 for the ball B(0, ell).  The forward sweep keeps every
+    isqrt(top)-th field (cached for the last key); the block after each
+    checkpoint is recomputed by restarting the sweep there, which continues
+    it bit for bit, and yielded in reverse."""
+    key = (top, d, float(ell), clamp)
+    every = max(1, math.isqrt(top))
+    if key not in _ball_marks:
+        ball = np.zeros((math.floor(ell) + 1,) * d)
+        sites = sites_in_ball(d, ell)
+        ball[tuple(sites[(sites >= 0).all(axis=1)].T)] = 1.0
+        fields = sweep(top, d, kpp_update, clamp, start=Field(ball, step=0))
+        _ball_marks.clear()
+        _ball_marks[key] = [f for f in fields if f.step % every == 0]
+    for mark in reversed(_ball_marks[key]):
+        block = sweep(min(mark.step + every - 1, top), d, kpp_update, clamp, start=mark)
+        yield from reversed(list(block))
+
+
+def _tree_walks(ages, query, ell, d, rng):
+    """`attached_walks` for binary fission on the ball-targeted reduced tree
+    (module doc); x holds the kept particles' offsets, query site minus site."""
+    top = int(ages.max(initial=-1))
+    order, bounds = _by_age(ages, top)
+    owner = np.empty(0, dtype=np.int64)
+    x = np.empty((0, d), dtype=np.int64)
+    steps = neighborhood(d)
+    for u in _ball_fields_reversed(top, d, ell, _tree_clamp(top, d, ell)):
+        if len(x):
+            # horizon m + 1 -> m: K = 1 + Bernoulli(p/(2-p)) kept children,
+            # p = (P u_m)(x), each stepping by the row of u_m around x
+            row, p = u.neighbor_row(x)
+            k = 1 + (rng.random(len(x)) < p / (2.0 - p))
+            owner, x, row = np.repeat(owner, k), np.repeat(x, k, axis=0), np.repeat(row, k, axis=0)
+            pick = (np.cumsum(row, axis=1) <= rng.random((len(x), 1))).sum(axis=1)
+            x = x - steps[np.minimum(pick, 2 * d)]
+        # walks of age m enter as Bernoulli(u_m(q))
+        new = order[bounds[top - u.step]: bounds[top - u.step + 1]]
+        new = new[rng.random(len(new)) < u.values_at(query[new])]
+        owner = np.concatenate((owner, new))
+        x = np.concatenate((x, query[new]))
+    return owner, -x
 
 
 # ---------------------------------------------------------------------------

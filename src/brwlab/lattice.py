@@ -88,7 +88,7 @@ class Field:
 
     def in_box(self, sites) -> np.ndarray:
         """Whether each integer site of sites[..., d] lies in the box."""
-        return np.all(np.abs(np.asarray(sites, dtype=np.int64)) <= self.radius, axis=-1)
+        return (np.abs(np.asarray(sites, dtype=np.int64)) <= self.radius).all(axis=-1)
 
     def value_at(self, site: Sequence[int]) -> float:
         if not self.in_box(site):
@@ -98,9 +98,18 @@ class Field:
     def values_at(self, sites) -> np.ndarray:
         """Values at the integer sites sites[..., d]; sites outside the box read as 0."""
         sites = np.abs(np.asarray(sites, dtype=np.int64))
-        inside = self.in_box(sites)
+        inside = (sites <= self.radius).all(axis=-1)
         idx = np.where(inside[..., None], sites, 0)
-        return np.where(inside, self.values[tuple(np.moveaxis(idx, -1, 0))], 0.0)
+        return np.where(inside, self.values[tuple(idx[..., i] for i in range(self.dim))], 0.0)
+
+    def neighbor_row(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(row, mean) at the integer sites x[..., d]: row[..., j] is the value
+        at x - e_j (e_j the `neighborhood` offsets) divided by the sum of the
+        2d+1 values, and mean = (P f)(x) is their mean.  Where every value
+        vanishes the row is 0."""
+        w = self.values_at(np.asarray(x, dtype=np.int64)[..., None, :] - neighborhood(self.dim))
+        total = w.sum(axis=-1)
+        return w / np.where(total > 0.0, total, 1.0)[..., None], total / w.shape[-1]
 
     def total(self) -> float:
         return orthant_sum(self.values)

@@ -21,9 +21,13 @@ part Delta_n with orthogonal increments.  Vacancy statistics are sampled
 from the forward (unreversed) construction, which realizes the exact joint
 occupancy law around the tip.
 
-Every construction runs its n attached walks per replicate in one particle
-array (`forward.attached_walks`), in replicate chunks from
-`forward.walk_chunks`.
+Every construction hands its n attached walks per replicate to
+`forward.attached_walks`, in replicate chunks from `forward.walk_chunks`.  At
+the verify sizes (C09, C13) that is the ball-targeted reduced tree, which keeps
+only the particles that end in the ball: a few dozen particle-generations per
+replicate instead of about n^2/2, for one hitting sweep per chunk plus a
+checkpoint sweep that successive chunks and constructions of the same (n, ell)
+share.  Small batches (the CLI's few replicates) stay on the staggered array.
 """
 
 from __future__ import annotations

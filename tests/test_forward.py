@@ -161,6 +161,109 @@ def test_attached_walks_counts_match_transition_field():
             assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (age, exact)
 
 
+# both attached-walk engines, called directly whatever route the rule picks
+ENGINES = {
+    "staggered": lambda ages, query, ell, rng: fw._staggered_walks(ages, query, ell, B, 2, rng),
+    "tree": lambda ages, query, ell, rng: fw._tree_walks(ages, query, ell, 2, rng),
+}
+
+
+@pytest.mark.parametrize("age", [2, 3, 4])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_attached_walk_engines_match_pmf_oracle(engine, age):
+    rng = substream(62, "selftest", rep=age + 10 * (engine == "tree"))
+    reps, sites = 20_000, np.array([(1, 0), (0, 0), (2, 1)])
+    walk, rel = ENGINES[engine](np.full(3 * reps, age), np.tile(sites, (reps, 1)), 0, rng)
+    assert np.all(rel == 0)
+    counts = np.bincount(walk, minlength=3 * reps).reshape(reps, 3)
+    oracle = xf.pmf_oracle(B, age, 2)
+    for j, x in enumerate(sites):
+        pmf = oracle.pmf_at(x)
+        if pmf[0] == 1.0:  # (2, 1) lies beyond two steps
+            assert counts[:, j].max() == 0
+            continue
+        obs = np.bincount(counts[:, j], minlength=len(pmf))
+        assert len(obs) == len(pmf), (age, x)
+        assert chi_square(obs, pmf)["p_value"] > 1e-3, (engine, age, tuple(x))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_attached_walk_engines_ball_mean_is_transition_mass(engine):
+    # E U_a(B(q, ell)) = P_a(B(q, ell)), with ages 6 and 2 in one call
+    rng = substream(63, "selftest", rep=int(engine == "tree"))
+    reps, ell, site = 30_000, 2.5, np.array([1, -1])
+    walk, rel = ENGINES[engine](np.tile([6, 2], reps), np.tile(site, (2 * reps, 1)), ell, rng)
+    assert np.all((rel ** 2).sum(axis=1) <= ell ** 2)
+    counts = np.bincount(walk, minlength=2 * reps)
+    ball = site + lat.sites_in_ball(2, ell)
+    for age, col in ((6, 0), (2, 1)):
+        x, exact = counts[col::2], lat.transition_field(age, 2).values_at(ball).sum()
+        assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (engine, age)
+
+
+def test_clamped_tree_ball_count_matches_transition_mass():
+    # top = 256: the fields are clamped well inside the reach of the walks
+    top, ell, site, reps = 256, 7, np.array([9, -4]), 20_000
+    assert fw._tree_clamp(top, 2, ell) < top
+    walk, _ = fw._tree_walks(np.full(reps, top), np.tile(site, (reps, 1)), ell, 2,
+                             substream(64, "selftest"))
+    x = np.bincount(walk, minlength=reps)
+    exact = lat.transition_field(top, 2).values_at(site + lat.sites_in_ball(2, ell)).sum()
+    assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps) + 1e-14
+
+
+def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
+    # top = 12 keeps the checkpoints at 0, 3, 6, 9, 12; ell = 1 shares the
+    # clamp of ell = 1.5 but not its ball
+    ages = np.tile([12, 7, 3, 0], 500)
+    query = np.tile([[1, 0], [2, -1], [0, 3], [1, 1]], (500, 1))
+
+    def draw(ell, seed):
+        return fw._tree_walks(ages, query, ell, 2, substream(seed, "selftest"))
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    fw._ball_marks.clear()
+    cold = draw(1.5, 65)
+    assert same(cold, draw(1.5, 65))           # warm: the same key
+    fw._ball_marks.clear()
+    cold_small = draw(1, 66)
+    assert cold_small[0].size and len(fw._ball_marks) == 1
+    assert same(cold, draw(1.5, 65))           # after another ball
+    assert same(cold_small, draw(1, 66))
+
+
+def test_attached_walks_route_follows_cost_rule(monkeypatch):
+    calls = []
+    for name in ("_tree_walks", "_staggered_walks"):
+        monkeypatch.setattr(fw, name, lambda *a, name=name: calls.append(name))
+    rng = substream(67, "selftest")
+
+    def route(n, reps, dist=B):
+        calls.clear()
+        fw.attached_walks(np.tile(np.arange(n), reps), np.zeros((n * reps, 2)), 0, dist, 2, rng)
+        return calls[0]
+
+    assert route(512, 5) == "_staggered_walks"   # CLI spine --n 512 --reps 5
+    assert route(512, 512) == "_tree_walks"      # one replicate chunk of C09
+    assert route(3, 256) == "_tree_walks"
+    assert route(512, 512, geometric(2)) == "_staggered_walks"
+    assert route(1, 1000) == "_staggered_walks"  # age 0 only: nothing to step
+
+
+def test_attached_walks_checks_range_before_choosing_a_route(monkeypatch):
+    # spine_typical_batch keeps its spines as int16 on the strength of this check
+    def never(*args):
+        raise AssertionError("route chosen before the range check")
+
+    for name in ("_tree_walks", "_staggered_walks", "_tree_clamp"):
+        monkeypatch.setattr(fw, name, never)
+    ages = np.concatenate(([2**14], np.full(10**5, 100)))
+    with pytest.raises(ValueError, match="packing range"):
+        fw.attached_walks(ages, np.zeros((len(ages), 2)), 0, B, 2, substream(68, "selftest"))
+
+
 def test_key_packing_lives_in_forward():
     # no other module packs, evolves or unpacks particle keys
     packing = {"evolve_particles", "encode_sites", "decode_sites", "_rep_shift"}

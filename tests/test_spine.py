@@ -99,12 +99,20 @@ def test_b0_is_bernoulli_one_over_2d_plus_1(d):
 
 
 def test_d3_batch_beyond_one_key_range_is_chunked():
-    # 2**17 replicates exceed the d = 3 tag range of one particle array
+    # 2**17 replicates exceed the d = 3 tag range of one particle array; the
+    # staggered engine runs T**_2 (ages 0 and 1 at S_{i+1} + xi_i) per chunk
     rng = substream(39, "spine")
     n, reps = 2, 2**17 + 10
-    t = sp.spine_typical_batch(n, reps, rng, d=3)["Tstar"].astype(np.float64)
+    chunks = fw.walk_chunks(n, reps, 3)
+    assert len(chunks) > 1 and chunks[-1][1] == reps
+    assert max(hi - lo for lo, hi in chunks) * n < fw._max_tags(3)
+    t = np.ones(reps)
+    for lo, hi in chunks:
+        S, xi = sp._spine_steps(n, 3, hi - lo, rng)
+        walk, _ = fw._staggered_walks(np.tile(np.arange(n), hi - lo),
+                                      (S[:, 1:] + xi).reshape(-1, 3), 0, B, 3, rng)
+        t[lo:hi] += np.bincount(walk // n, minlength=hi - lo)
     exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)
-    assert len(t) == reps
     assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(reps)
 
 
