@@ -123,7 +123,7 @@ class ConditionedSampler:
         attach &= np.abs(query).sum(axis=2) <= ages
         ages = np.where(attach, ages, -1)
         values = np.ones(reps, dtype=np.int64)
-        for lo, hi in fw.walk_chunks(n, reps, d):
+        for lo, hi in fw.walk_chunks(ages, 0, _BINARY, d):
             walk, _ = fw.attached_walks(ages[lo:hi], query[lo:hi], 0, _BINARY, d, rng)
             values[lo:hi] += np.bincount(walk // n, minlength=hi - lo)
         return values, paths

@@ -17,22 +17,24 @@ exp(-beta_n |x|^2 / (2n)) and its one-step inequality.
 Every field recursion is P followed by a pointwise map, written here as an
 update map on the one loop `lattice.sweep`, which checks the horizon and
 keeps the killed mass of every clamped field, mgf and dominating included.
-All start from the origin delta and live on the orthant storage of
-`lattice.Field`.  The `*_sweep` functions yield the whole sequence, the
+All start from the origin delta (or a constant), so they are symmetric under
+sign flips and permutations, and `lattice.Field` stores one value per
+symmetry orbit; the update maps are pointwise, so they act on the stored
+values directly.  The `*_sweep` functions yield the whole sequence, the
 single-field ones keep only its last field.  The pmf oracle alone keeps its
 own full-box average, so that the checks compare two independent computations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .lattice import (Field, clamp_radius, last, orthant_sum, stencil_step, sweep,
-                      transition_field)
+from .lattice import Field, clamp_radius, last, stencil_step, sweep, transition_field
 from .offspring import OffspringDist
 
 
@@ -98,8 +100,8 @@ def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = N
         return sweep(n, d, kpp_update, clamp)
     # h_0 = 1 - delta; the pad supplies the ones outside the box
     hs = sweep(n, d, lambda ph, _: np.asarray(dist.pgf(ph)), clamp, pad=1.0,
-               start=Field(np.zeros((1,) * d), step=0))
-    return (Field(1.0 - h.values, h.tail_bound, h.step) for h in hs)
+               start=Field(np.zeros(1), d, step=0))
+    return (dataclasses.replace(h, values=1.0 - h.values) for h in hs)
 
 
 def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
@@ -146,7 +148,7 @@ def mgf_sweep(dist: OffspringDist, n: int, theta: float, d: int = 2,
     def update(pg, prev):
         return _blowup_check(dist, float(pg.max()),
                              lambda: np.asarray(dist.pgf_at_one_plus(pg)), prev.step + 1)
-    return sweep(n, d, update, clamp, start=Field(np.full((1,) * d, g0), step=0))
+    return sweep(n, d, update, clamp, start=Field(np.full(1, g0), d, step=0))
 
 
 def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
@@ -197,8 +199,8 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
     for p in ps:
         f, _ = stencil_step(f, d, clamp=clamp)
         f += dist.sigma2 * np.square(p.values)
-        sums[p.step] = orthant_sum(f)
-    return Field(f, p.tail_bound, step=n), sums
+        sums[p.step] = Field(f, d).total()
+    return Field(f, d, p.tail_bound, step=n), sums
 
 
 # ---------------------------------------------------------------------------
@@ -334,29 +336,34 @@ def supersolution_field(params: SuperSolutionParams, n: int, d: int = 2,
         raise ValueError("needs n >= 2 (log n)")
     if radius is None:
         radius = 3 * n
-    ax = np.arange(radius + 1, dtype=np.float64)
-    sq = ax[:, None] ** 2 + ax[None, :] ** 2
-    return Field(params.amplitude(n) * np.exp(-params.beta_n(n) * sq / (2.0 * n)), step=n)
+    amp, beta = params.amplitude(n), params.beta_n(n)
+    return Field.tabulate(lambda x: amp * np.exp(-beta * _square_norm(x) / (2.0 * n)),
+                          2, radius, step=n)
+
+
+def _square_norm(sites: np.ndarray) -> np.ndarray:
+    return (sites.astype(np.float64) ** 2).sum(axis=-1)
 
 
 def supersolution_margin(params: SuperSolutionParams, n: int):
     """Margins of the one-step inequality v_{n+1} >= Pv_n (1 - Pv_n / 2) over
     |x| <= 3n, with Pv_n from the stencil on the box of radius 3n + 1.
 
-    Returns (min margin, min relative margin, argmin site of the relative
-    margin); the relative margin is (v_{n+1} - Pv_n (1 - Pv_n/2)) / v_{n+1},
-    taken where v_{n+1} does not underflow to 0.
+    Returns (min margin, min relative margin, argmin site (x1 <= x2) of the
+    relative margin); the relative margin is (v_{n+1} - Pv_n (1 - Pv_n/2)) /
+    v_{n+1}, taken where v_{n+1} does not underflow to 0.
     """
-    S = 3 * n  # margin grid: 0 <= x1, x2 <= 3n
+    S = 3 * n  # margin grid: the box of radius 3n
     pv, _ = stencil_step(supersolution_field(params, n, radius=S + 1).values, 2, clamp=S)
-    v_next = supersolution_field(params, n + 1, radius=S).values
-    margin = v_next - pv * (1.0 - 0.5 * pv)
-    ax = np.arange(S + 1, dtype=np.float64)
-    inside = (ax[:, None] ** 2 + ax[None, :] ** 2) <= (3.0 * n) ** 2
-    rel = np.divide(margin, v_next, out=np.full_like(margin, np.inf),
-                    where=inside & (v_next > 0.0))
-    i, j = divmod(int(np.argmin(rel)), S + 1)
-    return float(np.where(inside, margin, np.inf).min()), float(rel[i, j]), (i, j)
+    v_next = supersolution_field(params, n + 1, radius=S)
+    margin = v_next.values - pv * (1.0 - 0.5 * pv)
+    sites = v_next.sites()
+    inside = _square_norm(sites) <= (3.0 * n) ** 2
+    rel = np.divide(margin, v_next.values, out=np.full_like(margin, np.inf),
+                    where=inside & (v_next.values > 0.0))
+    i = int(np.argmin(rel))
+    x2, x1 = sites[i]
+    return float(np.where(inside, margin, np.inf).min()), float(rel[i]), (int(x1), int(x2))
 
 
 def _regime(n: int, site) -> str:

@@ -42,7 +42,9 @@ most 1e-14.  The tree is taken when the staggered array's expected
 particle-generations exceed the 2 max_age (clamp+1)^d stencil cells of its
 two sweeps (both about 27 ns per unit on a 2-core VM).  Callers run
 replicates in chunks (`walk_chunks`) that keep the staggered array near 2**18
-particles and the walk tags within the packing range (d = 3 splits further).
+particles and the walk tags within the packing range (d = 3 splits further);
+a batch that takes the tree runs in chunks of about 2**19 walks, since each
+chunk recomputes the reversed fields.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Iterator
 import numpy as np
 
 from .exactfields import kpp_update
-from .lattice import Field, clamp_radius, neighborhood, sites_in_ball, sweep
+from .lattice import Field, clamp_radius, in_ball, neighborhood, sweep
 from .offspring import OffspringDist
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
@@ -294,11 +296,24 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 # attached walks: many independent walks, each read near its own query site
 
 
-def walk_chunks(walks_per_rep: int, reps: int, d: int) -> list[tuple[int, int]]:
-    """Replicate ranges [lo, hi) for `attached_walks` arrays of `walks_per_rep`
-    walks per replicate (see module doc)."""
-    size = max(1, min(2**18 // walks_per_rep, (_max_tags(d) - 1) // walks_per_rep))
+def walk_chunks(ages: np.ndarray, ell: float, dist: OffspringDist,
+                d: int) -> list[tuple[int, int]]:
+    """Replicate ranges [lo, hi) for `attached_walks` calls on the rows of
+    ages[reps, walks per replicate]: about 2**18 walks per call on the
+    staggered array, and about 2**19 when the whole batch takes the tree,
+    each of whose calls costs a hitting sweep; both within the tag range."""
+    reps, per_rep = ages.shape
+    cap = 2**19 if _takes_tree(ages, ell, dist, d) else 2**18
+    size = max(1, min(cap, _max_tags(d) - 1) // per_rep)
     return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
+
+
+def _takes_tree(ages: np.ndarray, ell: float, dist: OffspringDist, d: int) -> bool:
+    """The route rule: binary fission, and the staggered array's expected
+    particle-generations exceed the stencil cells of the tree's two sweeps."""
+    top = int(ages.max(initial=-1))
+    return bool(dist.is_binary and top > 0 and np.sum(ages, where=ages > 0)
+                > 2 * top * (_tree_clamp(top, d, ell) + 1) ** d)
 
 
 def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: OffspringDist,
@@ -310,24 +325,23 @@ def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: Offspr
     query.reshape(-1, d)[w].  Returns (walk, rel): for every final particle
     within Euclidean distance `ell` of its walk's query site, the walk's flat
     index and the particle's offset from that site.  The range check runs
-    first; the route (module doc) follows from the input alone."""
+    first; the route (module doc) follows from the input alone, and only the
+    staggered array, whose keys carry walk tags, is limited in walks."""
     ages = np.asarray(ages, dtype=np.int64).ravel()
     query = np.asarray(query, dtype=np.int64).reshape(-1, d)
     top = int(ages.max(initial=-1))
-    _check_capacity(top, d, len(ages))
-    # expected particle-generations of the staggered array against the
-    # stencil cells of the tree's two sweeps
-    if (dist.is_binary and top > 0
-            and np.maximum(ages, 0).sum() > 2 * top * (_tree_clamp(top, d, ell) + 1) ** d):
+    _check_capacity(top, d, 0)  # the reach; walk tags only bound the staggered keys
+    if _takes_tree(ages, ell, dist, d):
         return _tree_walks(ages, query, ell, d, rng)
+    _check_capacity(top, d, len(ages))
     return _staggered_walks(ages, query, ell, dist, d, rng)
 
 
 def _by_age(ages: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Started walks in order of decreasing age (flat order within an age),
     and bounds: the walks of age top - t are order[bounds[t]:bounds[t + 1]]."""
-    started = np.flatnonzero(ages >= 0)
-    order = started[np.argsort(top - ages[started], kind="stable")]
+    # unstarted walks (negative ages) sort after every started one
+    order = np.argsort(top - ages, kind="stable")[: np.count_nonzero(ages >= 0)]
     return order, np.searchsorted(top - ages[order], np.arange(max(top, 0) + 2))
 
 
@@ -363,10 +377,8 @@ def _ball_fields_reversed(top: int, d: int, ell: float, clamp: int) -> Iterator[
     key = (top, d, float(ell), clamp)
     every = max(1, math.isqrt(top))
     if key not in _ball_marks:
-        ball = np.zeros((math.floor(ell) + 1,) * d)
-        sites = sites_in_ball(d, ell)
-        ball[tuple(sites[(sites >= 0).all(axis=1)].T)] = 1.0
-        fields = sweep(top, d, kpp_update, clamp, start=Field(ball, step=0))
+        ball = Field.tabulate(lambda x: in_ball(x, ell), d, math.floor(ell), step=0)
+        fields = sweep(top, d, kpp_update, clamp, start=ball)
         _ball_marks.clear()
         _ball_marks[key] = [f for f in fields if f.step % every == 0]
     for mark in reversed(_ball_marks[key]):

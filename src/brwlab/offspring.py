@@ -24,6 +24,8 @@ import numpy as np
 
 _TRUNC = 1e-15
 _CHUNK = 4096
+_UNDERFLOW = -800.0       # exp below this is under half the least subnormal: z^l rounds to 0
+_EXPM1_SATURATES = -50.0  # expm1 below this rounds to exactly -1
 
 
 class PgfDomainError(ValueError):
@@ -71,7 +73,9 @@ class OffspringDist:
             return r + (1 - r) ** 2 * z / (1 - r * z)
         if self.name == "binary":
             return 0.5 + 0.5 * np.square(z) if isinstance(z, np.ndarray) else 0.5 + 0.5 * z * z
-        return self._series(z, lambda ls, qs, zz: qs * np.power(zz, ls))
+        lz = _log_of_max(np.log, z)
+        return self._series(z, lambda ls, qs, zz: qs * np.power(zz, ls),
+                            lambda l: l * lz < _UNDERFLOW)
 
     def pgf_prime(self, z):
         """Phi'(z); Phi'(1) = 1 for critical laws."""
@@ -81,8 +85,10 @@ class OffspringDist:
             return (1 - r) ** 2 / np.square(1 - r * np.asarray(z, dtype=np.float64))
         if self.name == "binary":
             return np.asarray(z, dtype=np.float64) if isinstance(z, np.ndarray) else float(z)
+        lz = _log_of_max(np.log, z)
         return self._series(z, lambda ls, qs, zz: np.where(ls >= 1, qs * ls, 0.0)
-                            * np.power(zz, np.maximum(ls - 1, 0)))
+                            * np.power(zz, np.maximum(ls - 1, 0)),
+                            lambda l: (l - 1) * lz < _UNDERFLOW)
 
     def pgf_at_one_plus(self, y):
         """Phi(1+y) - 1 in a cancellation-free form (y may be negative)."""
@@ -95,16 +101,37 @@ class OffspringDist:
             out = (1 - r) * yy / ((1 - r) - r * yy)
         else:
             # log1p(-1) = -inf gives expm1(l * -inf) = -1, the exact 0^l - 1;
-            # the discarded l = 0 branch evaluates 0 * -inf before np.where
+            # the discarded l = 0 branch evaluates 0 * -inf before np.where.
+            # Below l log1p(y) = -50, expm1 rounds to exactly -1, so a chunk
+            # adds -sum Q_l.
+            ly = _log_of_max(np.log1p, y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._series(y, lambda ls, qs, zz: np.where(
-                    ls >= 1, qs * np.expm1(ls * np.log1p(zz)), 0.0))
+                    ls >= 1, qs * np.expm1(ls * np.log1p(zz)), 0.0),
+                    lambda l: l * ly < _EXPM1_SATURATES, self._negated_chunk_sums)
         return out if isinstance(y, np.ndarray) else float(out)
 
-    def _series(self, z, term):
+    @cached_property
+    def _negated_chunk_sums(self) -> np.ndarray:
+        return np.array([(-self.probs[i:i + _CHUNK]).sum()
+                         for i in range(0, len(self.probs), _CHUNK)])
+
+    def _series(self, z, term, settled, settled_sums=None):
+        """sum_l term(l, Q_l, z) over the table, chunk by chunk.
+
+        The support increases, so once `settled(l)` holds for the first l of
+        a chunk it holds for every later term: each is then known exactly.
+        Without `settled_sums` they are all 0 and the sum ends there;
+        otherwise chunk c adds settled_sums[c].  Every skip is exact: the
+        result is bit-identical to summing the whole table."""
         zz = np.asarray(z, dtype=np.float64)
         acc = np.zeros_like(zz)
-        for i in range(0, len(self.support), _CHUNK):
+        for c, i in enumerate(range(0, len(self.support), _CHUNK)):
+            if settled(float(self.support[i])):
+                if settled_sums is None:
+                    break
+                acc = acc + settled_sums[c]
+                continue
             ls = self.support[i:i + _CHUNK].astype(np.float64)
             qs = self.probs[i:i + _CHUNK]
             acc = acc + term(ls, qs, zz[..., None]).sum(axis=-1)
@@ -211,6 +238,13 @@ class OffspringDist:
         if self.is_binary:
             return r + rng.binomial(r, s / (2.0 - s))
         return _segment_sum(r, self.sample_kept(int(r.sum()), s, rng))
+
+
+def _log_of_max(log, z) -> float:
+    """log of the largest argument (-inf at 0), which bounds every term's
+    exponent from above."""
+    with np.errstate(divide="ignore"):
+        return float(log(np.max(z)))
 
 
 def _segment_sum(counts: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -93,11 +93,10 @@ def _reversed_counts(n: int, ell: float, reps: int, rng: np.random.Generator, d:
     """The reversed construction, one replicate chunk at a time: yields
     (lo, hi, S, u) with spine positions S (hi-lo, n+1, d) and u[r, i] the
     particles of the age-i walk within distance ell of S_{i+1} + xi_i."""
-    ages = np.arange(n)
-    for lo, hi in fw.walk_chunks(n, reps, d):
+    ages = np.broadcast_to(np.arange(n), (reps, n))
+    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
         S, xi = _spine_steps(n, d, hi - lo, rng)
-        walk, _ = fw.attached_walks(np.broadcast_to(ages, (hi - lo, n)), S[:, 1:] + xi,
-                                    ell, _BINARY, d, rng)
+        walk, _ = fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
         yield lo, hi, S, np.bincount(walk, minlength=(hi - lo) * n).reshape(hi - lo, n)
 
 
@@ -166,13 +165,13 @@ def spine_ball_forward_batch(n: int, ell: float, reps: int,
     occupied = np.zeros((reps, len(offsets)), dtype=bool)
     occupied[:, widx[(r,) * d]] = True  # the spine tip
     particles = np.ones(reps, dtype=np.int64)
-    ages = n - 1 - np.arange(n)
-    for lo, hi in fw.walk_chunks(n, reps, d):
+    ages = np.broadcast_to(n - 1 - np.arange(n), (reps, n))
+    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
         S, xi = _spine_steps(n, d, hi - lo, rng)
         # sibling j is born at S_j + xi_j and walks n-1-j generations; in its
         # own birth frame the tip sits at S_n - S_j - xi_j
-        walk, rel = fw.attached_walks(np.broadcast_to(ages, (hi - lo, n)),
-                                      S[:, n:] - S[:, :n] - xi, ell, _BINARY, d, rng)
+        walk, rel = fw.attached_walks(ages[lo:hi], S[:, n:] - S[:, :n] - xi, ell,
+                                      _BINARY, d, rng)
         rep = walk // n
         particles[lo:hi] += np.bincount(rep, minlength=hi - lo)
         occupied[lo + rep, widx[tuple((rel + r).T)]] = True

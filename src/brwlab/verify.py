@@ -87,13 +87,16 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     c = np.cos(2.0 * np.pi * k / L)
     # the summand is symmetric in the d frequencies: sum each sorted tuple once,
     # weighted by its number of distinct orderings d! / prod(multiplicity!)
+    # (int16 holds the frequencies; the per-column products and sums below
+    # keep the transient memory at one column)
     idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
-        range(L // 2 + 1), d)), dtype=np.int64).reshape(-1, d)
+        range(L // 2 + 1), d)), dtype=np.int16).reshape(-1, d)
     ties = np.ones(len(idx))
     for i in range(1, d):
         ties *= (idx[:, :i + 1] == idx[:, i:i + 1]).sum(axis=1)
-    wt = math.factorial(d) / ties * w[idx].prod(axis=1) / L**d
-    phi = (1.0 + 2.0 * c[idx].sum(axis=1)) / (2 * d + 1)
+    wt = math.factorial(d) / ties * math.prod(w[col] for col in idx.T) / L**d
+    phi = (1.0 + 2.0 * sum(c[col] for col in idx.T)) / (2 * d + 1)
+    del idx, ties  # before the power loop's temporaries
     phi2 = phi * phi
     out = np.empty(max_j + 1)
     out[0] = 1.0
@@ -106,10 +109,8 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
 
 def _orthant_violation(f: Field) -> float:
     """Largest increase of the field along a +axis step inside the positive
-    orthant, which is where the field is stored (<= 0 means monotone
-    non-increasing, as required)."""
-    return max(float(np.diff(f.values, axis=ax).max(initial=-math.inf))
-               for ax in range(f.dim))
+    orthant (<= 0 means monotone non-increasing, as required)."""
+    return float(f.axis_increments().max(initial=-math.inf))
 
 
 # ---------------------------------------------------------------------------

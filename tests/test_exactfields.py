@@ -157,7 +157,7 @@ def test_clamped_mgf_and_dominating_fields_report_killed_mass(field, killed):
     for clamp in (12, 13):  # a clamp the box never reaches kills nothing
         wide = field(B, 12, 0.05, 2, clamp=clamp)
         assert wide.tail_bound == 0.0 and np.array_equal(wide.values, exact.values)
-    assert np.all(clamped.values <= exact.values[:6, :6])  # the clamp only kills mass
+    assert np.all(clamped.values <= exact.values_at(clamped.sites()))  # the clamp only kills mass
 
 
 def test_sweeps_reject_a_negative_horizon():
@@ -201,7 +201,7 @@ def test_second_moments_bit_symmetric_clamped_or_not(d, clamp):
         assert np.array_equal(full, full.transpose(perm))
     # clamping only kills mass: the clamped field sits below the exact one
     exact = xf.second_moment_field(B, 12, d)
-    assert np.all(f.values <= exact.values[(slice(0, f.radius + 1),) * d])
+    assert np.all(f.values <= exact.values_at(f.sites()))
     assert (f.tail_bound > 0) == (clamp is not None)
 
 

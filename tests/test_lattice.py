@@ -64,12 +64,12 @@ def full_box_step(vals, d, pad=0.0, clamp=None):
 def test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp):
     # pad 0 runs the binary hitting map u <- Pu - (Pu)^2/2 from the delta,
     # pad 1 the extinction map h <- (1 + (Ph)^2)/2 from 1 - delta
-    start = np.ones((1,) * d) if pad == 0.0 else np.zeros((1,) * d)
-    orth, full = start, start
+    start = np.ones(1) if pad == 0.0 else np.zeros(1)
+    orth, full = start, start.reshape((1,) * d)
     for _ in range(steps):
         orth, lost = lat.stencil_step(orth, d, pad=pad, clamp=clamp)
         full, ref_lost = full_box_step(full, d, pad=pad, clamp=clamp)
-        assert np.array_equal(lat.Field(orth).unfolded(), full)
+        assert np.array_equal(lat.Field(orth, d).unfolded(), full)
         assert lost == pytest.approx(ref_lost, abs=1e-15)
         orth, full = ((x - 0.5 * x * x) if pad == 0.0 else 0.5 * (1.0 + x * x)
                       for x in (orth, full))
@@ -96,6 +96,48 @@ def test_sweep_restarts_from_any_stored_field(d, update, clamp):
         assert _same_fields(list(lat.sweep(n, d, update, clamp, start=bank[k])), bank[k:])
 
 
+def _orbit_label(site):
+    """A value that tells orbits apart: the sorted |x| read as base-100 digits."""
+    return 1.0 + sum(c * 100.0**k for k, c in enumerate(sorted(abs(int(v)) for v in site)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", range(7))
+def test_sorted_cell_layout(d, radius):
+    f = lat.Field.tabulate(lambda x: [_orbit_label(site) for site in x], d, radius)
+    m = math.comb(radius + d, d)
+    assert len(f.values) == m and f.radius == radius and f.dim == d
+    # the closed-form index round-trips, and the cells are the sorted orthant
+    sites = f.sites()
+    assert np.array_equal(lat._cell_index(sites), np.arange(m))
+    assert all(list(x) == sorted(x, reverse=True) for x in sites.tolist())
+    # every site of the box, and of a rim outside it, reads its orbit's value
+    full = f.unfolded()
+    assert full.shape == (2 * radius + 1,) * d
+    rim = radius + 2
+    for site in itertools.product(range(-rim, rim + 1), repeat=d):
+        inside = max(map(abs, site)) <= radius
+        expect = _orbit_label(site) if inside else 0.0
+        assert f.values_at(site) == expect
+        if inside:
+            assert full[tuple(c + radius for c in site)] == expect
+    assert f.total() == pytest.approx(full.sum(), rel=1e-15)
+    # the +e_a increments cover the orthant's differences
+    quad = full[(slice(radius, None),) * d]
+    diffs = np.concatenate([np.diff(quad, axis=a).ravel() for a in range(d)])
+    assert np.array_equal(np.unique(f.axis_increments()), np.unique(diffs))
+
+
+@pytest.mark.parametrize("d,count", [(2, 2), (2, 7), (3, 5), (1, 0)])
+def test_field_rejects_a_length_that_is_no_box(d, count):
+    with pytest.raises(ValueError, match=r"C\(R \+ \d, \d\) values"):
+        lat.Field(np.ones(count), d)
+    with pytest.raises(ValueError, match="flat array"):
+        lat.Field(np.ones((3, 3)), 2)
+    with pytest.raises(ValueError, match="dimension 1..3"):
+        lat.Field(np.ones(1), 4)
+
+
 def test_sweep_rejects_a_horizon_below_its_start():
     with pytest.raises(ValueError, match="below the start step"):
         lat.sweep(-1, 2)
@@ -111,7 +153,7 @@ def test_sweep_rejects_a_horizon_below_its_start():
 @pytest.mark.parametrize("clamp", [0, -2])
 def test_stencil_step_rejects_a_clamp_below_one(clamp):
     with pytest.raises(ValueError, match="clamp"):
-        lat.stencil_step(np.ones((3, 3)), 2, clamp=clamp)
+        lat.stencil_step(np.ones(3), 2, clamp=clamp)
     with pytest.raises(ValueError, match="clamp"):
         lat.transition_field(3, 2, clamp=clamp)
 
@@ -142,7 +184,7 @@ def test_every_field_recursion_runs_on_the_one_sweep():
 
 def test_one_step_kernel_is_uniform_on_neighborhood():
     orth, lost = lat.stencil_step(lat.Field.delta(2).values, 2)
-    vals = lat.Field(orth).unfolded()
+    vals = lat.Field(orth, 2).unfolded()
     assert vals.shape == (3, 3) and lost == 0.0
     offs = [tuple(o) for o in lat.neighborhood(2)]
     for idx in np.ndindex(*vals.shape):
@@ -152,14 +194,14 @@ def test_one_step_kernel_is_uniform_on_neighborhood():
 
 
 def test_kernel_preserves_constants_in_the_interior():
-    out, _ = lat.stencil_step(np.full((4, 4), 0.37), 2)  # the box of radius 3
-    vals = lat.Field(out).unfolded()
+    out, _ = lat.stencil_step(np.full(10, 0.37), 2)  # the box of radius 3
+    vals = lat.Field(out, 2).unfolded()
     R = (vals.shape[0] - 1) // 2
     interior = vals[R - 2: R + 3, R - 2: R + 3]
     assert np.allclose(interior, 0.37, atol=0, rtol=0)
     # pad=1 extends the constant field past the box: the whole output is flat
-    ones, _ = lat.stencil_step(np.ones((2, 2)), 2, pad=1.0)
-    assert np.array_equal(lat.Field(ones).unfolded(), np.ones((5, 5)))
+    ones, _ = lat.stencil_step(np.ones(3), 2, pad=1.0)
+    assert np.array_equal(lat.Field(ones, 2).unfolded(), np.ones((5, 5)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -222,7 +264,7 @@ def test_symmetry_under_flips_and_permutations():
     assert np.array_equal(v, np.flip(v, axis=0))
     assert np.array_equal(v, np.flip(v, axis=1))
     assert np.array_equal(v, v.T)
-    v3 = lat.transition_field(7, 3, clamp=4).values
+    v3 = lat.transition_field(7, 3, clamp=4).unfolded()
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(v3, v3.transpose(perm))
 

@@ -52,6 +52,33 @@ def test_pgf_convex_increasing_and_dominates_identity(families, name):
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+def _whole_table(dist, term, z):
+    """The pgf series summed over every chunk of the table, none skipped."""
+    zz = np.asarray(z, dtype=np.float64)
+    acc = np.zeros_like(zz)
+    for i in range(0, len(dist.support), off._CHUNK):
+        ls = dist.support[i:i + off._CHUNK].astype(np.float64)
+        acc = acc + term(ls, dist.probs[i:i + off._CHUNK], zz[..., None]).sum(axis=-1)
+    return acc
+
+
+def test_series_skips_are_bit_identical_to_the_whole_table(families):
+    # zeta:2 has 2.5M support points; the pgf stops where z^l underflows and
+    # the shifted pgf adds -sum Q_l where expm1 saturates at -1
+    dist = families["zeta"]
+    for z in (0.0, 0.5, 0.99, 0.9999, 1.0, np.array([0.0, 0.5])):
+        assert np.array_equal(dist.pgf(z), _whole_table(
+            dist, lambda ls, qs, zz: qs * np.power(zz, ls), z))
+        assert np.array_equal(dist.pgf_prime(z), _whole_table(
+            dist, lambda ls, qs, zz: np.where(ls >= 1, qs * ls, 0.0)
+            * np.power(zz, np.maximum(ls - 1, 0)), z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for y in (-1.0, -0.3, -0.02, -1e-4, 0.0, np.array([-1.0, -0.3])):
+            assert np.array_equal(dist.pgf_at_one_plus(y), _whole_table(
+                dist, lambda ls, qs, zz: np.where(ls >= 1, qs * np.expm1(ls * np.log1p(zz)),
+                                                  0.0), y))
+
+
 @pytest.mark.parametrize("name", ["binary", "geometric", "zeta"])
 def test_shifted_pgf_matches_direct_evaluation(families, name):
     dist = families[name]

@@ -103,7 +103,7 @@ def test_d3_batch_beyond_one_key_range_is_chunked():
     # staggered engine runs T**_2 (ages 0 and 1 at S_{i+1} + xi_i) per chunk
     rng = substream(39, "spine")
     n, reps = 2, 2**17 + 10
-    chunks = fw.walk_chunks(n, reps, 3)
+    chunks = fw.walk_chunks(np.broadcast_to(np.arange(n), (reps, n)), 0, B, 3)
     assert len(chunks) > 1 and chunks[-1][1] == reps
     assert max(hi - lo for lo, hi in chunks) * n < fw._max_tags(3)
     t = np.ones(reps)
@@ -157,11 +157,11 @@ def test_gamma_variance_matches_exact_evaluation():
     from brwlab.lattice import Field, stencil_step
 
     n = 32
+    vals = Field.delta(2).values
     fields = {0: np.ones((1, 1))}  # full boxes
-    vals = fields[0]
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2)
-        fields[m] = Field(vals).unfolded()
+        fields[m] = Field(vals, 2).unfolded()
 
     def dot(a, b):
         ra, rb = (a.shape[0] - 1) // 2, (b.shape[0] - 1) // 2
@@ -205,11 +205,11 @@ def test_delta_variance_matches_exact_evaluation():
     from brwlab.lattice import Field, stencil_step
 
     n = 24
+    vals = Field.delta(2).values
     fields = {0: np.ones((1, 1))}  # full boxes
-    vals = fields[0]
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2)
-        fields[m] = Field(vals).unfolded()
+        fields[m] = Field(vals, 2).unfolded()
 
     def dot(a, b):
         ra, rb = (a.shape[0] - 1) // 2, (b.shape[0] - 1) // 2
@@ -265,12 +265,12 @@ def test_ball_count_mean_band_and_exact_window_sums():
     n, ell = 512, 7
     offsets = sites_in_ball(2, ell)
     clamp = clamp_radius(2 * n + 2, 2, 1e-13)
-    vals = np.ones((1, 1))
+    vals = Field.delta(2).values
     exact = 2.0
     for m in range(1, 2 * n + 1):
         vals, _ = stencil_step(vals, 2, clamp=clamp)
         if m >= 4 and m % 2 == 0:  # m = 2i+2 for i = 1..n-1
-            exact += float(Field(vals).values_at(offsets).sum())
+            exact += float(Field(vals, 2).values_at(offsets).sum())
     norm = math.pi * ell**2 * math.log(n)
     band = (sp.RETURN_COEF_2D / 4, sp.RETURN_COEF_2D)
     assert band[0] <= exact / norm <= band[1]
