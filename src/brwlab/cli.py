@@ -87,6 +87,14 @@ def _check_range(value, flag: str, lo, hi=None):
     return value
 
 
+def _offspring(spec: str):
+    """parse_offspring, naming the flag when the spec is rejected."""
+    try:
+        return parse_offspring(spec)
+    except ValueError as exc:
+        raise ValueError(f"--offspring {spec}: {exc}") from None
+
+
 def _workers() -> int:
     raw = os.environ.get("BRW_THREADS", "1")
     try:
@@ -110,7 +118,7 @@ def _blocks(reps: int) -> list[tuple[int, int, int]]:
 
 def _simulate_block(task):
     seed, block, first, count, spec, n, d, survival = task
-    dist = parse_offspring(spec)
+    dist = _offspring(spec)
     if survival is None:
         stats = fw.run_batch(dist, n, d, count, substream(seed, "simulate", block),
                              want_typical=True)
@@ -139,7 +147,7 @@ def cmd_simulate(args) -> int:
         raise SystemExit("--seed is required for stochastic commands")
     resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
                 "reps": reps, "seed": seed, "conditioned": conditioned}
-    survival = xf.survival_sequence(parse_offspring(spec), n) if conditioned else None
+    survival = xf.survival_sequence(_offspring(spec), n) if conditioned else None
     tasks = [(seed, *blk, spec, n, d, survival) for blk in _blocks(reps)]
     _write_blocks(args.out, _parallel_map(_simulate_block, tasks))
     _write_sidecar(args.out, resolved)
@@ -220,7 +228,7 @@ def cmd_exact(args) -> int:
     clamp = resolve(args, cfg, "clamp", int, None)
     if clamp is not None:
         _check_range(clamp, "--clamp", 1)
-    dist = parse_offspring(spec)
+    dist = _offspring(spec)
     resolved = {"command": "exact", "kind": kind, "n": n, "dim": d,
                 "offspring": spec, "theta": theta, "clamp": clamp}
     # a field or a JSON document, computed before --out is opened so that a
@@ -320,14 +328,14 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in vf.SUITES:
             raise SystemExit(f"unknown suite {name!r}; choose from {sorted(vf.SUITES)}")
-    rows = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
+    rows, suite_seconds = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
     resolved = {"command": "verify", "suite": ",".join(names), "seed": seed,
                 "budget": budget}
     out = _open_out(args.out)
     st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
     if out is not sys.stdout:
         out.close()
-    _write_sidecar(args.out, resolved)
+    _write_sidecar(args.out, {**resolved, "suite_seconds": suite_seconds})
     summary = st.summary_dict(rows)
     if args.summary:
         with open(args.summary, "w") as fh:

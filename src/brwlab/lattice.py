@@ -343,20 +343,6 @@ def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     return last(sweep(n, d, clamp=clamp))
 
 
-def convolve(f: Field, g: Field) -> Field:
-    """Dense direct convolution (no FFT) of the unfolded boxes, folded back
-    onto the stored cells; tail bounds compose additively."""
-    from scipy.signal import convolve as _direct_convolve
-
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    full = _direct_convolve(f.unfolded(), g.unfolded(), mode="full", method="direct")
-    R = f.radius + g.radius
-    step = f.step + g.step if f.step is not None and g.step is not None else None
-    out = Field.tabulate(lambda x: full[tuple((x + R).T)], f.dim, R, step)
-    return dataclasses.replace(out, tail_bound=f.tail_bound + g.tail_bound)
-
-
 def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Positions S_0..S_n for `reps` independent walks: array (reps, n+1, d)."""
     offs = neighborhood(d)

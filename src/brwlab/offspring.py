@@ -44,18 +44,19 @@ class OffspringDist:
     _cdf: np.ndarray = dc_field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         q = self.probs
-        if np.any(q <= 0):
-            raise ValueError("support must carry strictly positive weights")
+        if not np.all(np.isfinite(q) & (q > 0)):
+            raise ValueError("support must carry finite, strictly positive weights")
         total = float(q.sum())
         mean = float((self.support * q).sum())
-        if self.tail_class == "finite-support" and abs(total - 1.0) > 1e-12:
+        if self.tail_class == "finite-support" and not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"truncated table mass {total} too far from 1")
-        if abs(mean - 1.0) > 1e-9:
+        if not abs(mean - 1.0) <= 1e-9:
             raise ValueError(f"offspring mean {mean} is not 1 (criticality)")
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ValueError("offspring variance must be positive")
         self._cdf = np.cumsum(q)
 
@@ -273,8 +274,8 @@ def binary() -> OffspringDist:
 def geometric(m: float) -> OffspringDist:
     """Exponential-tail family; m > 1 is the mean offspring count of parents
     that reproduce at all.  m = 2 gives the standard critical geometric law."""
-    if m <= 1:
-        raise ValueError("geometric family needs m > 1")
+    if not (math.isfinite(m) and m > 1):
+        raise ValueError(f"geometric family needs a finite m > 1, got {m}")
     r = 1.0 - 1.0 / m
     # Table for per-particle draws and inspection; offspring sums and the pgf
     # use the closed forms.  The first L litters l >= 1 carry mass
@@ -295,8 +296,8 @@ def geometric(m: float) -> OffspringDist:
 def zeta(alpha: float) -> OffspringDist:
     """Polynomial-tail family with exactly `alpha` finite integer moments:
     Q_l = c*l^(-(alpha+1.5)) for l >= 2, scale fixed by sum_{l>=2} l*Q_l = 1/2."""
-    if alpha < 2:
-        raise ValueError("zeta family needs alpha >= 2 (finite variance)")
+    if not (math.isfinite(alpha) and alpha >= 2):
+        raise ValueError(f"zeta family needs a finite alpha >= 2 (finite variance), got {alpha}")
     power = alpha + 1.5
     lmax = int(math.ceil((10.0 / _TRUNC) ** (1.0 / (power - 1.0)))) + 10
     ls = np.arange(2, lmax + 1, dtype=np.int64)

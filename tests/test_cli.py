@@ -102,6 +102,8 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     (["spine", "--n", "8", "--reps", "0", "--seed", "1"], "--reps"),
     (["spine", "--n", "8", "--ell", "0.5", "--seed", "1"], "--ell"),
     (["exact", "mgf-field", "--n", "3", "--theta", "-0.5"], "--theta"),
+    *[(["exact", "survival", "--n", "10", "--offspring", spec], "--offspring")
+      for spec in ("table:0=nan,2=0.5", "geometric:inf", "geometric:nan", "zeta:inf")],
 ])
 def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
     out = tmp_path / "o"
@@ -215,6 +217,9 @@ def test_verify_suite_byte_identical(tmp_path):
                   "--out", str(b), "--summary", str(sb)])
     assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+    for out in (a, b):  # the suite's wall time goes to the sidecar only
+        meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
+        assert meta["suite_seconds"]["fundamental"] >= 0.0
     assert json.loads(sa.read_text()) == json.loads(sb.read_text())
     assert json.loads(sa.read_text())["hard_pass"] is True
 
@@ -244,9 +249,17 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(rows[0])["n"] == 2  # config wins over default
 
 
-def test_import_leaves_scipy_stats_and_signal_unloaded():
-    code = ("import sys, brwlab.cli, brwlab.verify; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+def test_cli_and_p_values_load_no_scipy_module(tmp_path):
+    # scipy is a test-only oracle: neither import nor the two p-values load it
+    code = (
+        "import sys, numpy as np, brwlab.cli, brwlab.verify\n"
+        "from brwlab import cli, stats\n"
+        f"cli.main(['conditioned', '--n', '3', '--x', '1,0', '--reps', '200', '--seed', '7',"
+        f" '--out', {str(tmp_path / 'c.jsonl')!r},"
+        f" '--chi-square-report', {str(tmp_path / 'chi.json')!r}])\n"
+        "stats.ks_against_exponential(np.linspace(0.01, 5.0, 500), 2.0)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=child_env())
     assert out.stdout.strip() == "[]"
+    assert "p_value" in json.loads((tmp_path / "chi.json").read_text())

@@ -176,6 +176,17 @@ def test_parse_offspring_specs():
         off.parse_offspring("poisson")
 
 
+NON_FINITE_SPECS = ["table:0=nan,2=0.5", "table:0=0.5,2=inf", "geometric:inf",
+                    "geometric:nan", "zeta:inf", "zeta:nan"]
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_parse_offspring_rejects_non_finite_specs(spec):
+    # NaN compares false with everything, so it used to pass every check
+    with pytest.raises(ValueError, match="finite"):
+        off.parse_offspring(spec)
+
+
 def test_population_step_matches_convolution_law():
     rng = substream(13, "selftest")
     g = off.geometric(2)

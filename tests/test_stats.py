@@ -49,6 +49,31 @@ def test_chi_square_self_test():
     assert out_bad["p_value"] < 1e-6
 
 
+def test_kolmogorov_sf_matches_scipy():
+    from scipy import special
+    y = np.linspace(0.01, 8.0, 4001)
+    ours = np.array([st._kolmogorov_sf(v) for v in y])
+    assert np.abs(ours / special.kolmogorov(y) - 1.0).max() <= 1e-13
+    assert st._kolmogorov_sf(0.0) == st._kolmogorov_sf(-1.0) == 1.0
+    assert st._kolmogorov_sf(1.0) == pytest.approx(special.kolmogorov(1.0), rel=1e-13)
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy import special
+    for dof in range(1, 201):
+        stat = np.linspace(1e-3, 3 * dof + 600, 200)
+        ref = special.chdtrc(dof, stat)
+        keep = ref > 1e-200
+        ours = np.array([st._chi2_sf(dof, s) for s in stat[keep]])
+        assert np.abs(ours / ref[keep] - 1.0).max() <= 1e-12, dof
+    # the closed forms at dof 1 and 2, and the far tail at large dof
+    assert st._chi2_sf(1, 2.0) == pytest.approx(math.erfc(1.0), rel=1e-15)
+    assert st._chi2_sf(2, 3.0) == pytest.approx(math.exp(-1.5), rel=1e-15)
+    assert st._chi2_sf(5000, 9000.0) == pytest.approx(special.chdtrc(5000, 9000.0), rel=1e-10)
+    for dof in (1, 2, 7):
+        assert st._chi2_sf(dof, 0.0) == st._chi2_sf(dof, -1.0) == 1.0
+
+
 def test_chi_square_pools_sparse_tail():
     probs = np.array([0.9, 0.05, 0.03, 0.015, 0.004, 0.001])
     obs = np.array([905, 48, 31, 13, 2, 1])
@@ -83,8 +108,9 @@ def test_kappa_estimates_identity():
 def test_verify_budget_flags_skipped_suites():
     from brwlab import verify as vf
     lines = []
-    rows = vf.run_suites(["fundamental"], 1, budget_seconds=0.0, echo=lines.append)
+    rows, seconds = vf.run_suites(["fundamental"], 1, budget_seconds=0.0, echo=lines.append)
     assert len(rows) == 1 and rows[0].band == "not-run" and not rows[0].passed
+    assert seconds == {}
     assert lines and lines[0].startswith("SKIP")
     assert st.summary_dict(rows)["hard_pass"] is False
 
@@ -96,11 +122,13 @@ def test_verify_lines_carry_suite_seconds():
     from brwlab import verify as vf
     lines = []
     t0 = time.monotonic()
-    vf.run_suites(["fundamental"], 1, echo=lines.append)
+    _, seconds = vf.run_suites(["fundamental"], 1, echo=lines.append)
     wall = time.monotonic() - t0
     m = re.match(r"PASS fundamental \((\d+\.\d) s\): ", lines[0])
     assert m, lines[0]
     assert 0.0 <= float(m.group(1)) <= wall + 0.05
+    assert list(seconds) == ["fundamental"] and 0.0 <= seconds["fundamental"] <= wall
+    assert f"{seconds['fundamental']:.1f}" == m.group(1)
 
 
 def test_report_rows_csv_shape():
