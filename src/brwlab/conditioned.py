@@ -11,8 +11,8 @@ coin tosses with success probability beta_m(w) = 1/(2 - (P u_{n-m-1})(x-w)):
     U_n(x) | U_n(x) >= 1  =d=  1 + sum_{m<n} B_m(X_m) * U^m_{n-m-1}(x - X_m - xi_{m+1}).
 
 The reweighting uses hitting probabilities, not transition probabilities, so
-the walk is not the pinned (space-time-harmonic) bridge; `pinned_row` exposes
-the bridge rows for comparison.
+the walk is not the pinned (space-time-harmonic) bridge; the tests compare its
+rows with the bridge's.
 
 Sampling is batched over replicates: all paths step the reweighted walk
 together, the coins and the steps xi are drawn as (reps, n) arrays, and the
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import forward as fw
 from .exactfields import hitting_sweep
-from .lattice import neighborhood, transition_field
+from .lattice import neighborhood
 from .offspring import binary
 
 _BINARY = binary()
@@ -61,19 +61,6 @@ def utransform_row(m: int, z, n: int, x, bank: HittingBank):
         raise ValueError(f"state {tuple(bad.tolist())} at step {m - 1} cannot reach "
                          f"{tuple(x.tolist())} at {n}")
     return z[..., None, :] + neighborhood(d), row
-
-
-def pinned_row(m: int, z, n: int, x, p_fields: list):
-    """h-transform rows of the walk bridged to (n, x):
-    q*_m(z, y) = P_1(y-z) P_{n-m}(x-y) / P_{n-m+1}(x-z)."""
-    d = p_fields[0].dim
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    ys = z + neighborhood(d)
-    denom = p_fields[n - m + 1].values_at(x - z)
-    if denom <= 0.0:
-        raise ValueError("unreachable bridge state")
-    return ys, p_fields[n - m].values_at(x - ys) / ((2 * d + 1) * denom)
 
 
 class ConditionedSampler:
@@ -149,10 +136,3 @@ def reachable_targets(n: int, d: int, count: int, rng: np.random.Generator) -> l
         if int(np.abs(x).sum()) <= n:
             out.append(tuple(int(c) for c in x))
     return out
-
-
-def conditional_mean(n: int, x, bank: HittingBank, p_field=None) -> float:
-    """Exact E[U_n(x) | U_n(x) >= 1] = P_n(x) / u_n(x)."""
-    if p_field is None:
-        p_field = transition_field(n, bank.d)
-    return float(p_field.values_at(x) / bank.u[n].values_at(x))

@@ -120,15 +120,13 @@ def evolve_particles(keys: np.ndarray, gens: int, dist: OffspringDist, d: int,
     for g in range(gens):
         if keys.size == 0:
             break
-        if survival is None:
-            off = dist.sample_each(keys.size, rng)
-        else:
-            off = dist.sample_kept(keys.size, survival[gens - 1 - g], rng)
-        keys = np.repeat(keys, off)
+        # the offspring counts die with the repeat, before the moves are drawn
+        keys = np.repeat(keys, dist.sample_each(keys.size, rng) if survival is None
+                         else dist.sample_kept(keys.size, survival[gens - 1 - g], rng))
         if keys.size == 0:
             break
         moves = rng.integers(0, 2 * d + 1, size=keys.size)
-        keys = keys + deltas[moves]
+        keys += deltas[moves]  # np.repeat returned a fresh array
     return keys
 
 
@@ -168,22 +166,31 @@ class BatchStats:
 
     def __init__(self, keys: np.ndarray, reps: int, d: int,
                  rng: np.random.Generator | None = None):
-        shift = _rep_shift(d)
         uk, cnt = np.unique(keys, return_counts=True)
-        rep = (uk >> shift).astype(np.int64)
+        rep = uk >> _rep_shift(d)
         self.reps = reps
         self.d = d
-        self.Z = np.bincount(rep, weights=cnt, minlength=reps).astype(np.int64)
+        self.Z = np.zeros(reps, dtype=np.int64)
         self.V = np.zeros(reps, dtype=np.int64)
-        np.maximum.at(self.V, rep, cnt)
-        self.Omega = np.bincount(rep, minlength=reps).astype(np.int64)
-        cl = np.minimum(cnt, J_MAX + 1)
-        M = np.bincount(rep * (J_MAX + 1) + (cl - 1),
-                        minlength=reps * (J_MAX + 1)).reshape(reps, J_MAX + 1)
+        self.Omega = np.zeros(reps, dtype=np.int64)
+        if len(uk):
+            # each live replicate owns one segment of the sorted unique keys
+            starts = np.flatnonzero(np.concatenate(([True], rep[1:] != rep[:-1])))
+            live = rep[starts]
+            self.Z[live] = np.add.reduceat(cnt, starts)
+            self.V[live] = np.maximum.reduceat(cnt, starts)
+            self.Omega[live] = np.diff(starts, append=len(uk))
+        big = cnt > J_MAX
+        self.overflow_mass = np.zeros(reps, dtype=np.int64)
+        np.add.at(self.overflow_mass, rep[big], cnt[big])
+        # rep becomes each site's histogram cell, rep (J_MAX + 1) + min(cnt, J_MAX + 1) - 1
+        rep *= J_MAX + 1
+        rep += np.minimum(cnt, J_MAX + 1)
+        rep -= 1
+        M = np.bincount(rep, minlength=reps * (J_MAX + 1)).reshape(reps, J_MAX + 1)
+        del rep, big  # before the typical-site arrays, to lower the peak
         self.M = M[:, :J_MAX]
         self.overflow_sites = M[:, J_MAX].copy()
-        self.overflow_mass = np.bincount(
-            rep, weights=cnt * (cnt > J_MAX), minlength=reps).astype(np.int64)
         self.T = np.full(reps, -1, dtype=np.int64)
         self.S = np.zeros((reps, d), dtype=np.int64)
         if rng is not None and len(uk):
@@ -266,7 +273,6 @@ def _check_survival(survival: np.ndarray, n: int) -> None:
 def population_batch(dist: OffspringDist, n: int, reps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Z_n for `reps` free runs; particle motion is irrelevant to Z."""
-    z_final = np.zeros(reps, dtype=np.int64)
     idx = np.arange(reps)
     z = np.ones(reps, dtype=np.int64)
     for _ in range(n):
@@ -275,6 +281,7 @@ def population_batch(dist: OffspringDist, n: int, reps: int,
         z = dist.sample_offspring_sum(z, rng)
         alive = z > 0
         idx, z = idx[alive], z[alive]
+    z_final = np.zeros(reps, dtype=np.int64)  # allocated last, to lower the peak
     z_final[idx] = z
     return z_final
 

@@ -7,11 +7,15 @@ Built-in families:
                   exactly alpha finite integer moments
   table:<l=p,...> inline finite-support law
 
-Sampling of offspring sums is exact: finite support uses sequential binomial
-splitting across support values, the geometric family uses its negative
-binomial closed form, and infinite-support tables fall back to per-particle
-inverse-CDF draws (`sample_each`) on a cache truncated at cumulative weight
-1 - 1e-15.  `sample_kept` draws the reduced-tree step of survival-conditioned runs.
+Sampling of offspring sums is exact.  Binary fission's sum over k parents is
+twice the number of set bits among k fair bits: the entries of a parent-count
+array own disjoint runs of a stream of uniform 64-bit words, read block by
+block as differences of prefix popcounts (`_fair_bit_counts`).  Other finite
+support uses sequential binomial splitting across support values, the
+geometric family uses its negative binomial closed form, and infinite-support
+tables fall back to per-particle inverse-CDF draws (`sample_each`) on a cache
+truncated at cumulative weight 1 - 1e-15.  `sample_kept` draws the
+reduced-tree step of survival-conditioned runs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import numpy as np
 
 _TRUNC = 1e-15
 _CHUNK = 4096
+_FAIR_BLOCK = 1 << 16     # entries per fair-bit stream: temporaries near 3 MB
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)  # r -> r low bits set
 _UNDERFLOW = -800.0       # exp below this is under half the least subnormal: z^l rounds to 0
 _EXPM1_SATURATES = -50.0  # expm1 below this rounds to exactly -1
 
@@ -154,7 +160,8 @@ class OffspringDist:
         if np.any(karr < 0):
             raise ValueError("parent count must be >= 0")
         if self.name == "binary":
-            out = 2 * rng.binomial(karr, 0.5)
+            out = _fair_bit_counts(karr, rng)
+            out <<= 1  # in place: no second array of len(k)
         elif self.geo_r is not None:
             r = self.geo_r
             born = rng.binomial(karr, 1.0 - r)
@@ -246,6 +253,28 @@ def _log_of_max(log, z) -> float:
     exponent from above."""
     with np.errstate(divide="ignore"):
         return float(log(np.max(z)))
+
+
+def _fair_bit_counts(karr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Binomial(k_i, 1/2) for every entry of karr, exactly: the set bits among
+    k_i fair bits.  Each block of _FAIR_BLOCK entries draws its own
+    (sum k >> 6) + 1 uniform words, and entry i owns the k_i bits after those
+    of the entries before it in the block.  The set bits below bit b of the
+    stream are the popcounts of its b >> 6 full words plus those of the low
+    b & 63 bits of the next word; an entry's count is the difference of these
+    at its run's two ends.  The draws depend only on karr and the rng state."""
+    out = np.empty_like(karr)
+    for lo in range(0, len(karr), _FAIR_BLOCK):
+        ends = np.cumsum(karr[lo:lo + _FAIR_BLOCK])
+        words = rng.integers(0, 2**64 - 1, size=(int(ends[-1]) >> 6) + 1,
+                             dtype=np.uint64, endpoint=True)
+        below = np.zeros(len(words) + 1, dtype=np.int64)  # set bits in words[:j]
+        np.cumsum(np.bitwise_count(words), out=below[1:])
+        word = ends >> 6
+        upto = below[word] + np.bitwise_count(words[word] & _LOW_BITS[ends & 63])
+        out[lo] = upto[0]
+        np.subtract(upto[1:], upto[:-1], out=out[lo + 1:lo + len(upto)])
+    return out
 
 
 def _segment_sum(counts: np.ndarray, draws: np.ndarray) -> np.ndarray:

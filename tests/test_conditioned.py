@@ -13,6 +13,24 @@ from brwlab.stats import chi_square
 B = binary()
 
 
+def conditional_mean(n: int, x, bank: cr.HittingBank) -> float:
+    """Exact E[U_n(x) | U_n(x) >= 1] = P_n(x) / u_n(x)."""
+    return float(lat.transition_field(n, bank.d).values_at(x) / bank.u[n].values_at(x))
+
+
+def pinned_row(m: int, z, n: int, x, p_fields: list):
+    """h-transform rows of the walk bridged to (n, x):
+    q*_m(z, y) = P_1(y-z) P_{n-m}(x-y) / P_{n-m+1}(x-z)."""
+    d = p_fields[0].dim
+    z = np.asarray(z, dtype=np.int64)
+    x = np.asarray(x, dtype=np.int64)
+    ys = z + lat.neighborhood(d)
+    denom = p_fields[n - m + 1].values_at(x - z)
+    if denom <= 0.0:
+        raise ValueError("unreachable bridge state")
+    return ys, p_fields[n - m].values_at(x - ys) / ((2 * d + 1) * denom)
+
+
 @pytest.fixture(scope="module")
 def bank8():
     return cr.HittingBank(8, 2)
@@ -85,7 +103,7 @@ def test_conditional_mean_identity():
     bank = cr.HittingBank(n, 2)
     s = cr.ConditionedSampler(n, x, bank)
     draws = s.sample(20_000, rng)[0]
-    exact = cr.conditional_mean(n, x, bank)
+    exact = conditional_mean(n, x, bank)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - exact) <= 3 * se
 
@@ -116,7 +134,7 @@ def test_reweighted_walk_coincides_with_bridge_at_horizon_two():
     p_fields = [lat.transition_field(m, 2) for m in range(4)]
     for z in ((0, 0),):
         ys, q = cr.utransform_row(1, z, 2, (1, 1), bank)
-        _, qp = cr.pinned_row(1, z, 2, (1, 1), p_fields)
+        _, qp = pinned_row(1, z, 2, (1, 1), p_fields)
         assert np.abs(q - qp).max() <= 1e-12
 
 
@@ -124,7 +142,7 @@ def test_reweighted_walk_differs_from_bridge_at_horizon_three():
     bank = cr.HittingBank(3, 2)
     p_fields = [lat.transition_field(m, 2) for m in range(5)]
     ys, q = cr.utransform_row(1, (0, 0), 3, (1, 0), bank)
-    _, qp = cr.pinned_row(1, (0, 0), 3, (1, 0), p_fields)
+    _, qp = pinned_row(1, (0, 0), 3, (1, 0), p_fields)
     assert np.abs(q - qp).max() > 1e-6
 
 

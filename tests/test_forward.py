@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,40 @@ def test_stats_from_handmade_occupancy():
     big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2).genstats(0, 5)
     assert big.overflow_sites == 1 and big.overflow_mass == 70
     assert big.Z == 73 and big.V == 70
+
+
+def test_batch_stats_match_per_replicate_counts():
+    # replicates 0, 2 and 5 are empty; replicate 3 has an overflow site
+    d, reps = 2, 6
+    sites = {1: [(0, 0), (0, 0), (1, 0)], 3: [(2, 2)] * 67 + [(0, 1)] * 3 + [(5, 0)],
+             4: [(-1, 0)]}
+    keys = np.concatenate([_tagged(v, 1, d) + (np.int64(r) << fw._rep_shift(d))
+                           for r, v in sites.items()])
+    bs = fw.BatchStats(np.random.default_rng(0).permutation(keys), reps, d)
+    for r in range(reps):
+        _, cnt = np.unique(keys[keys >> fw._rep_shift(d) == r], return_counts=True)
+        assert bs.Z[r] == cnt.sum() and bs.Omega[r] == len(cnt)
+        assert bs.V[r] == cnt.max(initial=0)
+        assert bs.overflow_mass[r] == cnt[cnt > fw.J_MAX].sum()
+        assert bs.overflow_sites[r] == (cnt > fw.J_MAX).sum()
+        hist = np.bincount(np.minimum(cnt, fw.J_MAX + 1), minlength=fw.J_MAX + 2)
+        assert np.array_equal(bs.M[r], hist[1:fw.J_MAX + 1])
+
+
+def test_batch_stats_traced_peak_is_bounded():
+    # a conditioned d = 3 bank: the measured peak, typical site included, is
+    # about 4.0 keys.nbytes, and the bound sits 25% above it
+    reps, n = 500, 256
+    keys = fw.evolve_particles(fw._origin_keys(np.arange(reps), 3), n, B, 3,
+                               substream(5, "conditioned-sim"), xf.survival_sequence(B, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fw.BatchStats(keys, reps, 3, substream(6, "conditioned-sim"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * keys.nbytes, peak / keys.nbytes
 
 
 def test_run_batch_invariants_and_martingale():

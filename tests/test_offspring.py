@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from brwlab import offspring as off
 from brwlab.rngstreams import substream
+from brwlab.stats import chi_square
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,47 @@ def test_offspring_sum_edge_cases(families):
     assert set(np.unique(draws)) <= {0, 2}
     freq = (draws == 0).mean()
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 4000)
+
+
+def test_fair_bit_sums_are_binomial_half(families, monkeypatch):
+    b = families["binary"]
+    rng = substream(14, "selftest")
+    for k in (1, 5, 63, 64, 65, 130, 200):
+        draws = b.sample_offspring_sum(np.full(400_000, k, dtype=np.int64), rng)
+        assert np.all(draws % 2 == 0) and 0 <= draws.min() and draws.max() <= 2 * k, k
+        pmf = np.array([math.comb(k, j) for j in range(k + 1)]) / 2.0**k
+        chi = chi_square(np.bincount(draws // 2, minlength=k + 1), pmf)
+        assert chi["p_value"] > 1e-3, (k, chi)
+    # zeros and several blocks: every count lies in [0, k]
+    k = rng.integers(0, 40, size=3 * off._FAIR_BLOCK + 777)
+    k[: 1000] = 0
+    draws = b.sample_offspring_sum(k, rng)
+    assert draws.shape == k.shape and np.all(0 <= draws) and np.all(draws <= 2 * k)
+    assert abs(draws.sum() / k.sum() - 1.0) <= 3 * math.sqrt(1.0 / k.sum())
+    out = b.sample_offspring_sum(0, rng)
+    assert out == 0 and type(out) is int
+    same = [b.sample_offspring_sum(k, substream(15, "selftest")) for _ in range(2)]
+    assert np.array_equal(*same)
+    # each count is the set bits of its entry's own run of its block's words
+    monkeypatch.setattr(off, "_FAIR_BLOCK", 5)
+    k = rng.integers(0, 150, size=23)
+    k[3] = 0
+    twin = copy.deepcopy(rng)
+    draws = b.sample_offspring_sum(k, rng)
+    for lo in range(0, len(k), 5):
+        kb = k[lo:lo + 5]
+        words = twin.integers(0, 2**64 - 1, size=(int(kb.sum()) >> 6) + 1,
+                              dtype=np.uint64, endpoint=True)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        runs = [bits[e - j:e].sum() for e, j in zip(np.cumsum(kb), kb)]
+        assert np.array_equal(draws[lo:lo + 5], 2 * np.array(runs)), lo
+    # blocks draw disjoint words: with two one-bit entries per block, the
+    # entry sequence has no lag-1 or lag-2 correlation
+    monkeypatch.setattr(off, "_FAIR_BLOCK", 2)
+    bits = b.sample_offspring_sum(np.ones(20_000, dtype=np.int64), rng) // 2
+    for lag in (1, 2):
+        r = np.corrcoef(bits[:-lag], bits[lag:])[0, 1]
+        assert abs(r) <= 5 / math.sqrt(len(bits)), (lag, r)
 
 
 def test_offspring_sum_mean_is_parent_count(families):
