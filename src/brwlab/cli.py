@@ -278,11 +278,11 @@ def cmd_exact(args) -> int:
 
 
 def _conditioned_block(task):
-    seed, block, first, count, sampler = task
-    values, paths = sampler.sample(count, substream(seed, "conditioned-rep", block))
-    x = sampler.x.tolist()
-    checksums = (np.arange(1, sampler.n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
-    lines = [json.dumps({"n": sampler.n, "x": x, "rep": first + i, "value": int(values[i]),
+    seed, block, first, count, n, x = task
+    rng = substream(seed, "conditioned-rep", block)
+    values, paths = cr.ConditionedSampler(n, x).sample(count, rng)
+    checksums = (np.arange(1, n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
+    lines = [json.dumps({"n": n, "x": list(x), "rep": first + i, "value": int(values[i]),
                          "path_len_checksum": int(checksums[i])}, sort_keys=True)
              for i in range(count)]
     return lines, values
@@ -290,15 +290,18 @@ def _conditioned_block(task):
 
 def cmd_conditioned(args) -> int:
     cfg = load_config(args.config)
-    n = _check_range(resolve(args, cfg, "n", int, 2), "--n", 1)
+    n = _check_range(resolve(args, cfg, "n", int, 2), "--n", 1, fw.COORD_OFF - 1)
     reps = _check_range(resolve(args, cfg, "reps", int, 100), "--reps", 1)
     seed = resolve(args, cfg, "seed", int, None)
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
-    x = tuple(int(c) for c in resolve(args, cfg, "x", str, "1,0").split(","))
+    raw_x = resolve(args, cfg, "x", str, "1,0")
+    try:
+        x = tuple(int(c) for c in raw_x.split(","))
+    except ValueError:
+        raise SystemExit(f"--x must be comma-separated integers, got {raw_x!r}") from None
     _check_range(len(x), "--x dimension", 1, 3)
-    sampler = cr.ConditionedSampler(n, x)
-    blocks = _parallel_map(_conditioned_block, [(seed, *blk, sampler) for blk in _blocks(reps)])
+    blocks = _parallel_map(_conditioned_block, [(seed, *blk, n, x) for blk in _blocks(reps)])
     _write_blocks(args.out, [lines for lines, _ in blocks])
     resolved = {"command": "conditioned", "n": n, "x": ",".join(map(str, x)),
                 "reps": reps, "seed": seed}

@@ -15,10 +15,10 @@ the walk is not the pinned (space-time-harmonic) bridge; the tests compare its
 rows with the bridge's.
 
 Sampling is batched over replicates: all paths step the reweighted walk
-together, the coins and the steps xi are drawn as (reps, n) arrays, and the
-attached walks of a batch go to `forward.attached_walks` together (ages
-n-1-m, -1 where no walk is attached), each counted at its own query site
-x - X_m - xi_{m+1}.
+together in one pass over a `lattice.ReversedSweep` of u_{n-1}..u_0, each row
+also giving its step's coin, and the attached walks of a batch go to
+`forward.attached_walks` together (ages n-1-m, -1 where no walk is
+attached), each counted at its own query site x - X_m - xi_{m+1}.
 """
 
 from __future__ import annotations
@@ -26,72 +26,66 @@ from __future__ import annotations
 import numpy as np
 
 from . import forward as fw
-from .exactfields import hitting_sweep
-from .lattice import neighborhood
+from .exactfields import kpp_update
+from .lattice import Field, ReversedSweep, neighborhood
 from .offspring import binary
 
 _BINARY = binary()
 
 
-class HittingBank:
-    """u_m for all horizons m <= n, exact unclamped boxes.  (P u_m)(y) is read
-    from the 2d+1 values of u_m around y when needed, so no P u bank is kept."""
-
-    def __init__(self, n: int, d: int = 2):
-        self.n = n
-        self.d = d
-        self.u = list(hitting_sweep(_BINARY, n, d, method="kpp"))
-
-
-def utransform_row(m: int, z, n: int, x, bank: HittingBank):
-    """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x),
-    for states z[..., d].
-
-    Returns (neighbor sites [..., 2d+1, d], probabilities [..., 2d+1]): the
-    row of u_{n-m} around x - z (`Field.neighbor_row`), whose normalizer is
-    (2d+1) (P u_{n-m})(x-z) because the neighborhood is symmetric.  Raises if
-    some (m-1, z) is not a reachable state, i.e. the normalizer vanishes.
-    """
-    d = bank.d
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    row, pu = bank.u[n - m].neighbor_row(x - z)
+def _hitting_row(m: int, z: np.ndarray, n: int, x: np.ndarray, u: Field):
+    """(row, P u) of u = u_{n-m} around x - z; raises where (m-1, z) cannot reach (n, x)."""
+    row, pu = u.neighbor_row(x - z)
     if np.any(pu <= 0.0):
-        bad = z.reshape(-1, d)[np.ravel(pu <= 0.0)][0]
+        bad = z.reshape(-1, len(x))[np.ravel(pu <= 0.0)][0]
         raise ValueError(f"state {tuple(bad.tolist())} at step {m - 1} cannot reach "
                          f"{tuple(x.tolist())} at {n}")
-    return z[..., None, :] + neighborhood(d), row
+    return row, pu
+
+
+def utransform_row(m: int, z, n: int, x, u: Field):
+    """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x)
+    at states z[..., d], read from u = u_{n-m}: (neighbor sites [..., 2d+1,
+    d], probabilities [..., 2d+1]).  The row's normalizer is (2d+1) (P
+    u_{n-m})(x-z), because the neighborhood is symmetric."""
+    z = np.asarray(z, dtype=np.int64)
+    return z[..., None, :] + neighborhood(len(x)), _hitting_row(m, z, n, np.asarray(x), u)[0]
 
 
 class ConditionedSampler:
-    """Sampler for the law of U_n(x) given {U_n(x) >= 1}, batched over replicates."""
+    """Sampler for the law of U_n(x) given {U_n(x) >= 1}, batched over replicates.
 
-    def __init__(self, n: int, x, bank: HittingBank | None = None):
+    Its hitting fields are clamped at clamp_radius(n - 1, d, 1e-14) + |x|_inf
+    (the tree's rule): x lies in the box, whose rows no path leaves, and
+    u_n(x) is low by at most 1e-14 in absolute terms, not relative to u_n(x)."""
+
+    def __init__(self, n: int, x):
         if n < 1:
             raise ValueError("the conditioned representation needs n >= 1")
-        self.n = n
-        self.d = bank.d if bank is not None else len(x)
-        self.x = np.asarray(x, dtype=np.int64)
-        self.bank = bank if bank is not None else HittingBank(n, self.d)
-        if self.bank.u[n].values_at(self.x) <= 0.0:
+        self.n, self.x, self.d = n, np.asarray(x, dtype=np.int64), len(x)
+        fw._check_capacity(n, self.d, 0)
+        if int(np.abs(self.x).sum()) > n:  # u_n(x) > 0 exactly when |x|_1 <= n
             raise ValueError(f"target {tuple(self.x.tolist())} is unreachable at generation {n}")
+        self.u = ReversedSweep(n - 1, self.d, kpp_update,
+                               fw._tree_clamp(n - 1, self.d, np.abs(self.x).max()))
+
+    def _walk(self, ups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(paths[reps, n+1, d], beta[reps, n]) from the uniforms ups[n, reps]: step
+        m+1 and the coin beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) share a row."""
+        n, d = self.n, self.d
+        paths = np.zeros((ups.shape[1], n + 1, d), dtype=np.int64)
+        beta = np.empty((ups.shape[1], n))
+        for u in self.u:
+            m = n - 1 - u.step
+            row, pu = _hitting_row(m + 1, paths[:, m], n, self.x, u)
+            pick = (np.cumsum(row, axis=1) <= ups[m][:, None]).sum(axis=1)
+            paths[:, m + 1] = paths[:, m] + neighborhood(d)[np.minimum(pick, 2 * d)]
+            beta[:, m] = 1.0 / (2.0 - pu)
+        return paths, beta
 
     def sample_paths(self, reps: int, rng: np.random.Generator) -> np.ndarray:
-        """`reps` reweighted-walk paths X_0..X_n, array (reps, n+1, d); every
-        path ends at x."""
-        paths = np.zeros((reps, self.n + 1, self.d), dtype=np.int64)
-        for m in range(1, self.n + 1):
-            ys, probs = utransform_row(m, paths[:, m - 1], self.n, self.x, self.bank)
-            pick = (np.cumsum(probs, axis=1) <= rng.random((reps, 1))).sum(axis=1)
-            paths[:, m] = ys[np.arange(reps), np.minimum(pick, 2 * self.d)]
-        return paths
-
-    def _coin_probs(self, paths: np.ndarray) -> np.ndarray:
-        """beta_m(X_m) = 1/(2 - (P u_{n-m-1})(x - X_m)) for m < n: (reps, n),
-        with P u read as the mean of u over the neighborhood."""
-        pu = [self.bank.u[self.n - m - 1].neighbor_row(self.x - paths[:, m])[1]
-              for m in range(self.n)]
-        return 1.0 / (2.0 - np.stack(pu, axis=1))
+        """`reps` reweighted-walk paths X_0..X_n, (reps, n+1, d), each ending at x."""
+        return self._walk(rng.random((self.n, reps)))[0]
 
     def sample(self, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """`reps` draws from the conditional law of U_n(x), with the
@@ -101,8 +95,8 @@ class ConditionedSampler:
         Walk (r, m) is attached with probability beta_m(X_m), has age n-1-m
         and is counted at its query site x - X_m - xi_{m+1}."""
         n, d = self.n, self.d
-        paths = self.sample_paths(reps, rng)
-        attach = rng.random((reps, n)) < self._coin_probs(paths)
+        paths, beta = self._walk(rng.random((n, reps)))
+        attach = rng.random((reps, n)) < beta
         xi = neighborhood(d)[rng.integers(0, 2 * d + 1, size=(reps, n))]
         query = self.x - paths[:, :n] - xi
         ages = n - 1 - np.arange(n)
@@ -116,14 +110,11 @@ class ConditionedSampler:
         return values, paths
 
 
-def endpoint_audit(n: int, targets, paths_per_target: int,
-                   rng: np.random.Generator, bank: HittingBank | None = None) -> dict:
+def endpoint_audit(n: int, targets, paths_per_target: int, rng: np.random.Generator) -> dict:
     """Samples reweighted-walk paths and counts endpoint misses (contract: 0)."""
-    if bank is None:
-        bank = HittingBank(n, len(targets[0]))
     violations = 0
     for x in targets:
-        paths = ConditionedSampler(n, x, bank).sample_paths(paths_per_target, rng)
+        paths = ConditionedSampler(n, x).sample_paths(paths_per_target, rng)
         violations += int(np.any(paths[:, n] != np.asarray(x), axis=1).sum())
     return {"paths": len(targets) * paths_per_target, "violations": violations}
 

@@ -91,7 +91,7 @@ def kpp_update(pu: np.ndarray, _prev: Field) -> np.ndarray:
 
 def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = None,
                   method: str = "auto") -> Iterator[Field]:
-    """u_0, ..., u_n in one sweep (the conditioned-walk sampler keeps them all)."""
+    """u_0, ..., u_n in one sweep."""
     if method == "auto":
         method = "kpp" if dist.is_binary else "pgf"
     if method == "kpp" and not dist.is_binary:

@@ -32,13 +32,11 @@ form of the tree above: with u_m(x) the probability that a walk from offset x
 Bernoulli(u_m(q)) on one clock m = max_age..0, and a kept particle at x has
 K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_{m-1})(x), each moving to
 x - e with probability u_{m-1}(x - e) / ((2d+1) p).  At m = 0 the kept
-particles are exactly those in the ball.  The fields come in reverse from
-about sqrt(max_age) checkpoints of one forward sweep, cached for the last
-(max_age, d, ell, clamp), and are clamped at clamp_radius(max_age, d, 1e-14)
-+ floor(ell) (at most max_age + floor(ell), which clamps nothing): a lost
-particle ends in the ball after its lineage strayed more than
-clamp_radius(max_age) from it, so each walk's expected count is low by at
-most 1e-14.  The tree is taken when the staggered array's expected
+particles are exactly those in the ball.  The fields come from one
+`lattice.ReversedSweep`, clamped at clamp_radius(max_age, d, 1e-14) +
+floor(ell): a lost particle ends in the ball after its lineage strayed more
+than clamp_radius(max_age) from it, so each walk's expected count is low by
+at most 1e-14.  The tree is taken when the staggered array's expected
 particle-generations exceed the 2 max_age (clamp+1)^d stencil cells of its
 two sweeps (both about 27 ns per unit on a 2-core VM).  Callers run
 replicates in chunks (`walk_chunks`) that keep the staggered array near 2**18
@@ -51,12 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .exactfields import kpp_update
-from .lattice import Field, clamp_radius, in_ball, neighborhood, sweep
+from .lattice import Field, ReversedSweep, clamp_radius, in_ball, neighborhood
 from .offspring import OffspringDist
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
@@ -373,26 +370,6 @@ def _tree_clamp(top: int, d: int, ell: float) -> int:
     return clamp_radius(top, d, 1e-14) + math.floor(ell)
 
 
-_ball_marks: dict[tuple, list[Field]] = {}  # one entry: (top, d, ell, clamp) -> checkpoints
-
-
-def _ball_fields_reversed(top: int, d: int, ell: float, clamp: int) -> Iterator[Field]:
-    """u_top, ..., u_0 for the ball B(0, ell).  The forward sweep keeps every
-    isqrt(top)-th field (cached for the last key); the block after each
-    checkpoint is recomputed by restarting the sweep there, which continues
-    it bit for bit, and yielded in reverse."""
-    key = (top, d, float(ell), clamp)
-    every = max(1, math.isqrt(top))
-    if key not in _ball_marks:
-        ball = Field.tabulate(lambda x: in_ball(x, ell), d, math.floor(ell), step=0)
-        fields = sweep(top, d, kpp_update, clamp, start=ball)
-        _ball_marks.clear()
-        _ball_marks[key] = [f for f in fields if f.step % every == 0]
-    for mark in reversed(_ball_marks[key]):
-        block = sweep(min(mark.step + every - 1, top), d, kpp_update, clamp, start=mark)
-        yield from reversed(list(block))
-
-
 def _tree_walks(ages, query, ell, d, rng):
     """`attached_walks` for binary fission on the ball-targeted reduced tree
     (module doc); x holds the kept particles' offsets, query site minus site."""
@@ -401,7 +378,8 @@ def _tree_walks(ages, query, ell, d, rng):
     owner = np.empty(0, dtype=np.int64)
     x = np.empty((0, d), dtype=np.int64)
     steps = neighborhood(d)
-    for u in _ball_fields_reversed(top, d, ell, _tree_clamp(top, d, ell)):
+    ball = Field.tabulate(lambda s: in_ball(s, ell), d, math.floor(ell), step=0)
+    for u in ReversedSweep(top, d, kpp_update, _tree_clamp(top, d, ell), start=ball):
         if len(x):
             # horizon m + 1 -> m: K = 1 + Bernoulli(p/(2-p)) kept children,
             # p = (P u_m)(x), each stepping by the row of u_m around x

@@ -23,7 +23,8 @@ the dimension used last.
 
 Every exact recursion is P followed by a pointwise map, F_{k+1} =
 update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
-order, from the delta or from any field it yielded (a checkpoint).  A field
+order, from the delta or from any field it yielded (a checkpoint); a
+`ReversedSweep` yields them in reverse from about sqrt(n) checkpoints.  A field
 carries a certified `tail_bound` on the mass outside its box: clamped sweeps
 kill mass at the boundary, so stored values are exact lower bounds, and the
 sweep adds up the killed mass exactly.
@@ -41,9 +42,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
-
-Site = tuple[int, ...]
-
 
 def neighborhood(d: int) -> np.ndarray:
     """The 2d+1 neighbor offsets, hold first then +e1, -e1, +e2, ... (fixed order)."""
@@ -326,6 +324,34 @@ def _sweep(n, d, update, clamp, pad, f):
         pf, lost = stencil_step(f.values, d, pad, clamp)
         f = Field(pf if update is None else update(pf, f), d, f.tail_bound + lost, f.step + 1)
         yield f
+
+
+_marks: dict[tuple, list[Field]] = {}  # the checkpoints of the two streams used last
+
+
+class ReversedSweep:
+    """F_n, ..., F_start of `sweep(n, d, update, clamp, pad, start)`, bit for
+    bit, on every iteration: every isqrt(n - start.step)-th field is kept and
+    the block after each is recomputed from it.  The two streams used last keep
+    their checkpoints, keyed by the arguments (update by identity, start by value)."""
+
+    def __init__(self, n: int, d: int, update: Callable | None = None,
+                 clamp: int | None = None, pad: float = 0.0, start: Field | None = None):
+        start = Field.delta(d) if start is None else start
+        sweep(n, d, update, clamp, pad, start)  # checks the arguments
+        if clamp is not None and clamp >= start.radius + n - start.step:
+            clamp = None  # at or beyond F_n's natural radius it cuts nothing
+        self.n, self.start, self.args = n, start, (d, update, clamp, pad)
+        self.key = (n, *self.args, start.step, start.tail_bound, start.values.tobytes())
+
+    def __iter__(self) -> Iterator[Field]:
+        n, first, every = self.n, self.start.step, max(1, math.isqrt(self.n - self.start.step))
+        _marks[self.key] = marks = _marks.pop(self.key, None) or [
+            f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
+        if len(_marks) > 2:
+            del _marks[next(iter(_marks))]  # the least recently used
+        for mark in reversed(marks):
+            yield from reversed(list(sweep(min(mark.step + every - 1, n), *self.args, mark)))
 
 
 def last(fields: Iterator[Field]) -> Field:

@@ -9,6 +9,7 @@ import pytest
 
 import brwlab
 from brwlab import conditioned as cr
+from brwlab import lattice as lat
 from brwlab.cli import BLOCK, main
 from brwlab.rngstreams import substream
 
@@ -133,6 +134,26 @@ def test_rejected_input_is_one_line_naming_the_command(tmp_path, argv):
 def test_dimension_out_of_range_names_its_flag(tmp_path, argv, flag):
     with pytest.raises(SystemExit, match=flag):
         run_cli([*argv, "--out", str(tmp_path / "o")])
+
+
+def test_malformed_target_names_its_flag(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match="^--x .*'1,a'"):
+        run_cli(["conditioned", "--n", "2", "--x", "1,a", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_conditioned_horizon_beyond_packing_range_fails_before_any_field(tmp_path,
+                                                                         monkeypatch):
+    def never(*args, **kw):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(lat, "stencil_step", never)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match="^--n must be in"):
+        run_cli(["conditioned", "--n", "20000", "--x", "1,0", "--reps", "2", "--seed", "1",
+                 "--out", str(out)])
+    assert not out.exists()
 
 
 def test_exact_scalars_and_supersolution(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,14 @@ from brwlab.stats import chi_square
 B = binary()
 
 
-def conditional_mean(n: int, x, bank: cr.HittingBank) -> float:
+def hitting(n: int) -> list:
+    """u_0, ..., u_n in d = 2."""
+    return list(xf.hitting_sweep(B, n, 2, method="kpp"))
+
+
+def conditional_mean(n: int, x, u_n: lat.Field) -> float:
     """Exact E[U_n(x) | U_n(x) >= 1] = P_n(x) / u_n(x)."""
-    return float(lat.transition_field(n, bank.d).values_at(x) / bank.u[n].values_at(x))
+    return float(lat.transition_field(n, u_n.dim).values_at(x) / u_n.values_at(x))
 
 
 def pinned_row(m: int, z, n: int, x, p_fields: list):
@@ -32,13 +38,12 @@ def pinned_row(m: int, z, n: int, x, p_fields: list):
 
 
 @pytest.fixture(scope="module")
-def bank8():
-    return cr.HittingBank(8, 2)
+def u8():
+    return hitting(8)
 
 
-def test_one_step_walk_is_forced(bank8):
-    bank = cr.HittingBank(1, 2)
-    ys, probs = cr.utransform_row(1, (0, 0), 1, (1, 0), bank)
+def test_one_step_walk_is_forced():
+    ys, probs = cr.utransform_row(1, (0, 0), 1, (1, 0), hitting(1)[0])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     pick = ys[probs > 0]
     assert len(pick) == 1 and tuple(pick[0]) == (1, 0)
@@ -46,7 +51,7 @@ def test_one_step_walk_is_forced(bank8):
 
 def test_beta_coin_value_at_origin():
     s = cr.ConditionedSampler(1, (1, 0))
-    beta = s._coin_probs(np.zeros((1, 2, 2), dtype=np.int64))
+    _, beta = s._walk(np.zeros((1, 1)))
     assert beta.shape == (1, 1) and beta[0, 0] == pytest.approx(5 / 9, abs=1e-15)
 
 
@@ -60,39 +65,38 @@ def test_one_step_law_is_one_plus_bernoulli_ninth():
     assert chi["p_value"] > 1e-3
 
 
-def test_rows_are_stochastic_everywhere_visited(bank8):
+def test_rows_are_stochastic_everywhere_visited(u8):
     rng = substream(41, "conditioned-rep")
-    s = cr.ConditionedSampler(8, (2, -1), bank8)
+    s = cr.ConditionedSampler(8, (2, -1))
     paths = s.sample_paths(200, rng)
     for m in range(1, 9):
-        ys, probs = cr.utransform_row(m, paths[:, m - 1], 8, (2, -1), bank8)
+        ys, probs = cr.utransform_row(m, paths[:, m - 1], 8, (2, -1), u8[8 - m])
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         # the batched rows are the rows of the single states
         for r in range(0, 200, 40):
-            ys1, probs1 = cr.utransform_row(m, tuple(paths[r, m - 1]), 8, (2, -1), bank8)
+            ys1, probs1 = cr.utransform_row(m, tuple(paths[r, m - 1]), 8, (2, -1), u8[8 - m])
             assert np.array_equal(ys1, ys[r]) and np.array_equal(probs1, probs[r])
 
 
-def test_row_symmetry_for_symmetric_target(bank8):
+def test_row_symmetry_for_symmetric_target(u8):
     # target on the x-axis: stepping off-axis up or down is equally likely
-    ys, probs = cr.utransform_row(1, (0, 0), 8, (3, 0), bank8)
+    ys, probs = cr.utransform_row(1, (0, 0), 8, (3, 0), u8[7])
     lookup = {tuple(y): p for y, p in zip(ys, probs)}
     assert lookup[(0, 1)] == lookup[(0, -1)]
     assert lookup[(1, 0)] > lookup[(-1, 0)]
 
 
-def test_unreachable_targets_rejected(bank8):
+def test_unreachable_targets_rejected():
     with pytest.raises(ValueError):
-        cr.ConditionedSampler(2, (2, 1), bank8)  # |x|_1 = 3 > 2
+        cr.ConditionedSampler(2, (2, 1))  # |x|_1 = 3 > 2
     with pytest.raises(ValueError):
-        cr.utransform_row(1, (-2, 0), 3, (3, 0), cr.HittingBank(3, 2))
+        cr.utransform_row(1, (-2, 0), 3, (3, 0), hitting(3)[2])
 
 
 def test_endpoint_audit_zero_violations():
     rng = substream(42, "conditioned-rep")
-    bank = cr.HittingBank(12, 2)
     targets = cr.reachable_targets(12, 2, 12, rng)
-    audit = cr.endpoint_audit(12, targets, 150, rng, bank)
+    audit = cr.endpoint_audit(12, targets, 150, rng)
     assert audit["violations"] == 0
     assert audit["paths"] == 12 * 150
 
@@ -100,10 +104,9 @@ def test_endpoint_audit_zero_violations():
 def test_conditional_mean_identity():
     rng = substream(43, "conditioned-rep")
     n, x = 12, (2, 0)
-    bank = cr.HittingBank(n, 2)
-    s = cr.ConditionedSampler(n, x, bank)
+    s = cr.ConditionedSampler(n, x)
     draws = s.sample(20_000, rng)[0]
-    exact = conditional_mean(n, x, bank)
+    exact = conditional_mean(n, x, hitting(n)[n])
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - exact) <= 3 * se
 
@@ -117,10 +120,9 @@ def test_conditional_mean_identity():
 def test_distribution_matches_pmf_oracle(n, targets):
     rng = substream(44, "conditioned-rep", rep=n)
     pf = xf.pmf_oracle(B, n, 2, degree=32)
-    bank = cr.HittingBank(n, 2)
     for x in targets:
         cond = pf.conditional_pmf_at(x)
-        s = cr.ConditionedSampler(n, x, bank)
+        s = cr.ConditionedSampler(n, x)
         draws = s.sample(20_000, rng)[0]
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = chi_square(obs, cond)
@@ -130,18 +132,17 @@ def test_distribution_matches_pmf_oracle(n, targets):
 def test_reweighted_walk_coincides_with_bridge_at_horizon_two():
     # u_1 is flat on the neighborhood, so every row the two-step walk uses is
     # proportional to the bridge row; genuine divergence needs horizon >= 3
-    bank = cr.HittingBank(2, 2)
+    u = hitting(2)
     p_fields = [lat.transition_field(m, 2) for m in range(4)]
     for z in ((0, 0),):
-        ys, q = cr.utransform_row(1, z, 2, (1, 1), bank)
+        ys, q = cr.utransform_row(1, z, 2, (1, 1), u[1])
         _, qp = pinned_row(1, z, 2, (1, 1), p_fields)
         assert np.abs(q - qp).max() <= 1e-12
 
 
 def test_reweighted_walk_differs_from_bridge_at_horizon_three():
-    bank = cr.HittingBank(3, 2)
     p_fields = [lat.transition_field(m, 2) for m in range(5)]
-    ys, q = cr.utransform_row(1, (0, 0), 3, (1, 0), bank)
+    ys, q = cr.utransform_row(1, (0, 0), 3, (1, 0), hitting(3)[2])
     _, qp = pinned_row(1, (0, 0), 3, (1, 0), p_fields)
     assert np.abs(q - qp).max() > 1e-6
 
@@ -152,3 +153,51 @@ def test_path_and_sample_reproducible():
     vb, pb = s.sample(20, substream(9, "conditioned-rep", 0))
     assert np.array_equal(va, vb) and np.array_equal(pa, pb)
     assert pa.shape == (20, 6, 2) and (pa[:, -1] == (1, 1)).all()
+
+
+def _same_fields(a, b):
+    return [f.step for f in a] == [f.step for f in b] and all(
+        np.array_equal(f.values, g.values) and f.tail_bound == g.tail_bound for f, g in zip(a, b))
+
+
+@pytest.mark.parametrize("n,x", [(1, (1, 0)), (25, (0, 0)), (25, (3, -1)), (21, (0, 0, 0))])
+def test_sampler_reads_unclamped_fields_where_the_clamp_cannot_cut(n, x):
+    got = list(cr.ConditionedSampler(n, x).u)
+    assert _same_fields(got, list(xf.hitting_sweep(B, n - 1, len(x), method="kpp"))[::-1])
+
+
+@pytest.mark.parametrize("n,x", [(26, (0, 0)), (22, (0, 0, 0))])
+def test_sampler_clamps_just_beyond(n, x):
+    top = next(iter(cr.ConditionedSampler(n, x).u))
+    assert top.step == n - 1 and top.radius < n - 1 and 0.0 < top.tail_bound < 1e-14
+
+
+def test_far_target_lies_inside_the_clamped_box():
+    # without the target's distance the box would stop short of x
+    n, x = 64, (45, 0)
+    assert lat.clamp_radius(n - 1, 2, 1e-14) < 45
+    paths = cr.ConditionedSampler(n, x).sample_paths(300, substream(45, "conditioned-rep"))
+    assert (paths[:, -1] == x).all()
+    assert (np.abs(np.diff(paths, axis=1)).sum(axis=2) <= 1).all()
+
+
+def test_sampler_holds_no_field_per_horizon():
+    # every u_m, m <= 256, on the unclamped box took C(259, 3) doubles
+    rng = substream(46, "conditioned-rep")
+    lat._marks.clear()
+    tracemalloc.start()
+    try:
+        cr.ConditionedSampler(256, (1, 0)).sample(64, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.comb(259, 3) * 8 / 4
+
+
+def test_horizon_beyond_the_packing_range_fails_before_any_field(monkeypatch):
+    def never(*args, **kw):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(lat, "stencil_step", never)
+    with pytest.raises(ValueError, match="packing range"):
+        cr.ConditionedSampler(20_000, (1, 0))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import brwlab
+from brwlab import conditioned as cr
 from brwlab import exactfields as xf
 from brwlab import forward as fw
 from brwlab import lattice as lat
@@ -259,14 +260,22 @@ def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    fw._ball_marks.clear()
+    lat._marks.clear()
     cold = draw(1.5, 65)
     assert same(cold, draw(1.5, 65))           # warm: the same key
-    fw._ball_marks.clear()
+    lat._marks.clear()
     cold_small = draw(1, 66)
-    assert cold_small[0].size and len(fw._ball_marks) == 1
+    assert cold_small[0].size and len(lat._marks) == 1
     assert same(cold, draw(1.5, 65))           # after another ball
     assert same(cold_small, draw(1, 66))
+    # the conditioned sampler's stream and its walks' tree keep one entry each
+    lat._marks.clear()
+    sampler = cr.ConditionedSampler(64, (1, 0))
+    first = sampler.sample(1000, substream(69, "selftest"))
+    keys = list(lat._marks)
+    assert len(keys) == 2 and sampler.u.key == keys[0]
+    assert same(first, sampler.sample(1000, substream(69, "selftest")))
+    assert list(lat._marks) == keys
 
 
 def test_attached_walks_route_follows_cost_rule(monkeypatch):

@@ -111,6 +111,39 @@ def test_sweep_restarts_from_any_stored_field(d, update, clamp):
         assert _same_fields(list(lat.sweep(n, d, update, clamp, start=bank[k])), bank[k:])
 
 
+def _binary_pgf(ph, _):
+    """hitting_sweep's pad-1 update for binary fission: h' = (1 + (Ph)^2) / 2."""
+    return 0.5 * (1.0 + np.square(ph))
+
+
+@pytest.mark.parametrize("n", [9, 12, 13])
+@pytest.mark.parametrize("update,clamp,pad,start", [
+    (_kpp, 4, 0.0, None),
+    (_binary_pgf, None, 1.0, lat.Field(np.zeros(1), 2, step=0)),
+    (_binary_pgf, 3, 1.0, lat.Field(np.zeros(1), 2, step=0)),
+])
+def test_reversed_sweep_is_the_reversed_forward_sweep(n, update, clamp, pad, start):
+    args = (n, 2, update, clamp, pad, start)
+    ref = list(lat.sweep(*args))[::-1]
+    lat._marks.clear()
+    stream = lat.ReversedSweep(*args)
+    assert _same_fields(list(stream), ref)                      # cold
+    assert _same_fields(list(stream), ref)                      # a second iteration
+    assert _same_fields(list(lat.ReversedSweep(*args)), ref)    # warm
+    assert len(lat._marks) == 1 and len(lat._marks[stream.key]) == n // math.isqrt(n) + 1
+
+
+def test_reversed_sweep_cache_keeps_the_two_streams_used_last():
+    lat._marks.clear()
+    ball = lat.Field(np.array([1.0, 1.0, 0.0]), 2, step=0)  # radius 1: F_12 has radius 13
+    a, b, c = (lat.ReversedSweep(12, 2, _kpp, clamp, start=ball) for clamp in (None, 13, 12))
+    assert a.key == b.key != c.key  # a clamp at the natural radius cuts nothing
+    list(a), list(c), list(b)
+    assert list(lat._marks) == [c.key, a.key]
+    list(lat.ReversedSweep(12, 2, _kpp))
+    assert list(lat._marks) == [a.key, lat.ReversedSweep(12, 2, _kpp).key]
+
+
 def _orbit_label(site):
     """A value that tells orbits apart: the sorted |x| read as base-100 digits."""
     return 1.0 + sum(c * 100.0**k for k, c in enumerate(sorted(abs(int(v)) for v in site)))
