@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -79,10 +80,14 @@ def _provenance(resolved: dict) -> str:
     return " ".join(f"{k}={resolved[k]}" for k in sorted(resolved))
 
 
-def _check_range(value, flag: str, lo, hi=None):
-    """Fail fast, naming the flag, unless lo <= value (<= hi)."""
-    if value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+def _check_range(value, flag: str, lo=-math.inf, hi=math.inf):
+    """Fail fast, naming the flag, unless value is finite and lo <= value <= hi
+    (written so that NaN fails every comparison)."""
+    if not (lo <= value <= hi and abs(value) < math.inf):
+        bound = ("finite" if lo == -math.inf else f">= {lo}" if hi == math.inf
+                 else f"in [{lo}, {hi}]")
+        if isinstance(value, float) and lo > -math.inf:
+            bound = f"finite and {bound}"
         raise SystemExit(f"{flag} must be {bound}, got {value}")
     return value
 
@@ -179,7 +184,7 @@ def _spine_block(task):
     seed, block, first, count, n, d, ell = task
     rng = substream(seed, "spine", block)
     out = sp.spine_typical_batch(n, count, rng, d)
-    w = sp.spine_ball_batch(n, ell, count, rng, d) if ell is not None else None
+    w = sp.spine_ball_batch(n, ell, count, rng, d)["W"] if ell is not None else None
     lines = []
     for i in range(count):
         row = {
@@ -253,7 +258,7 @@ def cmd_exact(args) -> int:
     elif kind == "gamma":
         result = {"n": n, "exact_mean_gamma": sp.exact_mean_gamma(n, d)}
     elif kind == "supersolution-verify":
-        kappa = resolve(args, cfg, "kappa", float, xf.KAPPA0)
+        kappa = _check_range(resolve(args, cfg, "kappa", float, xf.KAPPA0), "--kappa")
         n0 = resolve(args, cfg, "n0", int, None)
         if n0 is None:
             n0 = xf.find_supersolution_start(kappa)
@@ -327,6 +332,8 @@ def cmd_verify(args) -> int:
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     budget = resolve(args, cfg, "budget", float, None)
+    if budget is not None:
+        _check_range(budget, "--budget", 0)
     names = list(vf.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in vf.SUITES:
@@ -440,7 +447,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # bad input found past the flag checks
+    except (ValueError, xf.MgfBlowupError) as exc:  # bad input found past the flag checks
         raise SystemExit(f"brwlab {args.command}: {exc}") from None
 
 

@@ -27,29 +27,10 @@ import numpy as np
 
 from . import forward as fw
 from .exactfields import kpp_update
-from .lattice import Field, ReversedSweep, neighborhood
+from .lattice import ReversedSweep, neighborhood
 from .offspring import binary
 
 _BINARY = binary()
-
-
-def _hitting_row(m: int, z: np.ndarray, n: int, x: np.ndarray, u: Field):
-    """(row, P u) of u = u_{n-m} around x - z; raises where (m-1, z) cannot reach (n, x)."""
-    row, pu = u.neighbor_row(x - z)
-    if np.any(pu <= 0.0):
-        bad = z.reshape(-1, len(x))[np.ravel(pu <= 0.0)][0]
-        raise ValueError(f"state {tuple(bad.tolist())} at step {m - 1} cannot reach "
-                         f"{tuple(x.tolist())} at {n}")
-    return row, pu
-
-
-def utransform_row(m: int, z, n: int, x, u: Field):
-    """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x)
-    at states z[..., d], read from u = u_{n-m}: (neighbor sites [..., 2d+1,
-    d], probabilities [..., 2d+1]).  The row's normalizer is (2d+1) (P
-    u_{n-m})(x-z), because the neighborhood is symmetric."""
-    z = np.asarray(z, dtype=np.int64)
-    return z[..., None, :] + neighborhood(len(x)), _hitting_row(m, z, n, np.asarray(x), u)[0]
 
 
 class ConditionedSampler:
@@ -77,7 +58,10 @@ class ConditionedSampler:
         beta = np.empty((ups.shape[1], n))
         for u in self.u:
             m = n - 1 - u.step
-            row, pu = _hitting_row(m + 1, paths[:, m], n, self.x, u)
+            row, pu = u.neighbor_row(self.x - paths[:, m])
+            if np.any(pu <= 0.0):  # (n, x) is reachable: a hitting probability underflowed
+                raise ValueError(f"hitting probabilities underflow double precision for "
+                                 f"n = {n}, x = {tuple(self.x.tolist())}")
             pick = (np.cumsum(row, axis=1) <= ups[m][:, None]).sum(axis=1)
             paths[:, m + 1] = paths[:, m] + neighborhood(d)[np.minimum(pick, 2 * d)]
             beta[:, m] = 1.0 / (2.0 - pu)

@@ -380,8 +380,11 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
 
     holds=False is a valid outcome.  The report carries the smallest relative
     margin and where it sits (the absolute margin is smallest at the far edge
-    of the box, where the bump itself is negligible).
+    of the box, where the bump itself is negligible).  A non-finite kappa is
+    rejected: its margins are NaN, which no comparison would flag.
     """
+    if not math.isfinite(params.kappa):
+        raise ValueError(f"kappa must be finite, got {params.kappa}")
     if params.kappa <= 0:
         return {"params": {"kappa": params.kappa, "beta": params.beta},
                 "n_range": [int(min(n_range)), int(max(n_range))], "holds": False,

@@ -17,9 +17,15 @@ count at the typical site is the same construction at radius 0:
 where B_0 = 1{S_1 + xi_0 = 0}, the age-0 term, is Bernoulli(1/(2d+1)) and
 independent of S.  The sum over j >= 2 splits into Gamma_n = sum_{i=2..n}
 P_i(S_i) (a walk functional with exact mean sum P_{2i}(0)) plus a centered
-part Delta_n with orthogonal increments.  Vacancy statistics are sampled
-from the forward (unreversed) construction, which realizes the exact joint
-occupancy law around the tip.
+part Delta_n with orthogonal increments.
+
+Vacancy statistics come from the same reversed batch.  In the forward
+construction sibling j has age n-1-j and is read at S_n - S_j - xi_j, the tip
+seen from its birth site.  With S'_k = S_n - S_{n-k} and xi'_i = -xi_{n-1-i},
+reversed walk i = n-1-j has exactly that age and query site, and (S', xi')
+has the law of (S, xi); so the reversed walks' offsets from their query
+sites have the joint law of the particles' offsets from the tip, and the
+occupied sites of B(tip; ell) are the distinct offsets plus the tip's own.
 
 Every construction hands its n attached walks per replicate to
 `forward.attached_walks`, in replicate chunks from `forward.walk_chunks`.  At
@@ -37,7 +43,7 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import clamp_radius, neighborhood, sample_srw_batch, sites_in_ball, sweep
+from .lattice import clamp_radius, neighborhood, sample_srw_batch, sweep
 from .offspring import binary
 
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
@@ -91,13 +97,13 @@ def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
 
 def _reversed_counts(n: int, ell: float, reps: int, rng: np.random.Generator, d: int):
     """The reversed construction, one replicate chunk at a time: yields
-    (lo, hi, S, u) with spine positions S (hi-lo, n+1, d) and u[r, i] the
-    particles of the age-i walk within distance ell of S_{i+1} + xi_i."""
+    (lo, hi, S, walk, rel) with spine positions S (hi-lo, n+1, d) and, for
+    every particle within distance ell of its walk's query site S_{i+1} + xi_i,
+    its walk's flat index r n + i (age i) and its offset from that site."""
     ages = np.broadcast_to(np.arange(n), (reps, n))
     for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
         S, xi = _spine_steps(n, d, hi - lo, rng)
-        walk, _ = fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
-        yield lo, hi, S, np.bincount(walk, minlength=(hi - lo) * n).reshape(hi - lo, n)
+        yield lo, hi, S, *fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
 
 
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
@@ -117,7 +123,8 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     b0 = np.empty(reps, dtype=bool)
     u_sum = np.zeros(reps, dtype=np.int64)
     u_kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
-    for lo, hi, S, u in _reversed_counts(n, 0, reps, rng, d):
+    for lo, hi, S, walk, _ in _reversed_counts(n, 0, reps, rng, d):
+        u = np.bincount(walk, minlength=(hi - lo) * n).reshape(hi - lo, n)
         S_all[lo:hi] = S
         b0[lo:hi] = u[:, 0]
         u_sum[lo:hi] = u[:, 1:].sum(axis=1)
@@ -140,46 +147,23 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
 
 
 def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
-                     d: int = 2) -> np.ndarray:
-    """W_n: particles of generation n within Euclidean distance ell of the
-    typical site, via the reversed construction."""
+                     d: int = 2) -> dict:
+    """Generation n of the size-biased walk in the ball B(tip; ell), from one
+    reversed batch: per replicate, the particles W_n(ell) and the occupied
+    sites, the tip's included (module doc)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     w = np.ones(reps, dtype=np.int64)  # the spine tip
-    for lo, hi, _, u in _reversed_counts(n, ell, reps, rng, d):
-        w[lo:hi] += u.sum(axis=1)
-    return w
-
-
-def spine_ball_forward_batch(n: int, ell: float, reps: int,
-                             rng: np.random.Generator, d: int = 2) -> dict:
-    """Forward spine construction: exact joint occupancy of the ball
-    B(S_n; ell) in generation n of the size-biased walk.
-
-    Returns per-replicate particle counts, unoccupied-site counts, and the
-    ball size."""
-    offsets = sites_in_ball(d, ell)
-    r = int(math.floor(ell))
-    widx = np.zeros((2 * r + 1,) * d, dtype=np.int64)  # ball-site index of each offset
-    widx[tuple((offsets + r).T)] = np.arange(len(offsets))
-    occupied = np.zeros((reps, len(offsets)), dtype=bool)
-    occupied[:, widx[(r,) * d]] = True  # the spine tip
-    particles = np.ones(reps, dtype=np.int64)
-    ages = np.broadcast_to(n - 1 - np.arange(n), (reps, n))
-    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
-        S, xi = _spine_steps(n, d, hi - lo, rng)
-        # sibling j is born at S_j + xi_j and walks n-1-j generations; in its
-        # own birth frame the tip sits at S_n - S_j - xi_j
-        walk, rel = fw.attached_walks(ages[lo:hi], S[:, n:] - S[:, :n] - xi, ell,
-                                      _BINARY, d, rng)
+    occupied = np.empty(reps, dtype=np.int64)
+    for lo, hi, _, walk, rel in _reversed_counts(n, ell, reps, rng, d):
         rep = walk // n
-        particles[lo:hi] += np.bincount(rep, minlength=hi - lo)
-        occupied[lo + rep, widx[tuple((rel + r).T)]] = True
-    return {
-        "particles": particles,
-        "unoccupied": len(offsets) - occupied.sum(axis=1),
-        "ball_sites": len(offsets),
-    }
+        w[lo:hi] += np.bincount(rep, minlength=hi - lo)
+        # distinct (replicate, offset) pairs, each replicate's tip at offset 0
+        tips = np.zeros((hi - lo, d + 1), dtype=np.int64)
+        tips[:, 0] = np.arange(hi - lo)
+        pairs = np.unique(np.concatenate((tips, np.column_stack((rep, rel)))), axis=0)
+        occupied[lo:hi] = np.bincount(pairs[:, 0], minlength=hi - lo)
+    return {"W": w, "occupied": occupied}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import Field, clamp_radius, sweep, transition_field
+from .lattice import Field, clamp_radius, sites_in_ball, sweep, transition_field
 from .offspring import binary
 from .rngstreams import substream
 from .stats import ReportRow
@@ -372,16 +372,15 @@ def c13_clustering(seed: int, bank: SimBank) -> list[ReportRow]:
     """Soft clustering bands around the typical site (size-biased law)."""
     rows = []
     rng = substream(seed, "spine-ball", rep=13)
-    frac = {}
+    frac, out = {}, {}
     for n, reps in ((128, 400), (1024, 250)):
         ell = math.ceil(math.log(n))
-        out = sp.spine_ball_forward_batch(n, ell, reps, rng)
-        frac[n] = float((out["unoccupied"] / out["ball_sites"]).mean())
+        out[n] = sp.spine_ball_batch(n, ell, reps, rng)
+        frac[n] = 1.0 - float(out[n]["occupied"].mean()) / len(sites_in_ball(2, ell))
     rows.append(_row("C13-clustering", "vacancy-fraction-decreasing", frac[1024] - frac[128],
                      "<0", frac[1024] < frac[128], n=1024, soft=True))
-    n, ell, reps = 1024, math.ceil(math.log(1024)), 250
-    w = sp.spine_ball_batch(n, ell, reps, rng)
-    q90 = float(np.quantile(w / (math.pi * ell**2 * math.log(n)), 0.9))
+    n, ell = 1024, math.ceil(math.log(1024))
+    q90 = float(np.quantile(out[n]["W"] / (math.pi * ell**2 * math.log(n)), 0.9))
     lo, hi = CLUSTER_W_BAND
     rows.append(_row("C13-clustering", "ball-count-q90-band", q90, f"[{lo},{hi}]",
                      lo <= q90 <= hi, n=n, soft=True))

@@ -105,6 +105,11 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     (["exact", "mgf-field", "--n", "3", "--theta", "-0.5"], "--theta"),
     *[(["exact", "survival", "--n", "10", "--offspring", spec], "--offspring")
       for spec in ("table:0=nan,2=0.5", "geometric:inf", "geometric:nan", "zeta:inf")],
+    *[(["exact", "supersolution-verify", "--kappa", v, "--n0", "2"], "--kappa")
+      for v in ("nan", "inf")],
+    *[(["spine", "--n", "8", "--ell", v, "--seed", "1"], "--ell") for v in ("inf", "nan")],
+    (["exact", "survival", "--n", "2", "--theta", "nan"], "--theta"),
+    (["verify", "--suite", "clustering", "--budget", "nan", "--seed", "1"], "--budget"),
 ])
 def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
     out = tmp_path / "o"
@@ -116,6 +121,8 @@ def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "2", "--offspring", "table:0=0.5,2=0.4", "--seed", "1"],
     ["conditioned", "--n", "2", "--x", "5,0", "--seed", "1"],
+    ["conditioned", "--n", "512", "--x", "500,0", "--reps", "2", "--seed", "1"],
+    ["exact", "mgf-field", "--n", "20", "--theta", "50"],
 ])
 def test_rejected_input_is_one_line_naming_the_command(tmp_path, argv):
     out = tmp_path / "o"

@@ -24,6 +24,18 @@ def conditional_mean(n: int, x, u_n: lat.Field) -> float:
     return float(lat.transition_field(n, u_n.dim).values_at(x) / u_n.values_at(x))
 
 
+def utransform_row(m: int, z, n: int, x, u: lat.Field):
+    """Transition rows q_m(z, .) of the reweighted walk with endpoint (n, x)
+    at states z[..., d], read from u = u_{n-m}: (neighbor sites [..., 2d+1,
+    d], probabilities [..., 2d+1]).  The row's normalizer is (2d+1) (P
+    u_{n-m})(x-z), because the neighborhood is symmetric."""
+    z = np.asarray(z, dtype=np.int64)
+    row, pu = u.neighbor_row(np.asarray(x, dtype=np.int64) - z)
+    if np.any(pu <= 0.0):
+        raise ValueError("unreachable state")
+    return z[..., None, :] + lat.neighborhood(len(x)), row
+
+
 def pinned_row(m: int, z, n: int, x, p_fields: list):
     """h-transform rows of the walk bridged to (n, x):
     q*_m(z, y) = P_1(y-z) P_{n-m}(x-y) / P_{n-m+1}(x-z)."""
@@ -43,7 +55,7 @@ def u8():
 
 
 def test_one_step_walk_is_forced():
-    ys, probs = cr.utransform_row(1, (0, 0), 1, (1, 0), hitting(1)[0])
+    ys, probs = utransform_row(1, (0, 0), 1, (1, 0), hitting(1)[0])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     pick = ys[probs > 0]
     assert len(pick) == 1 and tuple(pick[0]) == (1, 0)
@@ -70,17 +82,17 @@ def test_rows_are_stochastic_everywhere_visited(u8):
     s = cr.ConditionedSampler(8, (2, -1))
     paths = s.sample_paths(200, rng)
     for m in range(1, 9):
-        ys, probs = cr.utransform_row(m, paths[:, m - 1], 8, (2, -1), u8[8 - m])
+        ys, probs = utransform_row(m, paths[:, m - 1], 8, (2, -1), u8[8 - m])
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         # the batched rows are the rows of the single states
         for r in range(0, 200, 40):
-            ys1, probs1 = cr.utransform_row(m, tuple(paths[r, m - 1]), 8, (2, -1), u8[8 - m])
+            ys1, probs1 = utransform_row(m, tuple(paths[r, m - 1]), 8, (2, -1), u8[8 - m])
             assert np.array_equal(ys1, ys[r]) and np.array_equal(probs1, probs[r])
 
 
 def test_row_symmetry_for_symmetric_target(u8):
     # target on the x-axis: stepping off-axis up or down is equally likely
-    ys, probs = cr.utransform_row(1, (0, 0), 8, (3, 0), u8[7])
+    ys, probs = utransform_row(1, (0, 0), 8, (3, 0), u8[7])
     lookup = {tuple(y): p for y, p in zip(ys, probs)}
     assert lookup[(0, 1)] == lookup[(0, -1)]
     assert lookup[(1, 0)] > lookup[(-1, 0)]
@@ -90,7 +102,16 @@ def test_unreachable_targets_rejected():
     with pytest.raises(ValueError):
         cr.ConditionedSampler(2, (2, 1))  # |x|_1 = 3 > 2
     with pytest.raises(ValueError):
-        cr.utransform_row(1, (-2, 0), 3, (3, 0), hitting(3)[2])
+        utransform_row(1, (-2, 0), 3, (3, 0), hitting(3)[2])
+
+
+def test_underflowing_target_is_named_not_called_unreachable():
+    # |x|_1 <= n, yet u_n(x) is about 5^-n near the l1 sphere
+    rng = substream(45, "conditioned-rep")
+    with pytest.raises(ValueError, match=r"underflow.*n = 512, x = \(500, 0\)"):
+        cr.ConditionedSampler(512, (500, 0)).sample_paths(1, rng)
+    paths = cr.ConditionedSampler(512, (480, 0)).sample_paths(2, rng)
+    assert (paths[:, -1] == (480, 0)).all()
 
 
 def test_endpoint_audit_zero_violations():
@@ -135,14 +156,14 @@ def test_reweighted_walk_coincides_with_bridge_at_horizon_two():
     u = hitting(2)
     p_fields = [lat.transition_field(m, 2) for m in range(4)]
     for z in ((0, 0),):
-        ys, q = cr.utransform_row(1, z, 2, (1, 1), u[1])
+        ys, q = utransform_row(1, z, 2, (1, 1), u[1])
         _, qp = pinned_row(1, z, 2, (1, 1), p_fields)
         assert np.abs(q - qp).max() <= 1e-12
 
 
 def test_reweighted_walk_differs_from_bridge_at_horizon_three():
     p_fields = [lat.transition_field(m, 2) for m in range(5)]
-    ys, q = cr.utransform_row(1, (0, 0), 3, (1, 0), hitting(3)[2])
+    ys, q = utransform_row(1, (0, 0), 3, (1, 0), hitting(3)[2])
     _, qp = pinned_row(1, (0, 0), 3, (1, 0), p_fields)
     assert np.abs(q - qp).max() > 1e-6
 

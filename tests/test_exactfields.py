@@ -274,6 +274,13 @@ def test_supersolution_degenerate_prefactor_rejected():
     assert rep["holds"] is False
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_supersolution_non_finite_prefactor_rejected(kappa):
+    # NaN margins pass no comparison, so they must not reach the verdict
+    with pytest.raises(ValueError, match="finite"):
+        xf.verify_supersolution(xf.SuperSolutionParams(kappa), range(8, 10))
+
+
 def test_comparison_with_shifted_bump():
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)

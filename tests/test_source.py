@@ -1,0 +1,28 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "brwlab"
+
+
+def _defined_and_referenced():
+    defined, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update({node.name, node.asname})
+    return defined, referenced
+
+
+def test_every_function_and_class_is_referenced_in_the_package():
+    # a definition that only tests (or nothing) reach is dead code: delete it,
+    # or move it into the tests as a helper
+    defined, referenced = _defined_and_referenced()
+    dead = {name: where for name, where in defined.items()
+            if not (name.startswith("__") and name.endswith("__")) and name not in referenced}
+    assert dead == {}

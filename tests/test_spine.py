@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brwlab import forward as fw
 from brwlab import spine as sp
-from brwlab.lattice import sample_srw_batch, transition_field
+from brwlab.lattice import clamp_radius, sample_srw_batch, sites_in_ball, sweep, transition_field
 from brwlab.offspring import binary
 from brwlab.rngstreams import substream
 from brwlab.stats import chi_square
@@ -245,12 +246,12 @@ def test_delta_variance_decreasing_toward_limit():
 
 def test_ball_count_floor_and_saturation():
     rng = substream(30, "spine-ball")
-    w = sp.spine_ball_batch(12, 3, 400, rng)
+    w = sp.spine_ball_batch(12, 3, 400, rng)["W"]
     assert w.min() >= 2
     # ell covering everything recovers the size-biased population:
     # E W = E_P Z_n^2 = 1 + n * sigma^2
     n = 6
-    w_all = sp.spine_ball_batch(n, 2 * n + 1, 30_000, rng)
+    w_all = sp.spine_ball_batch(n, 2 * n + 1, 30_000, rng)["W"]
     se = w_all.std(ddof=1) / math.sqrt(len(w_all))
     assert abs(w_all.mean() - (1 + n)) <= 3 * se
     with pytest.raises(ValueError):
@@ -260,24 +261,24 @@ def test_ball_count_floor_and_saturation():
 def test_ball_count_mean_band_and_exact_window_sums():
     # exact E W = 2 + sum_{i=1}^{n-1} sum_{|x|<=ell} P_{2i+2}(x); the mean over
     # pi*ell^2*log n must sit in [A/4, A]
-    from brwlab.lattice import Field, clamp_radius, sites_in_ball, stencil_step
-
     n, ell = 512, 7
-    offsets = sites_in_ball(2, ell)
-    clamp = clamp_radius(2 * n + 2, 2, 1e-13)
-    vals = Field.delta(2).values
-    exact = 2.0
-    for m in range(1, 2 * n + 1):
-        vals, _ = stencil_step(vals, 2, clamp=clamp)
-        if m >= 4 and m % 2 == 0:  # m = 2i+2 for i = 1..n-1
-            exact += float(Field(vals, 2).values_at(offsets).sum())
+    exact = _exact_ball_mean(n, ell, eps=1e-13)
     norm = math.pi * ell**2 * math.log(n)
     band = (sp.RETURN_COEF_2D / 4, sp.RETURN_COEF_2D)
     assert band[0] <= exact / norm <= band[1]
     rng = substream(31, "spine-ball")
-    w = sp.spine_ball_batch(n, ell, 400, rng)
+    w = sp.spine_ball_batch(n, ell, 400, rng)["W"]
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - exact) <= 3 * se
+
+
+def _exact_ball_mean(n: int, ell: float, eps: float = 1e-14) -> float:
+    """E W_n(ell) = 1 + sum_{i<n} sum_{|y|<=ell} P_{2i+2}(y): walk i, of age
+    i, is read at S_{i+1} + xi_i, two independent walks of i + 1 steps."""
+    offsets = sites_in_ball(2, ell)
+    return 1.0 + sum(float(p.values_at(offsets).sum())
+                     for p in sweep(2 * n, 2, clamp=clamp_radius(2 * n, 2, eps))
+                     if p.step >= 2 and p.step % 2 == 0)
 
 
 @pytest.mark.parametrize("ell", [1, 1.5])
@@ -285,21 +286,53 @@ def test_reversed_ball_count_small_radius(ell):
     # below ell = 2 the tip's sibling can fall outside the ball
     rng = substream(38, "spine-ball")
     n, reps = 16, 40_000
-    fwd = sp.spine_ball_forward_batch(n, ell, reps, rng)["particles"]
-    rev = sp.spine_ball_batch(n, ell, reps, rng)
-    se = math.sqrt(fwd.var(ddof=1) / reps + rev.var(ddof=1) / reps)
-    assert abs(fwd.mean() - rev.mean()) <= 4 * se
+    w = sp.spine_ball_batch(n, ell, reps, rng)["W"]
+    se = w.std(ddof=1) / math.sqrt(reps)
+    assert abs(w.mean() - _exact_ball_mean(n, ell)) <= 4 * se
 
 
-def test_forward_ball_consistent_with_reversed_count():
+def _free_run_ball_occupancy(n: int, ell: float, reps: int, rng) -> np.ndarray:
+    """Per free run: sum over the particles of generation n of the occupied
+    sites in the ball of radius ell around each particle."""
+    keys = fw.evolve_particles(fw._origin_keys(np.arange(reps), 2), n, B, 2, rng)
+    # encoded site offsets add to keys without carries at these small reaches
+    offsets = fw.encode_sites(sites_in_ball(2, ell), 2) - fw.encode_sites(np.zeros((1, 2)), 2)
+    hits = np.isin(keys[:, None] + offsets, np.unique(keys)).sum(axis=1)
+    return np.bincount(keys >> fw._rep_shift(2), weights=hits, minlength=reps)
+
+
+@pytest.mark.parametrize("n,ell,seed", [(3, 1, 0), (4, 1.5, 1), (6, 2, 2)])
+def test_vacancy_identity_against_free_runs(n, ell, seed):
+    # E_H[occupied sites of B(tip; ell)] = E_P[sum over particles of the occupied
+    # sites of B(particle; ell)], since E_P Z_n = 1
+    reps = 200_000
+    occ = sp.spine_ball_batch(n, ell, reps, substream(seed, "spine-ball", rep=39))["occupied"]
+    free = _free_run_ball_occupancy(n, ell, reps, substream(seed, "simulate", rep=39))
+    se = math.sqrt(occ.var(ddof=1) / reps + free.var(ddof=1) / reps)
+    assert abs(occ.mean() - free.mean()) <= 4 * se
+
+
+def test_ball_occupancy_bounds():
     rng = substream(32, "spine-ball")
-    n, ell, reps = 64, 4, 3000
-    fwd = sp.spine_ball_forward_batch(n, ell, reps, rng)
-    rev = sp.spine_ball_batch(n, ell, reps, rng)
-    mf, mr = fwd["particles"].mean(), rev.astype(np.float64).mean()
-    se = math.sqrt(fwd["particles"].var(ddof=1) / reps + rev.var(ddof=1) / reps)
-    assert abs(mf - mr) <= 3 * se
-    assert np.all(fwd["unoccupied"] < fwd["ball_sites"])  # tip occupies its site
+    n, ell = 64, 4
+    out = sp.spine_ball_batch(n, ell, 3000, rng)
+    # the tip occupies its site; distinct sites fit the ball and the particles
+    assert out["occupied"].min() >= 1
+    assert np.all(out["occupied"] <= len(sites_in_ball(2, ell)))
+    assert np.all(out["occupied"] <= out["W"])
+
+
+def test_ball_batch_memory_does_not_scale_with_the_ball():
+    # (2 ell + 1)^2 int64 cells at ell = 1e5 would be 3.2e11 bytes
+    rng = substream(35, "spine-ball")
+    tracemalloc.start()
+    try:
+        out = sp.spine_ball_batch(8, 100_000, 1, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= out["occupied"][0] <= out["W"][0]
+    assert peak < 2**22
 
 
 def test_sizebias_trivial_and_hand_values():
