@@ -371,7 +371,7 @@ def cmd_report(args) -> int:
         vals = np.array([r[k] for r in rows if r.get(k) is not None], dtype=np.float64)
         if len(vals) < 2:
             continue
-        e = st.EstimateCI.from_samples(vals, quantiles=True)
+        e = st.EstimateCI.from_samples(vals)
         out.write(f"{k},{e.mean!r},{e.std_error!r},{e.reps},{e.q10!r},{e.q50!r},{e.q90!r}\n")
     if out is not sys.stdout:
         out.close()

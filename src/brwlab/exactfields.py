@@ -130,7 +130,8 @@ def _blowup_check(dist: OffspringDist, top: float, vals, step: int):
     """vals(), unless 1 + top leaves the pgf domain or the values overflow:
     then MgfBlowupError(step)."""
     if 1.0 + top <= dist.z_max * (1 - 1e-12):
-        out = vals()
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+            out = vals()
         if np.all(np.isfinite(out)):
             return out
     raise MgfBlowupError(step)
@@ -259,10 +260,9 @@ def _poly_mult_trunc(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64,
-               max_deficit: float = 1e-9) -> PmfField:
+def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64) -> PmfField:
     """Exact law of U_n(x) truncated at `degree`; refuses (raises) when the
-    exact truncated mass exceeds `max_deficit` at any site."""
+    exact truncated mass exceeds 1e-9 at any site."""
     if len(dist.support) > 4096:
         raise PmfTruncationError("pmf oracle needs a (truncated) support of workable size")
     coeffs = np.zeros((1,) * d + (degree + 1,))
@@ -300,9 +300,9 @@ def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64,
         coeffs = out
     pf = PmfField(d, (coeffs.shape[0] - 1) // 2, degree, coeffs, n)
     worst = float(pf.deficit().max())
-    if worst > max_deficit:
+    if worst > 1e-9:
         raise PmfTruncationError(
-            f"truncated mass {worst:.3e} exceeds {max_deficit:.1e} at step {n}; raise the degree")
+            f"truncated mass {worst:.3e} exceeds 1e-9 at step {n}; raise the degree")
     return pf
 
 
@@ -388,7 +388,7 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     if params.kappa <= 0:
         return {"params": {"kappa": params.kappa, "beta": params.beta},
                 "n_range": [int(min(n_range)), int(max(n_range))], "holds": False,
-                "min_relative_margin": -math.inf, "argmin": None,
+                "min_relative_margin": None, "argmin": None,
                 "note": "degenerate prefactor: the zero bump dominates nothing"}
     worst = math.inf
     arg = None

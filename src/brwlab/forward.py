@@ -21,28 +21,31 @@ Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
 
 Attached walks.  Independent walks from the origin, each read near its own
-query site (the spine's and the conditioned representation's), run in
-`attached_walks` on one of two routes.  The staggered array (any law) enters
-a walk of age a max_age - a one-generation steps into one particle array
-tagged per walk, at an expected cost of the sum of the ages in
-particle-generations.  The reduced tree (binary fission) is the site-targeted
-form of the tree above: with u_m(x) the probability that a walk from offset x
-(query site minus position) has a descendant in B(0, ell) after m generations
-(the hitting recursion from the ball's indicator), a walk of age m enters as
-Bernoulli(u_m(q)) on one clock m = max_age..0, and a kept particle at x has
-K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_{m-1})(x), each moving to
-x - e with probability u_{m-1}(x - e) / ((2d+1) p).  At m = 0 the kept
-particles are exactly those in the ball.  The fields come from one
-`lattice.ReversedSweep`, clamped at clamp_radius(max_age, d, 1e-14) +
-floor(ell): a lost particle ends in the ball after its lineage strayed more
-than clamp_radius(max_age) from it, so each walk's expected count is low by
-at most 1e-14.  The tree is taken when the staggered array's expected
-particle-generations exceed the 2 max_age (clamp+1)^d stencil cells of its
-two sweeps (both about 27 ns per unit on a 2-core VM).  Callers run
-replicates in chunks (`walk_chunks`) that keep the staggered array near 2**18
-particles and the walk tags within the packing range (d = 3 splits further);
-a batch that takes the tree runs in chunks of about 2**19 walks, since each
-chunk recomputes the reversed fields.
+query site (the spine's), run in `attached_walks` on one of two routes.  The
+staggered array (any law) enters a walk of age a max_age - a one-generation
+steps into one particle array tagged per walk, at an expected cost of the
+sum of the ages in particle-generations.  The reduced tree (binary fission)
+is the site-targeted form of the tree above: with u_m(x) the probability
+that a walk from offset x (query site minus position) has a descendant in
+B(0, ell) after m generations (the hitting recursion from the ball's
+indicator), a walk of age m enters as Bernoulli(u_m(q)) on one clock
+m = max_age..0, and a kept particle at x has K = 1 + Bernoulli(p/(2-p)) kept
+children, p = (P u_{m-1})(x), each moving to x - e with probability
+u_{m-1}(x - e) / ((2d+1) p) (`tree_step`, which the conditioned sampler
+shares: its tree is this one at ell = 0, grown from one kept particle at the
+target).  At m = 0 the kept particles are exactly those in the ball.  The
+fields come from one `lattice.ReversedSweep`, clamped at
+clamp_radius(max_age, d, 1e-14) + floor(ell): a lost particle ends in the
+ball after its lineage strayed more than clamp_radius(max_age) from it, so
+each walk's expected count is low by at most 1e-14.  The tree is taken when
+the staggered array's expected particle-generations exceed the
+2 max_age C(clamp + d, d) cells that the tree's two sweeps store (about 30 ns
+per particle-generation and 22 ns per stored cell at max_age = 511 in d = 2
+on a 2-core VM; break-even near 55 replicates of the spine's n walks).
+Callers run replicates in chunks (`walk_chunks`) that keep the staggered
+array near 2**18 particles and the walk tags within the packing range (d = 3
+splits further); a batch that takes the tree runs in chunks of about 2**19
+walks, since each chunk recomputes the reversed fields.
 """
 
 from __future__ import annotations
@@ -314,10 +317,10 @@ def walk_chunks(ages: np.ndarray, ell: float, dist: OffspringDist,
 
 def _takes_tree(ages: np.ndarray, ell: float, dist: OffspringDist, d: int) -> bool:
     """The route rule: binary fission, and the staggered array's expected
-    particle-generations exceed the stencil cells of the tree's two sweeps."""
+    particle-generations exceed the cells that the tree's two sweeps store."""
     top = int(ages.max(initial=-1))
     return bool(dist.is_binary and top > 0 and np.sum(ages, where=ages > 0)
-                > 2 * top * (_tree_clamp(top, d, ell) + 1) ** d)
+                > 2 * top * math.comb(_tree_clamp(top, d, ell) + d, d))
 
 
 def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: OffspringDist,
@@ -370,6 +373,19 @@ def _tree_clamp(top: int, d: int, ell: float) -> int:
     return clamp_radius(top, d, 1e-14) + math.floor(ell)
 
 
+def tree_step(u: Field, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One horizon of the reduced tree, m + 1 -> m = u.step, for the kept
+    particles at offsets x[k, d] (target minus site): (K[k], the children's
+    offsets), each parent's children in one block in parent order.  A kept
+    particle has K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_m)(x),
+    and each child steps by the row of u_m around x."""
+    row, p = u.neighbor_row(x)
+    k = 1 + (rng.random(len(x)) < p / (2.0 - p))
+    x, row = np.repeat(x, k, axis=0), np.repeat(row, k, axis=0)
+    pick = (np.cumsum(row, axis=1) <= rng.random((len(x), 1))).sum(axis=1)
+    return k, x - neighborhood(u.dim)[np.minimum(pick, 2 * u.dim)]
+
+
 def _tree_walks(ages, query, ell, d, rng):
     """`attached_walks` for binary fission on the ball-targeted reduced tree
     (module doc); x holds the kept particles' offsets, query site minus site."""
@@ -377,17 +393,11 @@ def _tree_walks(ages, query, ell, d, rng):
     order, bounds = _by_age(ages, top)
     owner = np.empty(0, dtype=np.int64)
     x = np.empty((0, d), dtype=np.int64)
-    steps = neighborhood(d)
     ball = Field.tabulate(lambda s: in_ball(s, ell), d, math.floor(ell), step=0)
     for u in ReversedSweep(top, d, kpp_update, _tree_clamp(top, d, ell), start=ball):
         if len(x):
-            # horizon m + 1 -> m: K = 1 + Bernoulli(p/(2-p)) kept children,
-            # p = (P u_m)(x), each stepping by the row of u_m around x
-            row, p = u.neighbor_row(x)
-            k = 1 + (rng.random(len(x)) < p / (2.0 - p))
-            owner, x, row = np.repeat(owner, k), np.repeat(x, k, axis=0), np.repeat(row, k, axis=0)
-            pick = (np.cumsum(row, axis=1) <= rng.random((len(x), 1))).sum(axis=1)
-            x = x - steps[np.minimum(pick, 2 * d)]
+            k, x = tree_step(u, x, rng)
+            owner = np.repeat(owner, k)
         # walks of age m enter as Bernoulli(u_m(q))
         new = order[bounds[top - u.step]: bounds[top - u.step + 1]]
         new = new[rng.random(len(new)) < u.values_at(query[new])]

@@ -14,19 +14,18 @@ class EstimateCI:
     mean: float
     std_error: float
     reps: int
-    q10: float | None = None
-    q50: float | None = None
-    q90: float | None = None
+    q10: float
+    q50: float
+    q90: float
 
     @classmethod
-    def from_samples(cls, x, quantiles: bool = False) -> "EstimateCI":
+    def from_samples(cls, x) -> "EstimateCI":
+        """Mean, its standard error and the 10/50/90% quantiles."""
         x = np.asarray(x, dtype=np.float64)
         if len(x) < 2:
             raise ValueError("need at least 2 samples")
-        out = cls(float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))), len(x))
-        if quantiles:
-            out.q10, out.q50, out.q90 = (float(q) for q in np.quantile(x, [0.1, 0.5, 0.9]))
-        return out
+        return cls(float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))), len(x),
+                   *(float(q) for q in np.quantile(x, [0.1, 0.5, 0.9])))
 
 
 @dataclass
@@ -82,8 +81,9 @@ def _chi2_sf(dof: int, stat: float) -> float:
     return math.fsum([math.erfc(math.sqrt(x)) if a else 0.0, *np.exp(logs)])
 
 
-def ks_against_exponential(samples, mean: float, level: float = 0.05) -> dict:
-    """One-sample Kolmogorov-Smirnov distance to Exp(mean); asymptotic p-value."""
+def ks_against_exponential(samples, mean: float) -> dict:
+    """One-sample Kolmogorov-Smirnov distance to Exp(mean); asymptotic
+    p-value, passed at level 0.05."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
     if n < 100:
@@ -93,13 +93,13 @@ def ks_against_exponential(samples, mean: float, level: float = 0.05) -> dict:
     lo = np.arange(0, n) / n
     d = float(max(np.abs(cdf - hi).max(), np.abs(cdf - lo).max()))
     p = _kolmogorov_sf(math.sqrt(n) * d)
-    return {"D": d, "n": n, "p_value": p, "passed": p > level}
+    return {"D": d, "n": n, "p_value": p, "passed": p > 0.05}
 
 
-def chi_square(observed, probs, min_expected: float = 5.0) -> dict:
+def chi_square(observed, probs) -> dict:
     """Pearson chi-square of an observed histogram against exact cell
     probabilities; trailing cells are pooled until every expected count is
-    at least `min_expected`."""
+    at least 5."""
     obs = np.asarray(observed, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     if len(obs) != len(p):
@@ -116,7 +116,7 @@ def chi_square(observed, probs, min_expected: float = 5.0) -> dict:
     for o, e in zip(obs[::-1], exp[::-1]):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             groups.append((acc_o, acc_e))
             acc_o = acc_e = 0.0
     if acc_e > 0:
@@ -135,9 +135,9 @@ def chi_square(observed, probs, min_expected: float = 5.0) -> dict:
 
 
 def tightness_table(samples_by_n: dict[int, np.ndarray], normalizer,
-                    ratio_bound: float, q: float = 0.9) -> dict:
-    """Upper-quantile stability of X_n / f(n) across a geometric n grid."""
-    qs = {n: float(np.quantile(np.asarray(x) / normalizer(n), q))
+                    ratio_bound: float) -> dict:
+    """Stability of the 90% quantile of X_n / f(n) across a geometric n grid."""
+    qs = {n: float(np.quantile(np.asarray(x) / normalizer(n), 0.9))
           for n, x in sorted(samples_by_n.items())}
     vals = list(qs.values())
     ratio = max(vals) / min(vals) if min(vals) > 0 else math.inf
@@ -145,8 +145,7 @@ def tightness_table(samples_by_n: dict[int, np.ndarray], normalizer,
             "passed": ratio <= ratio_bound}
 
 
-def kappa_estimates(m_hist: np.ndarray, z: np.ndarray, overflow_mass: np.ndarray,
-                    j_max: int | None = None) -> dict:
+def kappa_estimates(m_hist: np.ndarray, z: np.ndarray, overflow_mass: np.ndarray) -> dict:
     """Conditional multiplicity fractions kappa_j ~ mean of M_n(j)/Z_n.
 
     m_hist: (reps, J) histogram, z: (reps,) populations (all > 0),
@@ -155,8 +154,8 @@ def kappa_estimates(m_hist: np.ndarray, z: np.ndarray, overflow_mass: np.ndarray
     z = np.asarray(z, dtype=np.float64)
     if np.any(z <= 0):
         raise ValueError("kappa estimates need surviving replicates")
-    J = m_hist.shape[1] if j_max is None else j_max
-    ratios = m_hist[:, :J] / z[:, None]
+    J = m_hist.shape[1]
+    ratios = m_hist / z[:, None]
     reps = len(z)
     kappa = ratios.mean(axis=0)
     se = ratios.std(axis=0, ddof=1) / math.sqrt(reps)

@@ -175,6 +175,17 @@ def test_exact_scalars_and_supersolution(tmp_path):
     assert "min_margin" not in rep and rep["argmin"]["n"] >= 8
 
 
+def test_degenerate_supersolution_report_is_strict_json(tmp_path):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    out = tmp_path / "v.json"
+    assert run_cli(["exact", "supersolution-verify", "--kappa", "-1", "--n0", "2",
+                    "--out", str(out)]) == 0
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    assert rep["holds"] is False and rep["min_relative_margin"] is None
+
+
 def test_exact_p_field_writes_the_full_symmetric_box(tmp_path):
     out = tmp_path / "p.csv"
     assert run_cli(["exact", "p-field", "--dim", "3", "--n", "3", "--out", str(out)]) == 0

@@ -61,10 +61,23 @@ def test_one_step_walk_is_forced():
     assert len(pick) == 1 and tuple(pick[0]) == (1, 0)
 
 
-def test_beta_coin_value_at_origin():
-    s = cr.ConditionedSampler(1, (1, 0))
-    _, beta = s._walk(np.zeros((1, 1)))
-    assert beta.shape == (1, 1) and beta[0, 0] == pytest.approx(5 / 9, abs=1e-15)
+def test_first_step_and_value_are_coupled_as_in_the_tree():
+    # E[U_n(x) | U >= 1, X_1 = y] = P_{n-1}(x-y)/u_{n-1}(x-y) + P_n(x)/(2-p),
+    # p = (P u_{n-1})(x): the first child's subtree plus a second child with
+    # probability p/(2-p).  A path drawn apart from the tree reads
+    # P_n(x)/u_n(x) = 1.260 in every bin, against 1.211-1.296 here.
+    n, x, reps = 6, np.array([2, 0]), 100_000
+    u = hitting(n)
+    values, paths = cr.ConditionedSampler(n, x).sample(reps, substream(47, "conditioned-rep"))
+    p_n = lat.transition_field(n, 2).value_at(x)
+    second = p_n / (2.0 - u[n - 1].neighbor_row(x)[1])
+    exact = [lat.transition_field(n - 1, 2).value_at(x - y) / u[n - 1].value_at(x - y) + second
+             for y in lat.neighborhood(2)]
+    assert max(exact) - min(exact) > 0.08
+    for y, mean in zip(lat.neighborhood(2), exact):
+        v = values[(paths[:, 1] == y).all(axis=1)]
+        assert len(v) > 1000, tuple(y)
+        assert abs(v.mean() - mean) <= 4 * v.std(ddof=1) / math.sqrt(len(v)), (tuple(y), mean)
 
 
 def test_one_step_law_is_one_plus_bernoulli_ninth():
@@ -80,7 +93,7 @@ def test_one_step_law_is_one_plus_bernoulli_ninth():
 def test_rows_are_stochastic_everywhere_visited(u8):
     rng = substream(41, "conditioned-rep")
     s = cr.ConditionedSampler(8, (2, -1))
-    paths = s.sample_paths(200, rng)
+    paths = s.sample(200, rng)[1]
     for m in range(1, 9):
         ys, probs = utransform_row(m, paths[:, m - 1], 8, (2, -1), u8[8 - m])
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
@@ -109,8 +122,8 @@ def test_underflowing_target_is_named_not_called_unreachable():
     # |x|_1 <= n, yet u_n(x) is about 5^-n near the l1 sphere
     rng = substream(45, "conditioned-rep")
     with pytest.raises(ValueError, match=r"underflow.*n = 512, x = \(500, 0\)"):
-        cr.ConditionedSampler(512, (500, 0)).sample_paths(1, rng)
-    paths = cr.ConditionedSampler(512, (480, 0)).sample_paths(2, rng)
+        cr.ConditionedSampler(512, (500, 0)).sample(1, rng)
+    paths = cr.ConditionedSampler(512, (480, 0)).sample(2, rng)[1]
     assert (paths[:, -1] == (480, 0)).all()
 
 
@@ -197,7 +210,7 @@ def test_far_target_lies_inside_the_clamped_box():
     # without the target's distance the box would stop short of x
     n, x = 64, (45, 0)
     assert lat.clamp_radius(n - 1, 2, 1e-14) < 45
-    paths = cr.ConditionedSampler(n, x).sample_paths(300, substream(45, "conditioned-rep"))
+    paths = cr.ConditionedSampler(n, x).sample(300, substream(45, "conditioned-rep"))[1]
     assert (paths[:, -1] == x).all()
     assert (np.abs(np.diff(paths, axis=1)).sum(axis=2) <= 1).all()
 

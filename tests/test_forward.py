@@ -268,12 +268,12 @@ def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     assert cold_small[0].size and len(lat._marks) == 1
     assert same(cold, draw(1.5, 65))           # after another ball
     assert same(cold_small, draw(1, 66))
-    # the conditioned sampler's stream and its walks' tree keep one entry each
+    # the conditioned sampler grows its tree on its own stream: one entry
     lat._marks.clear()
     sampler = cr.ConditionedSampler(64, (1, 0))
     first = sampler.sample(1000, substream(69, "selftest"))
     keys = list(lat._marks)
-    assert len(keys) == 2 and sampler.u.key == keys[0]
+    assert keys == [sampler.u.key]
     assert same(first, sampler.sample(1000, substream(69, "selftest")))
     assert list(lat._marks) == keys
 
@@ -290,6 +290,8 @@ def test_attached_walks_route_follows_cost_rule(monkeypatch):
         return calls[0]
 
     assert route(512, 5) == "_staggered_walks"   # CLI spine --n 512 --reps 5
+    assert route(512, 30) == "_staggered_walks"
+    assert route(512, 100) == "_tree_walks"      # README spine --n 512 --reps 100
     assert route(512, 512) == "_tree_walks"      # one replicate chunk of C09
     assert route(3, 256) == "_tree_walks"
     assert route(512, 512, geometric(2)) == "_staggered_walks"

@@ -10,7 +10,7 @@ from brwlab.rngstreams import substream
 
 def test_estimate_ci_from_samples():
     x = np.arange(1, 101, dtype=np.float64)
-    e = st.EstimateCI.from_samples(x, quantiles=True)
+    e = st.EstimateCI.from_samples(x)
     assert e.mean == pytest.approx(50.5)
     assert e.std_error == pytest.approx(x.std(ddof=1) / 10)
     assert e.q50 == pytest.approx(50.5)
