@@ -263,7 +263,7 @@ def _poly_mult_trunc(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
 def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64) -> PmfField:
     """Exact law of U_n(x) truncated at `degree`; refuses (raises) when the
     exact truncated mass exceeds 1e-9 at any site."""
-    if len(dist.support) > 4096:
+    if dist.support_size > 4096:
         raise PmfTruncationError("pmf oracle needs a (truncated) support of workable size")
     coeffs = np.zeros((1,) * d + (degree + 1,))
     coeffs[(0,) * d + (1,)] = 1.0

@@ -7,15 +7,21 @@ Built-in families:
                   exactly alpha finite integer moments
   table:<l=p,...> inline finite-support law
 
+A law is a head table plus, for zeta laws, the tail c*l^(-power) on
+_CHUNK..lmax kept as parameters (`PowerTail`): its sums come from
+Euler-Maclaurin and the pgf series builds its chunks on demand.  The
+geometric table ends where the remaining mass drops below 1e-15.
+
 Sampling of offspring sums is exact.  Binary fission's sum over k parents is
 twice the number of set bits among k fair bits: the entries of a parent-count
 array own disjoint runs of a stream of uniform 64-bit words, read block by
 block as differences of prefix popcounts (`_fair_bit_counts`).  Other finite
 support uses sequential binomial splitting across support values, the
-geometric family uses its negative binomial closed form, and infinite-support
-tables fall back to per-particle inverse-CDF draws (`sample_each`) on a cache
-truncated at cumulative weight 1 - 1e-15.  `sample_kept` draws the
-reduced-tree step of survival-conditioned runs.
+geometric family uses its negative binomial closed form, and other
+infinite-support laws fall back to per-particle draws (`sample_each`): inverse
+CDF on the head, and a uniform past the head's mass draws from the tail by
+rejection from a continuous Pareto envelope (`PowerTail.draw`).
+`sample_kept` draws the reduced-tree step of survival-conditioned runs.
 """
 
 from __future__ import annotations
@@ -38,24 +44,75 @@ class PgfDomainError(ValueError):
     """Argument outside the pgf's radius of convergence."""
 
 
+def _power_sum(t: float, lo: int, hi: int) -> float:
+    """sum_{l=lo}^{hi} l^-t for t > 1, by Euler-Maclaurin through the B_4
+    term; for lo >= 4096 and t <= 6 the next term is below 1e-17 of the sum."""
+    a, b = float(lo), float(hi)
+    def gap(p):  # a^-p - b^-p
+        return a ** -p - b ** -p
+    return (-t * (t + 1) * (t + 2) * gap(t + 3) / 720 + t * gap(t + 1) / 12
+            + (a ** -t + b ** -t) / 2 + gap(t - 1) / (t - 1))
+
+
+@dataclass(frozen=True)
+class PowerTail:
+    """Weights Q_l = c*l^-power on lo <= l <= hi, kept as parameters."""
+    c: float
+    power: float
+    lo: int
+    hi: int
+
+    def moment(self, k: int) -> float:
+        """sum_l l^k Q_l over the tail."""
+        return self.c * _power_sum(self.power - k, self.lo, self.hi)
+
+    def chunk(self, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Support points (as floats) and weights of the _CHUNK-long stretch
+        that starts at l = first."""
+        ls = np.arange(first, min(first + _CHUNK, self.hi + 1), dtype=np.float64)
+        return ls, self.c * ls ** (-self.power)
+
+    def draw(self, m: int, s: float, rng: np.random.Generator) -> np.ndarray:
+        """m exact draws from P(l) proportional to l^-s on lo..hi, s > 1.
+
+        Devroye's rejection for the Zipf law: Y has density proportional to
+        y^-s on [lo, hi+1), l = floor(Y) has probability proportional to
+        g(l) = int_l^{l+1} y^-s dy, and l is kept with probability
+        l^-s / (M g(l)), where M = (1 + 1/lo)^s bounds l^-s / g(l)."""
+        a = float(self.lo)
+        span = -math.expm1((1 - s) * math.log((self.hi + 1) / a))  # 1 - ((hi+1)/lo)^(1-s)
+        bound = (1 + 1 / a) ** s
+        out = np.empty(m, dtype=np.int64)
+        todo = np.arange(m)
+        while todo.size:
+            l = np.floor(a * np.exp(np.log1p(-rng.random(todo.size) * span) / (1 - s)))
+            ratio = (s - 1) / (l * -np.expm1((1 - s) * np.log1p(1 / l)))  # l^-s / g(l)
+            ok = (rng.random(todo.size) * bound < ratio) & (l <= self.hi)
+            out[todo[ok]] = l[ok]
+            todo = todo[~ok]
+        return out
+
+
 @dataclass
 class OffspringDist:
     name: str
-    support: np.ndarray        # offspring counts l with Q_l > 0 (sorted)
-    probs: np.ndarray          # Q_l for each support point
+    support: np.ndarray        # head: offspring counts l with Q_l > 0 (sorted)
+    probs: np.ndarray          # Q_l for each head support point
     sigma2: float
     tail_class: str            # "finite-support" | "exponential" | "polynomial"
     z_max: float               # sup of the pgf domain on the positive axis
     geo_r: float | None = None  # closed-form parameter for the geometric family
+    tail: PowerTail | None = None  # support past the head's last point
     _cdf: np.ndarray = dc_field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         # every check is written so that NaN fails it
         q = self.probs
-        if not np.all(np.isfinite(q) & (q > 0)):
+        if not (np.all(np.isfinite(q) & (q > 0))
+                and (self.tail is None or 0 < self.tail.c < math.inf)):
             raise ValueError("support must carry finite, strictly positive weights")
-        total = float(q.sum())
-        mean = float((self.support * q).sum())
+        total = float(q.sum()) + self._tail_moment(0)
+        mean = float((self.support * q).sum()) + self._tail_moment(1)
         if self.tail_class == "finite-support" and not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if not abs(total - 1.0) <= 1e-9:
@@ -69,6 +126,14 @@ class OffspringDist:
     @property
     def is_binary(self) -> bool:
         return self.name == "binary"
+
+    @property
+    def support_size(self) -> int:
+        """Number of support points, head and tail."""
+        return len(self.support) + (0 if self.tail is None else self.tail.hi - self.tail.lo + 1)
+
+    def _tail_moment(self, k: int) -> float:
+        return 0.0 if self.tail is None else self.tail.moment(k)
 
     # -- pgf and derivatives --------------------------------------------------
 
@@ -98,55 +163,75 @@ class OffspringDist:
                             lambda l: (l - 1) * lz < _UNDERFLOW)
 
     def pgf_at_one_plus(self, y):
-        """Phi(1+y) - 1 in a cancellation-free form (y may be negative)."""
-        yy = np.asarray(y, dtype=np.float64)
-        self._check_domain(1.0 + yy)
+        """Phi(1+y) - 1 in a cancellation-free form (y may be negative).
+
+        A scalar y stays a Python float throughout (the survival recursion
+        calls this once per step); the result is bit-identical to the array
+        path's."""
+        y = y.astype(np.float64, copy=False) if isinstance(y, np.ndarray) else float(y)
+        self._check_domain(1.0 + y)
         if self.name == "binary":
-            out = yy + 0.5 * np.square(yy)
-        elif self.geo_r is not None:
+            return y + 0.5 * (y * y)
+        if self.geo_r is not None:
             r = self.geo_r
-            out = (1 - r) * yy / ((1 - r) - r * yy)
-        else:
-            # log1p(-1) = -inf gives expm1(l * -inf) = -1, the exact 0^l - 1;
-            # the discarded l = 0 branch evaluates 0 * -inf before np.where.
-            # Below l log1p(y) = -50, expm1 rounds to exactly -1, so a chunk
-            # adds -sum Q_l.
-            ly = _log_of_max(np.log1p, y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self._series(y, lambda ls, qs, zz: np.where(
-                    ls >= 1, qs * np.expm1(ls * np.log1p(zz)), 0.0),
-                    lambda l: l * ly < _EXPM1_SATURATES, self._negated_chunk_sums)
-        return out if isinstance(y, np.ndarray) else float(out)
+            return (1 - r) * y / ((1 - r) - r * y)
+        # log1p(-1) = -inf gives expm1(l * -inf) = -1, the exact 0^l - 1;
+        # the discarded l = 0 branch evaluates 0 * -inf before np.where.
+        # Below l log1p(y) = -50, expm1 rounds to exactly -1, so a chunk
+        # adds -sum Q_l.
+        ly = _log_of_max(np.log1p, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._series(y, lambda ls, qs, zz: np.where(
+                ls >= 1, qs * np.expm1(ls * np.log1p(zz)), 0.0),
+                lambda l: l * ly < _EXPM1_SATURATES, self._negated_chunk_sums)
+
+    @cached_property
+    def _chunk_starts(self) -> list[int]:
+        """First support point of each _CHUNK-long stretch: head table
+        slices, then tail stretches."""
+        starts = self.support[::_CHUNK].tolist()
+        if self.tail is not None:
+            starts += range(self.tail.lo, self.tail.hi + 1, _CHUNK)
+        return starts
+
+    def _chunk(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Support points (as floats) and weights of stretch c; tail
+        stretches are built on demand."""
+        i = c * _CHUNK
+        if i < len(self.support):
+            return self.support[i:i + _CHUNK].astype(np.float64), self.probs[i:i + _CHUNK]
+        return self.tail.chunk(self._chunk_starts[c])
 
     @cached_property
     def _negated_chunk_sums(self) -> np.ndarray:
-        return np.array([(-self.probs[i:i + _CHUNK]).sum()
-                         for i in range(0, len(self.probs), _CHUNK)])
+        return np.array([(-self._chunk(c)[1]).sum() for c in range(len(self._chunk_starts))])
 
     def _series(self, z, term, settled, settled_sums=None):
-        """sum_l term(l, Q_l, z) over the table, chunk by chunk.
+        """sum_l term(l, Q_l, z) over the support, chunk by chunk.
 
         The support increases, so once `settled(l)` holds for the first l of
         a chunk it holds for every later term: each is then known exactly.
         Without `settled_sums` they are all 0 and the sum ends there;
         otherwise chunk c adds settled_sums[c].  Every skip is exact: the
-        result is bit-identical to summing the whole table."""
-        zz = np.asarray(z, dtype=np.float64)
-        acc = np.zeros_like(zz)
-        for c, i in enumerate(range(0, len(self.support), _CHUNK)):
-            if settled(float(self.support[i])):
+        result is bit-identical to summing the whole support.  An array z
+        sums along a trailing chunk axis, a float z along the chunk."""
+        is_array = isinstance(z, np.ndarray)
+        zz = z[..., None] if is_array else z
+        acc = np.zeros_like(z) if is_array else 0.0
+        for c, first in enumerate(self._chunk_starts):
+            if settled(float(first)):
                 if settled_sums is None:
                     break
                 acc = acc + settled_sums[c]
                 continue
-            ls = self.support[i:i + _CHUNK].astype(np.float64)
-            qs = self.probs[i:i + _CHUNK]
-            acc = acc + term(ls, qs, zz[..., None]).sum(axis=-1)
-        return acc if isinstance(z, np.ndarray) else float(acc)
+            ls, qs = self._chunk(c)
+            acc = acc + term(ls, qs, zz).sum(axis=-1)
+        return acc if is_array else float(acc)
 
     def _check_domain(self, z):
-        arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        if float(arr.min()) < 0 or float(arr.max()) > self.z_max * (1 + 1e-12):
+        # written so that NaN fails it
+        lo, hi = (float(z.min()), float(z.max())) if isinstance(z, np.ndarray) else (z, z)
+        if not (0.0 <= lo and hi <= self.z_max * (1 + 1e-12)):
             raise PgfDomainError(f"pgf argument outside [0, {self.z_max}]")
 
     # -- exact sampling ---------------------------------------------------------
@@ -194,12 +279,23 @@ class OffspringDist:
         return _segment_sum(karr, self.sample_each(int(karr.sum()), rng))
 
     def sample_each(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """One offspring draw for each of m particles (inverse CDF on the table)."""
+        """One offspring draw for each of m particles."""
         if self.is_binary:
             return rng.integers(0, 2, size=m) * 2
-        u = rng.random(m) * self._cdf[-1]
-        idx = np.searchsorted(self._cdf, u, side="right").clip(0, len(self.support) - 1)
-        return self.support[idx]
+        return self._draw(self._cdf, 0, m, rng)
+
+    def _draw(self, cdf, bias, m, rng) -> np.ndarray:
+        """m draws of l with weight l^bias Q_l: inverse CDF on the head
+        (cumulative weights `cdf`), and a uniform past the head's mass draws
+        from the tail."""
+        u = rng.random(m) * (cdf[-1] + self._tail_moment(bias))
+        idx = np.searchsorted(cdf, u, side="right")
+        l = self.support[idx.clip(0, len(cdf) - 1)]
+        if self.tail is not None:
+            far = idx == len(cdf)
+            if far.any():
+                l[far] = self.tail.draw(int(far.sum()), self.tail.power - bias, rng)
+        return l
 
     # -- reduced-tree (survival-conditioned) sampling ---------------------------
 
@@ -215,7 +311,7 @@ class OffspringDist:
         P(l, K) = Q_l C(l, K) s^K (1-s)^(l-K) / (1 - Phi(1-s)).
 
         Binary fission: K = 1 + Bernoulli(s/(2-s)).  Other laws draw l from
-        the size-biased table and accept it with probability
+        the size-biased law and accept it with probability
         (1-(1-s)^l)/(l s), which leaves l with its law given K >= 1 (expected
         rounds <= 1/(1-Q_0)); the first surviving child J is then a geometric
         truncated to 1..l, and K = 1 + Binomial(l-J, s)."""
@@ -228,8 +324,7 @@ class OffspringDist:
         out = np.empty(m, dtype=np.int64)
         todo = np.arange(m)
         while todo.size:
-            u = rng.random(todo.size) * cdf[-1]
-            l = self.support[np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1)]
+            l = self._draw(cdf, 1, todo.size, rng)
             hit = -np.expm1(l * log_q)  # P(some child of l survives)
             ok = rng.random(todo.size) * (l * s) < hit
             l, hit = l[ok], hit[ok]
@@ -252,7 +347,7 @@ def _log_of_max(log, z) -> float:
     """log of the largest argument (-inf at 0), which bounds every term's
     exponent from above."""
     with np.errstate(divide="ignore"):
-        return float(log(np.max(z)))
+        return float(log(np.max(z) if isinstance(z, np.ndarray) else z))
 
 
 def _fair_bit_counts(karr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -324,22 +419,28 @@ def geometric(m: float) -> OffspringDist:
 
 def zeta(alpha: float) -> OffspringDist:
     """Polynomial-tail family with exactly `alpha` finite integer moments:
-    Q_l = c*l^(-(alpha+1.5)) for l >= 2, scale fixed by sum_{l>=2} l*Q_l = 1/2."""
+    Q_l = c*l^(-(alpha+1.5)) for 2 <= l <= lmax, scale fixed by
+    sum_{l>=2} l*Q_l = 1/2.  The table holds l < _CHUNK; the rest of the
+    support is a `PowerTail`."""
     if not (math.isfinite(alpha) and alpha >= 2):
         raise ValueError(f"zeta family needs a finite alpha >= 2 (finite variance), got {alpha}")
     power = alpha + 1.5
     lmax = int(math.ceil((10.0 / _TRUNC) ** (1.0 / (power - 1.0)))) + 10
-    ls = np.arange(2, lmax + 1, dtype=np.int64)
+    top = min(lmax, _CHUNK - 1)
+    ls = np.arange(2, top + 1, dtype=np.int64)
     w = ls.astype(np.float64) ** (-power)
-    c = 0.5 / float((ls * w).sum())
+    has_tail = lmax > top
+    c = 0.5 / (float((ls * w).sum()) + (_power_sum(power - 1, top + 1, lmax) if has_tail else 0.0))
+    tail = PowerTail(c, power, top + 1, lmax) if has_tail else None
     q = c * w
-    s0 = float(q.sum())
+    s0 = float(q.sum()) + (tail.moment(0) if has_tail else 0.0)
     q0 = 0.5 - s0
     if q0 <= 0:
         raise ValueError("zeta normalization failed")
     support = np.concatenate(([0, 1], ls))
     probs = np.concatenate(([q0, 0.5], q))
-    sigma2 = float((probs * support.astype(np.float64) ** 2).sum()) - 1.0
+    sigma2 = (float((probs * support.astype(np.float64) ** 2).sum())
+              + (tail.moment(2) if has_tail else 0.0) - 1.0)
     return OffspringDist(
         name=f"zeta:{alpha:g}",
         support=support,
@@ -347,6 +448,7 @@ def zeta(alpha: float) -> OffspringDist:
         sigma2=sigma2,
         tail_class="polynomial",
         z_max=1.0,
+        tail=tail,
     )
 
 

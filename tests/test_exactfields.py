@@ -228,6 +228,18 @@ def test_pmf_oracle_refuses_undersized_degree():
         xf.pmf_oracle(B, 10, 2, degree=4)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_pmf_oracle_refuses_zeta_laws(alpha):
+    # the oracle sums over the table alone; a zeta law's head table holds
+    # 4096 of its 2.5M (alpha = 2) or 37k (alpha = 3) points.  It refuses on
+    # the law before any step: at n = 0 no mass check could catch it
+    z = zeta(alpha)
+    assert len(z.support) == 4096 < z.support_size
+    for n in (0, 1):
+        with pytest.raises(xf.PmfTruncationError, match="support"):
+            xf.pmf_oracle(z, n, 1, degree=4)
+
+
 def test_paley_zygmund_sandwich():
     s = xf.survival_sequence(B, 128)
     for n in (16, 64, 128):

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,13 +55,40 @@ def test_pgf_convex_increasing_and_dominates_identity(families, name):
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+def _full_table(dist):
+    """Support and weights of the whole law: the head table followed by the
+    tail's weights c*l^-power, written out."""
+    if dist.tail is None:
+        return dist.support.astype(np.float64), dist.probs
+    t = dist.tail
+    ls = np.arange(t.lo, t.hi + 1, dtype=np.float64)
+    return (np.concatenate((dist.support.astype(np.float64), ls)),
+            np.concatenate((dist.probs, t.c * ls ** (-t.power))))
+
+
+def _old_zeta_table(alpha):
+    """The zeta law as one table, normalized over the whole table."""
+    power = alpha + 1.5
+    lmax = int(math.ceil((10.0 / off._TRUNC) ** (1.0 / (power - 1.0)))) + 10
+    ls = np.arange(2, lmax + 1, dtype=np.int64)
+    w = ls.astype(np.float64) ** (-power)
+    q = 0.5 / float((ls * w).sum()) * w
+    return np.concatenate(([0, 1], ls)), np.concatenate(([0.5 - float(q.sum()), 0.5], q))
+
+
+@pytest.fixture(scope="module")
+def old_zeta():
+    return {alpha: _old_zeta_table(alpha) for alpha in (2.0, 3.0)}
+
+
 def _whole_table(dist, term, z):
-    """The pgf series summed over every chunk of the table, none skipped."""
+    """The pgf series summed over every chunk of the whole law, none skipped."""
+    support, probs = _full_table(dist)
     zz = np.asarray(z, dtype=np.float64)
     acc = np.zeros_like(zz)
-    for i in range(0, len(dist.support), off._CHUNK):
-        ls = dist.support[i:i + off._CHUNK].astype(np.float64)
-        acc = acc + term(ls, dist.probs[i:i + off._CHUNK], zz[..., None]).sum(axis=-1)
+    for i in range(0, len(support), off._CHUNK):
+        ls = support[i:i + off._CHUNK]
+        acc = acc + term(ls, probs[i:i + off._CHUNK], zz[..., None]).sum(axis=-1)
     return acc
 
 
@@ -68,6 +96,7 @@ def test_series_skips_are_bit_identical_to_the_whole_table(families):
     # zeta:2 has 2.5M support points; the pgf stops where z^l underflows and
     # the shifted pgf adds -sum Q_l where expm1 saturates at -1
     dist = families["zeta"]
+    assert dist.support_size == len(_full_table(dist)[0]) == 2_511_898
     for z in (0.0, 0.5, 0.99, 0.9999, 1.0, np.array([0.0, 0.5])):
         assert np.array_equal(dist.pgf(z), _whole_table(
             dist, lambda ls, qs, zz: qs * np.power(zz, ls), z))
@@ -157,23 +186,18 @@ def test_offspring_sum_variance_scaling(families, name, k):
     assert abs(draws.var(ddof=1) / k - dist.sigma2) <= 0.05 * dist.sigma2
 
 
-def test_zeta_sampler_exactness():
+def test_zeta_sampler_exactness(old_zeta):
     # the variance estimator of a law with infinite third moment fluctuates
     # with the single largest draw, so exactness is checked on frequencies
     # (chi-square against the table) and the mean; variance gets a wide band
-    from brwlab.stats import chi_square
     rng = substream(12, "selftest")
     z = off.zeta(2.0)
     draws = z.sample_offspring_sum(np.ones(1_000_000, dtype=np.int64), rng)
     top = 40
     obs = np.bincount(np.minimum(draws, top + 1), minlength=top + 2)
-    probs = np.zeros(top + 2)
-    for l, q in zip(z.support, z.probs):
-        if l <= top:
-            probs[l] = q
-        else:
-            probs[top + 1] += q
-    chi = chi_square(obs, probs)
+    support, probs = old_zeta[2.0]
+    cells = np.bincount(np.minimum(support, top + 1), weights=probs, minlength=top + 2)
+    chi = chi_square(obs, cells)
     assert chi["p_value"] > 1e-3
     se = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean() - 1.0) <= 3 * se
@@ -184,14 +208,126 @@ def test_zeta_sampler_exactness():
 
 def test_zeta_moment_profile():
     z = off.zeta(2.0)
-    half = len(z.support) // 2
+    support, probs = _full_table(z)
+    half = len(support) // 2
     def partial_moment(k, upto):
-        s = z.support[:upto].astype(np.float64)
-        return float((z.probs[:upto] * s**k).sum())
-    # the alpha-th moment has converged on the cached table, the next has not
-    assert abs(partial_moment(2, len(z.support)) / partial_moment(2, half) - 1) < 0.01
-    assert partial_moment(3, len(z.support)) / partial_moment(3, half) > 1.3
+        return float((probs[:upto] * support[:upto] ** k).sum())
+    # the alpha-th moment has converged on the truncated law, the next has not
+    assert abs(partial_moment(2, len(support)) / partial_moment(2, half) - 1) < 0.01
+    assert partial_moment(3, len(support)) / partial_moment(3, half) > 1.3
     assert z.tail_class == "polynomial"
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
+def test_zeta_sums_match_the_whole_table(alpha):
+    # the tail's mass, mean and second moment come from Euler-Maclaurin sums
+    z = off.zeta(alpha)
+    support, probs = _old_zeta_table(alpha)
+    assert z.support_size == len(support)
+    assert np.array_equal(z.support, support[:off._CHUNK])
+    ls = support.astype(np.float64)
+    whole = [math.fsum(probs * ls**k) for k in (0, 1, 2)]
+    total = float(z.probs.sum()) + z.tail.moment(0)
+    mean = float((z.support * z.probs).sum()) + z.tail.moment(1)
+    assert total == pytest.approx(whole[0], rel=1e-13)
+    assert mean == pytest.approx(whole[1], rel=1e-13)
+    assert z.sigma2 == pytest.approx(whole[2] - 1.0, rel=1e-13)
+    assert z.tail.moment(0) == pytest.approx(math.fsum(probs[off._CHUNK:]), rel=1e-13)
+
+
+def _cells(support, probs, top=40, bins=12):
+    """Cell of each support point: one per l <= top, then log-spaced bins
+    out to the largest l; and the law's mass in each cell."""
+    edges = np.unique(np.geomspace(top + 1, support[-1] + 1, bins + 1).astype(np.int64))
+    edges = np.concatenate((np.arange(top + 1), edges))
+    cell_of = lambda l: np.searchsorted(edges, l, side="right") - 1
+    return cell_of, np.bincount(cell_of(support), weights=probs, minlength=len(edges) - 1)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_zeta_draws_follow_the_whole_table(alpha, old_zeta):
+    # sample_each draws the law itself; sample_kept at s = 1 keeps every
+    # child, so K = l given l >= 1; at s = 1/2 it is the thinned law, whose
+    # terms past l = 300 carry under 2^-250
+    z = off.zeta(alpha)
+    support, probs = old_zeta[alpha]
+    cell_of, cells = _cells(support, probs)
+    rng = substream(16, "selftest", int(alpha))
+    draws = z.sample_each(400_000, rng)
+    assert chi_square(np.bincount(cell_of(draws), minlength=len(cells)), cells)["p_value"] > 1e-3
+    kept = z.sample_kept(400_000, 1.0, rng)
+    pos = probs[1:] / probs[1:].sum()
+    assert chi_square(np.bincount(cell_of(kept), minlength=len(cells)),
+                      np.bincount(cell_of(support[1:]), weights=pos, minlength=len(cells)))["p_value"] > 1e-3
+    s = 0.5
+    thinned = np.zeros(40)  # P(K = k), k = 1..40
+    for l, q in zip(support[1:300].tolist(), probs[1:300]):
+        for k in range(1, min(l, 40) + 1):
+            thinned[k - 1] += q * math.comb(l, k) * s**l
+    thinned /= math.fsum(probs * -np.expm1(support * math.log1p(-s)))
+    kept = z.sample_kept(400_000, s, rng)
+    assert kept.min() >= 1
+    assert chi_square(np.bincount(np.minimum(kept, 41) - 1, minlength=41),
+                      np.append(thinned, 1.0 - thinned.sum()))["p_value"] > 1e-3
+
+
+def _tail_draws_match(tail, s, rng, m=400_000, bins=24):
+    """Chi-square p-value of m tail draws with weights l^-s against the exact
+    tail pmf on log-spaced bins (one cell per l below 32)."""
+    ls = np.arange(tail.lo, tail.hi + 1)
+    w = ls.astype(np.float64) ** -s
+    edges = np.unique(np.concatenate((np.arange(tail.lo, 32),
+                                      np.geomspace(max(tail.lo, 32), tail.hi + 1, bins + 1)
+                                      .astype(np.int64))))
+    draws = tail.draw(m, s, rng)
+    assert draws.min() >= tail.lo and draws.max() <= tail.hi
+    obs = np.bincount(np.searchsorted(edges, draws, side="right") - 1, minlength=len(edges) - 1)
+    pmf = np.add.reduceat(w, edges[:-1] - tail.lo) / w.sum()
+    return chi_square(obs, pmf)["p_value"]
+
+
+@pytest.mark.parametrize("bias", [0, 1])
+def test_tail_sampler_matches_the_tail_pmf(bias):
+    # zeta:2's tail holds 5.5e-10 of the law (3.7e-6 size-biased), so the
+    # full-law tests almost never reach it: draw from it directly, with the
+    # plain (s = power) and the size-biased (s = power - 1) exponent
+    tail = off.zeta(2.0).tail
+    assert tail.lo == off._CHUNK
+    rng = substream(17, "selftest", bias)
+    assert _tail_draws_match(tail, tail.power - bias, rng) > 1e-3
+    # from lo = 4096 the envelope's floor(Y) law is off by under
+    # s/(2 lo) = 4e-4 relative, below what 400k draws resolve; from lo = 2
+    # it is off by a factor near 2, so these draws check the rejection step
+    near = off.PowerTail(1.0, tail.power, 2, 100_000)
+    assert _tail_draws_match(near, near.power - bias, rng) > 1e-3
+
+
+def test_zeta_builds_no_whole_table():
+    # one table of the 2.5M-point law traced 115 MB
+    tracemalloc.start()
+    try:
+        off.parse_offspring("zeta:2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["binary", "geometric:2", "geometric:50", "zeta:2",
+                                  "table:0=0.4,1=0.3,2=0.2,3=0.1"])
+def test_scalar_shifted_pgf_is_bit_identical_to_the_array_path(spec):
+    from brwlab.exactfields import survival_sequence
+    dist = off.parse_offspring(spec)
+    # zeta:2's series costs about 1 ms per step at n near 1000, so it stops earlier
+    n = 400 if spec == "zeta:2" else 10_000
+    s = survival_sequence(dist, n)
+    a = np.empty(n + 1)
+    a[0] = 1.0
+    for k in range(n):
+        a[k + 1] = -dist.pgf_at_one_plus(np.array([-a[k]]))[0]
+    assert np.array_equal(s, a)
+    with pytest.raises(off.PgfDomainError):
+        dist.pgf_at_one_plus(math.nan)
 
 
 def test_geometric_closed_forms_match_table():
