@@ -183,19 +183,19 @@ def _parallel_map(fn, tasks):
 def _spine_block(task):
     seed, block, first, count, n, d, ell = task
     rng = substream(seed, "spine", block)
-    out = sp.spine_typical_batch(n, count, rng, d)
-    w = sp.spine_ball_batch(n, ell, count, rng, d)["W"] if ell is not None else None
+    out = sp.spine_typical_batch(n, count, rng, d, ell=0 if ell is None else ell)
+    split = sp.gamma_split(out)
     lines = []
     for i in range(count):
         row = {
             "rep": first + i, "n": n, "seed": seed,
             "Tstar": int(out["Tstar"][i]),
-            "Gamma": float(out["Gamma"][i]),
-            "Delta": float(out["Delta"][i]),
-            "clamp_miss_count": int(out["clamp_misses"][i]),
+            "Gamma": float(split["Gamma"][i]),
+            "Delta": float(split["Delta"][i]),
+            "clamp_miss_count": int(split["clamp_misses"][i]),
         }
-        if w is not None:
-            row["W"] = int(w[i])
+        if ell is not None:
+            row["W"] = int(out["W"][i])
             row["ell"] = ell
         lines.append(json.dumps(row, sort_keys=True))
     return lines
@@ -208,7 +208,7 @@ def cmd_spine(args) -> int:
     seed = resolve(args, cfg, "seed", int, None)
     ell = resolve(args, cfg, "ell", float, None)
     if ell is not None:
-        _check_range(ell, "--ell", 1)
+        _check_range(ell, "--ell", 0)
     if seed is None:
         raise SystemExit("--seed is required for stochastic commands")
     resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,

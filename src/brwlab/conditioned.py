@@ -73,21 +73,3 @@ class ConditionedSampler:
             paths[:, n - u.step] = self.x - x[lead]
         return np.bincount(owner, minlength=reps), paths
 
-
-def endpoint_audit(n: int, targets, paths_per_target: int, rng: np.random.Generator) -> dict:
-    """Samples first-child paths and counts endpoint misses (contract: 0)."""
-    violations = 0
-    for x in targets:
-        paths = ConditionedSampler(n, x).sample(paths_per_target, rng)[1]
-        violations += int(np.any(paths[:, n] != np.asarray(x), axis=1).sum())
-    return {"paths": len(targets) * paths_per_target, "violations": violations}
-
-
-def reachable_targets(n: int, d: int, count: int, rng: np.random.Generator) -> list:
-    """Random sites with u_n(x) > 0 (|x|_1 <= n), origin-biased like the walk."""
-    out = []
-    while len(out) < count:
-        x = rng.integers(-n, n + 1, size=d)
-        if int(np.abs(x).sum()) <= n:
-            out.append(tuple(int(c) for c in x))
-    return out

@@ -24,11 +24,12 @@ Attached walks.  Independent walks from the origin, each read near its own
 query site (the spine's), run in `attached_walks` on one of two routes.  The
 staggered array (any law) enters a walk of age a max_age - a one-generation
 steps into one particle array tagged per walk, at an expected cost of the
-sum of the ages in particle-generations.  The reduced tree (binary fission)
-is the site-targeted form of the tree above: with u_m(x) the probability
-that a walk from offset x (query site minus position) has a descendant in
-B(0, ell) after m generations (the hitting recursion from the ball's
-indicator), a walk of age m enters as Bernoulli(u_m(q)) on one clock
+sum of the ages in particle-generations; ell only selects the particles it
+returns, so its draws are the same at every radius.  The reduced tree
+(binary fission) is the site-targeted form of the tree above: with u_m(x)
+the probability that a walk from offset x (query site minus position) has a
+descendant in B(0, ell) after m generations (the hitting recursion from the
+ball's indicator), a walk of age m enters as Bernoulli(u_m(q)) on one clock
 m = max_age..0, and a kept particle at x has K = 1 + Bernoulli(p/(2-p)) kept
 children, p = (P u_{m-1})(x), each moving to x - e with probability
 u_{m-1}(x - e) / ((2d+1) p) (`tree_step`, which the conditioned sampler
@@ -45,7 +46,8 @@ on a 2-core VM; break-even near 55 replicates of the spine's n walks).
 Callers run replicates in chunks (`walk_chunks`) that keep the staggered
 array near 2**18 particles and the walk tags within the packing range (d = 3
 splits further); a batch that takes the tree runs in chunks of about 2**19
-walks, since each chunk recomputes the reversed fields.
+walks, since each chunk recomputes the reversed fields (from checkpoints
+that successive chunks share).
 """
 
 from __future__ import annotations

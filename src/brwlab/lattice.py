@@ -326,14 +326,16 @@ def _sweep(n, d, update, clamp, pad, f):
         yield f
 
 
-_marks: dict[tuple, list[Field]] = {}  # the checkpoints of the two streams used last
+_marks: dict[tuple, list[Field]] = {}  # the checkpoints of the stream used last
 
 
 class ReversedSweep:
     """F_n, ..., F_start of `sweep(n, d, update, clamp, pad, start)`, bit for
     bit, on every iteration: every isqrt(n - start.step)-th field is kept and
-    the block after each is recomputed from it.  The two streams used last keep
-    their checkpoints, keyed by the arguments (update by identity, start by value)."""
+    the block after each is recomputed from it.  The stream used last keeps
+    its checkpoints, keyed by the arguments (update by identity, start by
+    value): successive replicate chunks of one batch, and successive CLI
+    blocks, read one stream."""
 
     def __init__(self, n: int, d: int, update: Callable | None = None,
                  clamp: int | None = None, pad: float = 0.0, start: Field | None = None):
@@ -346,10 +348,11 @@ class ReversedSweep:
 
     def __iter__(self) -> Iterator[Field]:
         n, first, every = self.n, self.start.step, max(1, math.isqrt(self.n - self.start.step))
-        _marks[self.key] = marks = _marks.pop(self.key, None) or [
-            f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
-        if len(_marks) > 2:
-            del _marks[next(iter(_marks))]  # the least recently used
+        marks = _marks.get(self.key)
+        if marks is None:
+            _marks.clear()  # before the new checkpoints, to lower the peak
+            marks = _marks[self.key] = [
+                f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
         for mark in reversed(marks):
             yield from reversed(list(sweep(min(mark.step + every - 1, n), *self.args, mark)))
 

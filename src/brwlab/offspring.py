@@ -15,12 +15,10 @@ geometric table ends where the remaining mass drops below 1e-15.
 Sampling of offspring sums is exact.  Binary fission's sum over k parents is
 twice the number of set bits among k fair bits: the entries of a parent-count
 array own disjoint runs of a stream of uniform 64-bit words, read block by
-block as differences of prefix popcounts (`_fair_bit_counts`).  Other finite
-support uses sequential binomial splitting across support values, the
-geometric family uses its negative binomial closed form, and other
-infinite-support laws fall back to per-particle draws (`sample_each`): inverse
-CDF on the head, and a uniform past the head's mass draws from the tail by
-rejection from a continuous Pareto envelope (`PowerTail.draw`).
+block as differences of prefix popcounts (`_fair_bit_counts`).  Every other
+law adds up per-particle draws (`sample_each`), the draws the particle engine
+makes: inverse CDF on the head, and a uniform past the head's mass draws from
+the tail by rejection from a continuous Pareto envelope (`PowerTail.draw`).
 `sample_kept` draws the reduced-tree step of survival-conditioned runs.
 """
 
@@ -244,39 +242,12 @@ class OffspringDist:
         karr = np.atleast_1d(np.asarray(k, dtype=np.int64))
         if np.any(karr < 0):
             raise ValueError("parent count must be >= 0")
-        if self.name == "binary":
+        if self.is_binary:
             out = _fair_bit_counts(karr, rng)
             out <<= 1  # in place: no second array of len(k)
-        elif self.geo_r is not None:
-            r = self.geo_r
-            born = rng.binomial(karr, 1.0 - r)
-            extra = np.zeros_like(born)
-            pos = born > 0
-            if np.any(pos):
-                extra[pos] = rng.negative_binomial(born[pos], 1.0 - r)
-            out = born + extra
-        elif self.tail_class == "finite-support":
-            out = self._sum_by_splitting(karr, rng)
         else:
-            out = self._sum_by_expansion(karr, rng)
+            out = _segment_sum(karr, self.sample_each(int(karr.sum()), rng))
         return out if isinstance(k, np.ndarray) else int(out[0])
-
-    def _sum_by_splitting(self, karr, rng):
-        # multinomial over support values via sequential binomial splitting
-        rem = karr.copy()
-        remaining_p = 1.0
-        out = np.zeros_like(karr)
-        for l, q in zip(self.support, self.probs):
-            if remaining_p <= 0 or not rem.any():
-                break
-            c = rng.binomial(rem, min(1.0, q / remaining_p))
-            out += l * c
-            rem -= c
-            remaining_p -= q
-        return out
-
-    def _sum_by_expansion(self, karr, rng):
-        return _segment_sum(karr, self.sample_each(int(karr.sum()), rng))
 
     def sample_each(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """One offspring draw for each of m particles."""
@@ -288,9 +259,9 @@ class OffspringDist:
         """m draws of l with weight l^bias Q_l: inverse CDF on the head
         (cumulative weights `cdf`), and a uniform past the head's mass draws
         from the tail."""
-        u = rng.random(m) * (cdf[-1] + self._tail_moment(bias))
-        idx = np.searchsorted(cdf, u, side="right")
-        l = self.support[idx.clip(0, len(cdf) - 1)]
+        idx = np.searchsorted(cdf, rng.random(m) * (cdf[-1] + self._tail_moment(bias)),
+                              side="right")
+        l = self.support.take(idx, mode="clip")  # past the head: the last head point
         if self.tail is not None:
             far = idx == len(cdf)
             if far.any():
@@ -401,9 +372,9 @@ def geometric(m: float) -> OffspringDist:
     if not (math.isfinite(m) and m > 1):
         raise ValueError(f"geometric family needs a finite m > 1, got {m}")
     r = 1.0 - 1.0 / m
-    # Table for per-particle draws and inspection; offspring sums and the pgf
-    # use the closed forms.  The first L litters l >= 1 carry mass
-    # 1 - r - (1-r) r^L, so L is the least integer with (1-r) r^L <= _TRUNC.
+    # Table for draws and inspection; the pgf uses the closed forms.  The
+    # first L litters l >= 1 carry mass 1 - r - (1-r) r^L, so L is the least
+    # integer with (1-r) r^L <= _TRUNC.
     L = min(max(1, math.ceil(math.log(_TRUNC / (1 - r)) / math.log(r))), 5_000_000)
     qs = np.cumprod(np.concatenate(([(1 - r) ** 2], np.full(L - 1, r))))
     return OffspringDist(

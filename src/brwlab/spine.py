@@ -19,7 +19,7 @@ independent of S.  The sum over j >= 2 splits into Gamma_n = sum_{i=2..n}
 P_i(S_i) (a walk functional with exact mean sum P_{2i}(0)) plus a centered
 part Delta_n with orthogonal increments.
 
-Vacancy statistics come from the same reversed batch.  In the forward
+The vacancy statistics are readings of the same batch.  In the forward
 construction sibling j has age n-1-j and is read at S_n - S_j - xi_j, the tip
 seen from its birth site.  With S'_k = S_n - S_{n-k} and xi'_i = -xi_{n-1-i},
 reversed walk i = n-1-j has exactly that age and query site, and (S', xi')
@@ -27,13 +27,18 @@ has the law of (S, xi); so the reversed walks' offsets from their query
 sites have the joint law of the particles' offsets from the tip, and the
 occupied sites of B(tip; ell) are the distinct offsets plus the tip's own.
 
-Every construction hands its n attached walks per replicate to
-`forward.attached_walks`, in replicate chunks from `forward.walk_chunks`.  At
-the verify sizes (C09, C13) that is the ball-targeted reduced tree, which keeps
-only the particles that end in the ball: a few dozen particle-generations per
-replicate instead of about n^2/2, for one hitting sweep per chunk plus a
-checkpoint sweep that successive chunks and constructions of the same (n, ell)
-share.  Small batches (the CLI's few replicates) stay on the staggered array.
+`spine_typical_batch` is that one construction: generation n of the
+size-biased walk in B(tip; ell), seen from its tip.  T**_n is its count at
+offset 0, so T**, W_n(ell) and the occupied sites of one replicate come from
+one draw.  Gamma_n and Delta_n are a field sweep along its spines
+(`gamma_split`), run only where they are read.  The n attached walks per
+replicate go to `forward.attached_walks`, in replicate chunks from
+`forward.walk_chunks`.  At the verify sizes (C09, C13) that is the
+ball-targeted reduced tree, which keeps only the particles that end in the
+ball: a few dozen particle-generations per replicate instead of about n^2/2,
+for one hitting sweep per chunk plus a checkpoint sweep that successive
+chunks share.  Small batches (the CLI's few replicates) stay on the
+staggered array, whose draws do not depend on ell.
 """
 
 from __future__ import annotations
@@ -95,75 +100,62 @@ def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
     return S, xi
 
 
-def _reversed_counts(n: int, ell: float, reps: int, rng: np.random.Generator, d: int):
-    """The reversed construction, one replicate chunk at a time: yields
-    (lo, hi, S, walk, rel) with spine positions S (hi-lo, n+1, d) and, for
-    every particle within distance ell of its walk's query site S_{i+1} + xi_i,
-    its walk's flat index r n + i (age i) and its offset from that site."""
-    ages = np.broadcast_to(np.arange(n), (reps, n))
-    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
-        S, xi = _spine_steps(n, d, hi - lo, rng)
-        yield lo, hi, S, *fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
-
-
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
-                        keep_increments: tuple[int, ...] = ()) -> dict:
-    """Batched draws of (T**_n, Gamma_n, Delta_n) under the size-biased law.
-
-    keep_increments: indices i for which the centered increments
-    X_{i-1} = U^{i-1}_{i-1}(S_i + xi_{i-1}) - P_i(S_i) are returned
-    (orthogonality diagnostics).
+                        ell: float = 0, keep_increments: tuple[int, ...] = ()) -> dict:
+    """Generation n of the size-biased walk in the ball B(tip; ell), from one
+    reversed batch (module doc).  Per replicate: T**_n ("Tstar", the particles
+    at offset 0) and its age-0 term B_0 ("B0"), W_n(ell) ("W") and the
+    occupied sites ("occupied"), the tip's included; the spine S_0..S_n
+    ("S", int16: attached_walks bounds |S| <= n <= 2**14); and under "kept",
+    for each index i in keep_increments, U^{i-1}_{i-1}(S_i + xi_{i-1}), the
+    count of the walk of age i-1 at offset 0.
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
+    if not ell >= 0:
+        raise ValueError("ell must be >= 0")
     keep = [j for j in keep_increments if 2 <= j <= n]
-    # every chunk's spine, kept for one field sweep after the loop
-    # (int16 holds it: attached_walks bounds |S| <= n <= 2**14)
     S_all = np.empty((reps, n + 1, d), dtype=np.int16)
+    tstar = np.ones(reps, dtype=np.int64)  # the spine tip
+    w = np.ones(reps, dtype=np.int64)
     b0 = np.empty(reps, dtype=bool)
-    u_sum = np.zeros(reps, dtype=np.int64)
-    u_kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
-    for lo, hi, S, walk, _ in _reversed_counts(n, 0, reps, rng, d):
-        u = np.bincount(walk, minlength=(hi - lo) * n).reshape(hi - lo, n)
-        S_all[lo:hi] = S
-        b0[lo:hi] = u[:, 0]
-        u_sum[lo:hi] = u[:, 1:].sum(axis=1)
-        for j in keep:
-            u_kept[j][lo:hi] = u[:, j - 1]
-    p_at_s, misses = _field_values_at(n, d, S_all)
-    gamma = p_at_s[:, 2:].sum(axis=1)
-    return {
-        "Tstar": 1 + b0.astype(np.int64) + u_sum,
-        "Gamma": gamma,
-        "Delta": u_sum - gamma,
-        "B0": b0,
-        "clamp_misses": misses,
-        "increments": {j: u_kept[j] - p_at_s[:, j] for j in keep},
-    }
-
-
-# ---------------------------------------------------------------------------
-# ball statistics around the typical site
-
-
-def spine_ball_batch(n: int, ell: float, reps: int, rng: np.random.Generator,
-                     d: int = 2) -> dict:
-    """Generation n of the size-biased walk in the ball B(tip; ell), from one
-    reversed batch: per replicate, the particles W_n(ell) and the occupied
-    sites, the tip's included (module doc)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    w = np.ones(reps, dtype=np.int64)  # the spine tip
     occupied = np.empty(reps, dtype=np.int64)
-    for lo, hi, _, walk, rel in _reversed_counts(n, ell, reps, rng, d):
+    kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
+    ages = np.broadcast_to(np.arange(n), (reps, n))
+    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
+        S, xi = _spine_steps(n, d, hi - lo, rng)
+        walk, rel = fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
+        S_all[lo:hi] = S
         rep = walk // n
         w[lo:hi] += np.bincount(rep, minlength=hi - lo)
+        u = np.bincount(walk[~rel.any(axis=1)], minlength=(hi - lo) * n).reshape(hi - lo, n)
+        tstar[lo:hi] += u.sum(axis=1)
+        b0[lo:hi] = u[:, 0]
+        for j in keep:
+            kept[j][lo:hi] = u[:, j - 1]
         # distinct (replicate, offset) pairs, each replicate's tip at offset 0
         tips = np.zeros((hi - lo, d + 1), dtype=np.int64)
         tips[:, 0] = np.arange(hi - lo)
         pairs = np.unique(np.concatenate((tips, np.column_stack((rep, rel)))), axis=0)
         occupied[lo:hi] = np.bincount(pairs[:, 0], minlength=hi - lo)
-    return {"W": w, "occupied": occupied}
+    return {"Tstar": tstar, "B0": b0, "W": w, "occupied": occupied, "S": S_all, "kept": kept}
+
+
+def gamma_split(batch: dict) -> dict:
+    """T**_n = 1 + B_0 + Gamma_n + Delta_n for a `spine_typical_batch`: Gamma_n
+    from one field sweep along its spines, with the clamp misses per
+    replicate, and the centered increments
+    X_{i-1} = U^{i-1}_{i-1}(S_i + xi_{i-1}) - P_i(S_i) of its kept indices i
+    (orthogonality diagnostics)."""
+    S = batch["S"]
+    p_at_s, misses = _field_values_at(S.shape[1] - 1, S.shape[2], S)
+    gamma = p_at_s[:, 2:].sum(axis=1)
+    return {
+        "Gamma": gamma,
+        "Delta": (batch["Tstar"] - 1 - batch["B0"]) - gamma,
+        "clamp_misses": misses,
+        "increments": {j: u - p_at_s[:, j] for j, u in batch["kept"].items()},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import Field, clamp_radius, sites_in_ball, sweep, transition_field
+from .lattice import (Field, clamp_radius, neighborhood, sites_in_ball, sweep,
+                      transition_field)
 from .offspring import binary
 from .rngstreams import substream
 from .stats import ReportRow
@@ -297,7 +298,12 @@ def c09_spine_mean(seed: int, bank: SimBank) -> list[ReportRow]:
 
 
 def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
-    """Conditional single-site law via the reweighted-walk representation."""
+    """Conditional single-site law, drawn from the reduced tree: the n = 1
+    Bernoulli, the pmf oracle at n = 2, 3, and at n = 6 the tree's first-child
+    paths.  Given the first step y, the first child's subtree is a conditioned
+    tree of horizon n - 1 from y and the second child, present with
+    probability p/(2-p) for p = (P u_{n-1})(x), an independent one from a
+    conditioned step, so E[U | X_1 = y] = P_{n-1}(x-y)/u_{n-1}(x-y) + P_n(x)/(2-p)."""
     rows = []
     rng = substream(seed, "conditioned-rep", rep=10)
     reps = 100_000
@@ -316,10 +322,21 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
         chi = st.chi_square(obs, cond)
         rows.append(_row("C10-conditioned", f"n{n}-chi-square-vs-oracle", chi["p_value"],
                          ">0.01", chi["p_value"] > 0.01, n=n))
-    targets = cr.reachable_targets(32, 2, 50, rng)
-    audit = cr.endpoint_audit(32, targets, 1000, rng)
-    rows.append(_row("C10-conditioned", "endpoint-violations", audit["violations"],
-                     "==0", audit["violations"] == 0, n=32))
+    n, x = 6, np.array([2, 0])
+    draws, paths = cr.ConditionedSampler(n, x).sample(reps, rng)
+    jumps = int((np.abs(np.diff(paths, axis=1)).sum(axis=2) > 1).sum())
+    rows.append(_row("C10-conditioned", "path-steps-beyond-neighbours", jumps, "==0",
+                     jumps == 0, n=n))
+    u, p_prev = xf.hitting_field(_B, n - 1, 2), transition_field(n - 1, 2)
+    second = transition_field(n, 2).value_at(x) / (2.0 - float(u.neighbor_row(x)[1]))
+    worst = 0.0
+    for y in neighborhood(2):
+        mine = draws[(paths[:, 1] == y).all(axis=1)]
+        z = (mine.mean() - p_prev.value_at(x - y) / u.value_at(x - y) - second) \
+            / (mine.std(ddof=1) / math.sqrt(len(mine)))
+        worst = max(worst, abs(z))
+    rows.append(_row("C10-conditioned", "first-step-coupling-max-z", worst, "|z|<4",
+                     worst < 4, n=n))
     return rows
 
 
@@ -376,7 +393,7 @@ def c13_clustering(seed: int, bank: SimBank) -> list[ReportRow]:
     frac, out = {}, {}
     for n, reps in ((128, 400), (1024, 250)):
         ell = math.ceil(math.log(n))
-        out[n] = sp.spine_ball_batch(n, ell, reps, rng)
+        out[n] = sp.spine_typical_batch(n, reps, rng, ell=ell)
         frac[n] = 1.0 - float(out[n]["occupied"].mean()) / len(sites_in_ball(2, ell))
     rows.append(_row("C13-clustering", "vacancy-fraction-decreasing", frac[1024] - frac[128],
                      "<0", frac[1024] < frac[128], n=1024, soft=True))

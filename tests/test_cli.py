@@ -101,7 +101,7 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     (["simulate", "--n", "-1", "--seed", "1"], "--n"),
     (["simulate", "--reps", "-3", "--seed", "1"], "--reps"),
     (["spine", "--n", "8", "--reps", "0", "--seed", "1"], "--reps"),
-    (["spine", "--n", "8", "--ell", "0.5", "--seed", "1"], "--ell"),
+    (["spine", "--n", "8", "--ell", "-0.5", "--seed", "1"], "--ell"),
     (["exact", "mgf-field", "--n", "3", "--theta", "-0.5"], "--theta"),
     *[(["exact", "survival", "--n", "10", "--offspring", spec], "--offspring")
       for spec in ("table:0=nan,2=0.5", "geometric:inf", "geometric:nan", "zeta:inf")],
@@ -213,6 +213,17 @@ def test_spine_jsonl_schema(tmp_path):
         assert set(r) == {"rep", "n", "seed", "Tstar", "Gamma", "Delta",
                           "clamp_miss_count", "W", "ell"}
         assert r["Tstar"] >= 1 and r["W"] >= 2
+
+
+def test_spine_rows_describe_one_replicate(tmp_path):
+    # Tstar counts the particles at the tip's site, W those within ell of it:
+    # read off one construction, W >= Tstar on every row
+    out = tmp_path / "spine.jsonl"
+    run_cli(["spine", "--n", "16", "--reps", "2000", "--ell", "1", "--seed", "7",
+             "--out", str(out)])
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 2000
+    assert all(r["W"] >= r["Tstar"] for r in rows)
 
 
 def test_conditioned_cli_and_chi_square_report(tmp_path):

@@ -127,12 +127,14 @@ def test_underflowing_target_is_named_not_called_unreachable():
     assert (paths[:, -1] == (480, 0)).all()
 
 
-def test_endpoint_audit_zero_violations():
+def test_paths_reach_random_targets_by_neighbour_steps():
+    # 12 targets with u_12(x) > 0 (|x|_1 <= 12), 150 first-child paths each
     rng = substream(42, "conditioned-rep")
-    targets = cr.reachable_targets(12, 2, 12, rng)
-    audit = cr.endpoint_audit(12, targets, 150, rng)
-    assert audit["violations"] == 0
-    assert audit["paths"] == 12 * 150
+    sites = rng.integers(-12, 13, size=(200, 2))
+    for x in sites[np.abs(sites).sum(axis=1) <= 12][:12]:
+        paths = cr.ConditionedSampler(12, x).sample(150, rng)[1]
+        assert (paths[:, 0] == 0).all() and (paths[:, -1] == x).all()
+        assert (np.abs(np.diff(paths, axis=1)).sum(axis=2) <= 1).all()
 
 
 def test_conditional_mean_identity():

@@ -267,6 +267,7 @@ def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     cold_small = draw(1, 66)
     assert cold_small[0].size and len(lat._marks) == 1
     assert same(cold, draw(1.5, 65))           # after another ball
+    assert len(lat._marks) == 1                # only the stream used last
     assert same(cold_small, draw(1, 66))
     # the conditioned sampler grows its tree on its own stream: one entry
     lat._marks.clear()

@@ -133,15 +133,19 @@ def test_reversed_sweep_is_the_reversed_forward_sweep(n, update, clamp, pad, sta
     assert len(lat._marks) == 1 and len(lat._marks[stream.key]) == n // math.isqrt(n) + 1
 
 
-def test_reversed_sweep_cache_keeps_the_two_streams_used_last():
+def test_reversed_sweep_cache_keeps_the_stream_used_last():
     lat._marks.clear()
     ball = lat.Field(np.array([1.0, 1.0, 0.0]), 2, step=0)  # radius 1: F_12 has radius 13
     a, b, c = (lat.ReversedSweep(12, 2, _kpp, clamp, start=ball) for clamp in (None, 13, 12))
     assert a.key == b.key != c.key  # a clamp at the natural radius cuts nothing
-    list(a), list(c), list(b)
-    assert list(lat._marks) == [c.key, a.key]
+    list(a)
+    assert list(lat._marks) == [a.key]
+    list(b)  # the same stream: its checkpoints are reused
+    assert list(lat._marks) == [a.key]
+    list(c)
+    assert list(lat._marks) == [c.key]
     list(lat.ReversedSweep(12, 2, _kpp))
-    assert list(lat._marks) == [a.key, lat.ReversedSweep(12, 2, _kpp).key]
+    assert list(lat._marks) == [lat.ReversedSweep(12, 2, _kpp).key]
 
 
 def _orbit_label(site):

@@ -46,9 +46,10 @@ def test_spine_increments_uniform():
 def test_typical_count_always_at_least_one():
     rng = substream(21, "spine")
     out = sp.spine_typical_batch(16, 3000, rng)
+    split = sp.gamma_split(out)
     assert out["Tstar"].min() >= 1
-    assert np.all(out["Gamma"] >= 0)
-    assert out["clamp_misses"].sum() == 0
+    assert np.all(split["Gamma"] >= 0)
+    assert split["clamp_misses"].sum() == 0
 
 
 def test_typical_mean_identity_fast():
@@ -60,10 +61,11 @@ def test_typical_mean_identity_fast():
     se = t.std(ddof=1) / math.sqrt(reps)
     assert abs(t.mean() - exact) <= 3 * se
     # Gamma and Delta components
-    g = out["Gamma"]
+    split = sp.gamma_split(out)
+    g = split["Gamma"]
     se_g = g.std(ddof=1) / math.sqrt(reps)
     assert abs(g.mean() - sp.exact_mean_gamma(n)) <= 3 * se_g
-    dlt = out["Delta"]
+    dlt = split["Delta"]
     se_d = dlt.std(ddof=1) / math.sqrt(reps)
     assert abs(dlt.mean()) <= 3 * se_d
 
@@ -73,8 +75,9 @@ def test_typical_batch_single_draw():
     with pytest.raises(ValueError):
         sp.spine_typical_batch(1, 10, rng)
     out = sp.spine_typical_batch(8, 1, rng, 2)
+    split = sp.gamma_split(out)
     tstar, b0 = int(out["Tstar"][0]), bool(out["B0"][0])
-    gamma, delta = float(out["Gamma"][0]), float(out["Delta"][0])
+    gamma, delta = float(split["Gamma"][0]), float(split["Delta"][0])
     assert tstar >= 1 and gamma >= 0.0
     assert tstar - 1 - int(b0) == pytest.approx(gamma + delta)
 
@@ -84,10 +87,39 @@ def test_attached_walks_have_their_ages():
     # walk j ran exactly j-1 generations; one generation more or less shifts it
     rng = substream(37, "spine")
     n, reps = 16, 20_000
-    out = sp.spine_typical_batch(n, reps, rng, keep_increments=(2, 3, n))
+    out = sp.gamma_split(sp.spine_typical_batch(n, reps, rng, keep_increments=(2, 3, n)))
     for j in (2, 3, n):
         x = out["increments"][j]
         assert abs(x.mean()) <= 4 * x.std(ddof=1) / math.sqrt(reps), j
+
+
+def test_construction_runs_without_the_gamma_sweep(monkeypatch):
+    # T**, W and the vacancy need no field sweep; only gamma_split runs one
+    def never(*args):
+        raise AssertionError("the Gamma sweep ran")
+
+    monkeypatch.setattr(sp, "_field_values_at", never)
+    out = sp.spine_typical_batch(16, 50, substream(41, "spine"), ell=2, keep_increments=(2,))
+    assert set(out) == {"Tstar", "B0", "W", "occupied", "S", "kept"}
+    assert out["S"].shape == (50, 17, 2) and set(out["kept"]) == {2}
+    with pytest.raises(AssertionError, match="Gamma sweep"):
+        sp.gamma_split(out)
+
+
+@pytest.mark.parametrize("route", ["staggered", "tree"])
+def test_tstar_read_off_a_ball_batch(route):
+    # T** is the count at offset 0 of the batch at any radius: its mean stays
+    # 1 + 1/5 + E Gamma_n, and no replicate has fewer particles in the ball
+    n, ell = (16, 3) if route == "staggered" else (64, 3)
+    batches, reps = (200, 10) if route == "staggered" else (1, 3000)
+    ages = np.broadcast_to(np.arange(n), (reps, n))
+    assert fw._takes_tree(ages, ell, B, 2) == (route == "tree")
+    rng = substream(42, "spine")
+    outs = [sp.spine_typical_batch(n, reps, rng, ell=ell) for _ in range(batches)]
+    t = np.concatenate([o["Tstar"] for o in outs]).astype(np.float64)
+    assert all(np.all(o["W"] >= o["Tstar"]) for o in outs)
+    exact = 1.0 + 1.0 / 5.0 + sp.exact_mean_gamma(n)
+    assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(len(t))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -122,8 +154,8 @@ def test_centered_increments_uncorrelated():
     n, reps = 96, 5000
     pairs = [(8, 40), (12, 80), (30, 60), (16, 17), (50, 90)]
     keep = sorted({i for p in pairs for i in p})
-    out = sp.spine_typical_batch(n, reps, rng, keep_increments=tuple(keep))
-    inc = out["increments"]
+    inc = sp.gamma_split(sp.spine_typical_batch(n, reps, rng,
+                                                keep_increments=tuple(keep)))["increments"]
     bound = 4.0 / math.sqrt(reps)
     for i, j in pairs:
         xi, xj = inc[i], inc[j]
@@ -194,7 +226,7 @@ def test_gamma_variance_matches_exact_evaluation():
     "around the limit underestimates the finite-size level)"))
 def test_delta_variance_band_at_1024_as_stated():
     rng = substream(27, "spine")
-    out = sp.spine_typical_batch(1024, 1500, rng)
+    out = sp.gamma_split(sp.spine_typical_batch(1024, 1500, rng))
     v = out["Delta"].var(ddof=1) / math.log(1024) ** 2
     target = sp.RETURN_COEF_2D**2 / 8
     assert 0.5 * target <= v <= 2.0 * target
@@ -227,7 +259,7 @@ def test_delta_variance_matches_exact_evaluation():
             t += dot(fields[j] ** 2, fields[2 * i - j])
         exact += t
     rng = substream(28, "spine")
-    out = sp.spine_typical_batch(n, 50_000, rng)
+    out = sp.gamma_split(sp.spine_typical_batch(n, 50_000, rng))
     mc = out["Delta"].var(ddof=1)
     # heavy-tailed variance estimator: allow 5 rough standard errors
     tol = 5 * mc * math.sqrt(2.0 / 50_000) + 0.02 * exact
@@ -238,7 +270,7 @@ def test_delta_variance_decreasing_toward_limit():
     rng = substream(29, "spine")
     v = {}
     for n, reps in ((64, 8000), (1024, 1200)):
-        out = sp.spine_typical_batch(n, reps, rng)
+        out = sp.gamma_split(sp.spine_typical_batch(n, reps, rng))
         v[n] = out["Delta"].var(ddof=1) / math.log(n) ** 2
     assert v[1024] < v[64]
     assert v[1024] > sp.RETURN_COEF_2D**2 / 8  # approaches the limit from above
@@ -246,16 +278,16 @@ def test_delta_variance_decreasing_toward_limit():
 
 def test_ball_count_floor_and_saturation():
     rng = substream(30, "spine-ball")
-    w = sp.spine_ball_batch(12, 3, 400, rng)["W"]
+    w = sp.spine_typical_batch(12, 400, rng, ell=3)["W"]
     assert w.min() >= 2
     # ell covering everything recovers the size-biased population:
     # E W = E_P Z_n^2 = 1 + n * sigma^2
     n = 6
-    w_all = sp.spine_ball_batch(n, 2 * n + 1, 30_000, rng)["W"]
+    w_all = sp.spine_typical_batch(n, 30_000, rng, ell=2 * n + 1)["W"]
     se = w_all.std(ddof=1) / math.sqrt(len(w_all))
     assert abs(w_all.mean() - (1 + n)) <= 3 * se
     with pytest.raises(ValueError):
-        sp.spine_ball_batch(8, 0.5, 10, rng)
+        sp.spine_typical_batch(8, 10, rng, ell=-0.5)
 
 
 def test_ball_count_mean_band_and_exact_window_sums():
@@ -267,7 +299,7 @@ def test_ball_count_mean_band_and_exact_window_sums():
     band = (sp.RETURN_COEF_2D / 4, sp.RETURN_COEF_2D)
     assert band[0] <= exact / norm <= band[1]
     rng = substream(31, "spine-ball")
-    w = sp.spine_ball_batch(n, ell, 400, rng)["W"]
+    w = sp.spine_typical_batch(n, 400, rng, ell=ell)["W"]
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - exact) <= 3 * se
 
@@ -286,7 +318,7 @@ def test_reversed_ball_count_small_radius(ell):
     # below ell = 2 the tip's sibling can fall outside the ball
     rng = substream(38, "spine-ball")
     n, reps = 16, 40_000
-    w = sp.spine_ball_batch(n, ell, reps, rng)["W"]
+    w = sp.spine_typical_batch(n, reps, rng, ell=ell)["W"]
     se = w.std(ddof=1) / math.sqrt(reps)
     assert abs(w.mean() - _exact_ball_mean(n, ell)) <= 4 * se
 
@@ -306,7 +338,8 @@ def test_vacancy_identity_against_free_runs(n, ell, seed):
     # E_H[occupied sites of B(tip; ell)] = E_P[sum over particles of the occupied
     # sites of B(particle; ell)], since E_P Z_n = 1
     reps = 200_000
-    occ = sp.spine_ball_batch(n, ell, reps, substream(seed, "spine-ball", rep=39))["occupied"]
+    occ = sp.spine_typical_batch(n, reps, substream(seed, "spine-ball", rep=39),
+                                 ell=ell)["occupied"]
     free = _free_run_ball_occupancy(n, ell, reps, substream(seed, "simulate", rep=39))
     se = math.sqrt(occ.var(ddof=1) / reps + free.var(ddof=1) / reps)
     assert abs(occ.mean() - free.mean()) <= 4 * se
@@ -315,7 +348,7 @@ def test_vacancy_identity_against_free_runs(n, ell, seed):
 def test_ball_occupancy_bounds():
     rng = substream(32, "spine-ball")
     n, ell = 64, 4
-    out = sp.spine_ball_batch(n, ell, 3000, rng)
+    out = sp.spine_typical_batch(n, 3000, rng, ell=ell)
     # the tip occupies its site; distinct sites fit the ball and the particles
     assert out["occupied"].min() >= 1
     assert np.all(out["occupied"] <= len(sites_in_ball(2, ell)))
@@ -327,7 +360,7 @@ def test_ball_batch_memory_does_not_scale_with_the_ball():
     rng = substream(35, "spine-ball")
     tracemalloc.start()
     try:
-        out = sp.spine_ball_batch(8, 100_000, 1, rng)
+        out = sp.spine_typical_batch(8, 1, rng, ell=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
