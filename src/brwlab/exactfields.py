@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import Field, clamp_radius, last, stencil_step, sweep, transition_field
+from .lattice import Field, ahead, clamp_radius, last, stencil_step, sweep, transition_field
 from .offspring import OffspringDist
 
 
@@ -189,17 +189,19 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
     """(f_n, sums) where f_n(x) = E U_n(x)^2 and sums[k] = sum_x f_k(x).
 
     Linear recursion f_k = P f_{k-1} + sigma^2 * P_k^2 from first-generation
-    conditioning; P_k is advanced alongside on the same box, and its killed
-    mass is the `tail_bound` of f_n.
+    conditioning; P_k is advanced alongside on the same box, one field ahead
+    (`lattice.ahead`), and its killed mass is the `tail_bound` of f_n.
     """
-    ps = sweep(n, d, clamp=clamp)
+    ps = ahead(sweep(n, d, clamp=clamp))  # P_{k+1} is stepped while f_k is
     p = next(ps)
     f = p.values  # f_0 = delta
     sums = np.empty(n + 1)
     sums[0] = 1.0
     for p in ps:
         f, _ = stencil_step(f, d, clamp=clamp)
-        f += dist.sigma2 * np.square(p.values)
+        sq = np.square(p.values)
+        sq *= dist.sigma2
+        f += sq
         sums[p.step] = Field(f, d).total()
     return Field(f, d, p.tail_bound, step=n), sums
 

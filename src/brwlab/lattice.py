@@ -19,24 +19,33 @@ the array.  The layout is private to this module: sites are read through
 their sites with `Field.tabulate`, and `stencil_step` advances a field's
 values with one gather over a table of the indices of the sorted |x +- e_a|.
 The table is built lazily in closed form, grown with the box, and kept for
-the dimension used last.
+the dimension used last.  The step runs over blocks of _BLOCK output cells
+with d + 1 rows reused by every block, and allocates only its padded input
+and its output.
 
 Every exact recursion is P followed by a pointwise map, F_{k+1} =
 update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
 order, from the delta or from any field it yielded (a checkpoint); a
-`ReversedSweep` yields them in reverse from about sqrt(n) checkpoints.  A field
+`ReversedSweep` yields them in reverse from about sqrt(n) checkpoints, and
+`ahead` computes a large sweep one field ahead on a worker thread.  A field
 carries a certified `tail_bound` on the mass outside its box: clamped sweeps
 kill mass at the boundary, so stored values are exact lower bounds, and the
 sweep adds up the killed mass exactly.
 
 All field arithmetic is double precision and every kernel is a fixed-order
-numpy reduction, so results are bit-identical across runs and thread counts.
+numpy reduction, so results are bit-identical across runs, block sizes,
+read-ahead or not, and thread counts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import os
+import queue
+import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
@@ -151,16 +160,20 @@ class _Layout:
 
 
 _layouts: list[_Layout] = []  # one entry: the layout of the dimension used last
+_layout_lock = threading.Lock()  # `cover` grows the shared table in place
 
 
 def _layout(d: int, radius: int) -> _Layout:
     """The layout of dimension d, covering at least `radius`.  Only the last
     dimension's layout is kept, so a d = 3 table does not outlive its use
-    when the work moves on to d = 2, and vice versa."""
-    if not _layouts or _layouts[0].dim != d:
-        _layouts[:] = [_Layout(d)]
-    lay = _layouts[0]
-    return lay if lay.radius >= radius else lay.cover(radius)
+    when the work moves on to d = 2, and vice versa.  A read-ahead thread
+    (`ahead`) calls this alongside the caller's thread; the prefix a caller
+    reads is never rewritten, since growing copies it before swapping."""
+    with _layout_lock:
+        if not _layouts or _layouts[0].dim != d:
+            _layouts[:] = [_Layout(d)]
+        lay = _layouts[0]
+        return lay if lay.radius >= radius else lay.cover(radius)
 
 
 @dataclass
@@ -248,6 +261,13 @@ class Field:
         return self.values_at(np.moveaxis(grid, 0, -1))
 
 
+# output cells per block of `stencil_step`.  Alone, 2^14 to 2^16 step about
+# equally fast; with a read-ahead thread stepping beside it, 2^14 costs 40%
+# more CPU per d = 3 step than 2^16, which also issues the fewest numpy calls
+# (each takes and gives back the GIL)
+_BLOCK = 1 << 16
+
+
 def _weighted_sum(vals: np.ndarray, weights: np.ndarray) -> float:
     """sum_i vals[i] * weights[i], pairwise (the same order on every thread count)."""
     return float((vals * weights[:len(vals)]).sum())
@@ -278,18 +298,31 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
     # input box they read pad
     src = np.full(_cell_count(d, size + 1), pad)
     src[:len(vals)] = vals
-    nb = lay.neighbors[:, :m]
-    pairs = [src.take(nb[2 * a]) + src.take(nb[2 * a + 1]) for a in range(d)]
-    if d == 1:
-        acc = pairs[0]
-    elif d == 2:
-        acc = pairs[0] + pairs[1]
-    else:  # (smallest + middle) + largest pair-sum, by a min/max network
-        a, b, c = pairs
-        small, big = np.minimum(a, b), np.maximum(a, b)
-        acc = (small + np.minimum(big, c)) + np.maximum(big, c)
-    acc += src[:m]
-    acc /= 2 * d + 1
+    nb = lay.neighbors  # grown copies keep this prefix, so the array may be read unlocked
+    acc = np.empty(m)
+    # d pair rows and one gather row, reused by every block of output cells
+    rows = np.empty((d + 1, min(_BLOCK, m)))
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        pairs, g, out = rows[:d, :hi - lo], rows[d, :hi - lo], acc[lo:hi]
+        for a in range(d):  # the table's indices are in range: clip never clips
+            src.take(nb[2 * a, lo:hi], out=pairs[a], mode="clip")
+            src.take(nb[2 * a + 1, lo:hi], out=g, mode="clip")
+            pairs[a] += g
+        if d == 3:  # (smallest + middle) + largest pair-sum, by a min/max network
+            a, b, c = pairs
+            np.minimum(a, b, out=g)  # the smaller of a, b
+            np.maximum(a, b, out=a)  # the larger
+            np.minimum(a, c, out=b)
+            np.maximum(a, c, out=c)
+            np.add(g, b, out=out)
+            out += c
+        elif d == 2:
+            np.add(pairs[0], pairs[1], out=out)
+        else:
+            np.copyto(out, pairs[0])
+        out += src[lo:hi]
+        out /= 2 * d + 1
     lost = 0.0
     if clamp is not None and size > clamp:
         keep = _cell_count(d, clamp)
@@ -355,6 +388,77 @@ class ReversedSweep:
                 f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
         for mark in reversed(marks):
             yield from reversed(list(sweep(min(mark.step + every - 1, n), *self.args, mark)))
+
+
+AHEAD_MIN_CELLS = 1 << 14  # smaller fields step faster than a hand-off to a thread
+# Reading ahead pays only while the two threads run at once.  Every
+# AHEAD_WINDOW fields it compares the process's CPU time with the wall time;
+# below AHEAD_MIN_OVERLAP CPU seconds per second (another process holds the
+# second CPU, or the host takes it) the rest of the sweep runs the plain loop.
+AHEAD_WINDOW = 32
+AHEAD_MIN_OVERLAP = 1.3
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (all of them where there is no affinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ahead(fields: Iterator[Field]) -> Iterator[Field]:
+    """The fields of a sweep, computed one field ahead on a worker thread.
+
+    From the first field of at least AHEAD_MIN_CELLS values on, and only if
+    this process may run on two or more CPUs, the sweep runs on one daemon
+    thread: while the caller works on F_k, it computes F_{k+1}, and no
+    further.  numpy releases the GIL in the stencil's gathers and ufunc
+    loops, so the two overlap; where they stop overlapping (AHEAD_MIN_OVERLAP)
+    the thread is stopped and the caller's thread runs the rest.  The fields
+    are the sweep's own, bit for bit; an exception of the sweep is raised
+    where the caller asks for the field it stopped, and closing the iterator
+    (or dropping it) stops and joins the thread.  Smaller fields, and one-CPU
+    processes, run the plain loop.
+    """
+    fields = iter(fields)
+    for f in fields:
+        if len(f.values) >= AHEAD_MIN_CELLS and _cpus() >= 2:
+            break
+        yield f
+    else:
+        return
+    asks, answers = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def work():  # one field per True ask; a False ask (close) or the sweep's end stops it
+        while asks.get():
+            try:
+                answers.put((next(fields), None))
+            except BaseException as exc:  # to the caller: StopIteration ends, others re-raise
+                answers.put((None, exc))
+                return
+
+    worker = threading.Thread(target=work, name="brwlab-ahead", daemon=True)
+    worker.start()
+    try:
+        cpu, wall = time.process_time(), time.perf_counter()
+        for k in itertools.count(1):
+            asks.put(True)
+            yield f
+            f, exc = answers.get()
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            if k % AHEAD_WINDOW == 0:
+                now_cpu, now_wall = time.process_time(), time.perf_counter()
+                if now_cpu - cpu < AHEAD_MIN_OVERLAP * (now_wall - wall):
+                    break
+                cpu, wall = now_cpu, now_wall
+    finally:
+        asks.put(False)
+        worker.join()
+    yield f
+    yield from fields
 
 
 def last(fields: Iterator[Field]) -> Field:

@@ -20,6 +20,7 @@ import itertools
 import math
 import time
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import (Field, clamp_radius, neighborhood, sites_in_ball, sweep,
+from .lattice import (Field, ahead, clamp_radius, neighborhood, sites_in_ball, sweep,
                       transition_field)
 from .offspring import binary
 from .rngstreams import substream
@@ -75,6 +76,16 @@ def _row(theorem, statistic, value, band, passed, n=0, d=2, offspring="binary", 
                      expect_fail)
 
 
+def _sorted_tuple_slices(k: int, d: int) -> Iterator[np.ndarray]:
+    """The tuples of `itertools.combinations_with_replacement(range(k), d)`
+    (d >= 2), in its lexicographic order, as one int array (m, d) per first
+    entry i: i followed by the suffix of the sorted (d-1)-tuples from i on."""
+    rest = (np.arange(k)[:, None] if d == 2
+            else np.concatenate(list(_sorted_tuple_slices(k, d - 1))))
+    for i, s in enumerate(np.searchsorted(rest[:, 0], np.arange(k))):
+        yield np.column_stack((np.full(len(rest) - s, i), rest[s:]))
+
+
 def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     """P_{2j}(0) for j = 0..max_j via the spectral average on a torus.
 
@@ -89,28 +100,30 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     w = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
     c = np.cos(2.0 * np.pi * k / L)
     # the summand is symmetric in the d frequencies: sum each sorted tuple once,
-    # weighted by its number of distinct orderings d! / prod(multiplicity!)
-    # (int16 holds the frequencies; the per-column products and sums below
-    # keep the transient memory at one column)
-    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
-        range(L // 2 + 1), d)), dtype=np.int16).reshape(-1, d)
-    ties = np.ones(len(idx))
-    for i in range(1, d):
-        ties *= (idx[:, :i + 1] == idx[:, i:i + 1]).sum(axis=1)
-    wt = math.factorial(d) / ties * math.prod(w[col] for col in idx.T) / L**d
-    phi = (1.0 + 2.0 * sum(c[col] for col in idx.T)) / (2 * d + 1)
-    del idx, ties  # before the power loop's temporaries
-    phi2 = phi * phi
+    # weighted by its number of distinct orderings d! / prod(multiplicity!),
+    # one first frequency at a time
+    m = math.comb(len(k) + d - 1, d)
+    phi2, wt = np.empty(m), np.empty(m)
+    at = 0
+    for idx in _sorted_tuple_slices(len(k), d):
+        ties = np.ones(len(idx))
+        for j in range(1, d):
+            ties *= (idx[:, :j + 1] == idx[:, j:j + 1]).sum(axis=1)
+        phi = (1.0 + 2.0 * sum(c[col] for col in idx.T)) / (2 * d + 1)
+        phi2[at:at + len(idx)] = phi * phi
+        wt[at:at + len(idx)] = math.factorial(d) / ties * math.prod(w[col] for col in idx.T) / L**d
+        at += len(idx)
     order = np.argsort(-phi2)
     phi2, wt = phi2[order], wt[order]
+    del order  # before the power loop's buffers
     out = np.empty(max_j + 1)
     out[0] = 1.0
-    pw = np.ones_like(phi2)
+    pw, term = np.ones_like(phi2), np.empty_like(phi2)
     live = len(pw)
     for j in range(1, max_j + 1):
         pw[:live] *= phi2[:live]
         live = int(np.searchsorted(-pw[:live], -1e-20))
-        out[j] = float((pw[:live] * wt[:live]).sum())
+        out[j] = float(np.multiply(pw[:live], wt[:live], out=term[:live]).sum())
     return out
 
 
@@ -354,7 +367,7 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     worst = -math.inf
     rate = {}
     # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
-    for u in itertools.islice(xf.hitting_sweep(_B, 512, 2), 1, None):
+    for u in itertools.islice(ahead(xf.hitting_sweep(_B, 512, 2)), 1, None):
         k = u.step
         v = xf.supersolution_field(params, n1 + k, radius=u.radius)
         worst = max(worst, float((u.values - v.values).max()))
@@ -409,7 +422,7 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     """Orthant monotonicity of P_n and u_n; overlap expectation bound."""
     rows = []
     for d in (2, 3):
-        worst = max(_orthant_violation(p) for p in sweep(64, d))
+        worst = max(_orthant_violation(p) for p in ahead(sweep(64, d)))
         rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
                          worst <= 1e-12, n=64, d=d))
     worst = max(_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2))

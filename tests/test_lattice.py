@@ -3,6 +3,8 @@ import dataclasses
 import io
 import itertools
 import math
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -111,9 +113,140 @@ def test_sweep_restarts_from_any_stored_field(d, update, clamp):
         assert _same_fields(list(lat.sweep(n, d, update, clamp, start=bank[k])), bank[k:])
 
 
+@pytest.mark.parametrize("d,steps", [(1, 12), (2, 10), (3, 6)])
+@pytest.mark.parametrize("pad", [0.0, 1.0])
+@pytest.mark.parametrize("clamp", [None, 3])
+def test_blocked_stencil_matches_full_box_reference(monkeypatch, d, steps, pad, clamp):
+    # blocks of 7 cells: every later step spans several blocks and ends on a short one
+    monkeypatch.setattr(lat, "_BLOCK", 7)
+    test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp)
+
+
+@pytest.mark.parametrize("d,update,clamp", [(2, _kpp, 4), (2, None, 5), (3, None, 3),
+                                            (1, _kpp, 10)])
+def test_blocked_sweep_restarts_from_any_stored_field(monkeypatch, d, update, clamp):
+    monkeypatch.setattr(lat, "_BLOCK", 7)
+    test_sweep_restarts_from_any_stored_field(d, update, clamp)
+
+
+def test_threads_growing_one_layout_together_get_the_serial_layout():
+    # a read-ahead worker and its caller grow the shared neighbor table
+    # together; here six threads start growing it at once, to six radii, with
+    # a short switch interval so that their growth steps interleave
+    radii = (5, 12, 20, 28, 36, 44)
+    m = lat._cell_count(3, max(radii))
+    ref = lat._Layout(3).cover(max(radii))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            lat._layouts.clear()
+            start, failed = threading.Barrier(len(radii)), []
+
+            def grow(r):
+                start.wait()
+                try:
+                    lat._layout(3, r)
+                except Exception as exc:  # reported by the assertion below
+                    failed.append(exc)
+            threads = [threading.Thread(target=grow, args=(r,)) for r in radii]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            lay = lat._layout(3, max(radii))
+            assert not failed
+            for name in ("sites", "weights", "neighbors"):
+                assert np.array_equal(getattr(lay, name)[..., :m], getattr(ref, name)[..., :m])
+    finally:
+        sys.setswitchinterval(interval)
+        lat._layouts.clear()
+
+
+def _read_ahead_on(monkeypatch, cpus=2):
+    """Hand every sweep wrapped in `ahead` to its worker from the first field
+    on, and keep it there, as if the process had `cpus` CPUs."""
+    monkeypatch.setattr(lat, "AHEAD_MIN_CELLS", 0)
+    monkeypatch.setattr(lat, "AHEAD_MIN_OVERLAP", 0.0)
+    monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _ahead_threads():
+    return [t for t in threading.enumerate() if t.name == "brwlab-ahead"]
+
+
 def _binary_pgf(ph, _):
     """hitting_sweep's pad-1 update for binary fission: h' = (1 + (Ph)^2) / 2."""
     return 0.5 * (1.0 + np.square(ph))
+
+
+@pytest.mark.parametrize("n,d,update,clamp,pad,start", [
+    (12, 2, _kpp, 4, 0.0, None),
+    (12, 2, _binary_pgf, None, 1.0, lat.Field(np.zeros(1), 2, step=0)),
+    (9, 3, None, None, 0.0, None),
+])
+def test_read_ahead_yields_the_sweep_bit_for_bit(monkeypatch, n, d, update, clamp, pad, start):
+    ref = list(lat.sweep(n, d, update, clamp, pad, start))
+    _read_ahead_on(monkeypatch)
+    got, workers = [], []
+    for f in lat.ahead(lat.sweep(n, d, update, clamp, pad, start)):
+        got.append(f)
+        workers.append(len(_ahead_threads()))
+    assert _same_fields(got, ref)
+    assert workers[0] == 1  # the worker ran from the first field on
+    assert not _ahead_threads()
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+def test_read_ahead_without_overlap_finishes_on_the_plain_loop(monkeypatch, window):
+    # no overlap is enough: the worker stops after `window` fields, and the
+    # caller's thread yields the rest of the same sweep
+    ref = list(lat.sweep(12, 2, _kpp, 4))
+    _read_ahead_on(monkeypatch)
+    monkeypatch.setattr(lat, "AHEAD_WINDOW", window)
+    monkeypatch.setattr(lat, "AHEAD_MIN_OVERLAP", math.inf)
+    got, workers = [], []
+    for f in lat.ahead(lat.sweep(12, 2, _kpp, 4)):
+        got.append(f)
+        workers.append(len(_ahead_threads()))
+    assert _same_fields(got, ref)
+    assert workers == [1] * window + [0] * (len(ref) - window)
+
+
+def test_dropping_a_read_ahead_stops_its_worker(monkeypatch):
+    _read_ahead_on(monkeypatch)
+    baseline = threading.active_count()
+    it = lat.ahead(lat.sweep(40, 2))
+    assert next(it).step == 0 and threading.active_count() == baseline + 1
+    del it
+    assert threading.active_count() == baseline
+    assert [f.step for f in itertools.islice(lat.ahead(lat.sweep(40, 3)), 5)] == list(range(5))
+    assert threading.active_count() == baseline
+
+
+def test_read_ahead_raises_a_sweep_error_where_the_plain_sweep_does(monkeypatch):
+    from brwlab import exactfields as xf
+    from brwlab.offspring import binary
+
+    _read_ahead_on(monkeypatch)
+    seen = []
+    with pytest.raises(xf.MgfBlowupError) as err:
+        for g in lat.ahead(xf.mgf_sweep(binary(), 20, 50.0, 2)):
+            seen.append(g.step)
+    assert seen == [0, 1, 2, 3] and err.value.step == 4
+    del err  # its traceback holds the sweep's frames
+    # a consumer that stops before the blowup sees none
+    assert [g.step for g in itertools.islice(
+        lat.ahead(xf.mgf_sweep(binary(), 20, 50.0, 2)), 3)] == [0, 1, 2]
+    assert not _ahead_threads()
+
+
+def test_read_ahead_starts_no_thread_on_one_cpu(monkeypatch):
+    _read_ahead_on(monkeypatch, cpus=1)
+    baseline = threading.active_count()
+    counts = [threading.active_count() for _ in lat.ahead(lat.sweep(12, 2))]
+    assert counts == [baseline] * 13
 
 
 @pytest.mark.parametrize("n", [9, 12, 13])
@@ -381,6 +514,44 @@ def full_torus_return_probs(max_j, d):
     phi2 = ((1.0 + 2.0 * sum(np.ix_(*[c] * d))) / (2 * d + 1)) ** 2
     wt = math.prod(np.ix_(*[w] * d)) / L**d
     return np.array([float((phi2**j * wt).sum()) for j in range(max_j + 1)])
+
+
+def _old_spectral_return_probs(max_j, d):
+    """`verify._spectral_return_probs` as it was before its frequency tuples
+    were built one first frequency at a time: every tuple from
+    `itertools.combinations_with_replacement` in one array."""
+    L = 512 if d == 2 else 256
+    k = np.arange(L // 2 + 1)
+    w = np.where((k == 0) | (2 * k == L), 1.0, 2.0)
+    c = np.cos(2.0 * np.pi * k / L)
+    idx = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
+        range(L // 2 + 1), d)), dtype=np.int16).reshape(-1, d)
+    ties = np.ones(len(idx))
+    for i in range(1, d):
+        ties *= (idx[:, :i + 1] == idx[:, i:i + 1]).sum(axis=1)
+    wt = math.factorial(d) / ties * math.prod(w[col] for col in idx.T) / L**d
+    phi = (1.0 + 2.0 * sum(c[col] for col in idx.T)) / (2 * d + 1)
+    phi2 = phi * phi
+    order = np.argsort(-phi2)
+    phi2, wt = phi2[order], wt[order]
+    out = np.empty(max_j + 1)
+    out[0] = 1.0
+    pw = np.ones_like(phi2)
+    live = len(pw)
+    for j in range(1, max_j + 1):
+        pw[:live] *= phi2[:live]
+        live = int(np.searchsorted(-pw[:live], -1e-20))
+        out[j] = float((pw[:live] * wt[:live]).sum())
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spectral_oracle_matches_its_all_tuples_form_bit_for_bit(d):
+    from brwlab.verify import _sorted_tuple_slices, _spectral_return_probs
+    assert np.array_equal(_spectral_return_probs(512, d), _old_spectral_return_probs(512, d))
+    tuples = np.concatenate(list(_sorted_tuple_slices(6, d)))
+    assert tuples.tolist() == [list(t) for t in itertools.combinations_with_replacement(
+        range(6), d)]
 
 
 @pytest.mark.parametrize("d", [2, 3])
