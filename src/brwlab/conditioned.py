@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import forward as fw
-from .exactfields import kpp_update
 from .lattice import ReversedSweep
 
 
@@ -49,7 +48,7 @@ class ConditionedSampler:
         fw._check_capacity(n, self.d, 0)
         if int(np.abs(self.x).sum()) > n:  # u_n(x) > 0 exactly when |x|_1 <= n
             raise ValueError(f"target {tuple(self.x.tolist())} is unreachable at generation {n}")
-        self.u = ReversedSweep(n - 1, self.d, kpp_update,
+        self.u = ReversedSweep(n - 1, self.d, fw.BINARY_HITTING,
                                fw._tree_clamp(n - 1, self.d, np.abs(self.x).max()))
 
     def sample(self, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

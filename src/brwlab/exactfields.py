@@ -3,8 +3,7 @@
 Everything here is obtained by conditioning on the first generation:
 
   survival        s_{k+1} = 1 - Phi(1 - s_k)
-  hitting         u_k(x) = P{U_k(x) >= 1}; binary form u_{k+1} = Pu_k - (Pu_k)^2/2,
-                  general form via extinction fields h_{k+1} = Phi(P h_k)
+  hitting         u_{k+1} = 1 - Phi(1 - P u_k),  u_k(x) = P{U_k(x) >= 1}
   mgf             G_{k+1}(x) = Phi(1 + P G_k(x)) - 1,  G_k(x) = E exp(theta U_k(x)) - 1
   dominating      H_1 = G_1,  H_{k+1} = (P H_k) * Phi'(1 + H_k(0))
   second moment   f_k = P f_{k-1} + sigma^2 * P_k^2,   f_k(x) = E U_k(x)^2
@@ -17,20 +16,22 @@ exp(-beta_n |x|^2 / (2n)) and its one-step inequality.
 Every field recursion is P followed by a pointwise map, written here as an
 update map on the one loop `lattice.sweep`, which checks the horizon and
 keeps the killed mass of every clamped field, mgf and dominating included.
-All start from the origin delta (or a constant), so they are symmetric under
-sign flips and permutations, and `lattice.Field` stores one value per
-symmetry orbit; the update maps are pointwise, so they act on the stored
-values directly.  The `*_sweep` functions yield the whole sequence, the
+The survival, hitting and mgf maps all evaluate Phi(1 + y) - 1
+(`OffspringDist.pgf_at_one_plus`), which has no cancellation, so a value far
+below 1e-16 keeps its relative accuracy, for every offspring law.
+All start from a multiple of the origin delta and vanish outside their box,
+so they are symmetric under sign flips and permutations, and `lattice.Field`
+stores one value per symmetry orbit; the update maps are pointwise, so they
+act on the stored values directly.  The `*_sweep` functions yield the whole sequence, the
 single-field ones keep only its last field.  The pmf oracle alone keeps its
 own full-box average, so that the checks compare two independent computations.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -74,34 +75,25 @@ def survival_prob(dist: OffspringDist, n: int) -> float:
 
 
 def hitting_field(dist: OffspringDist, n: int, d: int = 2,
-                  clamp: int | None = None, method: str = "auto") -> Field:
-    """u_n(x) = P{U_n(x) >= 1} started from one particle at the origin.
-
-    method "kpp" (binary only) iterates u <- Pu - (Pu)^2/2 directly;
-    method "pgf" iterates extinction fields h <- Phi(P h) with h_0 = 1 - delta
-    and returns 1 - h.  "auto" picks kpp for binary fission.
-    """
-    return last(hitting_sweep(dist, n, d, clamp, method))
+                  clamp: int | None = None) -> Field:
+    """u_n(x) = P{U_n(x) >= 1} started from one particle at the origin."""
+    return last(hitting_sweep(dist, n, d, clamp))
 
 
-def kpp_update(pu: np.ndarray, _prev: Field) -> np.ndarray:
-    """The binary hitting update u' = Pu - (Pu)^2/2, as a `sweep` update map."""
-    return pu - 0.5 * np.square(pu)
+def hitting_update(dist: OffspringDist) -> Callable[[np.ndarray, Field], np.ndarray]:
+    """The hitting update u' = 1 - Phi(1 - Pu) of this law, as a `sweep` update
+    map.  It is written -(Phi(1 + y) - 1) at y = -Pu, so a small u keeps its
+    relative accuracy; for binary fission it is Pu - (Pu)^2/2 bit for bit."""
+    def update(pu, _prev):
+        u = dist.pgf_at_one_plus(-pu)
+        return np.subtract(0.0, u, out=u)  # 0 - u, not -u: a zero stays +0.0
+    return update
 
 
-def hitting_sweep(dist: OffspringDist, n: int, d: int = 2, clamp: int | None = None,
-                  method: str = "auto") -> Iterator[Field]:
+def hitting_sweep(dist: OffspringDist, n: int, d: int = 2,
+                  clamp: int | None = None) -> Iterator[Field]:
     """u_0, ..., u_n in one sweep."""
-    if method == "auto":
-        method = "kpp" if dist.is_binary else "pgf"
-    if method == "kpp" and not dist.is_binary:
-        raise ValueError("the quadratic recursion form is binary-only")
-    if method == "kpp":
-        return sweep(n, d, kpp_update, clamp)
-    # h_0 = 1 - delta; the pad supplies the ones outside the box
-    hs = sweep(n, d, lambda ph, _: np.asarray(dist.pgf(ph)), clamp, pad=1.0,
-               start=Field(np.zeros(1), d, step=0))
-    return (dataclasses.replace(h, values=1.0 - h.values) for h in hs)
+    return sweep(n, d, hitting_update(dist), clamp)
 
 
 def mean_occupied(dist: OffspringDist, n: int, d: int = 2,

@@ -57,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfields import kpp_update
+from .exactfields import hitting_update
 from .lattice import Field, ReversedSweep, clamp_radius, in_ball, neighborhood
-from .offspring import OffspringDist
+from .offspring import OffspringDist, binary
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
 COORD_BITS = 15
@@ -369,6 +369,11 @@ def _staggered_walks(ages, query, ell, dist, d, rng):
     return walk[near], rel[near]
 
 
+# the tree's hitting update (binary fission), one object for the tree and the
+# conditioned sampler: `ReversedSweep` keys its checkpoints on its identity
+BINARY_HITTING = hitting_update(binary())
+
+
 def _tree_clamp(top: int, d: int, ell: float) -> int:
     """Box radius of the tree's hitting fields: a walk's expected count in
     the ball loses at most 1e-14 to it (module doc)."""
@@ -396,7 +401,7 @@ def _tree_walks(ages, query, ell, d, rng):
     owner = np.empty(0, dtype=np.int64)
     x = np.empty((0, d), dtype=np.int64)
     ball = Field.tabulate(lambda s: in_ball(s, ell), d, math.floor(ell), step=0)
-    for u in ReversedSweep(top, d, kpp_update, _tree_clamp(top, d, ell), start=ball):
+    for u in ReversedSweep(top, d, BINARY_HITTING, _tree_clamp(top, d, ell), start=ball):
         if len(x):
             k, x = tree_step(u, x, rng)
             owner = np.repeat(owner, k)

@@ -7,9 +7,10 @@ position (holding included), so the one-step Markov operator is
 
 and P_n denotes the n-step transition probabilities started from the origin.
 
-Every field here starts from the origin delta (or a constant) under P, so it
-is invariant under coordinate sign flips and permutations.  A `Field`
-therefore stores one value per symmetry orbit of its box {-R..R}^d: the
+Every field here vanishes outside its box and starts under P from the origin
+delta (or another field invariant under coordinate sign flips and
+permutations, such as a ball's indicator), so it keeps that invariance.  A
+`Field` therefore stores one value per symmetry orbit of its box {-R..R}^d: the
 sorted cells R >= x_1 >= x_2 >= ... >= x_d >= 0, as a flat array ordered by
 the closed-form index idx(x) = sum_k C(x_k + d - k, d - k + 1).  The cells of
 radius r are then the prefix of length C(r + d, d), so clamping truncates
@@ -20,8 +21,8 @@ their sites with `Field.tabulate`, and `stencil_step` advances a field's
 values with one gather over a table of the indices of the sorted |x +- e_a|.
 The table is built lazily in closed form, grown with the box, and kept for
 the dimension used last.  The step runs over blocks of _BLOCK output cells
-with d + 1 rows reused by every block, and allocates only its padded input
-and its output.
+with d + 1 rows reused by every block, and allocates only its input
+extended by zeros and its output.
 
 Every exact recursion is P followed by a pointwise map, F_{k+1} =
 update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
@@ -273,17 +274,14 @@ def _weighted_sum(vals: np.ndarray, weights: np.ndarray) -> float:
     return float((vals * weights[:len(vals)]).sum())
 
 
-def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
+def stencil_step(vals: np.ndarray, d: int,
                  clamp: int | None = None) -> tuple[np.ndarray, float]:
     """(vals', lost): one application of the averaging operator P to the
-    stored values of a `Field` of dimension d; the output radius grows by
-    one unless clamped.
+    stored values of a `Field` of dimension d, which vanishes outside its
+    box; the output radius grows by one unless clamped.
 
-    `pad` is the implicit field value outside the input box (0 for mass-type
-    fields, 1 for extinction-probability fields).  `lost` is the exact
-    full-box mass dropped by cropping to radius `clamp`: of vals' itself for
-    pad = 0, of pad - vals' otherwise (for an extinction field h, the mass of
-    1 - Ph).  It is the orbit-weighted sum of the dropped tail of vals'.
+    `lost` is the exact full-box mass of vals' dropped by cropping to radius
+    `clamp`: the orbit-weighted sum of the dropped tail of vals'.
 
     Each output cell gathers its 2d neighbors from one table.  Opposite
     shifts are added pairwise (commutative), and for d = 3 the axis
@@ -295,8 +293,8 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
     lay = _layout(d, size)
     m = _cell_count(d, size)
     # neighbors of the output cells lie within radius size + 1; beyond the
-    # input box they read pad
-    src = np.full(_cell_count(d, size + 1), pad)
+    # input box they read 0
+    src = np.zeros(_cell_count(d, size + 1))
     src[:len(vals)] = vals
     nb = lay.neighbors  # grown copies keep this prefix, so the array may be read unlocked
     acc = np.empty(m)
@@ -326,19 +324,17 @@ def stencil_step(vals: np.ndarray, d: int, pad: float = 0.0,
     lost = 0.0
     if clamp is not None and size > clamp:
         keep = _cell_count(d, clamp)
-        tail = acc[keep:]
-        lost = _weighted_sum(tail if pad == 0.0 else pad - tail, lay.weights[keep:])
+        lost = _weighted_sum(acc[keep:], lay.weights[keep:])
         acc = acc[:keep]
     return acc, lost
 
 
 def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | None = None,
-          clamp: int | None = None, pad: float = 0.0,
-          start: Field | None = None) -> Iterator[Field]:
+          clamp: int | None = None, start: Field | None = None) -> Iterator[Field]:
     """Yield F_k for k = start.step..n, with F_{k+1} = update(P F_k, F_k)
     (update None keeps P F_k) and `start` defaulting to the origin delta.
 
-    P is `stencil_step` with this `pad` and `clamp`.  Each yielded field's
+    P is `stencil_step` with this `clamp`.  Each yielded field's
     `tail_bound` is the start's plus every clamp loss so far, added in step
     order, so a sweep restarted from any field it yielded continues it bit
     for bit.  The arguments are checked here, before the first field.
@@ -348,13 +344,13 @@ def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | No
         raise ValueError(f"start field has dimension {start.dim}, not {d}")
     if n < start.step:
         raise ValueError(f"n = {n} is below the start step {start.step}")
-    return _sweep(n, d, update, clamp, pad, start)
+    return _sweep(n, d, update, clamp, start)
 
 
-def _sweep(n, d, update, clamp, pad, f):
+def _sweep(n, d, update, clamp, f):
     yield f
     while f.step < n:
-        pf, lost = stencil_step(f.values, d, pad, clamp)
+        pf, lost = stencil_step(f.values, d, clamp)
         f = Field(pf if update is None else update(pf, f), d, f.tail_bound + lost, f.step + 1)
         yield f
 
@@ -363,7 +359,7 @@ _marks: dict[tuple, list[Field]] = {}  # the checkpoints of the stream used last
 
 
 class ReversedSweep:
-    """F_n, ..., F_start of `sweep(n, d, update, clamp, pad, start)`, bit for
+    """F_n, ..., F_start of `sweep(n, d, update, clamp, start)`, bit for
     bit, on every iteration: every isqrt(n - start.step)-th field is kept and
     the block after each is recomputed from it.  The stream used last keeps
     its checkpoints, keyed by the arguments (update by identity, start by
@@ -371,12 +367,12 @@ class ReversedSweep:
     blocks, read one stream."""
 
     def __init__(self, n: int, d: int, update: Callable | None = None,
-                 clamp: int | None = None, pad: float = 0.0, start: Field | None = None):
+                 clamp: int | None = None, start: Field | None = None):
         start = Field.delta(d) if start is None else start
-        sweep(n, d, update, clamp, pad, start)  # checks the arguments
+        sweep(n, d, update, clamp, start)  # checks the arguments
         if clamp is not None and clamp >= start.radius + n - start.step:
             clamp = None  # at or beyond F_n's natural radius it cuts nothing
-        self.n, self.start, self.args = n, start, (d, update, clamp, pad)
+        self.n, self.start, self.args = n, start, (d, update, clamp)
         self.key = (n, *self.args, start.step, start.tail_bound, start.values.tobytes())
 
     def __iter__(self) -> Iterator[Field]:

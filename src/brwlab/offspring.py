@@ -135,18 +135,6 @@ class OffspringDist:
 
     # -- pgf and derivatives --------------------------------------------------
 
-    def pgf(self, z):
-        """Phi(z) = sum_l Q_l z^l on [0, z_max]."""
-        self._check_domain(z)
-        if self.geo_r is not None:
-            r = self.geo_r
-            return r + (1 - r) ** 2 * z / (1 - r * z)
-        if self.name == "binary":
-            return 0.5 + 0.5 * np.square(z) if isinstance(z, np.ndarray) else 0.5 + 0.5 * z * z
-        lz = _log_of_max(np.log, z)
-        return self._series(z, lambda ls, qs, zz: qs * np.power(zz, ls),
-                            lambda l: l * lz < _UNDERFLOW)
-
     def pgf_prime(self, z):
         """Phi'(z); Phi'(1) = 1 for critical laws."""
         self._check_domain(z)
@@ -167,9 +155,12 @@ class OffspringDist:
         calls this once per step); the result is bit-identical to the array
         path's."""
         y = y.astype(np.float64, copy=False) if isinstance(y, np.ndarray) else float(y)
-        self._check_domain(1.0 + y)
-        if self.name == "binary":
-            return y + 0.5 * (y * y)
+        self._check_domain(y, shift=1.0)
+        if self.name == "binary":  # y + y^2/2, with one temporary
+            t = y * y
+            t *= 0.5
+            t += y
+            return t
         if self.geo_r is not None:
             r = self.geo_r
             return (1 - r) * y / ((1 - r) - r * y)
@@ -226,10 +217,12 @@ class OffspringDist:
             acc = acc + term(ls, qs, zz).sum(axis=-1)
         return acc if is_array else float(acc)
 
-    def _check_domain(self, z):
-        # written so that NaN fails it
+    def _check_domain(self, z, shift: float = 0.0):
+        """PgfDomainError unless shift + z lies in the domain.  Written so that
+        NaN fails it; rounding is monotone, so shift + min(z) = min(shift + z)
+        and no shifted copy of z is made."""
         lo, hi = (float(z.min()), float(z.max())) if isinstance(z, np.ndarray) else (z, z)
-        if not (0.0 <= lo and hi <= self.z_max * (1 + 1e-12)):
+        if not (0.0 <= shift + lo and shift + hi <= self.z_max * (1 + 1e-12)):
             raise PgfDomainError(f"pgf argument outside [0, {self.z_max}]")
 
     # -- exact sampling ---------------------------------------------------------

@@ -16,7 +16,7 @@ B = binary()
 
 def hitting(n: int) -> list:
     """u_0, ..., u_n in d = 2."""
-    return list(xf.hitting_sweep(B, n, 2, method="kpp"))
+    return list(xf.hitting_sweep(B, n, 2))
 
 
 def conditional_mean(n: int, x, u_n: lat.Field) -> float:
@@ -199,7 +199,7 @@ def _same_fields(a, b):
 @pytest.mark.parametrize("n,x", [(1, (1, 0)), (25, (0, 0)), (25, (3, -1)), (21, (0, 0, 0))])
 def test_sampler_reads_unclamped_fields_where_the_clamp_cannot_cut(n, x):
     got = list(cr.ConditionedSampler(n, x).u)
-    assert _same_fields(got, list(xf.hitting_sweep(B, n - 1, len(x), method="kpp"))[::-1])
+    assert _same_fields(got, list(xf.hitting_sweep(B, n - 1, len(x)))[::-1])
 
 
 @pytest.mark.parametrize("n,x", [(26, (0, 0)), (22, (0, 0, 0))])

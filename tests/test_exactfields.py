@@ -48,6 +48,7 @@ def test_hitting_one_step_frozen():
         site = tuple(i - u1.radius for i in idx)
         expect = 9 / 50 if site in offs else 0.0
         assert full[idx] == pytest.approx(expect, abs=1e-16)
+    assert not np.signbit(full).any()  # unreached sites hold +0.0, which CSV writes as 0.0
 
 
 def test_hitting_two_steps_frozen():
@@ -64,17 +65,29 @@ def test_hitting_below_survival():
 
 def test_hitting_routes_agree_for_general_law():
     g = geometric(2)
-    u = xf.hitting_field(g, 6, 2, method="pgf")
+    u = xf.hitting_field(g, 6, 2)
     # against a per-site truncated-pmf oracle
     pf = xf.pmf_oracle(g, 6, 2, degree=96)
     assert np.abs(u.unfolded() - pf.hitting_values()).max() <= 1e-9
-    with pytest.raises(ValueError):
-        xf.hitting_field(g, 3, 2, method="kpp")
+
+
+@pytest.mark.parametrize("spec", ["binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_hitting_corner_matches_scalar_recursion(spec, n):
+    # u_n(n e_1) sees only u_{n-1}((n-1) e_1) through P, so it is the scalar
+    # recursion a_{k+1} = 1 - Phi(1 - a_k/5), a_0 = 1; at n = 64 it is near
+    # 1e-45, far below what 1 - (extinction probability) can hold
+    dist = parse_offspring(spec)
+    a = 1.0
+    for _ in range(n):
+        a = -dist.pgf_at_one_plus(-a / 5)
+    assert 0.0 < a < 1e-10
+    assert xf.hitting_field(dist, n, 2).value_at((n, 0)) == pytest.approx(a, rel=1e-12, abs=0)
 
 
 def test_pgf_route_reports_clamped_tail():
-    # the same law on both routes: the pgf route must count the mass of
-    # 1 - h that the clamp drops, as the kpp route counts that of u
+    # binary fission in its closed form and as a table (the pgf series): the
+    # clamp drops the same mass of Pu, and the fields agree
     kpp = xf.hitting_field(B, 12, 2, clamp=3)
     pgf = xf.hitting_field(parse_offspring("table:0=0.5,2=0.5"), 12, 2, clamp=3)
     assert kpp.tail_bound > 0.2

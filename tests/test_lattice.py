@@ -39,12 +39,12 @@ def convolve(f, g):
     return dataclasses.replace(out, tail_bound=f.tail_bound + g.tail_bound)
 
 
-def full_box_step(vals, d, pad=0.0, clamp=None):
+def full_box_step(vals, d, clamp=None):
     """Plain reference for one step of P on a full centered box {-R..R}^d:
     the same pair order as `stencil_step` (x+e plus x-e, axis by axis) and
     the same sorted pair-sum for d = 3.  Returns (vals', lost)."""
     R = (vals.shape[0] - 1) // 2
-    src = np.full((2 * R + 5,) * d, pad, dtype=np.float64)
+    src = np.zeros((2 * R + 5,) * d)
     src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
     size = 2 * R + 3
     base = tuple(slice(1, 1 + size) for _ in range(d))
@@ -67,29 +67,22 @@ def full_box_step(vals, d, pad=0.0, clamp=None):
     if clamp is not None and R + 1 > clamp:
         lo, hi = R + 1 - clamp, R + 2 + clamp
         crop = out[tuple(slice(lo, hi) for _ in range(d))].copy()
-        if pad == 0.0:
-            lost = float(out.sum() - crop.sum())
-        else:
-            lost = float((pad - out).sum() - (pad - crop).sum())
+        lost = float(out.sum() - crop.sum())
         out = crop
     return out, lost
 
 
 @pytest.mark.parametrize("d,steps", [(1, 12), (2, 10), (3, 6)])
-@pytest.mark.parametrize("pad", [0.0, 1.0])
 @pytest.mark.parametrize("clamp", [None, 3])
-def test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp):
-    # pad 0 runs the binary hitting map u <- Pu - (Pu)^2/2 from the delta,
-    # pad 1 the extinction map h <- (1 + (Ph)^2)/2 from 1 - delta
-    start = np.ones(1) if pad == 0.0 else np.zeros(1)
-    orth, full = start, start.reshape((1,) * d)
+def test_orthant_stencil_matches_full_box_reference(d, steps, clamp):
+    # the binary hitting map u <- Pu - (Pu)^2/2 from the delta
+    orth, full = np.ones(1), np.ones((1,) * d)
     for _ in range(steps):
-        orth, lost = lat.stencil_step(orth, d, pad=pad, clamp=clamp)
-        full, ref_lost = full_box_step(full, d, pad=pad, clamp=clamp)
+        orth, lost = lat.stencil_step(orth, d, clamp=clamp)
+        full, ref_lost = full_box_step(full, d, clamp=clamp)
         assert np.array_equal(lat.Field(orth, d).unfolded(), full)
         assert lost == pytest.approx(ref_lost, abs=1e-15)
-        orth, full = ((x - 0.5 * x * x) if pad == 0.0 else 0.5 * (1.0 + x * x)
-                      for x in (orth, full))
+        orth, full = (x - 0.5 * x * x for x in (orth, full))
     if clamp is not None:
         assert lost > 0.0  # the last steps did crop
 
@@ -114,12 +107,11 @@ def test_sweep_restarts_from_any_stored_field(d, update, clamp):
 
 
 @pytest.mark.parametrize("d,steps", [(1, 12), (2, 10), (3, 6)])
-@pytest.mark.parametrize("pad", [0.0, 1.0])
 @pytest.mark.parametrize("clamp", [None, 3])
-def test_blocked_stencil_matches_full_box_reference(monkeypatch, d, steps, pad, clamp):
+def test_blocked_stencil_matches_full_box_reference(monkeypatch, d, steps, clamp):
     # blocks of 7 cells: every later step spans several blocks and ends on a short one
     monkeypatch.setattr(lat, "_BLOCK", 7)
-    test_orthant_stencil_matches_full_box_reference(d, steps, pad, clamp)
+    test_orthant_stencil_matches_full_box_reference(d, steps, clamp)
 
 
 @pytest.mark.parametrize("d,update,clamp", [(2, _kpp, 4), (2, None, 5), (3, None, 3),
@@ -176,21 +168,12 @@ def _ahead_threads():
     return [t for t in threading.enumerate() if t.name == "brwlab-ahead"]
 
 
-def _binary_pgf(ph, _):
-    """hitting_sweep's pad-1 update for binary fission: h' = (1 + (Ph)^2) / 2."""
-    return 0.5 * (1.0 + np.square(ph))
-
-
-@pytest.mark.parametrize("n,d,update,clamp,pad,start", [
-    (12, 2, _kpp, 4, 0.0, None),
-    (12, 2, _binary_pgf, None, 1.0, lat.Field(np.zeros(1), 2, step=0)),
-    (9, 3, None, None, 0.0, None),
-])
-def test_read_ahead_yields_the_sweep_bit_for_bit(monkeypatch, n, d, update, clamp, pad, start):
-    ref = list(lat.sweep(n, d, update, clamp, pad, start))
+@pytest.mark.parametrize("n,d,update,clamp", [(12, 2, _kpp, 4), (9, 3, None, None)])
+def test_read_ahead_yields_the_sweep_bit_for_bit(monkeypatch, n, d, update, clamp):
+    ref = list(lat.sweep(n, d, update, clamp))
     _read_ahead_on(monkeypatch)
     got, workers = [], []
-    for f in lat.ahead(lat.sweep(n, d, update, clamp, pad, start)):
+    for f in lat.ahead(lat.sweep(n, d, update, clamp)):
         got.append(f)
         workers.append(len(_ahead_threads()))
     assert _same_fields(got, ref)
@@ -250,13 +233,12 @@ def test_read_ahead_starts_no_thread_on_one_cpu(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [9, 12, 13])
-@pytest.mark.parametrize("update,clamp,pad,start", [
-    (_kpp, 4, 0.0, None),
-    (_binary_pgf, None, 1.0, lat.Field(np.zeros(1), 2, step=0)),
-    (_binary_pgf, 3, 1.0, lat.Field(np.zeros(1), 2, step=0)),
+@pytest.mark.parametrize("update,clamp,start", [
+    (_kpp, 4, None),
+    (_kpp, None, lat.Field(np.array([1.0, 1.0, 0.0]), 2, step=0)),  # the ball of radius 1
 ])
-def test_reversed_sweep_is_the_reversed_forward_sweep(n, update, clamp, pad, start):
-    args = (n, 2, update, clamp, pad, start)
+def test_reversed_sweep_is_the_reversed_forward_sweep(n, update, clamp, start):
+    args = (n, 2, update, clamp, start)
     ref = list(lat.sweep(*args))[::-1]
     lat._marks.clear()
     stream = lat.ReversedSweep(*args)
@@ -384,9 +366,6 @@ def test_kernel_preserves_constants_in_the_interior():
     R = (vals.shape[0] - 1) // 2
     interior = vals[R - 2: R + 3, R - 2: R + 3]
     assert np.allclose(interior, 0.37, atol=0, rtol=0)
-    # pad=1 extends the constant field past the box: the whole output is flat
-    ones, _ = lat.stencil_step(np.ones(3), 2, pad=1.0)
-    assert np.array_equal(lat.Field(ones, 2).unfolded(), np.ones((5, 5)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -21,8 +21,8 @@ def families():
 
 def test_binary_pgf_values(families):
     b = families["binary"]
-    assert b.pgf(0.0) == 0.5
-    assert b.pgf(1.0) == 1.0
+    assert b.pgf_at_one_plus(-1.0) == -0.5  # Phi(0) = 1/2
+    assert b.pgf_at_one_plus(0.0) == 0.0    # Phi(1) = 1
     assert b.pgf_prime(1.0) == 1.0
     assert b.sigma2 == 1.0
 
@@ -37,22 +37,23 @@ def test_construction_rejects_noncritical_tables():
 def test_pgf_domain_errors(families):
     g = families["geometric"]
     with pytest.raises(off.PgfDomainError):
-        g.pgf(2.5)
+        g.pgf_at_one_plus(1.5)
     with pytest.raises(off.PgfDomainError):
-        families["zeta"].pgf(1.2)
+        families["zeta"].pgf_at_one_plus(0.2)
     with pytest.raises(off.PgfDomainError):
-        g.pgf(-0.1)
+        g.pgf_at_one_plus(-1.1)
 
 
 @pytest.mark.parametrize("name", ["binary", "geometric", "zeta"])
 def test_pgf_convex_increasing_and_dominates_identity(families, name):
+    # on y = z - 1: Phi(1 + y) - 1 increases, is convex and lies above y
     dist = families[name]
-    z = np.linspace(0.0, 1.0, 101)
-    vals = np.array([dist.pgf(float(t)) for t in z])
+    y = np.linspace(-1.0, 0.0, 101)
+    vals = np.array([dist.pgf_at_one_plus(float(t)) for t in y])
     assert np.all(np.diff(vals) >= -1e-15)
     assert np.all(np.diff(vals, 2) >= -1e-12)
-    assert np.all(vals >= z - 1e-12)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-9)
+    assert np.all(vals >= y - 1e-12)
+    assert vals[-1] == pytest.approx(0.0, abs=1e-9)
 
 
 def _full_table(dist):
@@ -93,13 +94,11 @@ def _whole_table(dist, term, z):
 
 
 def test_series_skips_are_bit_identical_to_the_whole_table(families):
-    # zeta:2 has 2.5M support points; the pgf stops where z^l underflows and
+    # zeta:2 has 2.5M support points; Phi' stops where z^(l-1) underflows and
     # the shifted pgf adds -sum Q_l where expm1 saturates at -1
     dist = families["zeta"]
     assert dist.support_size == len(_full_table(dist)[0]) == 2_511_898
     for z in (0.0, 0.5, 0.99, 0.9999, 1.0, np.array([0.0, 0.5])):
-        assert np.array_equal(dist.pgf(z), _whole_table(
-            dist, lambda ls, qs, zz: qs * np.power(zz, ls), z))
         assert np.array_equal(dist.pgf_prime(z), _whole_table(
             dist, lambda ls, qs, zz: np.where(ls >= 1, qs * ls, 0.0)
             * np.power(zz, np.maximum(ls - 1, 0)), z))
@@ -113,8 +112,9 @@ def test_series_skips_are_bit_identical_to_the_whole_table(families):
 @pytest.mark.parametrize("name", ["binary", "geometric", "zeta"])
 def test_shifted_pgf_matches_direct_evaluation(families, name):
     dist = families[name]
+    support, probs = _full_table(dist)
     for y in (-0.3, -0.05, 0.0):
-        direct = dist.pgf(1.0 + y) - 1.0
+        direct = float((probs * np.power(1.0 + y, support)).sum()) - 1.0
         assert dist.pgf_at_one_plus(y) == pytest.approx(direct, abs=1e-12)
 
 
@@ -334,9 +334,9 @@ def test_geometric_closed_forms_match_table():
     g = off.geometric(2)
     for z in (0.0, 0.4, 1.0):
         series = float((g.probs * np.power(z, g.support)).sum())
-        assert g.pgf(z) == pytest.approx(series, abs=1e-12)
+        assert 1.0 + g.pgf_at_one_plus(z - 1.0) == pytest.approx(series, abs=1e-12)
     # inside the domain but beyond the table's reliable range: closed form only
-    assert g.pgf(1.6) == pytest.approx(0.5 + 0.25 * 1.6 / 0.2, abs=1e-12)
+    assert g.pgf_at_one_plus(0.6) == pytest.approx(0.5 + 0.25 * 1.6 / 0.2 - 1.0, abs=1e-12)
     assert g.sigma2 == pytest.approx(2.0)
     # the table length comes in closed form, also where the float running
     # sum of the weights never reaches 1 - 1e-15
