@@ -4,14 +4,17 @@ The engine packs (replicate, site) into int64 keys and evolves one particle
 array for thousands of replicates at once: each particle draws its offspring
 count and each child picks a uniform neighbor.  `BatchStats` reads every
 per-replicate occupancy statistic (Z_n, V_n, M_n(j), Omega_n and the count at
-a typical site) off the final array in one pass.
+a typical site) off the final array in one pass, sorting it in place.
 
 Runs conditioned on survival to generation n (the event G_n) are drawn
 exactly from the reduced tree (Fleischmann & Siegmund-Schultze 1977; Geiger
 1999): only particles with a descendant at generation n are kept.  A kept
 particle with m generations left has K >= 1 kept children, each child
 surviving independently with probability s_{m-1} = P(Z_{m-1} > 0) given that
-at least one does (`OffspringDist.sample_kept`).  Dropped branches add nothing
+at least one does (`OffspringDist.sample_kept`); under binary fission
+K = 1 + Bernoulli(s/(2-s)), and only the parents whose coin comes up are
+placed, by geometric gaps: one draw per coin that comes up rather than one
+uniform per parent.  Dropped branches add nothing
 at generation n and motion does not depend on the genealogy, so the final
 array has the law of a free run's given G_n, at an expected cost of
 sum_k s_{n-k}/s_n (about n H_n) particle-generations per replicate instead of
@@ -164,45 +167,61 @@ class GenStats:
 
 
 class BatchStats:
-    """Segmented per-replicate statistics of a final particle array."""
+    """Segmented per-replicate statistics of a final particle array.
+
+    `keys` is sorted in place (callers hand over the array).  Each site's
+    replicate and count are read off it without the copies np.unique makes,
+    and the typical particle is drawn by its index in the sorted array, so no
+    per-site array outlives the histogram."""
 
     def __init__(self, keys: np.ndarray, reps: int, d: int,
                  rng: np.random.Generator | None = None):
-        uk, cnt = np.unique(keys, return_counts=True)
-        rep = uk >> _rep_shift(d)
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)  # a site's first particle
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        at = np.flatnonzero(first)
+        del first
+        rep = keys[at]
+        rep >>= _rep_shift(d)
+        cnt = np.empty_like(at)
+        np.subtract(at[1:], at[:-1], out=cnt[:-1])
+        cnt[-1:] = keys.size - at[-1:]
+        del at
         self.reps = reps
         self.d = d
         self.Z = np.zeros(reps, dtype=np.int64)
         self.V = np.zeros(reps, dtype=np.int64)
         self.Omega = np.zeros(reps, dtype=np.int64)
-        if len(uk):
-            # each live replicate owns one segment of the sorted unique keys
+        if keys.size:
+            # each live replicate owns one segment of the sorted sites
             starts = np.flatnonzero(np.concatenate(([True], rep[1:] != rep[:-1])))
             live = rep[starts]
             self.Z[live] = np.add.reduceat(cnt, starts)
             self.V[live] = np.maximum.reduceat(cnt, starts)
-            self.Omega[live] = np.diff(starts, append=len(uk))
+            self.Omega[live] = np.diff(starts, append=len(rep))
         big = cnt > J_MAX
         self.overflow_mass = np.zeros(reps, dtype=np.int64)
         np.add.at(self.overflow_mass, rep[big], cnt[big])
         # rep becomes each site's histogram cell, rep (J_MAX + 1) + min(cnt, J_MAX + 1) - 1
         rep *= J_MAX + 1
-        rep += np.minimum(cnt, J_MAX + 1)
+        rep += cnt
+        rep[big] -= cnt[big] - (J_MAX + 1)
         rep -= 1
+        del cnt, big
         M = np.bincount(rep, minlength=reps * (J_MAX + 1)).reshape(reps, J_MAX + 1)
-        del rep, big  # before the typical-site arrays, to lower the peak
+        del rep
         self.M = M[:, :J_MAX]
         self.overflow_sites = M[:, J_MAX].copy()
         self.T = np.full(reps, -1, dtype=np.int64)
         self.S = np.zeros((reps, d), dtype=np.int64)
-        if rng is not None and len(uk):
-            csum = np.cumsum(cnt)
+        if rng is not None and keys.size:
+            # a uniform particle of each live replicate; replicate r's
+            # particles are keys[zc[r]:zc[r + 1]]
             zc = np.concatenate(([0], np.cumsum(self.Z)))
             alive = np.nonzero(self.Z > 0)[0]
-            target = zc[alive] + rng.random(len(alive)) * self.Z[alive]
-            pos = np.searchsorted(csum, target, side="right")
-            self.T[alive] = cnt[pos]
-            self.S[alive] = decode_sites(uk[pos], d)
+            site = keys[(zc[alive] + rng.random(len(alive)) * self.Z[alive]).astype(np.int64)]
+            self.T[alive] = np.searchsorted(keys, site, side="right") - np.searchsorted(keys, site)
+            self.S[alive] = decode_sites(site, d)
 
     def genstats(self, i: int, n: int, **kw) -> GenStats:
         alive = self.Z[i] > 0

@@ -20,6 +20,10 @@ law adds up per-particle draws (`sample_each`), the draws the particle engine
 makes: inverse CDF on the head, and a uniform past the head's mass draws from
 the tail by rejection from a continuous Pareto envelope (`PowerTail.draw`).
 `sample_kept` draws the reduced-tree step of survival-conditioned runs.
+For binary fission that step is a coin per kept parent, heads with
+probability q = s/(2-s), mostly below 0.1; only the heads (the tails for
+q > 1/2) are placed, by cumulative geometric gaps (`_success_positions`,
+the skip method for Bernoulli trials in Devroye 1986).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ _FAIR_BLOCK = 1 << 16     # entries per fair-bit stream: temporaries near 3 MB
 _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)  # r -> r low bits set
 _UNDERFLOW = -800.0       # exp below this is under half the least subnormal: z^l rounds to 0
 _EXPM1_SATURATES = -50.0  # expm1 below this rounds to exactly -1
+_DENSE = 1.0              # placed coins per entry above which binomials are cheaper (measured)
 
 
 class PgfDomainError(ValueError):
@@ -274,7 +279,8 @@ class OffspringDist:
         with probability s:
         P(l, K) = Q_l C(l, K) s^K (1-s)^(l-K) / (1 - Phi(1-s)).
 
-        Binary fission: K = 1 + Bernoulli(s/(2-s)).  Other laws draw l from
+        Binary fission: K = 1 + Bernoulli(s/(2-s)), with the coins that come
+        up placed by geometric gaps (module doc).  Other laws draw l from
         the size-biased law and accept it with probability
         (1-(1-s)^l)/(l s), which leaves l with its law given K >= 1 (expected
         rounds <= 1/(1-Q_0)); the first surviving child J is then a geometric
@@ -282,7 +288,15 @@ class OffspringDist:
         if not 0.0 < s <= 1.0:
             raise ValueError("survival probability must lie in (0, 1]")
         if self.is_binary:
-            return 1 + (rng.random(m) < s / (2.0 - s))
+            q = s / (2.0 - s)
+            if q == 1.0:
+                return np.full(m, 2, dtype=np.int64)
+            flip = q > 0.5  # place the failures instead
+            out = np.full(m, 2 if flip else 1, dtype=np.int64)
+            at = _success_positions(m, min(q, 1.0 - q), rng)
+            at -= 1
+            out[at] = 1 if flip else 2
+            return out
         cdf = self._size_biased_cdf
         log_q = math.log1p(-s) if s < 1.0 else -math.inf  # log P(a child dies)
         out = np.empty(m, dtype=np.int64)
@@ -300,10 +314,11 @@ class OffspringDist:
 
     def sample_kept_sum(self, r, s: float, rng: np.random.Generator) -> np.ndarray:
         """Next reduced-tree generation sizes: the sum of `sample_kept` over
-        r parents, for an integer array r."""
+        r parents, for an integer array r.  Binary fission adds
+        Binomial(r_i, s/(2-s)) kept coins (`_bernoulli_counts`)."""
         r = np.asarray(r, dtype=np.int64)
         if self.is_binary:
-            return r + rng.binomial(r, s / (2.0 - s))
+            return r + _bernoulli_counts(r, s / (2.0 - s), rng)
         return _segment_sum(r, self.sample_kept(int(r.sum()), s, rng))
 
 
@@ -334,6 +349,43 @@ def _fair_bit_counts(karr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out[lo] = upto[0]
         np.subtract(upto[1:], upto[:-1], out=out[lo + 1:lo + len(upto)])
     return out
+
+
+def _success_positions(trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions (1-based) of the successes among `trials` iid
+    Bernoulli(p) trials, 0 < p < 1: cumulative sums of geometric gaps, drawn
+    in chunks of the expected remaining count plus four standard deviations
+    until a position passes `trials`.  Gaps are capped at trials + 1 (any
+    such gap ends the run), so the sums cannot overflow."""
+    chunks, last = [], 0
+    while last <= trials:
+        mean = (trials - last) * p
+        gaps = rng.geometric(p, size=int(mean + 4 * math.sqrt(mean)) + 8)
+        np.minimum(gaps, trials + 1, out=gaps)
+        gaps[0] += last
+        chunks.append(np.cumsum(gaps, out=gaps))
+        last = int(gaps[-1])
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return pos[:np.searchsorted(pos, trials, side="right")]
+
+
+def _bernoulli_counts(r: np.ndarray, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Binomial(r_i, q) for every entry of the integer array r, exactly.
+
+    Entry i owns r_i consecutive trials of one run; only the successes are
+    placed (the failures for q > 1/2, returning r - x), by geometric gaps
+    (`_success_positions`), and counted per entry.  Where the placed count
+    T*min(q, 1-q) exceeds _DENSE per entry, one binomial draw per entry is
+    cheaper and is made instead."""
+    if q == 1.0:
+        return r.copy()
+    p = min(q, 1.0 - q)
+    ends = np.cumsum(r)
+    trials = int(ends[-1]) if len(ends) else 0
+    if trials * p > _DENSE * len(r):
+        return rng.binomial(r, q)
+    x = np.bincount(np.searchsorted(ends, _success_positions(trials, p, rng)), minlength=len(r))
+    return r - x if q > 0.5 else x
 
 
 def _segment_sum(counts: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_batch_stats_match_per_replicate_counts():
 
 def test_batch_stats_traced_peak_is_bounded():
     # a conditioned d = 3 bank: the measured peak, typical site included, is
-    # about 4.0 keys.nbytes, and the bound sits 25% above it
+    # about 2.5 keys.nbytes, and the bound sits 25% above it
     reps, n = 500, 256
     keys = fw.evolve_particles(fw._origin_keys(np.arange(reps), 3), n, B, 3,
                                substream(5, "conditioned-sim"), xf.survival_sequence(B, n))
@@ -141,7 +141,7 @@ def test_batch_stats_traced_peak_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * keys.nbytes, peak / keys.nbytes
+    assert peak <= 3.2 * keys.nbytes, peak / keys.nbytes
 
 
 def test_run_batch_invariants_and_martingale():
@@ -468,6 +468,33 @@ def test_conditioned_z_law_matches_pgf_iteration(spec):
         assert z.min() >= 1
         obs = np.bincount(np.minimum(z, len(cond) + 1), minlength=len(cond) + 2)[1:-1]
         assert chi_square(obs, cond)["p_value"] > 1e-3
+
+
+class CountingRng:
+    """Passes every draw to `rng` and counts the draws by method."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+        return getattr(self.rng, name)
+
+
+def test_binary_conditioned_z_law_at_depth_matches_pgf_iteration():
+    # at n = 64 the early generations place their few kept coins by gaps and
+    # the late ones, with many parents per replicate, fall back to binomials
+    n, want = 64, 20_000
+    s = xf.survival_sequence(B, n)
+    law = exact_population_law(B, n)
+    assert 1.0 - law[0] == pytest.approx(s[n], rel=1e-12)
+    cond = law[1:] / s[n]
+    rng = CountingRng(substream(24, "selftest"))
+    z = fw.population_conditioned_batch(B, n, want, rng, s)
+    assert rng.calls.get("geometric", 0) > 0 and rng.calls.get("binomial", 0) > 0
+    assert z.min() >= 1
+    obs = np.bincount(np.minimum(z, len(cond) + 1), minlength=len(cond) + 2)[1:-1]
+    assert chi_square(obs, cond)["p_value"] > 1e-3
 
 
 @pytest.mark.parametrize("spec", ["binary", "geometric:2"])

@@ -169,6 +169,89 @@ def test_fair_bit_sums_are_binomial_half(families, monkeypatch):
         assert abs(r) <= 5 / math.sqrt(len(bits)), (lag, r)
 
 
+def binomial_pmf(r, q):
+    return np.array([math.comb(r, j) * q**j * (1 - q) ** (r - j) for j in range(r + 1)])
+
+
+class ShortChunks:
+    """A generator whose geometric draws come in chunks of at most `cap`, so
+    that `_success_positions` needs many chunks; with `ones` every gap is 1."""
+
+    def __init__(self, rng, cap, ones=False):
+        self.rng, self.cap, self.ones = rng, cap, ones
+
+    def geometric(self, p, size):
+        size = min(size, self.cap)
+        return np.ones(size, dtype=np.int64) if self.ones else self.rng.geometric(p, size=size)
+
+
+def test_success_positions_across_chunks_keep_the_last_trial():
+    # every gap 1: every trial succeeds, the last one included, and the
+    # chunks (8 to 13 draws at p = 1e-3) join without a gap or a repeat
+    for trials in (0, 1, 12, 13, 1000):
+        pos = off._success_positions(trials, 1e-3, ShortChunks(None, 10**9, ones=True))
+        assert np.array_equal(pos, np.arange(1, trials + 1)), trials
+    # genuine gaps in chunks of at most 3: each position succeeds with
+    # probability p, independently of the others
+    rng, trials, p, calls = substream(16, "selftest"), 7, 0.3, 20_000
+    hits = np.zeros((calls, trials + 1), dtype=np.int64)
+    for i in range(calls):
+        pos = off._success_positions(trials, p, ShortChunks(rng, 3))
+        assert np.all(np.diff(pos) > 0) and (pos.size == 0 or 1 <= pos[0] <= pos[-1] <= trials)
+        hits[i, pos] = 1
+    freq = hits[:, 1:].mean(axis=0)
+    assert np.all(np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / calls)), freq
+    chi = chi_square(np.bincount(hits.sum(axis=1), minlength=trials + 1), binomial_pmf(trials, p))
+    assert chi["p_value"] > 1e-3, chi
+
+
+def test_bernoulli_counts_give_each_entry_its_own_trials():
+    # with every gap 1 each placed trial lands on its own entry: all of
+    # them for q < 1/2 (x = r), or all the failures for q > 1/2 (x = 0)
+    r = np.array([1, 0, 2, 0, 0, 5, 1], dtype=np.int64)
+    ones = ShortChunks(None, 10**9, ones=True)
+    assert np.array_equal(off._bernoulli_counts(r, 0.1, ones), r)
+    assert np.array_equal(off._bernoulli_counts(r, 0.9, ones), np.zeros_like(r))
+
+
+@pytest.mark.parametrize("q, pattern, branch", [
+    (1e-3, (0, 1, 3, 7, 20), "gaps"),
+    (0.05, (0, 1, 3, 7, 20), "gaps"),
+    (0.3, (0, 1, 2), "gaps"),
+    (0.3, (0, 1, 3, 7, 20), "binomial"),
+    (0.7, (0, 1, 2), "complement"),
+    (0.97, (0, 1, 3, 7, 20), "complement"),
+    (1.0, (0, 1, 3, 7, 20), "all"),
+])
+def test_bernoulli_counts_are_binomial(q, pattern, branch):
+    r = np.tile(np.array(pattern, dtype=np.int64), 20_000)
+    dense = r.sum() * min(q, 1 - q) > off._DENSE * len(r)
+    assert dense == (branch == "binomial")
+    x = off._bernoulli_counts(r, q, substream(17, "selftest"))
+    assert x.shape == r.shape and np.all((0 <= x) & (x <= r))
+    if q == 1.0:
+        assert np.array_equal(x, r)
+        return
+    for k in pattern[1:]:
+        chi = chi_square(np.bincount(x[r == k], minlength=k + 1), binomial_pmf(k, q))
+        assert chi["p_value"] > 1e-3, (k, chi)
+    empty = off._bernoulli_counts(np.zeros(0, dtype=np.int64), q, substream(17, "selftest"))
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("s", [0.002, 0.1, 0.9, 0.999])
+def test_binary_kept_children_are_one_plus_a_coin(families, s):
+    # q = s/(2-s) is 0.001, 0.053, 0.82 and 0.998: the last two place failures
+    m, q = 200_000, s / (2 - s)
+    k = families["binary"].sample_kept(m, s, substream(18, "selftest"))
+    assert k.shape == (m,) and set(np.unique(k)) <= {1, 2}
+    second = k == 2
+    assert abs(second.mean() - q) <= 4 * math.sqrt(q * (1 - q) / m), second.mean()
+    # the coins are independent of their neighbours
+    both = (second[1:] & second[:-1]).mean()
+    assert abs(both - q * q) <= 4 * math.sqrt(q * q * (1 - q * q) / m), both
+
+
 def test_offspring_sum_mean_is_parent_count(families):
     rng = substream(11, "selftest")
     for name, dist in families.items():
