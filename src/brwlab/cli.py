@@ -34,6 +34,7 @@ from .offspring import parse_offspring
 from .rngstreams import substream
 
 BLOCK = 256  # replicates per block (and per substream) in every stochastic command
+_json_row = json.JSONEncoder(sort_keys=True).encode  # `json.dumps` builds one per row
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -136,7 +137,7 @@ def _simulate_block(task):
     for i in range(count):
         kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
         row = stats.genstats(i, n, rep=first + i, seed=seed, **kw).to_json_dict()
-        lines.append(json.dumps(row, sort_keys=True))
+        lines.append(_json_row(row))
     return lines
 
 
@@ -197,7 +198,7 @@ def _spine_block(task):
         if ell is not None:
             row["W"] = int(out["W"][i])
             row["ell"] = ell
-        lines.append(json.dumps(row, sort_keys=True))
+        lines.append(_json_row(row))
     return lines
 
 
@@ -287,8 +288,8 @@ def _conditioned_block(task):
     rng = substream(seed, "conditioned-rep", block)
     values, paths = cr.ConditionedSampler(n, x).sample(count, rng)
     checksums = (np.arange(1, n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
-    lines = [json.dumps({"n": n, "x": list(x), "rep": first + i, "value": int(values[i]),
-                         "path_len_checksum": int(checksums[i])}, sort_keys=True)
+    lines = [_json_row({"n": n, "x": list(x), "rep": first + i, "value": int(values[i]),
+                        "path_len_checksum": int(checksums[i])})
              for i in range(count)]
     return lines, values
 

@@ -181,21 +181,26 @@ def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
     """(f_n, sums) where f_n(x) = E U_n(x)^2 and sums[k] = sum_x f_k(x).
 
     Linear recursion f_k = P f_{k-1} + sigma^2 * P_k^2 from first-generation
-    conditioning; P_k is advanced alongside on the same box, one field ahead
-    (`lattice.ahead`), and its killed mass is the `tail_bound` of f_n.
+    conditioning.  The source terms sigma^2 P_k^2 are computed alongside on
+    the same box, one field ahead (`lattice.ahead`), and the killed mass of
+    P_n is the `tail_bound` of f_n.
     """
-    ps = ahead(sweep(n, d, clamp=clamp))  # P_{k+1} is stepped while f_k is
-    p = next(ps)
-    f = p.values  # f_0 = delta
+    def sources():  # sigma^2 P_k^2, carrying P_k's killed mass and step
+        for p in sweep(n, d, clamp=clamp):
+            sq = np.square(p.values)
+            sq *= dist.sigma2
+            yield Field(sq, d, p.tail_bound, p.step)
+
+    terms = ahead(sources())  # the next term is computed while f_k is stepped
+    t = next(terms)
+    f = np.ones(1)  # f_0 = delta
     sums = np.empty(n + 1)
     sums[0] = 1.0
-    for p in ps:
+    for t in terms:
         f, _ = stencil_step(f, d, clamp=clamp)
-        sq = np.square(p.values)
-        sq *= dist.sigma2
-        f += sq
-        sums[p.step] = Field(f, d).total()
-    return Field(f, d, p.tail_bound, step=n), sums
+        f += t.values
+        sums[t.step] = Field(f, d).total()
+    return Field(f, d, t.tail_bound, step=n), sums
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +260,23 @@ def _poly_mult_trunc(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
 
 
 def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64) -> PmfField:
-    """Exact law of U_n(x) truncated at `degree`; refuses (raises) when the
-    exact truncated mass exceeds 1e-9 at any site."""
+    """Exact law of U_n(x) truncated at `degree`: the last field of
+    `pmf_oracle_sweep`, with its refusals."""
+    return last(pmf_oracle_sweep(dist, n, d, degree))
+
+
+def pmf_oracle_sweep(dist: OffspringDist, n: int, d: int = 2,
+                     degree: int = 64) -> Iterator[PmfField]:
+    """The `PmfField`s of steps 0..n in one pass, each advanced from the one
+    before.  Refuses (raises) a law with too large a support before the
+    first field, and a step whose exact truncated mass exceeds 1e-9 at any
+    site before that step is yielded."""
     if dist.support_size > 4096:
         raise PmfTruncationError("pmf oracle needs a (truncated) support of workable size")
     coeffs = np.zeros((1,) * d + (degree + 1,))
     coeffs[(0,) * d + (1,)] = 1.0
-    for k in range(n):
+    yield PmfField(d, 0, degree, coeffs, 0)
+    for k in range(1, n + 1):
         R = (coeffs.shape[0] - 1) // 2
         size = 2 * R + 3
         src = np.zeros((2 * R + 5,) * d + (degree + 1,))
@@ -292,12 +307,12 @@ def pmf_oracle(dist: OffspringDist, n: int, d: int = 2, degree: int = 64) -> Pmf
                 prev_l += 1
             out += q * power
         coeffs = out
-    pf = PmfField(d, (coeffs.shape[0] - 1) // 2, degree, coeffs, n)
-    worst = float(pf.deficit().max())
-    if worst > 1e-9:
-        raise PmfTruncationError(
-            f"truncated mass {worst:.3e} exceeds 1e-9 at step {n}; raise the degree")
-    return pf
+        pf = PmfField(d, R + 1, degree, coeffs, k)
+        worst = float(pf.deficit().max())
+        if worst > 1e-9:
+            raise PmfTruncationError(
+                f"truncated mass {worst:.3e} exceeds 1e-9 at step {k}; raise the degree")
+        yield pf
 
 
 # ---------------------------------------------------------------------------

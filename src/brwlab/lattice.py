@@ -20,18 +20,18 @@ the array.  The layout is private to this module: sites are read through
 their sites with `Field.tabulate`, and `stencil_step` advances a field's
 values with one gather over a table of the indices of the sorted |x +- e_a|.
 The table is built lazily in closed form, grown with the box, and kept for
-the dimension used last.  The step runs over blocks of _BLOCK output cells
-with d + 1 rows reused by every block, and allocates only its input
-extended by zeros and its output.
+the dimension used last.  The step runs over blocks of _BLOCK output cells,
+adding each axis's pair-sum into the output block through two rows reused
+by every block, and allocates only its input extended by zeros and its output.
 
 Every exact recursion is P followed by a pointwise map, F_{k+1} =
 update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
 order, from the delta or from any field it yielded (a checkpoint); a
 `ReversedSweep` yields them in reverse from about sqrt(n) checkpoints, and
-`ahead` computes a large sweep one field ahead on a worker thread.  A field
-carries a certified `tail_bound` on the mass outside its box: clamped sweeps
-kill mass at the boundary, so stored values are exact lower bounds, and the
-sweep adds up the killed mass exactly.
+`ahead` computes a large sweep one field ahead on a worker thread that keeps
+it to its end.  A field carries a certified `tail_bound` on the mass outside
+its box: clamped sweeps kill mass at the boundary, so stored values are exact
+lower bounds, and the sweep adds up the killed mass exactly.
 
 All field arithmetic is double precision and every kernel is a fixed-order
 numpy reduction, so results are bit-identical across runs, block sizes,
@@ -41,12 +41,10 @@ read-ahead or not, and thread counts.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import queue
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
@@ -284,9 +282,11 @@ def stencil_step(vals: np.ndarray, d: int,
     `clamp`: the orbit-weighted sum of the dropped tail of vals'.
 
     Each output cell gathers its 2d neighbors from one table.  Opposite
-    shifts are added pairwise (commutative), and for d = 3 the axis
-    pair-sums are added in sorted order, so every cell gets the value the
-    full-box step gives it, bit for bit."""
+    shifts are added pairwise (commutative), and the axis pair-sums in the
+    stored cell's axis order, (p_1 + p_2) + p_3 with x_1 >= x_2 >= x_3: a
+    full-box step that adds them in decreasing-|x_a| order gives every cell
+    the same value, bit for bit, since axes with equal |x_a| have equal
+    pair-sums."""
     if clamp is not None and clamp < 1:
         raise ValueError(f"clamp must be >= 1, got {clamp}")
     size = _radius_of(len(vals), d) + 1  # the output radius before clamping
@@ -298,27 +298,18 @@ def stencil_step(vals: np.ndarray, d: int,
     src[:len(vals)] = vals
     nb = lay.neighbors  # grown copies keep this prefix, so the array may be read unlocked
     acc = np.empty(m)
-    # d pair rows and one gather row, reused by every block of output cells
-    rows = np.empty((d + 1, min(_BLOCK, m)))
+    # one pair row and one gather row, reused by every block of output cells
+    rows = np.empty((2, min(_BLOCK, m)))
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        pairs, g, out = rows[:d, :hi - lo], rows[d, :hi - lo], acc[lo:hi]
+        pair, g, out = rows[0, :hi - lo], rows[1, :hi - lo], acc[lo:hi]
         for a in range(d):  # the table's indices are in range: clip never clips
-            src.take(nb[2 * a, lo:hi], out=pairs[a], mode="clip")
+            dest = out if a == 0 else pair
+            src.take(nb[2 * a, lo:hi], out=dest, mode="clip")
             src.take(nb[2 * a + 1, lo:hi], out=g, mode="clip")
-            pairs[a] += g
-        if d == 3:  # (smallest + middle) + largest pair-sum, by a min/max network
-            a, b, c = pairs
-            np.minimum(a, b, out=g)  # the smaller of a, b
-            np.maximum(a, b, out=a)  # the larger
-            np.minimum(a, c, out=b)
-            np.maximum(a, c, out=c)
-            np.add(g, b, out=out)
-            out += c
-        elif d == 2:
-            np.add(pairs[0], pairs[1], out=out)
-        else:
-            np.copyto(out, pairs[0])
+            dest += g
+            if a:
+                out += pair
         out += src[lo:hi]
         out /= 2 * d + 1
     lost = 0.0
@@ -349,7 +340,14 @@ def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | No
 
 def _sweep(n, d, update, clamp, f):
     yield f
+    # the table grows in doubling radii up to the last step's output radius,
+    # not shell by shell, and not beyond a sweep that stops early (mgf blowup)
+    top, covered = f.radius + n - f.step, -1
+    if clamp is not None:
+        top = min(top, clamp + 1)
     while f.step < n:
+        if f.radius >= covered:
+            covered = _layout(d, min(top, 2 * f.radius + 2)).radius
         pf, lost = stencil_step(f.values, d, clamp)
         f = Field(pf if update is None else update(pf, f), d, f.tail_bound + lost, f.step + 1)
         yield f
@@ -387,12 +385,6 @@ class ReversedSweep:
 
 
 AHEAD_MIN_CELLS = 1 << 14  # smaller fields step faster than a hand-off to a thread
-# Reading ahead pays only while the two threads run at once.  Every
-# AHEAD_WINDOW fields it compares the process's CPU time with the wall time;
-# below AHEAD_MIN_OVERLAP CPU seconds per second (another process holds the
-# second CPU, or the host takes it) the rest of the sweep runs the plain loop.
-AHEAD_WINDOW = 32
-AHEAD_MIN_OVERLAP = 1.3
 
 
 def _cpus() -> int:
@@ -406,15 +398,17 @@ def ahead(fields: Iterator[Field]) -> Iterator[Field]:
     """The fields of a sweep, computed one field ahead on a worker thread.
 
     From the first field of at least AHEAD_MIN_CELLS values on, and only if
-    this process may run on two or more CPUs, the sweep runs on one daemon
-    thread: while the caller works on F_k, it computes F_{k+1}, and no
-    further.  numpy releases the GIL in the stencil's gathers and ufunc
-    loops, so the two overlap; where they stop overlapping (AHEAD_MIN_OVERLAP)
-    the thread is stopped and the caller's thread runs the rest.  The fields
-    are the sweep's own, bit for bit; an exception of the sweep is raised
-    where the caller asks for the field it stopped, and closing the iterator
-    (or dropping it) stops and joins the thread.  Smaller fields, and one-CPU
-    processes, run the plain loop.
+    this process may run on two or more CPUs, the rest of the sweep runs on
+    one daemon thread: while the caller works on F_k, it computes F_{k+1},
+    and no further.  numpy releases the GIL in the stencil's gathers and
+    ufunc loops, so the two overlap.  The worker keeps the sweep to its end:
+    where another process holds the second CPU the two threads take turns,
+    and a large sweep takes up to a third longer than on one thread
+    (README), but no noisy measurement of the overlap can leave a sweep
+    serial.  The fields are the sweep's own, bit for bit; an exception of
+    the sweep is raised where the caller asks for the field it stopped, and
+    closing the iterator (or dropping it) stops and joins the thread.
+    Smaller fields, and one-CPU processes, run the plain loop.
     """
     fields = iter(fields)
     for f in fields:
@@ -436,8 +430,7 @@ def ahead(fields: Iterator[Field]) -> Iterator[Field]:
     worker = threading.Thread(target=work, name="brwlab-ahead", daemon=True)
     worker.start()
     try:
-        cpu, wall = time.process_time(), time.perf_counter()
-        for k in itertools.count(1):
+        while True:
             asks.put(True)
             yield f
             f, exc = answers.get()
@@ -445,16 +438,9 @@ def ahead(fields: Iterator[Field]) -> Iterator[Field]:
                 return
             if exc is not None:
                 raise exc
-            if k % AHEAD_WINDOW == 0:
-                now_cpu, now_wall = time.process_time(), time.perf_counter()
-                if now_cpu - cpu < AHEAD_MIN_OVERLAP * (now_wall - wall):
-                    break
-                cpu, wall = now_cpu, now_wall
     finally:
         asks.put(False)
         worker.join()
-    yield f
-    yield from fields
 
 
 def last(fields: Iterator[Field]) -> Field:

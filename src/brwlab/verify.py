@@ -141,9 +141,8 @@ def c01_fundamental(seed: int, bank: SimBank) -> list[ReportRow]:
     """E U_n(x) = P_n(x): oracle means for n <= 12, Monte Carlo at n = 32."""
     rows = []
     worst = 0.0
-    for n in range(1, 13):
-        pf = xf.pmf_oracle(_B, n, 2, degree=64)
-        pn = transition_field(n, 2)
+    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
+        pn = transition_field(pf.step, 2)
         worst = max(worst, float(np.abs(pf.mean_field() - pn.unfolded()).max()))
     rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
@@ -163,9 +162,8 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     unbounded support (geometric:2)."""
     rows = []
     worst = 0.0
-    for n in range(1, 13):
-        pf = xf.pmf_oracle(_B, n, 2, degree=64)
-        u = xf.hitting_field(_B, n, 2)
+    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
+        u = xf.hitting_field(_B, pf.step, 2)
         worst = max(worst, float(np.abs(pf.hitting_values() - u.unfolded()).max()))
     rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
@@ -182,9 +180,8 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
     sum_x E U_n(x)^2 = 1 + sigma^2 sum_{j<=n} P_{2j}(0)."""
     rows = []
     worst = 0.0
-    for n in range(1, 13):
-        pf = xf.pmf_oracle(_B, n, 2, degree=64)
-        f = xf.second_moment_field(_B, n, 2)
+    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
+        f = xf.second_moment_field(_B, pf.step, 2)
         worst = max(worst, float(np.abs(pf.second_moment_values() - f.unfolded()).max()))
     rows.append(_row("C03-second-moment", "oracle-vs-recursion", worst, "<=1e-8",
                      worst <= 1e-8, n=12))

@@ -218,6 +218,33 @@ def test_second_moments_bit_symmetric_clamped_or_not(d, clamp):
     assert (f.tail_bound > 0) == (clamp is not None)
 
 
+@pytest.mark.parametrize("d,n,clamp", [(2, 30, 6), (3, 20, 4)])
+def test_second_moments_same_with_and_without_the_read_ahead_worker(monkeypatch, d, n, clamp):
+    # the worker computes the source terms sigma^2 P_k^2; forced on from the
+    # first field, or off (one CPU), f_n, the sums and the tail agree bit for
+    # bit, for a law whose sigma^2 (0.6) is not exact in binary
+    law = parse_offspring("table:0=0.3,1=0.4,2=0.3")
+    monkeypatch.setattr(lat, "AHEAD_MIN_CELLS", 0)
+    workers, start = [], lat.threading.Thread.start
+    monkeypatch.setattr(lat.threading.Thread, "start",
+                        lambda thread: workers.append(thread.name) or start(thread))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        runs.append(xf.second_moment_sweep(law, n, d, clamp=clamp))
+    (f1, sums1), (f2, sums2) = runs
+    assert workers == ["brwlab-ahead"]  # the second run had the worker, the first none
+    assert f1.tail_bound > 0.0 and f1.tail_bound == f2.tail_bound
+    assert np.array_equal(f1.values, f2.values) and np.array_equal(sums1, sums2)
+    # and both are the plain loop's f_n: P f, plus sigma^2 P_k^2 squared first
+    p = f = np.ones(1)
+    for _ in range(n):
+        p, _ = lat.stencil_step(p, d, clamp)
+        f, _ = lat.stencil_step(f, d, clamp)
+        f += law.sigma2 * np.square(p)
+    assert np.array_equal(f1.values, f)
+
+
 def test_pmf_oracle_one_step_frozen():
     pf = xf.pmf_oracle(B, 1, 2, degree=8)
     assert pf.pmf_at((1, 0))[:3] == pytest.approx([41 / 50, 8 / 50, 1 / 50], abs=1e-15)
@@ -239,6 +266,33 @@ def test_pmf_oracle_moments_match_fields():
 def test_pmf_oracle_refuses_undersized_degree():
     with pytest.raises(xf.PmfTruncationError):
         xf.pmf_oracle(B, 10, 2, degree=4)
+
+
+def test_pmf_oracle_pass_matches_fresh_oracles():
+    # one pass reads every step off the one before: each field is bit for bit
+    # the oracle run from the delta to that step
+    for d, degree in ((2, 64), (3, 16)):
+        steps = 12 if d == 2 else 5
+        fields = list(xf.pmf_oracle_sweep(B, steps, d, degree))
+        assert [pf.step for pf in fields] == list(range(steps + 1))
+        for k, pf in enumerate(fields):
+            fresh = xf.pmf_oracle(B, k, d, degree)
+            assert (pf.radius, pf.degree) == (fresh.radius, degree)
+            assert np.array_equal(pf.coeffs, fresh.coeffs)
+
+
+def test_pmf_oracle_pass_refuses_before_the_field_is_used():
+    # a step whose truncated mass exceeds 1e-9 is never handed out: degree 4
+    # holds steps 0..2 of binary fission, and step 3 raises
+    seen = []
+    with pytest.raises(xf.PmfTruncationError, match="at step 3"):
+        for pf in xf.pmf_oracle_sweep(B, 10, 2, degree=4):
+            assert pf.deficit().max() <= 1e-9
+            seen.append(pf.step)
+    assert seen == [0, 1, 2]
+    # a law the oracle cannot hold is refused before the delta is handed out
+    with pytest.raises(xf.PmfTruncationError, match="support"):
+        next(xf.pmf_oracle_sweep(zeta(2.0), 5, 2))
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0])

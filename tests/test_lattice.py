@@ -41,8 +41,9 @@ def convolve(f, g):
 
 def full_box_step(vals, d, clamp=None):
     """Plain reference for one step of P on a full centered box {-R..R}^d:
-    the same pair order as `stencil_step` (x+e plus x-e, axis by axis) and
-    the same sorted pair-sum for d = 3.  Returns (vals', lost)."""
+    the same pair order as `stencil_step` (x+e plus x-e, axis by axis), and
+    for d = 3 the pair-sums added in decreasing-|x_a| order.  Returns
+    (vals', lost)."""
     R = (vals.shape[0] - 1) // 2
     src = np.zeros((2 * R + 5,) * d)
     src[tuple(slice(2, 2 * R + 3) for _ in range(d))] = vals
@@ -60,7 +61,9 @@ def full_box_step(vals, d, clamp=None):
     elif d == 2:
         acc = pairs[0] + pairs[1]
     else:
-        s = np.sort(np.stack(pairs), axis=0)
+        coords = np.abs(np.indices((size,) * d) - (R + 1))
+        order = np.argsort(-coords, axis=0, kind="stable")
+        s = np.take_along_axis(np.stack(pairs), order, axis=0)
         acc = (s[0] + s[1]) + s[2]
     out = (acc + src[base]) / (2 * d + 1)
     lost = 0.0
@@ -85,6 +88,47 @@ def test_orthant_stencil_matches_full_box_reference(d, steps, clamp):
         orth, full = (x - 0.5 * x * x for x in (orth, full))
     if clamp is not None:
         assert lost > 0.0  # the last steps did crop
+
+
+def frozen_stencil_step(vals, d, clamp=None):
+    """Frozen reference for d <= 2: the blocked kernel that keeps one pair
+    row per axis (d + 1 rows per block) and adds p_1 + p_2 once every pair
+    is gathered."""
+    size = lat._radius_of(len(vals), d) + 1
+    nb, m = lat._layout(d, size).neighbors, lat._cell_count(d, size)
+    src = np.zeros(lat._cell_count(d, size + 1))
+    src[:len(vals)] = vals
+    acc = np.empty(m)
+    rows = np.empty((d + 1, min(lat._BLOCK, m)))
+    for lo in range(0, m, lat._BLOCK):
+        hi = min(lo + lat._BLOCK, m)
+        pairs, g, out = rows[:d, :hi - lo], rows[d, :hi - lo], acc[lo:hi]
+        for a in range(d):
+            src.take(nb[2 * a, lo:hi], out=pairs[a], mode="clip")
+            src.take(nb[2 * a + 1, lo:hi], out=g, mode="clip")
+            pairs[a] += g
+        if d == 2:
+            np.add(pairs[0], pairs[1], out=out)
+        else:
+            np.copyto(out, pairs[0])
+        out += src[lo:hi]
+        out /= 2 * d + 1
+    if clamp is not None and size > clamp:
+        acc = acc[:lat._cell_count(d, clamp)]
+    return acc
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize("d,radius", [(1, 300), (2, 40)])
+@pytest.mark.parametrize("clamp", [None, 20])
+def test_low_dimensional_steps_keep_the_frozen_kernel_bits(monkeypatch, block, d, radius, clamp):
+    # accumulating into the output block moves no bit where d <= 2
+    monkeypatch.setattr(lat, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for r in (0, 1, radius):
+        vals = rng.random(lat._cell_count(d, r))
+        got, _ = lat.stencil_step(vals, d, clamp)
+        assert np.array_equal(got, frozen_stencil_step(vals, d, clamp))
 
 
 def _same_fields(a, b):
@@ -156,11 +200,27 @@ def test_threads_growing_one_layout_together_get_the_serial_layout():
         lat._layouts.clear()
 
 
+@pytest.mark.parametrize("n,clamp,top", [(40, None, 40), (40, 9, 10), (3, 9, 3)])
+def test_sweep_grows_the_table_in_doubling_radii_to_its_last_step(monkeypatch, n, clamp, top):
+    covers, cover = [], lat._Layout.cover
+    monkeypatch.setattr(lat._Layout, "cover",
+                        lambda lay, radius: covers.append(radius) or cover(lay, radius))
+    lat._layouts.clear()
+    ref = list(lat.sweep(n, 3, _kpp, clamp))
+    assert lat._layouts[0].radius == top  # the largest radius a step needed
+    assert covers == sorted(covers) and len(covers) <= 1 + math.ceil(math.log2(top + 1))
+    lat._layouts.clear()
+    assert _same_fields(list(lat.sweep(n, 3, _kpp, clamp)), ref)
+    # a sweep that stops early builds no table for its horizon
+    lat._layouts.clear()
+    assert [f.step for f in itertools.islice(lat.sweep(10**6, 3), 4)] == [0, 1, 2, 3]
+    assert lat._layouts[0].radius <= 7
+
+
 def _read_ahead_on(monkeypatch, cpus=2):
     """Hand every sweep wrapped in `ahead` to its worker from the first field
-    on, and keep it there, as if the process had `cpus` CPUs."""
+    on, as if the process had `cpus` CPUs."""
     monkeypatch.setattr(lat, "AHEAD_MIN_CELLS", 0)
-    monkeypatch.setattr(lat, "AHEAD_MIN_OVERLAP", 0.0)
     monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -179,22 +239,6 @@ def test_read_ahead_yields_the_sweep_bit_for_bit(monkeypatch, n, d, update, clam
     assert _same_fields(got, ref)
     assert workers[0] == 1  # the worker ran from the first field on
     assert not _ahead_threads()
-
-
-@pytest.mark.parametrize("window", [1, 2, 5])
-def test_read_ahead_without_overlap_finishes_on_the_plain_loop(monkeypatch, window):
-    # no overlap is enough: the worker stops after `window` fields, and the
-    # caller's thread yields the rest of the same sweep
-    ref = list(lat.sweep(12, 2, _kpp, 4))
-    _read_ahead_on(monkeypatch)
-    monkeypatch.setattr(lat, "AHEAD_WINDOW", window)
-    monkeypatch.setattr(lat, "AHEAD_MIN_OVERLAP", math.inf)
-    got, workers = [], []
-    for f in lat.ahead(lat.sweep(12, 2, _kpp, 4)):
-        got.append(f)
-        workers.append(len(_ahead_threads()))
-    assert _same_fields(got, ref)
-    assert workers == [1] * window + [0] * (len(ref) - window)
 
 
 def test_dropping_a_read_ahead_stops_its_worker(monkeypatch):
