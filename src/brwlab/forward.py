@@ -23,34 +23,31 @@ the n^2/2 that rejection of free runs spends.
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
 
-Attached walks.  Independent walks from the origin, each read near its own
-query site (the spine's), run in `attached_walks` on one of two routes.  The
-staggered array (any law) enters a walk of age a max_age - a one-generation
-steps into one particle array tagged per walk, at an expected cost of the
-sum of the ages in particle-generations; ell only selects the particles it
-returns, so its draws are the same at every radius.  The reduced tree
-(binary fission) is the site-targeted form of the tree above: with u_m(x)
-the probability that a walk from offset x (query site minus position) has a
-descendant in B(0, ell) after m generations (the hitting recursion from the
-ball's indicator), a walk of age m enters as Bernoulli(u_m(q)) on one clock
-m = max_age..0, and a kept particle at x has K = 1 + Bernoulli(p/(2-p)) kept
-children, p = (P u_{m-1})(x), each moving to x - e with probability
-u_{m-1}(x - e) / ((2d+1) p) (`tree_step`, which the conditioned sampler
-shares: its tree is this one at ell = 0, grown from one kept particle at the
-target).  At m = 0 the kept particles are exactly those in the ball.  The
-fields come from one `lattice.ReversedSweep`, clamped at
-clamp_radius(max_age, d, 1e-14) + floor(ell): a lost particle ends in the
-ball after its lineage strayed more than clamp_radius(max_age) from it, so
-each walk's expected count is low by at most 1e-14.  The tree is taken when
-the staggered array's expected particle-generations exceed the
-2 max_age C(clamp + d, d) cells that the tree's two sweeps store (about 30 ns
-per particle-generation and 22 ns per stored cell at max_age = 511 in d = 2
-on a 2-core VM; break-even near 55 replicates of the spine's n walks).
-Callers run replicates in chunks (`walk_chunks`) that keep the staggered
-array near 2**18 particles and the walk tags within the packing range (d = 3
-splits further); a batch that takes the tree runs in chunks of about 2**19
-walks, since each chunk recomputes the reversed fields (from checkpoints
-that successive chunks share).
+Attached walks.  `attached_walks` runs n independent walks from the origin
+per replicate, walk i of age i, each read near its own query site (the
+spine's), on one of two routes.  The staggered array (any law) enters the
+walks of age n-1-t, one per replicate, after t one-generation steps of one
+particle array tagged per walk, at an expected cost of the sum of the ages in
+particle-generations; ell only selects the particles it returns, so its draws
+are the same at every radius.  The reduced tree (binary fission) is the
+site-targeted form of the tree above: with u_m(x) the probability that a walk
+from offset x (query site minus position) has a descendant in B(0, ell)
+after m generations (the hitting recursion from the ball's indicator), the
+walks of age m enter as Bernoulli(u_m(q)) on one clock m = n-1..0, and a kept
+particle at x has K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_{m-1})(x),
+each moving to x - e with probability u_{m-1}(x - e) / ((2d+1) p)
+(`tree_step`, which the conditioned sampler shares: its tree is this one at
+ell = 0, grown from one kept particle at the target).  At m = 0 the kept
+particles are exactly those in the ball.  The whole batch takes one pass of
+one `lattice.ReversedSweep`, clamped at clamp_radius(n-1, d, 1e-14) +
+floor(ell): a lost particle ends in the ball after its lineage strayed more
+than clamp_radius(n-1) from it, so each walk's expected count is low by at
+most 1e-14.  The tree is taken when the staggered array's expected
+particle-generations exceed the 2 (n-1) C(clamp + d, d) cells that the tree's
+two sweeps store (about 30 ns per particle-generation and 22 ns per stored
+cell at n = 512 in d = 2 on a 2-core VM; break-even near 55 replicates), and
+whenever the reps n walk tags do not fit the key packing range (d = 3 batches
+of 2**17 walks or more), which bounds only the staggered array's keys.
 """
 
 from __future__ import annotations
@@ -324,66 +321,47 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 # attached walks: many independent walks, each read near its own query site
 
 
-def walk_chunks(ages: np.ndarray, ell: float, dist: OffspringDist,
-                d: int) -> list[tuple[int, int]]:
-    """Replicate ranges [lo, hi) for `attached_walks` calls on the rows of
-    ages[reps, walks per replicate]: about 2**18 walks per call on the
-    staggered array, and about 2**19 when the whole batch takes the tree,
-    each of whose calls costs a hitting sweep; both within the tag range."""
-    reps, per_rep = ages.shape
-    cap = 2**19 if _takes_tree(ages, ell, dist, d) else 2**18
-    size = max(1, min(cap, _max_tags(d) - 1) // per_rep)
-    return [(lo, min(reps, lo + size)) for lo in range(0, reps, size)]
+def _takes_tree(reps: int, n: int, ell: float, dist: OffspringDist, d: int) -> bool:
+    """The route rule for `reps` replicates of n walks (module doc): binary
+    fission, and either the reps n walk tags do not fit the key packing
+    range, or the staggered array's expected particle-generations exceed the
+    cells that the tree's two sweeps store."""
+    top = n - 1
+    return bool(dist.is_binary and (
+        reps * n >= _max_tags(d)
+        or top > 0 and reps * n * top // 2 > 2 * top * math.comb(_tree_clamp(top, d, ell) + d, d)))
 
 
-def _takes_tree(ages: np.ndarray, ell: float, dist: OffspringDist, d: int) -> bool:
-    """The route rule: binary fission, and the staggered array's expected
-    particle-generations exceed the cells that the tree's two sweeps store."""
-    top = int(ages.max(initial=-1))
-    return bool(dist.is_binary and top > 0 and np.sum(ages, where=ages > 0)
-                > 2 * top * math.comb(_tree_clamp(top, d, ell) + d, d))
-
-
-def attached_walks(ages: np.ndarray, query: np.ndarray, ell: float, dist: OffspringDist,
-                   d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def attached_walks(query: np.ndarray, ell: float, dist: OffspringDist,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Independent branching random walks from the origin, each read near its
     own query site.
 
-    Walk w has age ages.flat[w] (negative: not started) and query site
-    query.reshape(-1, d)[w].  Returns (walk, rel): for every final particle
-    within Euclidean distance `ell` of its walk's query site, the walk's flat
-    index and the particle's offset from that site.  The range check runs
-    first; the route (module doc) follows from the input alone, and only the
-    staggered array, whose keys carry walk tags, is limited in walks."""
-    ages = np.asarray(ages, dtype=np.int64).ravel()
-    query = np.asarray(query, dtype=np.int64).reshape(-1, d)
-    top = int(ages.max(initial=-1))
-    _check_capacity(top, d, 0)  # the reach; walk tags only bound the staggered keys
-    if _takes_tree(ages, ell, dist, d):
-        return _tree_walks(ages, query, ell, d, rng)
-    _check_capacity(top, d, len(ages))
-    return _staggered_walks(ages, query, ell, dist, d, rng)
+    query[reps, n, d] (int16) holds n walks per replicate: walk (r, i) has
+    age i, query site query[r, i] and flat index r n + i.  Returns (walk,
+    rel): for every final particle within Euclidean distance `ell` of its
+    walk's query site, the walk's flat index and the particle's offset from
+    that site.  The range check runs first; the route (module doc) follows
+    from the shape, `ell` and the law alone."""
+    reps, n, d = query.shape
+    _check_capacity(n - 1, d, 0)  # the reach; walk tags only bound the staggered keys
+    if _takes_tree(reps, n, ell, dist, d):
+        return _tree_walks(query, ell, rng)
+    _check_capacity(n - 1, d, reps * n)
+    return _staggered_walks(query, ell, dist, rng)
 
 
-def _by_age(ages: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Started walks in order of decreasing age (flat order within an age),
-    and bounds: the walks of age top - t are order[bounds[t]:bounds[t + 1]]."""
-    # unstarted walks (negative ages) sort after every started one
-    order = np.argsort(top - ages, kind="stable")[: np.count_nonzero(ages >= 0)]
-    return order, np.searchsorted(top - ages[order], np.arange(max(top, 0) + 2))
-
-
-def _staggered_walks(ages, query, ell, dist, d, rng):
-    """`attached_walks` on the staggered particle array (module doc)."""
-    top = int(ages.max(initial=-1))
-    order, bounds = _by_age(ages, top)
-    entries = _origin_keys(order, d)
-    keys = entries[: bounds[1]]
-    for t in range(1, top + 1):
-        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng),
-                               entries[bounds[t]: bounds[t + 1]]))
-    walk = keys >> _rep_shift(d)
-    rel = decode_sites(keys, d) - query[walk]
+def _staggered_walks(query, ell, dist, rng):
+    """`attached_walks` on the staggered particle array (module doc): the
+    walks of age i enter after n - 1 - i steps, tagged r n + i."""
+    reps, n, d = query.shape
+    shift = _rep_shift(d)
+    entries = _origin_keys(np.arange(reps) * n, d)  # the age-0 walks' keys
+    keys = np.empty(0, dtype=np.int64)
+    for age in range(n - 1, -1, -1):
+        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng), entries + (age << shift)))
+    walk = keys >> shift
+    rel = decode_sites(keys, d) - query.reshape(-1, d)[walk]
     near = (rel.astype(np.float64) ** 2).sum(axis=1) <= float(ell) ** 2 + 1e-9
     return walk[near], rel[near]
 
@@ -412,23 +390,22 @@ def tree_step(u: Field, x: np.ndarray, rng: np.random.Generator) -> tuple[np.nda
     return k, x - neighborhood(u.dim)[np.minimum(pick, 2 * u.dim)]
 
 
-def _tree_walks(ages, query, ell, d, rng):
+def _tree_walks(query, ell, rng):
     """`attached_walks` for binary fission on the ball-targeted reduced tree
     (module doc); x holds the kept particles' offsets, query site minus site."""
-    top = int(ages.max(initial=-1))
-    order, bounds = _by_age(ages, top)
+    reps, n, d = query.shape
     owner = np.empty(0, dtype=np.int64)
     x = np.empty((0, d), dtype=np.int64)
     ball = Field.tabulate(lambda s: in_ball(s, ell), d, math.floor(ell), step=0)
-    for u in ReversedSweep(top, d, BINARY_HITTING, _tree_clamp(top, d, ell), start=ball):
+    for u in ReversedSweep(n - 1, d, BINARY_HITTING, _tree_clamp(n - 1, d, ell), start=ball):
         if len(x):
             k, x = tree_step(u, x, rng)
             owner = np.repeat(owner, k)
-        # walks of age m enter as Bernoulli(u_m(q))
-        new = order[bounds[top - u.step]: bounds[top - u.step + 1]]
-        new = new[rng.random(len(new)) < u.values_at(query[new])]
-        owner = np.concatenate((owner, new))
-        x = np.concatenate((x, query[new]))
+        # the walks of age m enter as Bernoulli(u_m(q)), in replicate order
+        q = query[:, u.step]
+        new = np.flatnonzero(rng.random(reps) < u.values_at(q))
+        owner = np.concatenate((owner, new * n + u.step))
+        x = np.concatenate((x, q[new]))
     return owner, -x
 
 

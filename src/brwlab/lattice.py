@@ -361,8 +361,7 @@ class ReversedSweep:
     bit, on every iteration: every isqrt(n - start.step)-th field is kept and
     the block after each is recomputed from it.  The stream used last keeps
     its checkpoints, keyed by the arguments (update by identity, start by
-    value): successive replicate chunks of one batch, and successive CLI
-    blocks, read one stream."""
+    value): successive CLI `spine` or `conditioned` blocks read one stream."""
 
     def __init__(self, n: int, d: int, update: Callable | None = None,
                  clamp: int | None = None, start: Field | None = None):
@@ -458,13 +457,28 @@ def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
     return last(sweep(n, d, clamp=clamp))
 
 
+_DRAW_CELLS = 1 << 18  # cells per block of a row-blocked draw
+
+
+def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """Ranges [lo, hi) of about _DRAW_CELLS cells of `rows` rows of `width`
+    cells.  `Generator.integers` draws the same stream whole or in row
+    blocks, so a block only bounds the temporaries of a draw."""
+    size = max(1, _DRAW_CELLS // max(width, 1))
+    return ((lo, min(lo + size, rows)) for lo in range(0, rows, size))
+
+
 def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions S_0..S_n for `reps` independent walks: array (reps, n+1, d)."""
-    offs = neighborhood(d)
-    idx = rng.integers(0, 2 * d + 1, size=(reps, n))
-    path = np.zeros((reps, n + 1, d), dtype=np.int64)
-    if n:
-        np.cumsum(offs[idx], axis=1, out=path[:, 1:])
+    """Positions S_0..S_n for `reps` independent walks: int16 array
+    (reps, n+1, d), written axis by axis from the step draw, so n < 2**15."""
+    if n >= 2**15:
+        raise ValueError(f"n = {n} steps exceed the int16 positions (n < {2**15})")
+    offs = neighborhood(d).astype(np.int16).T
+    path = np.zeros((reps, n + 1, d), dtype=np.int16)
+    for lo, hi in row_blocks(reps, n):
+        idx = rng.integers(0, 2 * d + 1, size=(hi - lo, n))
+        for a in range(d):
+            np.cumsum(offs[a][idx], axis=1, dtype=np.int16, out=path[lo:hi, 1:, a])
     return path
 
 

@@ -31,14 +31,14 @@ occupied sites of B(tip; ell) are the distinct offsets plus the tip's own.
 size-biased walk in B(tip; ell), seen from its tip.  T**_n is its count at
 offset 0, so T**, W_n(ell) and the occupied sites of one replicate come from
 one draw.  Gamma_n and Delta_n are a field sweep along its spines
-(`gamma_split`), run only where they are read.  The n attached walks per
-replicate go to `forward.attached_walks`, in replicate chunks from
-`forward.walk_chunks`.  At the verify sizes (C09, C13) that is the
-ball-targeted reduced tree, which keeps only the particles that end in the
-ball: a few dozen particle-generations per replicate instead of about n^2/2,
-for one hitting sweep per chunk plus a checkpoint sweep that successive
-chunks share.  Small batches (the CLI's few replicates) stay on the
-staggered array, whose draws do not depend on ell.
+(`gamma_split`), run only where they are read.  The n attached walks of
+every replicate go to one `forward.attached_walks` call for the whole batch,
+as one int16 array of query sites.  At the verify sizes (C09, C13) that is
+the ball-targeted reduced tree, which keeps only the particles that end in
+the ball: a few dozen particle-generations per replicate instead of about
+n^2/2, for one reversed hitting sweep per batch.  Small batches (the CLI's
+few replicates) stay on the staggered array, whose draws do not depend on
+ell.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import clamp_radius, neighborhood, sample_srw_batch, sweep
+from .lattice import clamp_radius, neighborhood, row_blocks, sample_srw_batch, sweep
 from .offspring import binary
 
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
@@ -93,52 +93,43 @@ def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
     return vals, misses
 
 
-def _spine_steps(n: int, d: int, reps: int, rng: np.random.Generator):
-    """Spine positions S_0..S_n (reps, n+1, d) and sibling steps xi_0..xi_{n-1}."""
-    S = sample_srw_batch(n, d, reps, rng)
-    xi = neighborhood(d)[rng.integers(0, 2 * d + 1, size=(reps, n))]
-    return S, xi
-
-
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
                         ell: float = 0, keep_increments: tuple[int, ...] = ()) -> dict:
     """Generation n of the size-biased walk in the ball B(tip; ell), from one
     reversed batch (module doc).  Per replicate: T**_n ("Tstar", the particles
     at offset 0) and its age-0 term B_0 ("B0"), W_n(ell) ("W") and the
     occupied sites ("occupied"), the tip's included; the spine S_0..S_n
-    ("S", int16: attached_walks bounds |S| <= n <= 2**14); and under "kept",
-    for each index i in keep_increments, U^{i-1}_{i-1}(S_i + xi_{i-1}), the
-    count of the walk of age i-1 at offset 0.
+    ("S", int16); and under "kept", for each index i in keep_increments,
+    U^{i-1}_{i-1}(S_i + xi_{i-1}), the count of the walk of age i-1 at offset 0.
     """
     if n < 2:
         raise ValueError("the representation needs n >= 2")
     if not ell >= 0:
         raise ValueError("ell must be >= 0")
-    keep = [j for j in keep_increments if 2 <= j <= n]
-    S_all = np.empty((reps, n + 1, d), dtype=np.int16)
-    tstar = np.ones(reps, dtype=np.int64)  # the spine tip
-    w = np.ones(reps, dtype=np.int64)
-    b0 = np.empty(reps, dtype=bool)
-    occupied = np.empty(reps, dtype=np.int64)
-    kept = {j: np.empty(reps, dtype=np.int64) for j in keep}
-    ages = np.broadcast_to(np.arange(n), (reps, n))
-    for lo, hi in fw.walk_chunks(ages, ell, _BINARY, d):
-        S, xi = _spine_steps(n, d, hi - lo, rng)
-        walk, rel = fw.attached_walks(ages[lo:hi], S[:, 1:] + xi, ell, _BINARY, d, rng)
-        S_all[lo:hi] = S
-        rep = walk // n
-        w[lo:hi] += np.bincount(rep, minlength=hi - lo)
-        u = np.bincount(walk[~rel.any(axis=1)], minlength=(hi - lo) * n).reshape(hi - lo, n)
-        tstar[lo:hi] += u.sum(axis=1)
-        b0[lo:hi] = u[:, 0]
-        for j in keep:
-            kept[j][lo:hi] = u[:, j - 1]
-        # distinct (replicate, offset) pairs, each replicate's tip at offset 0
-        tips = np.zeros((hi - lo, d + 1), dtype=np.int64)
-        tips[:, 0] = np.arange(hi - lo)
-        pairs = np.unique(np.concatenate((tips, np.column_stack((rep, rel)))), axis=0)
-        occupied[lo:hi] = np.bincount(pairs[:, 0], minlength=hi - lo)
-    return {"Tstar": tstar, "B0": b0, "W": w, "occupied": occupied, "S": S_all, "kept": kept}
+    if n > fw.COORD_OFF:  # before the draws: S_{i+1} + xi_i then fits int16
+        raise ValueError(f"n = {n} exceeds the packing range n <= {fw.COORD_OFF}")
+    S = sample_srw_batch(n, d, reps, rng)
+    # walk i, of age i, is read at S_{i+1} + xi_i
+    query = S[:, 1:].copy()
+    offs = neighborhood(d).astype(np.int16)
+    for lo, hi in row_blocks(reps, n):
+        query[lo:hi] += offs[rng.integers(0, 2 * d + 1, size=(hi - lo, n))]
+    walk, rel = fw.attached_walks(query, ell, _BINARY, rng)
+    rep = walk // n
+    rep0, age0 = np.divmod(walk[~rel.any(axis=1)], n)  # the particles at offset 0
+    # distinct (replicate, offset) pairs, each replicate's tip at offset 0
+    tips = np.zeros((reps, d + 1), dtype=np.int64)
+    tips[:, 0] = np.arange(reps)
+    pairs = np.unique(np.concatenate((tips, np.column_stack((rep, rel)))), axis=0)
+    return {
+        "Tstar": 1 + np.bincount(rep0, minlength=reps),  # 1: the spine tip
+        "B0": np.bincount(rep0[age0 == 0], minlength=reps).astype(bool),
+        "W": 1 + np.bincount(rep, minlength=reps),
+        "occupied": np.bincount(pairs[:, 0], minlength=reps),
+        "S": S,
+        "kept": {j: np.bincount(rep0[age0 == j - 1], minlength=reps)
+                 for j in keep_increments if 2 <= j <= n},
+    }
 
 
 def gamma_split(batch: dict) -> dict:

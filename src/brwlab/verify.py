@@ -141,8 +141,7 @@ def c01_fundamental(seed: int, bank: SimBank) -> list[ReportRow]:
     """E U_n(x) = P_n(x): oracle means for n <= 12, Monte Carlo at n = 32."""
     rows = []
     worst = 0.0
-    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
-        pn = transition_field(pf.step, 2)
+    for pf, pn in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), sweep(12, 2)):
         worst = max(worst, float(np.abs(pf.mean_field() - pn.unfolded()).max()))
     rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, "<=1e-9",
                      worst <= 1e-9, n=12))
@@ -162,8 +161,7 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     unbounded support (geometric:2)."""
     rows = []
     worst = 0.0
-    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
-        u = xf.hitting_field(_B, pf.step, 2)
+    for pf, u in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), xf.hitting_sweep(_B, 12, 2)):
         worst = max(worst, float(np.abs(pf.hitting_values() - u.unfolded()).max()))
     rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, "<=1e-9",
                      worst <= 1e-9, n=12))

@@ -170,70 +170,76 @@ def test_markov_bound_and_fundamental_identity_mc():
     assert hit.mean() <= counts.mean()
 
 
-def test_attached_walks_unstarted_and_age_zero():
+def queries(sites, reps: int, n: int) -> np.ndarray:
+    """Query sites (reps, n, 2), int16: replicate r reads all its walks at
+    sites[r % len(sites)]."""
+    sites = np.resize(np.asarray(sites, dtype=np.int16), (reps, 1, 2))
+    return np.repeat(sites, n, axis=1)
+
+
+def test_attached_walks_age_zero_is_its_start_particle():
     rng = substream(60, "selftest")
-    query = np.array([[2, -1], [0, 3], [5, 5]])
-    walk, rel = fw.attached_walks(np.array([-1, 0, -1]), query, 10, B, 2, rng)
-    # unstarted walks yield nothing; an age-0 walk is its start particle
-    assert walk.tolist() == [1] and rel.tolist() == [[0, -3]]
-    walk, rel = fw.attached_walks(np.full(4, -1), np.zeros((4, 2)), 10, B, 2, rng)
-    assert len(walk) == 0 and rel.shape == (0, 2)
+    query = queries([(2, -1), (0, 3), (5, 5)], 3, 1)
+    walk, rel = fw.attached_walks(query, 10, B, rng)
+    assert walk.tolist() == [0, 1, 2] and rel.tolist() == [[-2, 1], [0, -3], [-5, -5]]
+    walk, rel = fw.attached_walks(query, 3, B, rng)
+    assert walk.tolist() == [0, 1] and rel.tolist() == [[-2, 1], [0, -3]]
 
 
 def test_attached_walks_counts_match_transition_field():
-    # E U_a(x) = P_a(x): age-3 walks staggered with age-1 walks in one array,
-    # read at (1, 0) and summed over the ball of radius 1.5 around it
+    # E U_a(x) = P_a(x): walks of ages 0..3 in one batch, each read at
+    # (1, 0) and summed over the ball of radius 1.5 around it
     rng = substream(61, "selftest")
-    reps, ell, site = 40_000, 1.5, np.array([1, 0])
-    ages = np.tile([3, 1], reps)
-    walk, rel = fw.attached_walks(ages, np.tile(site, (2 * reps, 1)), ell, B, 2, rng)
-    at_site = np.bincount(walk[np.all(rel == 0, axis=1)], minlength=2 * reps)
-    in_ball = np.bincount(walk, minlength=2 * reps)
+    reps, n, ell, site = 40_000, 4, 1.5, np.array([1, 0])
+    walk, rel = fw.attached_walks(queries(site, reps, n), ell, B, rng)
+    at_site = np.bincount(walk[np.all(rel == 0, axis=1)], minlength=reps * n).reshape(reps, n)
+    in_ball = np.bincount(walk, minlength=reps * n).reshape(reps, n)
     ball = site + lat.sites_in_ball(2, ell)
-    for age, col in ((3, 0), (1, 1)):
+    for age in range(n):
         p = lat.transition_field(age, 2)
-        for counts, exact in ((at_site, p.value_at(site)), (in_ball, p.values_at(ball).sum())):
-            x = counts[col::2]
+        for counts, exact in ((at_site, p.values_at(site)), (in_ball, p.values_at(ball).sum())):
+            x = counts[:, age]
             assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (age, exact)
 
 
 # both attached-walk engines, called directly whatever route the rule picks
 ENGINES = {
-    "staggered": lambda ages, query, ell, rng: fw._staggered_walks(ages, query, ell, B, 2, rng),
-    "tree": lambda ages, query, ell, rng: fw._tree_walks(ages, query, ell, 2, rng),
+    "staggered": lambda query, ell, rng: fw._staggered_walks(query, ell, B, rng),
+    "tree": lambda query, ell, rng: fw._tree_walks(query, ell, rng),
 }
 
 
 @pytest.mark.parametrize("age", [2, 3, 4])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_attached_walk_engines_match_pmf_oracle(engine, age):
+    # replicate 3k + j reads its walk of age `age` at sites[j]
     rng = substream(62, "selftest", rep=age + 10 * (engine == "tree"))
     reps, sites = 20_000, np.array([(1, 0), (0, 0), (2, 1)])
-    walk, rel = ENGINES[engine](np.full(3 * reps, age), np.tile(sites, (reps, 1)), 0, rng)
+    walk, rel = ENGINES[engine](queries(sites, 3 * reps, age + 1), 0, rng)
     assert np.all(rel == 0)
-    counts = np.bincount(walk, minlength=3 * reps).reshape(reps, 3)
+    counts = np.bincount(walk, minlength=3 * reps * (age + 1)).reshape(reps, 3, age + 1)
     oracle = xf.pmf_oracle(B, age, 2)
     for j, x in enumerate(sites):
         pmf = oracle.pmf_at(x)
         if pmf[0] == 1.0:  # (2, 1) lies beyond two steps
-            assert counts[:, j].max() == 0
+            assert counts[:, j, age].max() == 0
             continue
-        obs = np.bincount(counts[:, j], minlength=len(pmf))
+        obs = np.bincount(counts[:, j, age], minlength=len(pmf))
         assert len(obs) == len(pmf), (age, x)
         assert chi_square(obs, pmf)["p_value"] > 1e-3, (engine, age, tuple(x))
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_attached_walk_engines_ball_mean_is_transition_mass(engine):
-    # E U_a(B(q, ell)) = P_a(B(q, ell)), with ages 6 and 2 in one call
+    # E U_a(B(q, ell)) = P_a(B(q, ell)), for ages 6 and 2 of one batch
     rng = substream(63, "selftest", rep=int(engine == "tree"))
-    reps, ell, site = 30_000, 2.5, np.array([1, -1])
-    walk, rel = ENGINES[engine](np.tile([6, 2], reps), np.tile(site, (2 * reps, 1)), ell, rng)
+    reps, n, ell, site = 30_000, 7, 2.5, np.array([1, -1])
+    walk, rel = ENGINES[engine](queries(site, reps, n), ell, rng)
     assert np.all((rel ** 2).sum(axis=1) <= ell ** 2)
-    counts = np.bincount(walk, minlength=2 * reps)
+    counts = np.bincount(walk, minlength=reps * n).reshape(reps, n)
     ball = site + lat.sites_in_ball(2, ell)
-    for age, col in ((6, 0), (2, 1)):
-        x, exact = counts[col::2], lat.transition_field(age, 2).values_at(ball).sum()
+    for age in (6, 2):
+        x, exact = counts[:, age], lat.transition_field(age, 2).values_at(ball).sum()
         assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (engine, age)
 
 
@@ -241,9 +247,10 @@ def test_clamped_tree_ball_count_matches_transition_mass():
     # top = 256: the fields are clamped well inside the reach of the walks
     top, ell, site, reps = 256, 7, np.array([9, -4]), 20_000
     assert fw._tree_clamp(top, 2, ell) < top
-    walk, _ = fw._tree_walks(np.full(reps, top), np.tile(site, (reps, 1)), ell, 2,
-                             substream(64, "selftest"))
-    x = np.bincount(walk, minlength=reps)
+    query = queries(site, reps, top + 1)
+    query[:, :top] = 300  # the younger walks never reach their balls
+    walk, _ = fw._tree_walks(query, ell, substream(64, "selftest"))
+    x = np.bincount(walk[walk % (top + 1) == top] // (top + 1), minlength=reps)
     exact = lat.transition_field(top, 2).values_at(site + lat.sites_in_ball(2, ell)).sum()
     assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps) + 1e-14
 
@@ -251,11 +258,10 @@ def test_clamped_tree_ball_count_matches_transition_mass():
 def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     # top = 12 keeps the checkpoints at 0, 3, 6, 9, 12; ell = 1 shares the
     # clamp of ell = 1.5 but not its ball
-    ages = np.tile([12, 7, 3, 0], 500)
-    query = np.tile([[1, 0], [2, -1], [0, 3], [1, 1]], (500, 1))
+    query = queries([(1, 0), (2, -1), (0, 3), (1, 1)], 500, 13)
 
     def draw(ell, seed):
-        return fw._tree_walks(ages, query, ell, 2, substream(seed, "selftest"))
+        return fw._tree_walks(query, ell, substream(seed, "selftest"))
 
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -279,36 +285,50 @@ def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     assert list(lat._marks) == keys
 
 
-def test_attached_walks_route_follows_cost_rule(monkeypatch):
+@pytest.fixture
+def route(monkeypatch):
+    """The engine `attached_walks` picks for reps replicates of n walks."""
     calls = []
     for name in ("_tree_walks", "_staggered_walks"):
         monkeypatch.setattr(fw, name, lambda *a, name=name: calls.append(name))
-    rng = substream(67, "selftest")
 
-    def route(n, reps, dist=B):
+    def pick(n, reps, dist=B, d=2):
         calls.clear()
-        fw.attached_walks(np.tile(np.arange(n), reps), np.zeros((n * reps, 2)), 0, dist, 2, rng)
+        query = np.broadcast_to(np.int16(0), (reps, n, d))
+        fw.attached_walks(query, 0, dist, substream(67, "selftest"))
         return calls[0]
+    return pick
 
+
+def test_attached_walks_route_follows_cost_rule(route):
     assert route(512, 5) == "_staggered_walks"   # CLI spine --n 512 --reps 5
     assert route(512, 30) == "_staggered_walks"
     assert route(512, 100) == "_tree_walks"      # README spine --n 512 --reps 100
-    assert route(512, 512) == "_tree_walks"      # one replicate chunk of C09
+    assert route(512, 10_000) == "_tree_walks"   # C09
     assert route(3, 256) == "_tree_walks"
     assert route(512, 512, geometric(2)) == "_staggered_walks"
     assert route(1, 1000) == "_staggered_walks"  # age 0 only: nothing to step
 
 
+def test_attached_walks_beyond_the_tag_range_take_the_tree(route):
+    # d = 3: 300 replicates of 512 walks lie below the cost break-even, but
+    # their walk tags do not fit one particle array's keys
+    n, reps = 512, 300
+    assert reps * n * (n - 1) // 2 < 2 * (n - 1) * math.comb(fw._tree_clamp(n - 1, 3, 0) + 3, 3)
+    assert reps * n >= fw._max_tags(3) > 250 * n
+    assert route(n, reps, d=3) == "_tree_walks"
+    assert route(n, 250, d=3) == "_staggered_walks"
+
+
 def test_attached_walks_checks_range_before_choosing_a_route(monkeypatch):
-    # spine_typical_batch keeps its spines as int16 on the strength of this check
     def never(*args):
         raise AssertionError("route chosen before the range check")
 
     for name in ("_tree_walks", "_staggered_walks", "_tree_clamp"):
         monkeypatch.setattr(fw, name, never)
-    ages = np.concatenate(([2**14], np.full(10**5, 100)))
+    query = np.broadcast_to(np.int16(0), (8, 2**14 + 1, 2))
     with pytest.raises(ValueError, match="packing range"):
-        fw.attached_walks(ages, np.zeros((len(ages), 2)), 0, B, 2, substream(68, "selftest"))
+        fw.attached_walks(query, 0, B, substream(68, "selftest"))
 
 
 def test_key_packing_lives_in_forward():
@@ -427,11 +447,12 @@ def test_key_packing_range_checked():
         fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
     with pytest.raises(ValueError):
         fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)
-    # attached walks: particle reach and walk tags, checked before any step
+    # attached walks: particle reach, and the staggered array's walk tags
+    # (2**17 in d = 3 for a law other than binary), checked before any step
     with pytest.raises(ValueError):
-        fw.attached_walks(np.array([2**14]), np.zeros((1, 2)), 0, B, 2, rng)
+        fw.attached_walks(np.zeros((1, 2**14 + 1, 2), dtype=np.int16), 0, B, rng)
     with pytest.raises(ValueError):
-        fw.attached_walks(np.full(2**17, -1), np.zeros((2**17, 3)), 0, B, 3, rng)
+        fw.attached_walks(np.zeros((2**16, 2, 3), dtype=np.int16), 0, geometric(2), rng)
 
 
 COND_LAWS = ("binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1")

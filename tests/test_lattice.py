@@ -596,6 +596,23 @@ def test_walk_sampling_start_and_empty():
     assert np.abs(np.diff(paths, axis=1)).sum(axis=2).max() <= 1
 
 
+def test_walk_sampling_blocks_keep_one_int16_stream(monkeypatch):
+    # positions are the cumulative sums of one index draw, whatever the blocks
+    want = np.cumsum(lat.neighborhood(2)[substream(4, "selftest").integers(0, 5, size=(50, 7))],
+                     axis=1)
+    monkeypatch.setattr(lat, "_DRAW_CELLS", 64)  # 9 rows per block
+    paths = lat.sample_srw_batch(7, 2, 50, substream(4, "selftest"))
+    assert paths.dtype == np.int16 and np.array_equal(paths[:, 1:], want)
+
+
+def test_walk_sampling_rejects_n_beyond_int16_before_any_draw():
+    rng = substream(5, "selftest")
+    with pytest.raises(ValueError, match="n = 32768"):
+        lat.sample_srw_batch(2**15, 2, 1, rng)
+    assert rng.random() == substream(5, "selftest").random()
+    assert np.abs(lat.sample_srw_batch(2**15 - 1, 1, 2, rng)).max() < 2**15
+
+
 def test_walk_increment_frequencies():
     rng = substream(2, "selftest")
     paths = lat.sample_srw_batch(4, 2, 250_000, rng)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from brwlab import forward as fw
+from brwlab import lattice as lat
 from brwlab import spine as sp
 from brwlab.lattice import clamp_radius, sample_srw_batch, sites_in_ball, sweep, transition_field
 from brwlab.offspring import binary
@@ -74,6 +75,8 @@ def test_typical_batch_single_draw():
     rng = substream(23, "spine")
     with pytest.raises(ValueError):
         sp.spine_typical_batch(1, 10, rng)
+    with pytest.raises(ValueError, match="packing range"):  # before any draw
+        sp.spine_typical_batch(2**14 + 1, 1, rng)
     out = sp.spine_typical_batch(8, 1, rng, 2)
     split = sp.gamma_split(out)
     tstar, b0 = int(out["Tstar"][0]), bool(out["B0"][0])
@@ -112,8 +115,7 @@ def test_tstar_read_off_a_ball_batch(route):
     # 1 + 1/5 + E Gamma_n, and no replicate has fewer particles in the ball
     n, ell = (16, 3) if route == "staggered" else (64, 3)
     batches, reps = (200, 10) if route == "staggered" else (1, 3000)
-    ages = np.broadcast_to(np.arange(n), (reps, n))
-    assert fw._takes_tree(ages, ell, B, 2) == (route == "tree")
+    assert fw._takes_tree(reps, n, ell, B, 2) == (route == "tree")
     rng = substream(42, "spine")
     outs = [sp.spine_typical_batch(n, reps, rng, ell=ell) for _ in range(batches)]
     t = np.concatenate([o["Tstar"] for o in outs]).astype(np.float64)
@@ -131,22 +133,42 @@ def test_b0_is_bernoulli_one_over_2d_plus_1(d):
     assert abs(b0.mean() - p) <= 4 * math.sqrt(p * (1 - p) / reps)
 
 
-def test_d3_batch_beyond_one_key_range_is_chunked():
-    # 2**17 replicates exceed the d = 3 tag range of one particle array; the
-    # staggered engine runs T**_2 (ages 0 and 1 at S_{i+1} + xi_i) per chunk
+def test_d3_batch_beyond_the_tag_range_takes_the_tree():
+    # 2**17 + 10 replicates of T**_2 (ages 0 and 1 at S_{i+1} + xi_i) exceed
+    # the d = 3 tag range of one particle array; they run as one tree batch
     rng = substream(39, "spine")
     n, reps = 2, 2**17 + 10
-    chunks = fw.walk_chunks(np.broadcast_to(np.arange(n), (reps, n)), 0, B, 3)
-    assert len(chunks) > 1 and chunks[-1][1] == reps
-    assert max(hi - lo for lo, hi in chunks) * n < fw._max_tags(3)
-    t = np.ones(reps)
-    for lo, hi in chunks:
-        S, xi = sp._spine_steps(n, 3, hi - lo, rng)
-        walk, _ = fw._staggered_walks(np.tile(np.arange(n), hi - lo),
-                                      (S[:, 1:] + xi).reshape(-1, 3), 0, B, 3, rng)
-        t[lo:hi] += np.bincount(walk // n, minlength=hi - lo)
+    assert reps * n >= fw._max_tags(3) and fw._takes_tree(reps, n, 0, B, 3)
+    t = sp.spine_typical_batch(n, reps, rng, d=3)["Tstar"].astype(np.float64)
     exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)
     assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(reps)
+
+
+def test_tree_batch_takes_one_reversed_pass(monkeypatch):
+    # 10,000 replicates of 64 walks: one reversed hitting stream, a forward
+    # sweep to the checkpoints and one recomputed block after each, at most
+    # 2 (n - 1) stencil steps whatever the batch size
+    n, reps = 64, 10_000
+    assert fw._takes_tree(reps, n, 0, B, 2)
+    steps = []
+    real = lat.stencil_step
+    monkeypatch.setattr(lat, "stencil_step", lambda *a, **k: steps.append(1) or real(*a, **k))
+    lat._marks.clear()
+    out = sp.spine_typical_batch(n, reps, substream(43, "spine"))
+    assert out["Tstar"].shape == (reps,)
+    assert 0 < len(steps) <= 2 * (n - 1)
+
+
+def test_tree_batch_traced_peak_is_bounded():
+    # int16 spines and query sites (2.6 MB each here) and row-blocked draws
+    lat._marks.clear()
+    tracemalloc.start()
+    try:
+        sp.spine_typical_batch(64, 10_000, substream(44, "spine"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_centered_increments_uncorrelated():
