@@ -136,8 +136,7 @@ def _simulate_block(task):
     lines = []
     for i in range(count):
         kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
-        row = stats.genstats(i, n, rep=first + i, seed=seed, **kw).to_json_dict()
-        lines.append(_json_row(row))
+        lines.append(_json_row(stats.row(i, n, rep=first + i, seed=seed, **kw)))
     return lines
 
 
@@ -257,7 +256,7 @@ def cmd_exact(args) -> int:
         result = {"n": n, "dim": d, "offspring": spec, "mean_occupied": total,
                   "tail_bound": tail}
     elif kind == "gamma":
-        result = {"n": n, "exact_mean_gamma": sp.exact_mean_gamma(n, d)}
+        result = {"n": n, "exact_mean_gamma": float(sp.exact_mean_gamma(n, d)[-1])}
     elif kind == "supersolution-verify":
         kappa = _check_range(resolve(args, cfg, "kappa", float, xf.KAPPA0), "--kappa")
         n0 = resolve(args, cfg, "n0", int, None)
@@ -363,9 +362,10 @@ def cmd_report(args) -> int:
                 rows.append(json.loads(line))
     if not rows:
         raise SystemExit("empty input")
-    numeric = [k for k, v in rows[0].items()
+    # over all rows: a key that is null in the first row (T of an extinct run) stays
+    numeric = {k for r in rows for k, v in r.items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)
-               and k not in ("rep", "seed")]
+               and k not in ("rep", "seed")}
     out = _open_out(args.out)
     out.write("statistic,mean,std_error,reps,q10,q50,q90\n")
     for k in sorted(numeric):

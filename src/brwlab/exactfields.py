@@ -22,9 +22,11 @@ below 1e-16 keeps its relative accuracy, for every offspring law.
 All start from a multiple of the origin delta and vanish outside their box,
 so they are symmetric under sign flips and permutations, and `lattice.Field`
 stores one value per symmetry orbit; the update maps are pointwise, so they
-act on the stored values directly.  The `*_sweep` functions yield the whole sequence, the
-single-field ones keep only its last field.  The pmf oracle alone keeps its
-own full-box average, so that the checks compare two independent computations.
+act on the stored values directly.  `hitting_sweep`, `mgf_sweep` and
+`pmf_oracle_sweep` yield the whole sequence, and the single-field functions
+keep only its last field; `second_moment_sweep` returns f_n with the total
+of every f_k.  The pmf oracle alone keeps its own full-box average, so that
+the checks compare two independent computations.
 """
 
 from __future__ import annotations
@@ -100,13 +102,13 @@ def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
                   clamp: int | None = None) -> tuple[float, float]:
     """(sum_x u_n(x), certified tail) — the expected number of occupied sites.
 
-    The out-of-box deficit is at most the transition-field tail, since
-    u_n <= P_n pointwise."""
+    The tail is the clamped sweep's killed mass of P u_k, summed over k < n.
+    The update y -> 1 - Phi(1 - y) is nondecreasing with slope at most 1, so
+    each step adds at most its killed mass to the deficit of the total."""
     if clamp is None:
         clamp = clamp_radius(n, d, 1e-12) if n > 16 else None
     u = hitting_field(dist, n, d, clamp=clamp)
-    tail = transition_field(n, d, clamp=clamp).tail_bound if clamp is not None else 0.0
-    return u.total(), tail
+    return u.total(), u.tail_bound
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ of 2**17 walks or more), which bounds only the staggered array's keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,33 +135,6 @@ def evolve_particles(keys: np.ndarray, gens: int, dist: OffspringDist, d: int,
 # per-generation statistics
 
 
-@dataclass
-class GenStats:
-    n: int
-    d: int
-    Z: int
-    V: int
-    Omega: int
-    M: list[int]                  # M[j-1] = number of multiplicity-j sites, j <= J_MAX
-    overflow_sites: int
-    overflow_mass: int
-    T: int | None = None          # count at the typical site
-    S: list[int] | None = None    # typical-particle site
-    conditioned: bool = False
-    attempts: int | None = None   # free runs rejection would have needed (Geometric(s_n))
-    rep: int | None = None
-    seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rep": self.rep, "n": self.n, "d": self.d, "seed": self.seed,
-            "conditioned": self.conditioned, "attempts": self.attempts,
-            "Z": self.Z, "V": self.V, "Omega": self.Omega, "M": list(map(int, self.M)),
-            "overflow": {"sites": self.overflow_sites, "mass": self.overflow_mass},
-            "T": self.T, "S": self.S,
-        }
-
-
 class BatchStats:
     """Segmented per-replicate statistics of a final particle array.
 
@@ -220,13 +192,22 @@ class BatchStats:
             self.T[alive] = np.searchsorted(keys, site, side="right") - np.searchsorted(keys, site)
             self.S[alive] = decode_sites(site, d)
 
-    def genstats(self, i: int, n: int, **kw) -> GenStats:
-        alive = self.Z[i] > 0
-        return GenStats(
-            n, self.d, int(self.Z[i]), int(self.V[i]), int(self.Omega[i]),
-            self.M[i].tolist(), int(self.overflow_sites[i]), int(self.overflow_mass[i]),
-            T=int(self.T[i]) if alive and self.T[i] >= 0 else None,
-            S=self.S[i].tolist() if alive and self.T[i] >= 0 else None, **kw)
+    def row(self, i: int, n: int, rep: int | None = None, seed: int | None = None,
+            conditioned: bool = False, attempts: int | None = None) -> dict:
+        """Replicate i as a JSON row; `attempts` is the number of free runs
+        rejection would have needed (Geometric(s_n)), T and S the typical
+        particle's count and site (None where none was drawn)."""
+        drawn = self.Z[i] > 0 and self.T[i] >= 0
+        return {
+            "rep": rep, "n": n, "d": self.d, "seed": seed,
+            "conditioned": conditioned, "attempts": attempts,
+            "Z": int(self.Z[i]), "V": int(self.V[i]), "Omega": int(self.Omega[i]),
+            "M": self.M[i].tolist(),
+            "overflow": {"sites": int(self.overflow_sites[i]),
+                         "mass": int(self.overflow_mass[i])},
+            "T": int(self.T[i]) if drawn else None,
+            "S": self.S[i].tolist() if drawn else None,
+        }
 
 
 # ---------------------------------------------------------------------------

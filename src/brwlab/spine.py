@@ -54,43 +54,21 @@ from .offspring import binary
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
 
 _BINARY = binary()
-_return_cache: dict[int, np.ndarray] = {}
 
 
 def return_probs(max_n: int, d: int = 2) -> np.ndarray:
-    """P_m(0) for m = 0..max_n, one clamped sweep, cached per dimension."""
-    cached = _return_cache.get(d)
-    if cached is not None and len(cached) > max_n:
-        return cached[: max_n + 1]
+    """P_m(0) for m = 0..max_n, from one clamped sweep."""
     clamp = clamp_radius(max(max_n, 2), d, 1e-14)
-    out = np.array([f.values.flat[0] for f in sweep(max_n, d, clamp=clamp)])
-    _return_cache[d] = out
-    return out
+    return np.array([f.values.flat[0] for f in sweep(max_n, d, clamp=clamp)])
 
 
-def exact_mean_gamma(n: int, d: int = 2) -> float:
-    """sum_{i=2}^{n} P_{2i}(0): the exact mean of Gamma_n (and of the attached
-    single-site counts in the typical-site representation)."""
-    if n < 2:
-        return 0.0
-    p0 = return_probs(2 * n, d)
-    return float(p0[4 : 2 * n + 1 : 2].sum())
-
-
-def _field_values_at(n: int, d: int, positions: np.ndarray, eps: float = 1e-14):
-    """Sweep P_i for i = 1..n, reading each field at positions[:, i, :].
-
-    Returns (vals[reps, n+1], misses per rep); sites outside the clamped box
-    read as 0 and count as clamp misses.
-    """
-    reps = positions.shape[0]
-    vals = np.zeros((reps, n + 1))
-    misses = np.zeros(reps, dtype=np.int64)
-    for f in sweep(n, d, clamp=clamp_radius(n, d, eps)):
-        if f.step:
-            vals[:, f.step] = f.values_at(positions[:, f.step, :])
-            misses += ~f.in_box(positions[:, f.step, :])
-    return vals, misses
+def exact_mean_gamma(n: int, d: int = 2) -> np.ndarray:
+    """E Gamma_m = sum_{i=2}^{m} P_{2i}(0) for m = 0..n, from one sweep of 2n
+    steps: the exact means of Gamma_m (and of the attached single-site counts
+    in the typical-site representation)."""
+    gamma = np.zeros(n + 1)
+    np.cumsum(return_probs(2 * n, d)[4::2], out=gamma[2:])
+    return gamma
 
 
 def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
@@ -134,18 +112,28 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
 
 def gamma_split(batch: dict) -> dict:
     """T**_n = 1 + B_0 + Gamma_n + Delta_n for a `spine_typical_batch`: Gamma_n
-    from one field sweep along its spines, with the clamp misses per
-    replicate, and the centered increments
-    X_{i-1} = U^{i-1}_{i-1}(S_i + xi_{i-1}) - P_i(S_i) of its kept indices i
-    (orthogonality diagnostics)."""
-    S = batch["S"]
-    p_at_s, misses = _field_values_at(S.shape[1] - 1, S.shape[2], S)
-    gamma = p_at_s[:, 2:].sum(axis=1)
+    summed along one clamped field sweep over its spines, with the clamp
+    misses per replicate (sites outside the box read as 0), and the centered
+    increments X_{i-1} = U^{i-1}_{i-1}(S_i + xi_{i-1}) - P_i(S_i) of its kept
+    indices i (orthogonality diagnostics)."""
+    S, kept = batch["S"], batch["kept"]
+    reps, n, d = S.shape[0], S.shape[1] - 1, S.shape[2]
+    gamma = np.zeros(reps)
+    misses = np.zeros(reps, dtype=np.int64)
+    increments = {}
+    for f in sweep(n, d, clamp=clamp_radius(n, d, 1e-14)):  # P_0(S_0) = 1 is summed nowhere
+        at = S[:, f.step]
+        p = f.values_at(at)
+        misses += ~f.in_box(at)
+        if f.step >= 2:
+            gamma += p
+        if f.step in kept:
+            increments[f.step] = kept[f.step] - p
     return {
         "Gamma": gamma,
         "Delta": (batch["Tstar"] - 1 - batch["B0"]) - gamma,
         "clamp_misses": misses,
-        "increments": {j: u - p_at_s[:, j] for j, u in batch["kept"].items()},
+        "increments": increments,
     }
 
 

@@ -293,12 +293,13 @@ def c09_spine_mean(seed: int, bank: SimBank) -> list[ReportRow]:
     n, reps = 512, 10000
     out = sp.spine_typical_batch(n, reps, rng)
     t = out["Tstar"].astype(np.float64)
-    exact = 1.0 + 1.0 / 5.0 + sp.exact_mean_gamma(n)
+    gamma = sp.exact_mean_gamma(2 * n)  # E Gamma_m for m <= 1024, one sweep
+    exact = 1.0 + 1.0 / 5.0 + gamma[n]
     se = t.std(ddof=1) / math.sqrt(reps)
     dev = abs(t.mean() - exact)
     rows.append(_row("C09-spine-mean", "tstar-mean-identity", dev, f"<=3SE({3*se:.2e})",
                      dev <= 3 * se, n=n))
-    growth = (sp.exact_mean_gamma(1024) - sp.exact_mean_gamma(512)) / math.log(2.0)
+    growth = (gamma[2 * n] - gamma[n]) / math.log(2.0)
     dev = abs(growth - 5.0 / (8.0 * math.pi))
     rows.append(_row("C09-spine-mean", "gamma-growth-constant", dev, "<0.01",
                      dev < 0.01, n=1024))
@@ -335,8 +336,9 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     jumps = int((np.abs(np.diff(paths, axis=1)).sum(axis=2) > 1).sum())
     rows.append(_row("C10-conditioned", "path-steps-beyond-neighbours", jumps, "==0",
                      jumps == 0, n=n))
-    u, p_prev = xf.hitting_field(_B, n - 1, 2), transition_field(n - 1, 2)
-    second = transition_field(n, 2).value_at(x) / (2.0 - float(u.neighbor_row(x)[1]))
+    u = xf.hitting_field(_B, n - 1, 2)
+    p_prev, p_n = itertools.islice(sweep(n, 2), n - 1, None)
+    second = p_n.value_at(x) / (2.0 - float(u.neighbor_row(x)[1]))
     worst = 0.0
     for y in neighborhood(2):
         mine = draws[(paths[:, 1] == y).all(axis=1)]
@@ -380,10 +382,10 @@ def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
     """d=2 occupied-site scaling: sum_x u_n(x) ~ 1/log n, Omega_n ~ n/log n."""
     rows = []
     grid = (128, 256, 512)
-    vals = {}
-    for n in grid:
-        total, _ = xf.mean_occupied(_B, n, 2, clamp=clamp_radius(n, 2, 1e-12))
-        vals[n] = total * math.log(n)
+    top = grid[-1]  # u_128, u_256 and u_512 off one sweep
+    vals = {u.step: u.total() * math.log(u.step)
+            for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_radius(top, 2, 1e-12))
+            if u.step in grid}
     ratio = max(vals.values()) / min(vals.values())
     rows.append(_row("C12-occupied-2d", "mean-occupied-times-log", ratio,
                      f"<={OCC2D_RATIO_BOUND}", ratio <= OCC2D_RATIO_BOUND, n=512))

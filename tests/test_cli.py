@@ -246,15 +246,22 @@ def test_conditioned_cli_and_chi_square_report(tmp_path):
 
 
 def test_report_aggregates_jsonl(tmp_path):
-    src = tmp_path / "in.jsonl"
-    src.write_text("\n".join(json.dumps({"rep": i, "value": float(i), "Z": i % 3})
-                             for i in range(50)))
-    out = tmp_path / "agg.csv"
-    run_cli(["report", "--input", str(src), "--out", str(out)])
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("statistic,mean")
-    stats = {line.split(",")[0]: line for line in lines[1:]}
-    assert "value" in stats and "Z" in stats and "rep" not in stats
+    plain = [{"rep": i, "value": float(i), "Z": i % 3} for i in range(50)]
+    # T is null where a run died out; a null in the first row keeps the column
+    typical = [{"rep": i, "Z": i % 3, "T": None if i % 7 == 0 else i % 4 + 1}
+               for i in range(50)]
+    for rows, want in ((plain, {"value", "Z"}), (typical, {"Z", "T"})):
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(json.dumps(r) for r in rows))
+        out = tmp_path / "agg.csv"
+        run_cli(["report", "--input", str(src), "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("statistic,mean")
+        stats = {line.split(",")[0]: line for line in lines[1:]}
+        assert set(stats) == want
+        if "T" in want:  # the mean over the non-null rows
+            t = [r["T"] for r in rows if r["T"] is not None]
+            assert float(stats["T"].split(",")[1]) == pytest.approx(np.mean(t), rel=1e-12)
 
 
 def test_verify_suite_byte_identical(tmp_path):

@@ -104,6 +104,23 @@ def test_mean_occupied_frozen_and_oracle():
         assert total == pytest.approx(pf.hitting_values().sum(), abs=1e-9)
 
 
+@pytest.mark.parametrize("law", ["binary", "geometric:2"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_mean_occupied_tail_bounds_the_clamped_deficit(monkeypatch, law, d):
+    # the certificate is the hitting sweep's own killed mass: the deficit of
+    # the clamped total lies in [0, tail], and no second sweep runs
+    dist, n = parse_offspring(law), 64
+    clamp = lat.clamp_radius(n, d, 1e-12) // 2
+    full = xf.hitting_field(dist, n, d).total()
+    steps = []
+    real = lat.stencil_step
+    monkeypatch.setattr(lat, "stencil_step", lambda *a, **k: steps.append(1) or real(*a, **k))
+    total, tail = xf.mean_occupied(dist, n, d, clamp=clamp)
+    assert len(steps) == n
+    assert 0.0 < full - total <= tail
+    assert tail <= lat.transition_field(n, d, clamp=clamp).tail_bound
+
+
 # ---------------------------------------------------------------------------
 # mgf and dominating fields
 

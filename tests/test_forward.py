@@ -102,12 +102,12 @@ def test_step_general_offspring_mean():
 
 
 def test_stats_from_handmade_occupancy():
-    s = fw.BatchStats(_tagged([(0, 0)] * 2, 1, 2), 1, 2).genstats(0, 5)
-    assert (s.Z, s.V, s.Omega) == (2, 2, 1)
-    assert s.M[1] == 1 and sum(s.M) == 1
-    big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2).genstats(0, 5)
-    assert big.overflow_sites == 1 and big.overflow_mass == 70
-    assert big.Z == 73 and big.V == 70
+    s = fw.BatchStats(_tagged([(0, 0)] * 2, 1, 2), 1, 2).row(0, 5)
+    assert (s["Z"], s["V"], s["Omega"]) == (2, 2, 1)
+    assert s["M"][1] == 1 and sum(s["M"]) == 1
+    big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2).row(0, 5)
+    assert big["overflow"] == {"sites": 1, "mass": 70}
+    assert big["Z"] == 73 and big["V"] == 70
 
 
 def test_batch_stats_match_per_replicate_counts():
@@ -432,8 +432,7 @@ def test_overlap_mean_bounded_by_double_step():
 def test_genstats_json_schema():
     rng = substream(15, "selftest")
     bs = fw.run_conditioned_batch(B, 3, 2, 1, rng, xf.survival_sequence(B, 3), want_typical=True)
-    s = bs.genstats(0, 3, conditioned=True, attempts=4, rep=7, seed=123)
-    d = s.to_json_dict()
+    d = bs.row(0, 3, conditioned=True, attempts=4, rep=7, seed=123)
     assert set(d) == {"rep", "n", "d", "seed", "conditioned", "attempts", "Z", "V",
                       "Omega", "M", "overflow", "T", "S"}
     assert d["conditioned"] is True and len(d["M"]) == fw.J_MAX

@@ -17,14 +17,15 @@ B = binary()
 
 def test_exact_mean_gamma_first_term_and_monotone():
     p4 = transition_field(4, 2).value_at((0, 0))
-    assert sp.exact_mean_gamma(2) == pytest.approx(p4, abs=1e-12)
-    vals = [sp.exact_mean_gamma(n) for n in (2, 4, 8, 16, 64)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert sp.exact_mean_gamma(1) == 0.0
+    assert sp.exact_mean_gamma(2)[-1] == pytest.approx(p4, abs=1e-12)
+    vals = sp.exact_mean_gamma(64)
+    assert np.all(np.diff(vals[2:]) > 0)
+    assert list(sp.exact_mean_gamma(1)) == [0.0, 0.0] and vals[1] == 0.0
 
 
 def test_gamma_growth_rate_approaches_half_return_coefficient():
-    r = (sp.exact_mean_gamma(256) - sp.exact_mean_gamma(128)) / math.log(2)
+    gamma = sp.exact_mean_gamma(256)
+    r = (gamma[256] - gamma[128]) / math.log(2)
     assert abs(r - sp.RETURN_COEF_2D / 2) < 0.01
 
 
@@ -58,14 +59,14 @@ def test_typical_mean_identity_fast():
     n, reps = 64, 4000
     out = sp.spine_typical_batch(n, reps, rng)
     t = out["Tstar"].astype(np.float64)
-    exact = 1.0 + 0.2 + sp.exact_mean_gamma(n)
+    exact = 1.0 + 0.2 + sp.exact_mean_gamma(n)[n]
     se = t.std(ddof=1) / math.sqrt(reps)
     assert abs(t.mean() - exact) <= 3 * se
     # Gamma and Delta components
     split = sp.gamma_split(out)
     g = split["Gamma"]
     se_g = g.std(ddof=1) / math.sqrt(reps)
-    assert abs(g.mean() - sp.exact_mean_gamma(n)) <= 3 * se_g
+    assert abs(g.mean() - sp.exact_mean_gamma(n)[n]) <= 3 * se_g
     dlt = split["Delta"]
     se_d = dlt.std(ddof=1) / math.sqrt(reps)
     assert abs(dlt.mean()) <= 3 * se_d
@@ -98,10 +99,10 @@ def test_attached_walks_have_their_ages():
 
 def test_construction_runs_without_the_gamma_sweep(monkeypatch):
     # T**, W and the vacancy need no field sweep; only gamma_split runs one
-    def never(*args):
+    def never(*args, **kwargs):
         raise AssertionError("the Gamma sweep ran")
 
-    monkeypatch.setattr(sp, "_field_values_at", never)
+    monkeypatch.setattr(sp, "sweep", never)
     out = sp.spine_typical_batch(16, 50, substream(41, "spine"), ell=2, keep_increments=(2,))
     assert set(out) == {"Tstar", "B0", "W", "occupied", "S", "kept"}
     assert out["S"].shape == (50, 17, 2) and set(out["kept"]) == {2}
@@ -120,7 +121,7 @@ def test_tstar_read_off_a_ball_batch(route):
     outs = [sp.spine_typical_batch(n, reps, rng, ell=ell) for _ in range(batches)]
     t = np.concatenate([o["Tstar"] for o in outs]).astype(np.float64)
     assert all(np.all(o["W"] >= o["Tstar"]) for o in outs)
-    exact = 1.0 + 1.0 / 5.0 + sp.exact_mean_gamma(n)
+    exact = 1.0 + 1.0 / 5.0 + sp.exact_mean_gamma(n)[n]
     assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(len(t))
 
 
@@ -140,7 +141,7 @@ def test_d3_batch_beyond_the_tag_range_takes_the_tree():
     n, reps = 2, 2**17 + 10
     assert reps * n >= fw._max_tags(3) and fw._takes_tree(reps, n, 0, B, 3)
     t = sp.spine_typical_batch(n, reps, rng, d=3)["Tstar"].astype(np.float64)
-    exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)
+    exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)[n]
     assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(reps)
 
 
@@ -171,6 +172,75 @@ def test_tree_batch_traced_peak_is_bounded():
     assert peak < 2**24
 
 
+def _count_steps(monkeypatch) -> list:
+    steps = []
+    real = lat.stencil_step
+    monkeypatch.setattr(lat, "stencil_step", lambda *a, **k: steps.append(1) or real(*a, **k))
+    return steps
+
+
+def _matrix_split(batch):
+    """`gamma_split` written out with the whole (reps, n + 1) matrix of P_i(S_i)."""
+    S = batch["S"]
+    reps, n = S.shape[0], S.shape[1] - 1
+    vals = np.zeros((reps, n + 1))
+    misses = np.zeros(reps, dtype=np.int64)
+    for f in sweep(n, 2, clamp=clamp_radius(n, 2, 1e-14)):
+        if f.step:
+            vals[:, f.step] = f.values_at(S[:, f.step])
+            misses += ~f.in_box(S[:, f.step])
+    return vals[:, 2:].sum(axis=1), misses, {j: u - vals[:, j] for j, u in batch["kept"].items()}
+
+
+def test_gamma_split_matches_the_matrix_form(monkeypatch):
+    n, reps = 128, 3000
+    batch = sp.spine_typical_batch(n, reps, substream(45, "spine"), keep_increments=(2, 17, n))
+    batch["S"][:7, 100] = 300  # outside the clamped box: seven clamp misses
+    assert clamp_radius(n, 2, 1e-14) < 300
+    steps = _count_steps(monkeypatch)
+    out = sp.gamma_split(batch)
+    assert len(steps) == n
+    gamma, misses, increments = _matrix_split(batch)
+    assert np.all(np.abs(out["Gamma"] - gamma) <= 1e-14 * gamma)
+    assert np.array_equal(out["clamp_misses"], misses) and misses.sum() == 7
+    assert out["increments"].keys() == increments.keys()
+    assert all(np.array_equal(out["increments"][j], x) for j, x in increments.items())
+    assert np.array_equal(out["Delta"], batch["Tstar"] - 1 - batch["B0"] - out["Gamma"])
+
+
+def test_gamma_split_traced_peak_is_bounded(monkeypatch):
+    # summed along the sweep: no (reps, n + 1) float matrix (157.6 MiB here)
+    n, reps = 1024, 20_000
+    S = sample_srw_batch(n, 2, reps, substream(46, "spine"))
+    steps = _count_steps(monkeypatch)
+    tracemalloc.start()
+    try:
+        gamma = _gamma(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == n and gamma.shape == (reps,)
+    assert peak < 8 * 2**20
+
+
+def test_exact_mean_gamma_takes_one_sweep_and_keeps_no_state(monkeypatch):
+    # E Gamma_m for every m <= n off one sweep of 2n steps, on every call
+    n = 64
+    before = dict(vars(sp))
+    steps = _count_steps(monkeypatch)
+    for _ in range(2):
+        steps.clear()
+        gamma = sp.exact_mean_gamma(n)
+        assert len(steps) == 2 * n
+    assert vars(sp).keys() == before.keys()
+    assert all(vars(sp)[k] is v for k, v in before.items())
+    assert not [k for k, v in vars(sp).items()
+                if not k.startswith("__") and isinstance(v, (dict, list, set))]
+    p0 = sp.return_probs(2 * n)
+    want = [p0[4:2 * m + 1:2].sum() for m in range(n + 1)]
+    assert np.allclose(gamma, want, rtol=1e-14, atol=0.0)
+
+
 def test_centered_increments_uncorrelated():
     rng = substream(24, "spine")
     n, reps = 96, 5000
@@ -185,11 +255,15 @@ def test_centered_increments_uncorrelated():
         assert abs(rho) < bound, (i, j, rho)
 
 
+def _gamma(S):
+    """Gamma_n along the spines S alone: `gamma_split` of a batch with no
+    attached walks."""
+    return sp.gamma_split({"S": S, "Tstar": 1, "B0": 0, "kept": {}})["Gamma"]
+
+
 def _gamma_var(n, reps, seed):
     rng = substream(seed, "spine")
-    S = sample_srw_batch(n, 2, reps, rng)
-    vals, _ = sp._field_values_at(n, 2, S)
-    g = vals[:, 2:].sum(axis=1)
+    g = _gamma(sample_srw_batch(n, 2, reps, rng))
     return g.var(ddof=1) / math.log(n) ** 2
 
 
@@ -235,10 +309,7 @@ def test_gamma_variance_matches_exact_evaluation():
             second += 2 * dot(fields[i] ** 2, fields[2 * j - i])
     exact = second - mean**2
     rng = substream(36, "spine")
-    S = sample_srw_batch(n, 2, 60_000, rng)
-    vals, _ = sp._field_values_at(n, 2, S)
-    g = vals[:, 2:].sum(axis=1)
-    mc = g.var(ddof=1)
+    mc = _gamma(sample_srw_batch(n, 2, 60_000, rng)).var(ddof=1)
     assert abs(mc - exact) <= 4 * mc * math.sqrt(2.0 / 60_000)
 
 
