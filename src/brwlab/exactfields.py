@@ -5,7 +5,7 @@ Everything here is obtained by conditioning on the first generation:
   survival        s_{k+1} = 1 - Phi(1 - s_k)
   hitting         u_{k+1} = 1 - Phi(1 - P u_k),  u_k(x) = P{U_k(x) >= 1}
   mgf             G_{k+1}(x) = Phi(1 + P G_k(x)) - 1,  G_k(x) = E exp(theta U_k(x)) - 1
-  dominating      H_1 = G_1,  H_{k+1} = (P H_k) * Phi'(1 + H_k(0))
+  dominating      H_1 = G_1,  H_{k+1} = (P H_k) * Phi'(1 + H_k(0)) = c_{k+1} P^k G_1
   second moment   f_k = P f_{k-1} + sigma^2 * P_k^2,   f_k(x) = E U_k(x)^2
   pmf oracle      per-site generating polynomials C_k(x) = E s^{U_k(x)},
                   C_{k+1} = Phi(P C_k) truncated at a fixed degree
@@ -22,22 +22,23 @@ below 1e-16 keeps its relative accuracy, for every offspring law.
 All start from a multiple of the origin delta and vanish outside their box,
 so they are symmetric under sign flips and permutations, and `lattice.Field`
 stores one value per symmetry orbit; the update maps are pointwise, so they
-act on the stored values directly.  `hitting_sweep`, `mgf_sweep` and
-`pmf_oracle_sweep` yield the whole sequence, and the single-field functions
-keep only its last field; `second_moment_sweep` returns f_n with the total
-of every f_k.  The pmf oracle alone keeps its own full-box average, so that
-the checks compare two independent computations.
+act on the stored values directly.  `hitting_sweep`, `mgf_sweep`,
+`second_moment_fields` and `pmf_oracle_sweep` yield the whole sequence, and
+the single-field functions keep only its last field; `second_moment_sweep`
+returns f_n with the total of every f_k.  The pmf oracle alone keeps its own
+full-box average, so that the checks compare two independent computations.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .lattice import Field, ahead, clamp_radius, last, stencil_step, sweep, transition_field
+from .lattice import Field, ahead, clamp_radius, last, stencil_step, sweep
 from .offspring import OffspringDist
 
 
@@ -148,25 +149,18 @@ def mgf_sweep(dist: OffspringDist, n: int, theta: float, d: int = 2,
 
 def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
                      clamp: int | None = None) -> Field:
-    """H_n with H_1 = G_1 and H_{k+1} = (P H_k) * Phi'(1 + H_k(0)).
-
-    The iterative values are cross-checked against the closed product form
-    H_n(x) = P_n(x) * (2d+1) * H_1(0) * prod_{j<n} Phi'(1 + H_j(0)) to 1e-10.
-    """
-    g1 = mgf_field(dist, 1, theta, d, clamp)
-
-    def update(ph, prev):
-        h0 = float(prev.values.flat[0])
-        return _blowup_check(dist, h0, lambda: ph * float(dist.pgf_prime(1.0 + h0)),
-                             prev.step + 1)
-    prod = float(g1.values.flat[0]) * (2 * d + 1)
-    for out in sweep(n, d, update, clamp, start=g1):  # H_n is defined for n >= 1
-        if out.step < n:
-            prod *= float(dist.pgf_prime(1.0 + float(out.values.flat[0])))
-    err = float(np.abs(transition_field(n, d, clamp=clamp).values * prod - out.values).max())
-    if err > 1e-10:
-        raise AssertionError(f"closed product form deviates by {err}")
-    return out
+    """H_n with H_1 = G_1 and H_{k+1} = (P H_k) * Phi'(1 + H_k(0)), in the closed
+    form H_k = c_k Q_k of the sweep Q_k = P^{k-1} G_1 (P is linear), c_1 = 1 and
+    c_{k+1} = c_k Phi'(1 + H_k(0)); the clamp kills c_k times Q's loss at k + 1."""
+    q = mgf_field(dist, 1, theta, d, clamp)
+    c, top, tail = 1.0, float(q.values[0]), q.tail_bound  # top = H_k(0), its largest value
+    for nxt in sweep(n, d, clamp=clamp, start=q):  # H_n is defined for n >= 1
+        if nxt.step > 1:  # c_k and H_k(0) = c_k Q_k(0), both checked for overflow
+            tail += c * (nxt.tail_bound - q.tail_bound)
+            c, top = _blowup_check(dist, top, lambda: c * float(dist.pgf_prime(1.0 + top))
+                                   * np.array([1.0, nxt.values[0]]), nxt.step).tolist()
+        q = nxt
+    return Field(q.values * c, d, tail, step=n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +169,39 @@ def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
 
 def second_moment_field(dist: OffspringDist, n: int, d: int = 2,
                         clamp: int | None = None) -> Field:
-    return second_moment_sweep(dist, n, d, clamp)[0]
+    return last(second_moment_fields(dist, n, d, clamp))
+
+
+def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
+                         clamp: int | None = None) -> Iterator[Field]:
+    """f_0, ..., f_n for f_k(x) = E U_k(x)^2: the update map f_k = P f_{k-1} +
+    sigma^2 P_k^2, its source terms one field ahead (`lattice.ahead`).  The tail
+    adds f's killed mass to the sources' loss, at most sigma^2 (2 max P~_j + t_j)
+    t_j at step j, since 0 <= P_j - P~_j sums to t_j, the killed mass of P~_j."""
+    def sources():  # sigma^2 P~_k^2, carrying the source loss summed to step k
+        lost = 0.0
+        for p in sweep(n, d, clamp=clamp):
+            lost += dist.sigma2 * (2.0 * float(p.values.max()) + p.tail_bound) * p.tail_bound
+            yield Field(dist.sigma2 * np.square(p.values), d, lost, p.step)
+
+    def update(pf, _prev):
+        nonlocal term
+        term = next(terms)
+        return np.add(pf, term.values, out=pf)
+
+    with closing(ahead(sources())) as terms:  # closing joins the read-ahead worker
+        term = next(terms)  # f_0 = delta takes no source term
+        for f in sweep(n, d, update, clamp):
+            yield Field(f.values, d, f.tail_bound + term.tail_bound, f.step)
 
 
 def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
                         clamp: int | None = None):
-    """(f_n, sums) where f_n(x) = E U_n(x)^2 and sums[k] = sum_x f_k(x).
-
-    Linear recursion f_k = P f_{k-1} + sigma^2 * P_k^2 from first-generation
-    conditioning.  The source terms sigma^2 P_k^2 are computed alongside on
-    the same box, one field ahead (`lattice.ahead`), and the killed mass of
-    P_n is the `tail_bound` of f_n.
-    """
-    def sources():  # sigma^2 P_k^2, carrying P_k's killed mass and step
-        for p in sweep(n, d, clamp=clamp):
-            sq = np.square(p.values)
-            sq *= dist.sigma2
-            yield Field(sq, d, p.tail_bound, p.step)
-
-    terms = ahead(sources())  # the next term is computed while f_k is stepped
-    t = next(terms)
-    f = np.ones(1)  # f_0 = delta
+    """(f_n, sums) with sums[k] = sum_x f_k(x), off `second_moment_fields`."""
     sums = np.empty(n + 1)
-    sums[0] = 1.0
-    for t in terms:
-        f, _ = stencil_step(f, d, clamp=clamp)
-        f += t.values
-        sums[t.step] = Field(f, d).total()
-    return Field(f, d, t.tail_bound, step=n), sums
+    for f in second_moment_fields(dist, n, d, clamp):
+        sums[f.step] = f.total()
+    return f, sums
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,17 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     return out
 
 
+def _bank_mean_max_z(bank: SimBank, d: int, grid) -> float:
+    """The largest |z| of the bank's mean Z_n against its exact value
+    E[Z_n | G_n] = 1/s_n, over the horizons n of `grid`."""
+    worst = 0.0
+    for n in grid:
+        z = bank.conditioned(d, n).Z
+        se = z.std(ddof=1) / math.sqrt(len(z))
+        worst = max(worst, abs(z.mean() - 1.0 / bank.survival[n]) / se)
+    return float(worst)
+
+
 def _orthant_violation(f: Field) -> float:
     """Largest increase of the field along a +axis step inside the positive
     orthant (<= 0 means monotone non-increasing, as required)."""
@@ -177,10 +188,9 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
     """Second-moment recursion vs oracle, and the summed identity
     sum_x E U_n(x)^2 = 1 + sigma^2 sum_{j<=n} P_{2j}(0)."""
     rows = []
-    worst = 0.0
-    for pf in xf.pmf_oracle_sweep(_B, 12, 2, degree=64):
-        f = xf.second_moment_field(_B, pf.step, 2)
-        worst = max(worst, float(np.abs(pf.second_moment_values() - f.unfolded()).max()))
+    worst = max(float(np.abs(pf.second_moment_values() - f.unfolded()).max())
+                for pf, f in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64),
+                                 xf.second_moment_fields(_B, 12, 2)))
     rows.append(_row("C03-second-moment", "oracle-vs-recursion", worst, "<=1e-8",
                      worst <= 1e-8, n=12))
     for d, eps in ((2, 1e-10), (3, 5e-10)):
@@ -229,7 +239,8 @@ def c05_yaglom(seed: int, bank: SimBank) -> list[ReportRow]:
 
 
 def c06_multiplicity(seed: int, bank: SimBank) -> list[ReportRow]:
-    """d=3 multiplicity fractions: histogram bookkeeping, stability, concentration."""
+    """d=3 multiplicity fractions: histogram bookkeeping, stability, concentration,
+    and the bank's mean Z_n against the exact 1/s_n."""
     rows = []
     grid = (128, 256, 512)
     est = {}
@@ -248,6 +259,9 @@ def c06_multiplicity(seed: int, bank: SimBank) -> list[ReportRow]:
                      drift <= 0.05, n=512, d=3))
     rows.append(_row("C06-multiplicity", "sd-M1-over-Z-decreasing", sd1[512] - sd1[128],
                      "<0", sd1[512] < sd1[128], n=512, d=3))
+    z = _bank_mean_max_z(bank, 3, grid)
+    rows.append(_row("C06-multiplicity", "mean-Z-vs-exact-max-z", z, "|z|<4", z < 4,
+                     n=512, d=3))
     return rows
 
 
@@ -379,7 +393,8 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
 
 
 def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
-    """d=2 occupied-site scaling: sum_x u_n(x) ~ 1/log n, Omega_n ~ n/log n."""
+    """d=2 occupied-site scaling: sum_x u_n(x) ~ 1/log n, Omega_n ~ n/log n, and
+    the bank's mean Z_n against the exact 1/s_n."""
     rows = []
     grid = (128, 256, 512)
     top = grid[-1]  # u_128, u_256 and u_512 off one sweep
@@ -393,6 +408,8 @@ def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
                            lambda n: n / math.log(n), OCC2D_RATIO_BOUND)
     rows.append(_row("C12-occupied-2d", "conditional-omega-q90-ratio", t["ratio"],
                      f"<={OCC2D_RATIO_BOUND}", t["passed"], n=512))
+    z = _bank_mean_max_z(bank, 2, grid)
+    rows.append(_row("C12-occupied-2d", "mean-Z-vs-exact-max-z", z, "|z|<4", z < 4, n=512))
     return rows
 
 

@@ -132,6 +132,14 @@ def test_rejected_input_is_one_line_naming_the_command(tmp_path, argv):
     assert not out.exists()
 
 
+def test_h_field_blowup_names_its_step(tmp_path):
+    out = tmp_path / "h.csv"
+    with pytest.raises(SystemExit, match="^brwlab exact: mgf blowup at step 35$"):
+        run_cli(["exact", "h-field", "--offspring", "geometric:2", "--theta", "0.3",
+                 "--n", "64", "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["exact", "p-field", "--dim", "4"], "--dim"),
     (["exact", "u-field", "--dim", "0"], "--dim"),

@@ -171,11 +171,50 @@ def test_dominating_field_basics():
     g1 = xf.mgf_field(B, 1, th, 2)
     assert np.array_equal(h1.values, g1.values)
     for n in (2, 8, 24):
-        h = xf.dominating_field(B, n, th, 2)  # closed-form cross-check inside
+        h = xf.dominating_field(B, n, th, 2)
         g = xf.mgf_field(B, n, th, 2)
         assert np.all(h.values >= g.values - 1e-15)
     h0 = xf.dominating_field(B, 6, 0.0, 2)
     assert np.abs(h0.values).max() == 0.0
+
+
+def _iterated_dominating(dist, n, theta, d, clamp):
+    """H_n and its killed mass by the defining iteration H_{k+1} =
+    (P H_k) Phi'(1 + H_k(0)), one stencil step at a time from H_1 = G_1."""
+    h, tail = xf.mgf_field(dist, 1, theta, d, clamp).values, 0.0
+    for _ in range(1, n):
+        ph, lost = lat.stencil_step(h, d, clamp)
+        tail += lost
+        h = ph * float(dist.pgf_prime(1.0 + h[0]))
+    return h, tail
+
+
+@pytest.mark.parametrize("law", ["binary", "geometric:2"])
+@pytest.mark.parametrize("d,clamp", [(2, None), (2, 5), (3, None), (3, 5)])
+def test_dominating_field_matches_the_iteration_in_n_steps(monkeypatch, law, d, clamp):
+    # the closed form c_k P^{k-1} G_1 of one sweep against the iteration;
+    # the mgf step to G_1 and the sweep's n - 1 steps make n stencil steps
+    dist, real = parse_offspring(law), lat.stencil_step
+    for n in (1, 2, 5, 8):
+        h, tail = _iterated_dominating(dist, n, 0.3, d, clamp)
+        steps = []
+        monkeypatch.setattr(lat, "stencil_step",
+                            lambda *a, **k: steps.append(1) or real(*a, **k))
+        got = xf.dominating_field(dist, n, 0.3, d, clamp)
+        monkeypatch.setattr(lat, "stencil_step", real)
+        assert len(steps) == n
+        assert np.abs(got.values - h).max() <= 1e-12 * h.max()
+        assert got.tail_bound == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert (tail > 0.0) == (clamp is not None and n > clamp)
+
+
+@pytest.mark.parametrize("theta,step", [(0.3, 35), (0.6, 6)])
+def test_dominating_field_blowup_names_its_step(theta, step):
+    # H_k(0) leaves geometric:2's pgf domain [0, 2]: the step is checked
+    # before Phi' is evaluated there
+    with pytest.raises(xf.MgfBlowupError) as e:
+        xf.dominating_field(geometric(2), 64, theta, 2)
+    assert e.value.step == step
 
 
 @pytest.mark.parametrize("field,killed", [(xf.mgf_field, 0.001376145281257048),
@@ -233,6 +272,27 @@ def test_second_moments_bit_symmetric_clamped_or_not(d, clamp):
     exact = xf.second_moment_field(B, 12, d)
     assert np.all(f.values <= exact.values_at(f.sites()))
     assert (f.tail_bound > 0) == (clamp is not None)
+
+
+@pytest.mark.parametrize("law", ["binary", "geometric:2"])
+@pytest.mark.parametrize("d,n,clamp", [(2, 40, 8), (3, 12, 4)])
+def test_second_moment_tail_bounds_the_clamped_deficit(law, d, n, clamp):
+    # the clamp drops f's own killed mass and part of every source term
+    # sigma^2 P_k^2; P_n's killed mass alone is below the deficit here
+    dist = parse_offspring(law)
+    full = xf.second_moment_field(dist, n, d).total()
+    f = xf.second_moment_field(dist, n, d, clamp=clamp)
+    assert 0.0 < full - f.total() <= f.tail_bound
+    assert lat.transition_field(n, d, clamp=clamp).tail_bound < full - f.total()
+
+
+def test_second_moment_fields_are_the_sweep_prefixes():
+    # one stream yields every f_k, each bit for bit the field of horizon k
+    fields = list(xf.second_moment_fields(B, 6, 2, clamp=3))
+    assert [f.step for f in fields] == list(range(7))
+    for f in fields:
+        alone = xf.second_moment_field(B, f.step, 2, clamp=3)
+        assert np.array_equal(f.values, alone.values) and f.tail_bound == alone.tail_bound
 
 
 @pytest.mark.parametrize("d,n,clamp", [(2, 30, 6), (3, 20, 4)])

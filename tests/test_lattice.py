@@ -1,12 +1,9 @@
-import ast
 import dataclasses
 import io
 import itertools
 import math
 import sys
 import threading
-from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,30 +364,6 @@ def test_stencil_step_rejects_a_clamp_below_one(clamp):
         lat.stencil_step(np.ones(3), 2, clamp=clamp)
     with pytest.raises(ValueError, match="clamp"):
         lat.transition_field(3, 2, clamp=clamp)
-
-
-def _stencil_callers():
-    """(module file, top-level definition) -> number of `stencil_step(` calls,
-    over the package outside lattice.py."""
-    found = Counter()
-    for path in sorted(Path(lat.__file__).parent.glob("*.py")):
-        if path.name == "lattice.py":
-            continue
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "stencil_step" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    found[(path.name, getattr(top, "name", "<module>"))] += 1
-    return found
-
-
-def test_every_field_recursion_runs_on_the_one_sweep():
-    # P f is computed by `lattice.sweep`; only the second-moment source term
-    # (f advanced beside P_k) and the super-solution margin (a bump that is
-    # not a sweep field) call the stencil directly
-    allowed = Counter({("exactfields.py", "second_moment_sweep"): 1,
-                       ("exactfields.py", "supersolution_margin"): 1})
-    assert not _stencil_callers() - allowed
 
 
 def test_one_step_kernel_is_uniform_on_neighborhood():

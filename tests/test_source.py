@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "brwlab"
@@ -26,3 +27,18 @@ def test_every_function_and_class_is_referenced_in_the_package():
     dead = {name: where for name, where in defined.items()
             if not (name.startswith("__") and name.endswith("__")) and name not in referenced}
     assert dead == {}
+
+
+def test_every_field_recursion_runs_on_the_one_sweep():
+    # P f is computed by `lattice._sweep` alone; the super-solution margin,
+    # which applies P once to a tabulated bump that no sweep yields, is the
+    # one other caller of the stencil
+    callers = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "stencil_step" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers[(path.name, getattr(top, "name", "<module>"))] += 1
+    assert callers == Counter({("lattice.py", "_sweep"): 1,
+                               ("exactfields.py", "supersolution_margin"): 1})
