@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -64,8 +65,14 @@ def resolve(args, cfg: dict, key: str, cast, default):
     return default
 
 
-def _open_out(path: str | None):
-    return open(path, "w") if path and path != "-" else sys.stdout
+@contextmanager
+def _output(path: str | None):
+    """The file at `path`, opened for writing, or stdout (left open) for none or '-'."""
+    if not path or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _write_sidecar(path: str | None, resolved: dict) -> None:
@@ -160,12 +167,10 @@ def cmd_simulate(args) -> int:
 
 
 def _write_blocks(path: str | None, blocks) -> None:
-    out = _open_out(path)
-    for lines in blocks:
-        for line in lines:
-            out.write(line + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(path) as out:
+        for lines in blocks:
+            for line in lines:
+                out.write(line + "\n")
 
 
 def _parallel_map(fn, tasks):
@@ -266,14 +271,12 @@ def cmd_exact(args) -> int:
                                          range(n0, 4 * n0 + 1))
     else:
         raise SystemExit(f"unknown exact kind {kind!r}")
-    out = _open_out(args.out)
-    if isinstance(result, dict):
-        json.dump(result, out, sort_keys=True)
-        out.write("\n")
-    else:
-        field_to_csv(result, n, out)
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        if isinstance(result, dict):
+            json.dump(result, out, sort_keys=True)
+            out.write("\n")
+        else:
+            field_to_csv(result, n, out)
     _write_sidecar(args.out, resolved)
     return 0
 
@@ -341,10 +344,8 @@ def cmd_verify(args) -> int:
     rows, suite_seconds = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
     resolved = {"command": "verify", "suite": ",".join(names), "seed": seed,
                 "budget": budget}
-    out = _open_out(args.out)
-    st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
     _write_sidecar(args.out, {**resolved, "suite_seconds": suite_seconds})
     summary = st.summary_dict(rows)
     if args.summary:
@@ -354,28 +355,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
     with open(args.input) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        rows = [json.loads(line) for line in fh if line.strip()]
     if not rows:
         raise SystemExit("empty input")
     # over all rows: a key that is null in the first row (T of an extinct run) stays
     numeric = {k for r in rows for k, v in r.items()
                if isinstance(v, (int, float)) and not isinstance(v, bool)
                and k not in ("rep", "seed")}
-    out = _open_out(args.out)
-    out.write("statistic,mean,std_error,reps,q10,q50,q90\n")
-    for k in sorted(numeric):
-        vals = np.array([r[k] for r in rows if r.get(k) is not None], dtype=np.float64)
-        if len(vals) < 2:
-            continue
-        e = st.EstimateCI.from_samples(vals)
-        out.write(f"{k},{e.mean!r},{e.std_error!r},{e.reps},{e.q10!r},{e.q50!r},{e.q90!r}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _output(args.out) as out:
+        out.write("statistic,mean,std_error,reps,q10,q50,q90\n")
+        for k in sorted(numeric):
+            vals = np.array([r[k] for r in rows if r.get(k) is not None], dtype=np.float64)
+            if len(vals) < 2:
+                continue
+            e = st.EstimateCI.from_samples(vals)
+            out.write(f"{k},{e.mean!r},{e.std_error!r},{e.reps},{e.q10!r},{e.q50!r},{e.q90!r}\n")
     return 0
 
 
@@ -447,9 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return status
     except (ValueError, xf.MgfBlowupError) as exc:  # bad input found past the flag checks
         raise SystemExit(f"brwlab {args.command}: {exc}") from None
+    except BrokenPipeError:  # nothing more reaches the reader; the exit flush must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(f"brwlab {args.command}: output closed early (broken pipe)") from None
 
 
 if __name__ == "__main__":

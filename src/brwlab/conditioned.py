@@ -37,9 +37,10 @@ from .lattice import ReversedSweep
 class ConditionedSampler:
     """Sampler for the law of U_n(x) given {U_n(x) >= 1}, batched over replicates.
 
-    Its hitting fields are clamped at clamp_radius(n - 1, d, 1e-14) + |x|_inf
-    (the tree's rule): x lies in the box, which no kept particle leaves, and
-    u_n(x) is low by at most 1e-14 in absolute terms, not relative to u_n(x)."""
+    Its hitting field of horizon m is clamped at clamp_schedule(n - 1, d,
+    1e-14)[m] + |x|_inf (the tree's rule): x lies in every box, which no kept
+    particle leaves, and u_n(x) is low by at most 1e-14 per horizon, (n - 1)
+    1e-14 in all, in absolute terms, not relative to u_n(x)."""
 
     def __init__(self, n: int, x):
         if n < 1:

@@ -31,6 +31,7 @@ full-box average, so that the checks compare two independent computations.
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .lattice import Field, ahead, clamp_radius, last, stencil_step, sweep
+from .lattice import Field, ahead, clamp_schedule, last, stencil_step, sweep
 from .offspring import OffspringDist
 
 
@@ -78,7 +79,7 @@ def survival_prob(dist: OffspringDist, n: int) -> float:
 
 
 def hitting_field(dist: OffspringDist, n: int, d: int = 2,
-                  clamp: int | None = None) -> Field:
+                  clamp: int | np.ndarray | None = None) -> Field:
     """u_n(x) = P{U_n(x) >= 1} started from one particle at the origin."""
     return last(hitting_sweep(dist, n, d, clamp))
 
@@ -94,21 +95,19 @@ def hitting_update(dist: OffspringDist) -> Callable[[np.ndarray, Field], np.ndar
 
 
 def hitting_sweep(dist: OffspringDist, n: int, d: int = 2,
-                  clamp: int | None = None) -> Iterator[Field]:
+                  clamp: int | np.ndarray | None = None) -> Iterator[Field]:
     """u_0, ..., u_n in one sweep."""
     return sweep(n, d, hitting_update(dist), clamp)
 
 
 def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
-                  clamp: int | None = None) -> tuple[float, float]:
+                  clamp: int | np.ndarray | None = None) -> tuple[float, float]:
     """(sum_x u_n(x), certified tail) — the expected number of occupied sites.
 
     The tail is the clamped sweep's killed mass of P u_k, summed over k < n.
     The update y -> 1 - Phi(1 - y) is nondecreasing with slope at most 1, so
     each step adds at most its killed mass to the deficit of the total."""
-    if clamp is None:
-        clamp = clamp_radius(n, d, 1e-12) if n > 16 else None
-    u = hitting_field(dist, n, d, clamp=clamp)
+    u = hitting_field(dist, n, d, clamp=clamp_schedule(n, d, 1e-12) if clamp is None else clamp)
     return u.total(), u.tail_bound
 
 
@@ -117,7 +116,7 @@ def mean_occupied(dist: OffspringDist, n: int, d: int = 2,
 
 
 def mgf_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
-              clamp: int | None = None) -> Field:
+              clamp: int | np.ndarray | None = None) -> Field:
     return last(mgf_sweep(dist, n, theta, d, clamp))
 
 
@@ -133,34 +132,52 @@ def _blowup_check(dist: OffspringDist, top: float, vals, step: int):
 
 
 def mgf_sweep(dist: OffspringDist, n: int, theta: float, d: int = 2,
-              clamp: int | None = None) -> Iterator[Field]:
-    """G_0, ..., G_n for G_k(x;theta) = E exp(theta U_k(x)) - 1."""
+              clamp: int | np.ndarray | None = None) -> Iterator[Field]:
+    """G_0, ..., G_n for G_k(x;theta) = E exp(theta U_k(x)) - 1.  The update's
+    slope Phi'(1 + y) >= 1 amplifies a clamp's deficit: the tail is t_{k+1} =
+    Phi'(1 + max P~G~_k + t_k) (t_k + killed_k), with P~G~_k the clamped
+    stencil output (largest at the origin) and killed_k the mass it drops."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     g0 = math.expm1(theta)
     if 1.0 + g0 > dist.z_max:
         raise MgfBlowupError(0)
+    top = killed = tail = 0.0
 
     def update(pg, prev):
-        return _blowup_check(dist, float(pg.max()),
-                             lambda: np.asarray(dist.pgf_at_one_plus(pg)), prev.step + 1)
-    return sweep(n, d, update, clamp, start=Field(np.full(1, g0), d, step=0))
+        nonlocal top
+        top = float(pg.max())
+        return _blowup_check(dist, top, lambda: np.asarray(dist.pgf_at_one_plus(pg)), prev.step + 1)
+    for g in sweep(n, d, update, clamp, start=Field(np.full(1, g0), d, step=0)):
+        if g.tail_bound > 0.0:
+            tail = _slope(dist, 1.0 + top + tail) * (tail + g.tail_bound - killed)
+        killed = g.tail_bound
+        yield Field(g.values, d, tail, g.step)
+
+
+def _slope(dist: OffspringDist, z: float) -> float:
+    """Phi'(z), infinite beyond the pgf domain (a bound that no longer holds)."""
+    return float(dist.pgf_prime(z)) if z <= dist.z_max * (1 - 1e-12) else math.inf
 
 
 def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
-                     clamp: int | None = None) -> Field:
+                     clamp: int | np.ndarray | None = None) -> Field:
     """H_n with H_1 = G_1 and H_{k+1} = (P H_k) * Phi'(1 + H_k(0)), in the closed
     form H_k = c_k Q_k of the sweep Q_k = P^{k-1} G_1 (P is linear), c_1 = 1 and
-    c_{k+1} = c_k Phi'(1 + H_k(0)); the clamp kills c_k times Q's loss at k + 1."""
+    c_{k+1} = c_k Phi'(1 + H_k(0)).  A clamp kills q_k of Q's mass by step k and
+    lowers c~_k with Q~_k(0) >= Q_k(0) - q_k, so c_k <= c^_k, c^_{k+1} = c^_k
+    Phi'(1 + c^_k (Q~_k(0) + q_k)): H_n's total is low by at most c^_n q_n +
+    (c^_n - c~_n) sum Q~_n."""
     q = mgf_field(dist, 1, theta, d, clamp)
-    c, top, tail = 1.0, float(q.values[0]), q.tail_bound  # top = H_k(0), its largest value
+    c, top, hi = 1.0, float(q.values[0]), 1.0  # top = H_k(0), its largest value; hi = c^_k
     for nxt in sweep(n, d, clamp=clamp, start=q):  # H_n is defined for n >= 1
         if nxt.step > 1:  # c_k and H_k(0) = c_k Q_k(0), both checked for overflow
-            tail += c * (nxt.tail_bound - q.tail_bound)
+            hi *= _slope(dist, 1.0 + hi * (float(q.values[0]) + q.tail_bound))
             c, top = _blowup_check(dist, top, lambda: c * float(dist.pgf_prime(1.0 + top))
                                    * np.array([1.0, nxt.values[0]]), nxt.step).tolist()
         q = nxt
-    return Field(q.values * c, d, tail, step=n)
+    # with nothing killed, c^_k is c~_k bit for bit and the tail is 0.0
+    return Field(q.values * c, d, hi * q.tail_bound + (hi - c) * q.total(), step=n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +185,12 @@ def dominating_field(dist: OffspringDist, n: int, theta: float, d: int = 2,
 
 
 def second_moment_field(dist: OffspringDist, n: int, d: int = 2,
-                        clamp: int | None = None) -> Field:
+                        clamp: int | np.ndarray | None = None) -> Field:
     return last(second_moment_fields(dist, n, d, clamp))
 
 
 def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
-                         clamp: int | None = None) -> Iterator[Field]:
+                         clamp: int | np.ndarray | None = None) -> Iterator[Field]:
     """f_0, ..., f_n for f_k(x) = E U_k(x)^2: the update map f_k = P f_{k-1} +
     sigma^2 P_k^2, its source terms one field ahead (`lattice.ahead`).  The tail
     adds f's killed mass to the sources' loss, at most sigma^2 (2 max P~_j + t_j)
@@ -196,7 +213,7 @@ def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
 
 
 def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
-                        clamp: int | None = None):
+                        clamp: int | np.ndarray | None = None):
     """(f_n, sums) with sums[k] = sum_x f_k(x), off `second_moment_fields`."""
     sums = np.empty(n + 1)
     for f in second_moment_fields(dist, n, d, clamp):
@@ -352,7 +369,12 @@ def supersolution_field(params: SuperSolutionParams, n: int, d: int = 2,
 
 
 def _square_norm(sites: np.ndarray) -> np.ndarray:
-    return (sites.astype(np.float64) ** 2).sum(axis=-1)
+    """|x|^2 of integer sites[m, d] in their own integer type (int32 holds it
+    below |x| = 2^15): exact, so it converts to the float sum of squares."""
+    out = sites[:, 0] * sites[:, 0]
+    for a in range(1, sites.shape[1]):
+        out += sites[:, a] * sites[:, a]
+    return out
 
 
 def supersolution_margin(params: SuperSolutionParams, n: int):
@@ -395,28 +417,19 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     """
     if not math.isfinite(params.kappa):
         raise ValueError(f"kappa must be finite, got {params.kappa}")
+    report = {"params": {"kappa": params.kappa, "beta": params.beta},
+              "n_range": [int(min(n_range)), int(max(n_range))]}
     if params.kappa <= 0:
-        return {"params": {"kappa": params.kappa, "beta": params.beta},
-                "n_range": [int(min(n_range)), int(max(n_range))], "holds": False,
-                "min_relative_margin": None, "argmin": None,
+        return {**report, "holds": False, "min_relative_margin": None, "argmin": None,
                 "note": "degenerate prefactor: the zero bump dominates nothing"}
-    worst = math.inf
-    arg = None
-    holds = True
+    worst, arg, holds = math.inf, None, True
     for n in n_range:
         m, rel, site = supersolution_margin(params, int(n))
         if rel < worst:
             worst, arg = rel, {"n": int(n), "x": [int(site[0]), int(site[1])],
                                "regime": _regime(int(n), site)}
-        if m < 0:
-            holds = False
-    return {
-        "params": {"kappa": params.kappa, "beta": params.beta},
-        "n_range": [int(min(n_range)), int(max(n_range))],
-        "holds": holds,
-        "min_relative_margin": worst,
-        "argmin": arg,
-    }
+        holds = holds and not m < 0
+    return {**report, "holds": holds, "min_relative_margin": worst, "argmin": arg}
 
 
 def find_supersolution_start(kappa: float = KAPPA0, cap: int = 256) -> int:
@@ -431,11 +444,7 @@ def find_supersolution_start(kappa: float = KAPPA0, cap: int = 256) -> int:
         return margins[n]
 
     while n0 <= cap:
-        bad = None
-        for n in range(n0, 4 * n0 + 1):
-            if margin(n) < 0:
-                bad = n
-                break
+        bad = next((n for n in range(n0, 4 * n0 + 1) if margin(n) < 0), None)
         if bad is None:
             return n0
         n0 = bad + 1
@@ -445,14 +454,6 @@ def find_supersolution_start(kappa: float = KAPPA0, cap: int = 256) -> int:
 def comparison_shift(kappa0: float = KAPPA0, n_min: int = 2) -> int:
     """Smallest N1 >= n_min with N1*log(N1) >= kappa0, so that the bump with
     prefactor N1*log(N1) starts at height 1 and dominates the point mass."""
-    lo, hi = max(n_min, 2), 2
-    while hi * math.log(hi) < kappa0:
-        hi *= 2
-    lo = hi // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * math.log(mid) >= kappa0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(hi, n_min)
+    lo = max(n_min, 2)
+    hi = max(lo, 3, math.ceil(kappa0))  # N log N >= N from N = 3 on
+    return bisect.bisect_left(range(hi + 1), kappa0, lo=lo, key=lambda m: m * math.log(m))

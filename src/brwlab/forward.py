@@ -39,15 +39,18 @@ each moving to x - e with probability u_{m-1}(x - e) / ((2d+1) p)
 (`tree_step`, which the conditioned sampler shares: its tree is this one at
 ell = 0, grown from one kept particle at the target).  At m = 0 the kept
 particles are exactly those in the ball.  The whole batch takes one pass of
-one `lattice.ReversedSweep`, clamped at clamp_radius(n-1, d, 1e-14) +
-floor(ell): a lost particle ends in the ball after its lineage strayed more
-than clamp_radius(n-1) from it, so each walk's expected count is low by at
-most 1e-14.  The tree is taken when the staggered array's expected
-particle-generations exceed the 2 (n-1) C(clamp + d, d) cells that the tree's
+one `lattice.ReversedSweep`, whose field of horizon m is clamped at r_m =
+clamp_schedule(n-1, d, 1e-14)[m] + floor(ell): a particle is lost at horizon
+m only if the last m steps of its lineage strayed more than r_m - floor(ell)
+from where it ends in the ball, which the reversed walk does with
+probability at most 1e-14, so a walk of age i is low by at most i 1e-14 in
+expected count.  The tree is taken when the staggered array's expected
+particle-generations exceed the 2 sum_m C(r_m + d, d) cells that the tree's
 two sweeps store (about 30 ns per particle-generation and 22 ns per stored
-cell at n = 512 in d = 2 on a 2-core VM; break-even near 55 replicates), and
-whenever the reps n walk tags do not fit the key packing range (d = 3 batches
-of 2**17 walks or more), which bounds only the staggered array's keys.
+cell at n = 512 in d = 2 on a 2-core VM; break-even near 28 replicates at
+ell = 0 and 33 at ell = 7), and whenever the reps n walk tags do not fit the
+key packing range (d = 3 batches of 2**17 walks or more), which bounds only
+the staggered array's keys.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import math
 import numpy as np
 
 from .exactfields import hitting_update
-from .lattice import Field, ReversedSweep, clamp_radius, in_ball, neighborhood
+from .lattice import Field, ReversedSweep, clamp_schedule, in_ball, neighborhood
 from .offspring import OffspringDist, binary
 
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
@@ -307,10 +310,10 @@ def _takes_tree(reps: int, n: int, ell: float, dist: OffspringDist, d: int) -> b
     fission, and either the reps n walk tags do not fit the key packing
     range, or the staggered array's expected particle-generations exceed the
     cells that the tree's two sweeps store."""
-    top = n - 1
-    return bool(dist.is_binary and (
-        reps * n >= _max_tags(d)
-        or top > 0 and reps * n * top // 2 > 2 * top * math.comb(_tree_clamp(top, d, ell) + d, d)))
+    if not dist.is_binary:
+        return False
+    cells = 2 * sum(math.comb(int(r) + d, d) for r in _tree_clamp(n - 1, d, ell)[1:])
+    return reps * n >= _max_tags(d) or reps * n * (n - 1) // 2 > cells
 
 
 def attached_walks(query: np.ndarray, ell: float, dist: OffspringDist,
@@ -352,10 +355,11 @@ def _staggered_walks(query, ell, dist, rng):
 BINARY_HITTING = hitting_update(binary())
 
 
-def _tree_clamp(top: int, d: int, ell: float) -> int:
-    """Box radius of the tree's hitting fields: a walk's expected count in
-    the ball loses at most 1e-14 to it (module doc)."""
-    return clamp_radius(top, d, 1e-14) + math.floor(ell)
+def _tree_clamp(top: int, d: int, ell: float) -> np.ndarray:
+    """Box radius of the tree's hitting field of each horizon 0..top: a walk's
+    expected count in the ball loses at most 1e-14 per horizon to it (module
+    doc).  The field of horizon m >= 1 stores exactly radius r_m."""
+    return clamp_schedule(top, d, 1e-14) + math.floor(ell)
 
 
 def tree_step(u: Field, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,10 @@ order, from the delta or from any field it yielded (a checkpoint); a
 `ReversedSweep` yields them in reverse from about sqrt(n) checkpoints, and
 `ahead` computes a large sweep one field ahead on a worker thread that keeps
 it to its end.  A field carries a certified `tail_bound` on the mass outside
-its box: clamped sweeps kill mass at the boundary, so stored values are exact
-lower bounds, and the sweep adds up the killed mass exactly.
+its box: a sweep clamped at one radius, or at the radius r_k of each step
+(`clamp_schedule`, which keeps at most eps per step outside), kills mass at
+the boundary, so stored values are exact lower bounds, and it sums the
+killed mass exactly.
 
 All field arithmetic is double precision and every kernel is a fixed-order
 numpy reduction, so results are bit-identical across runs, block sizes,
@@ -53,13 +55,8 @@ import numpy as np
 
 def neighborhood(d: int) -> np.ndarray:
     """The 2d+1 neighbor offsets, hold first then +e1, -e1, +e2, ... (fixed order)."""
-    offs = [np.zeros(d, dtype=np.int64)]
-    for axis in range(d):
-        for sign in (1, -1):
-            e = np.zeros(d, dtype=np.int64)
-            e[axis] = sign
-            offs.append(e)
-    return np.array(offs)
+    eye = np.eye(d, dtype=np.int64)
+    return np.concatenate((0 * eye[:1], np.stack((eye, -eye), axis=1).reshape(-1, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +202,10 @@ class Field:
     def tabulate(cls, fn: Callable[[np.ndarray], np.ndarray], d: int, radius: int,
                  step: int | None = None) -> "Field":
         """The field with values fn(sites) on the box of this radius; `fn` maps
-        integer sites[m, d] to m values and must be invariant under sign flips
-        and permutations (it sees one site per orbit)."""
-        sites = _layout(d, radius).sites[:, :_cell_count(d, radius)].T.astype(np.int64)
+        int32 sites[m, d] (a view of the layout's: not to be written) to m
+        values and must be invariant under sign flips and permutations (it
+        sees one site per orbit)."""
+        sites = _layout(d, radius).sites[:, :_cell_count(d, radius)].T
         return cls(np.asarray(fn(sites), dtype=np.float64), d, step=step)
 
     def sites(self) -> np.ndarray:
@@ -321,34 +319,44 @@ def stencil_step(vals: np.ndarray, d: int,
 
 
 def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | None = None,
-          clamp: int | None = None, start: Field | None = None) -> Iterator[Field]:
+          clamp: int | np.ndarray | None = None, start: Field | None = None) -> Iterator[Field]:
     """Yield F_k for k = start.step..n, with F_{k+1} = update(P F_k, F_k)
     (update None keeps P F_k) and `start` defaulting to the origin delta.
 
-    P is `stencil_step` with this `clamp`.  Each yielded field's
-    `tail_bound` is the start's plus every clamp loss so far, added in step
-    order, so a sweep restarted from any field it yielded continues it bit
-    for bit.  The arguments are checked here, before the first field.
+    P is `stencil_step`, clamped at radius `clamp`, or at clamp[k] on the step
+    to F_k for a schedule such as `clamp_schedule`.  Each yielded field's
+    `tail_bound` is the start's plus every clamp loss so far, in step order, so
+    a sweep restarted from any field it yielded continues it bit for bit.  The
+    arguments are checked here, before the first field.
     """
     start = Field.delta(d) if start is None else start
     if start.dim != d:
         raise ValueError(f"start field has dimension {start.dim}, not {d}")
     if n < start.step:
         raise ValueError(f"n = {n} is below the start step {start.step}")
-    return _sweep(n, d, update, clamp, start)
+    return _sweep(n, d, update, _radii(clamp, n), start)
 
 
-def _sweep(n, d, update, clamp, f):
+def _radii(clamp, n: int) -> np.ndarray | None:
+    """The clamp of each step 0..n, from one radius or a schedule."""
+    if clamp is None or np.ndim(clamp) == 0:
+        return None if clamp is None else np.full(n + 1, int(clamp))
+    if len(clamp) <= n:
+        raise ValueError(f"a clamp schedule of {len(clamp)} radii ends before step {n}")
+    return np.asarray(clamp[:n + 1], dtype=np.intp)
+
+
+def _sweep(n, d, update, radii, f):
     yield f
     # the table grows in doubling radii up to the last step's output radius,
     # not shell by shell, and not beyond a sweep that stops early (mgf blowup)
     top, covered = f.radius + n - f.step, -1
-    if clamp is not None:
-        top = min(top, clamp + 1)
+    if radii is not None:
+        top = min(top, int(radii[f.step + 1:].max(initial=0)) + 1)
     while f.step < n:
         if f.radius >= covered:
             covered = _layout(d, min(top, 2 * f.radius + 2)).radius
-        pf, lost = stencil_step(f.values, d, clamp)
+        pf, lost = stencil_step(f.values, d, None if radii is None else int(radii[f.step + 1]))
         f = Field(pf if update is None else update(pf, f), d, f.tail_bound + lost, f.step + 1)
         yield f
 
@@ -360,17 +368,21 @@ class ReversedSweep:
     """F_n, ..., F_start of `sweep(n, d, update, clamp, start)`, bit for
     bit, on every iteration: every isqrt(n - start.step)-th field is kept and
     the block after each is recomputed from it.  The stream used last keeps
-    its checkpoints, keyed by the arguments (update by identity, start by
+    its checkpoints, keyed by the arguments (update by identity, the rest by
     value): successive CLI `spine` or `conditioned` blocks read one stream."""
 
     def __init__(self, n: int, d: int, update: Callable | None = None,
-                 clamp: int | None = None, start: Field | None = None):
+                 clamp: int | np.ndarray | None = None, start: Field | None = None):
         start = Field.delta(d) if start is None else start
         sweep(n, d, update, clamp, start)  # checks the arguments
-        if clamp is not None and clamp >= start.radius + n - start.step:
-            clamp = None  # at or beyond F_n's natural radius it cuts nothing
+        # the radius each step keeps: a clamp that cuts no step counts as none
+        natural = start.radius + np.arange(1, n + 1 - start.step)  # steps start.step + 1..n
+        kept = None if clamp is None else np.minimum(_radii(clamp, n)[start.step + 1:],
+                                                     natural).tobytes()
+        if kept == natural.tobytes():
+            clamp = kept = None
         self.n, self.start, self.args = n, start, (d, update, clamp)
-        self.key = (n, *self.args, start.step, start.tail_bound, start.values.tobytes())
+        self.key = (n, d, update, kept, start.step, start.tail_bound, start.values.tobytes())
 
     def __iter__(self) -> Iterator[Field]:
         n, first, every = self.n, self.start.step, max(1, math.isqrt(self.n - self.start.step))
@@ -447,12 +459,12 @@ def last(fields: Iterator[Field]) -> Field:
     return deque(fields, maxlen=1)[0]
 
 
-def transition_field(n: int, d: int, clamp: int | None = None) -> Field:
-    """Exact P_n on the box of radius min(n, clamp).
+def transition_field(n: int, d: int, clamp: int | np.ndarray | None = None) -> Field:
+    """Exact P_n on the box of radius min(n, clamp), or clamped by a schedule.
 
     When clamped, the recursion kills mass at the boundary; the stored values
     are then pointwise lower bounds on P_n and `tail_bound` is the exact
-    killed mass, itself bounded by `escape_bound(n, d, clamp)`.
+    killed mass.  A `clamp_schedule(n, d, eps)` kills at most eps per step.
     """
     return last(sweep(n, d, clamp=clamp))
 
@@ -486,35 +498,20 @@ def sample_srw_batch(n: int, d: int, reps: int, rng: np.random.Generator) -> np.
 # Clamp policy and certified tail bounds.
 
 
-def escape_bound(n: int, d: int, radius: int) -> float:
-    """Certified Chernoff bound on P(some coordinate leaves [-R, R] within n steps).
-
-    Valid for the running maximum (Doob), hence for the killed recursion.
-    Any grid value of t yields a rigorous bound; the grid minimum only
-    tightens it.
-    """
-    if n == 0 or radius > n:
-        return 0.0
+def clamp_schedule(n: int, d: int, eps: float = 1e-12) -> np.ndarray:
+    """r_k for k = 0..n: the smallest radius in [1, max(k, 1)] at which Chernoff's
+    bound on P(some coordinate leaves [-r, r] within k steps), 2d exp(k log
+    m(t) - t r) with m(t) = (2d - 1 + 2 cosh t)/(2d + 1), is at most eps at some
+    t of a fixed grid: r_k = ceil(min_t (k log m(t) + log(2d/eps)) / t).  The
+    bound holds for the running maximum (Doob), hence for the killed sweep."""
     t = np.linspace(1e-3, 25.0, 800)
     log_m = np.log((2 * d - 1 + 2 * np.cosh(t)) / (2 * d + 1))
-    best = float(np.min(-t * radius + n * log_m))
-    return min(1.0, 2 * d * math.exp(best))
-
-
-def clamp_radius(n: int, d: int, eps: float = 1e-12) -> int:
-    """Smallest box radius whose certified escape bound is below eps."""
-    if n <= 1:
-        return max(n, 1)
-    lo, hi = 1, n
-    if escape_bound(n, d, hi) > eps:
-        return n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if escape_bound(n, d, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    k, best = np.arange(n + 1), np.full(n + 1, np.inf)
+    size = max(1, (1 << 14) // (n + 1))  # t values per block: temporaries of ~2^14
+    for lo in range(0, len(t), size):
+        r = np.add(np.multiply.outer(k, log_m[lo:lo + size]), math.log(2 * d / eps))
+        np.minimum(best, np.divide(r, t[lo:lo + size], out=r).min(axis=1), out=best)
+    return np.maximum(np.minimum(np.ceil(best), k), 1).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------

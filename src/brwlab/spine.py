@@ -48,18 +48,15 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import clamp_radius, neighborhood, row_blocks, sample_srw_batch, sweep
+from .lattice import clamp_schedule, neighborhood, row_blocks, sample_srw_batch, sweep
 from .offspring import binary
-
-RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
 
 _BINARY = binary()
 
 
 def return_probs(max_n: int, d: int = 2) -> np.ndarray:
-    """P_m(0) for m = 0..max_n, from one clamped sweep."""
-    clamp = clamp_radius(max(max_n, 2), d, 1e-14)
-    return np.array([f.values.flat[0] for f in sweep(max_n, d, clamp=clamp)])
+    """P_m(0) for m = 0..max_n, from one sweep clamped at 1e-14 per step."""
+    return np.array([f.values[0] for f in sweep(max_n, d, clamp=clamp_schedule(max_n, d, 1e-14))])
 
 
 def exact_mean_gamma(n: int, d: int = 2) -> np.ndarray:
@@ -121,7 +118,7 @@ def gamma_split(batch: dict) -> dict:
     gamma = np.zeros(reps)
     misses = np.zeros(reps, dtype=np.int64)
     increments = {}
-    for f in sweep(n, d, clamp=clamp_radius(n, d, 1e-14)):  # P_0(S_0) = 1 is summed nowhere
+    for f in sweep(n, d, clamp=clamp_schedule(n, d, 1e-14)):  # P_0(S_0) = 1 is summed nowhere
         at = S[:, f.step]
         p = f.values_at(at)
         misses += ~f.in_box(at)

@@ -29,7 +29,7 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import (Field, ahead, clamp_radius, neighborhood, sites_in_ball, sweep,
+from .lattice import (Field, ahead, clamp_schedule, neighborhood, sites_in_ball, sweep,
                       transition_field)
 from .offspring import binary, geometric
 from .rngstreams import substream
@@ -193,8 +193,8 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
                                  xf.second_moment_fields(_B, 12, 2)))
     rows.append(_row("C03-second-moment", "oracle-vs-recursion", worst, "<=1e-8",
                      worst <= 1e-8, n=12))
-    for d, eps in ((2, 1e-10), (3, 5e-10)):
-        _, sums = xf.second_moment_sweep(_B, 512, d, clamp=clamp_radius(512, d, eps))
+    for d, eps in ((2, 1e-11), (3, 3e-11)):  # eps per step
+        _, sums = xf.second_moment_sweep(_B, 512, d, clamp=clamp_schedule(512, d, eps))
         p2 = _spectral_return_probs(512, d)
         rhs = 1.0 + _B.sigma2 * np.cumsum(np.concatenate(([0.0], p2[1:])))
         worst = float(np.abs(sums - rhs).max())
@@ -399,7 +399,7 @@ def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
     grid = (128, 256, 512)
     top = grid[-1]  # u_128, u_256 and u_512 off one sweep
     vals = {u.step: u.total() * math.log(u.step)
-            for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_radius(top, 2, 1e-12))
+            for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, 1e-12))
             if u.step in grid}
     ratio = max(vals.values()) / min(vals.values())
     rows.append(_row("C12-occupied-2d", "mean-occupied-times-log", ratio,

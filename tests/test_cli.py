@@ -328,3 +328,14 @@ def test_cli_and_p_values_load_no_scipy_module(tmp_path):
                          text=True, env=child_env())
     assert out.stdout.strip() == "[]"
     assert "p_value" in json.loads((tmp_path / "chi.json").read_text())
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():
+    # the field's 40,401 rows overflow the pipe: the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "brwlab.cli", "exact", "p-field", "--n", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.readline().startswith(b"# dim=2 n=100")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) != 0
+    assert err.splitlines() == ["brwlab exact: output closed early (broken pipe)"]

@@ -211,7 +211,7 @@ def test_sampler_clamps_just_beyond(n, x):
 def test_far_target_lies_inside_the_clamped_box():
     # without the target's distance the box would stop short of x
     n, x = 64, (45, 0)
-    assert lat.clamp_radius(n - 1, 2, 1e-14) < 45
+    assert lat.clamp_schedule(n - 1, 2, 1e-14).max() < 45
     paths = cr.ConditionedSampler(n, x).sample(300, substream(45, "conditioned-rep"))[1]
     assert (paths[:, -1] == x).all()
     assert (np.abs(np.diff(paths, axis=1)).sum(axis=2) <= 1).all()

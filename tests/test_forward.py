@@ -246,7 +246,7 @@ def test_attached_walk_engines_ball_mean_is_transition_mass(engine):
 def test_clamped_tree_ball_count_matches_transition_mass():
     # top = 256: the fields are clamped well inside the reach of the walks
     top, ell, site, reps = 256, 7, np.array([9, -4]), 20_000
-    assert fw._tree_clamp(top, 2, ell) < top
+    assert fw._tree_clamp(top, 2, ell).max() < top
     query = queries(site, reps, top + 1)
     query[:, :top] = 300  # the younger walks never reach their balls
     walk, _ = fw._tree_walks(query, ell, substream(64, "selftest"))
@@ -302,7 +302,8 @@ def route(monkeypatch):
 
 def test_attached_walks_route_follows_cost_rule(route):
     assert route(512, 5) == "_staggered_walks"   # CLI spine --n 512 --reps 5
-    assert route(512, 30) == "_staggered_walks"
+    assert route(512, 27) == "_staggered_walks"  # the tree's fields store 3.64M cells
+    assert route(512, 28) == "_tree_walks"
     assert route(512, 100) == "_tree_walks"      # README spine --n 512 --reps 100
     assert route(512, 10_000) == "_tree_walks"   # C09
     assert route(3, 256) == "_tree_walks"
@@ -314,7 +315,8 @@ def test_attached_walks_beyond_the_tag_range_take_the_tree(route):
     # d = 3: 300 replicates of 512 walks lie below the cost break-even, but
     # their walk tags do not fit one particle array's keys
     n, reps = 512, 300
-    assert reps * n * (n - 1) // 2 < 2 * (n - 1) * math.comb(fw._tree_clamp(n - 1, 3, 0) + 3, 3)
+    cells = 2 * sum(math.comb(int(r) + 3, 3) for r in fw._tree_clamp(n - 1, 3, 0)[1:])
+    assert reps * n * (n - 1) // 2 < cells
     assert reps * n >= fw._max_tags(3) > 250 * n
     assert route(n, reps, d=3) == "_tree_walks"
     assert route(n, 250, d=3) == "_staggered_walks"

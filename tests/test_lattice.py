@@ -22,6 +22,32 @@ def enumerate_two_step(d=2):
     return {s: c / (2 * d + 1) ** 2 for s, c in counts.items()}
 
 
+def escape_bound(n, d, radius):
+    """Chernoff's bound on P(some coordinate leaves [-R, R] within n steps),
+    at the grid minimum over t: the scalar form of `lat.clamp_schedule`."""
+    if n == 0 or radius > n:
+        return 0.0
+    t = np.linspace(1e-3, 25.0, 800)
+    log_m = np.log((2 * d - 1 + 2 * np.cosh(t)) / (2 * d + 1))
+    return min(1.0, 2 * d * math.exp(float(np.min(-t * radius + n * log_m))))
+
+
+def clamp_radius(n, d, eps):
+    """The smallest radius in [1, n] whose escape bound is at most eps, by bisection."""
+    if n <= 1:
+        return 1
+    lo, hi = 1, n
+    if escape_bound(n, d, hi) > eps:
+        return n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if escape_bound(n, d, mid) <= eps:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def convolve(f, g):
     """Dense direct convolution (no FFT) of the unfolded boxes, folded back
     onto the stored cells; tail bounds compose additively."""
@@ -277,6 +303,7 @@ def test_read_ahead_starts_no_thread_on_one_cpu(monkeypatch):
 @pytest.mark.parametrize("update,clamp,start", [
     (_kpp, 4, None),
     (_kpp, None, lat.Field(np.array([1.0, 1.0, 0.0]), 2, step=0)),  # the ball of radius 1
+    (_kpp, lat.clamp_schedule(13, 2, 1e-3), None),  # cuts from step 8 on
 ])
 def test_reversed_sweep_is_the_reversed_forward_sweep(n, update, clamp, start):
     args = (n, 2, update, clamp, start)
@@ -302,6 +329,23 @@ def test_reversed_sweep_cache_keeps_the_stream_used_last():
     assert list(lat._marks) == [c.key]
     list(lat.ReversedSweep(12, 2, _kpp))
     assert list(lat._marks) == [lat.ReversedSweep(12, 2, _kpp).key]
+
+
+def test_reversed_sweeps_over_equal_schedules_share_one_checkpoint_entry():
+    lat._marks.clear()
+    radii = lat.clamp_schedule(40, 2, 1e-6)
+    a, b = (lat.ReversedSweep(40, 2, _kpp, lat.clamp_schedule(40, 2, 1e-6)) for _ in range(2))
+    assert a.key == b.key and a.args[2] is not b.args[2]  # keyed by value
+    first = list(a)
+    assert list(lat._marks) == [a.key] and _same_fields(list(b), first)
+    assert list(lat._marks) == [a.key]
+    assert _same_fields(first, list(lat.sweep(40, 2, _kpp, radii))[::-1])
+    # radii that only differ where no step reaches them give the same stream
+    wide = radii.copy()
+    wide[:5] = 99
+    assert lat.ReversedSweep(40, 2, _kpp, wide).key == a.key
+    # a schedule that cuts nothing counts as no clamp
+    assert lat.ReversedSweep(12, 2, _kpp, radii[:13]).key == lat.ReversedSweep(12, 2, _kpp).key
 
 
 def _orbit_label(site):
@@ -425,7 +469,7 @@ def test_transition_normalization_and_tail():
     f = lat.transition_field(40, 2, clamp=8)
     assert f.tail_bound > 0
     assert abs(f.total() + f.tail_bound - 1.0) <= 1e-12
-    assert f.tail_bound <= lat.escape_bound(40, 2, 8) + 1e-15
+    assert f.tail_bound <= escape_bound(40, 2, 8) + 1e-15
     full = lat.transition_field(12, 3)
     assert abs(full.total() - 1.0) <= 1e-12
 
@@ -493,7 +537,8 @@ def test_orthant_monotonicity_small():
 
 def test_return_probability_asymptote_d2():
     # n * P_n(0) -> 5/(4*pi); tolerance 1% is ours (no error term available)
-    from brwlab.spine import return_probs, RETURN_COEF_2D
+    from brwlab.spine import return_probs
+    RETURN_COEF_2D = 5.0 / (4.0 * math.pi)
     p0 = return_probs(2048, 2)
     val = 2048 * p0[2048]
     assert abs(val - RETURN_COEF_2D) <= 0.01 * RETURN_COEF_2D
@@ -625,9 +670,39 @@ def test_csv_export_round_trip():
 
 
 def test_clamp_policy_helpers():
-    r = lat.clamp_radius(256, 2, 1e-12)
-    assert lat.escape_bound(256, 2, r) <= 1e-12
-    assert lat.escape_bound(256, 2, r - 1) > 1e-12
+    r = lat.clamp_schedule(256, 2, 1e-12)[-1]
+    assert escape_bound(256, 2, r) <= 1e-12
+    assert escape_bound(256, 2, r - 1) > 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-10, 5e-10, 1e-11, 3e-11, 1e-12, 1e-14])
+def test_clamp_schedule_is_the_bisection_at_every_step(d, eps):
+    # every eps the package or its history uses, to k = 1024
+    got = lat.clamp_schedule(1024, d, eps)
+    assert got.tolist() == [clamp_radius(k, d, eps) for k in range(1025)]
+
+
+def test_scheduled_sweep_keeps_radius_r_k_and_grows_the_table_to_max_r_plus_one():
+    n, d = 150, 3
+    radii = lat.clamp_schedule(n, d, 1e-12)
+    assert radii.max() < n  # the schedule cuts
+    lat._layouts.clear()
+    fields = list(lat.sweep(n, d, _kpp, radii))
+    assert lat._layouts[0].radius == radii.max() + 1
+    assert [f.radius for f in fields[1:]] == radii[1:].tolist()
+    # the tail is the killed mass, summed in step order
+    f, tail = lat.Field.delta(d), 0.0
+    for k in range(1, n + 1):
+        vals, lost = lat.stencil_step(f.values, d, int(radii[k]))
+        f, tail = lat.Field(_kpp(vals, f), d, tail + lost, k), tail + lost
+        assert np.array_equal(fields[k].values, f.values) and fields[k].tail_bound == tail
+    lat._layouts.clear()
+
+
+def test_sweep_rejects_a_schedule_that_ends_early():
+    with pytest.raises(ValueError, match="ends before step 12"):
+        lat.sweep(12, 2, clamp=lat.clamp_schedule(11, 2))
 
 
 def test_ball_site_counts():

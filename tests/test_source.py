@@ -42,3 +42,22 @@ def test_every_field_recursion_runs_on_the_one_sweep():
                     callers[(path.name, getattr(top, "name", "<module>"))] += 1
     assert callers == Counter({("lattice.py", "_sweep"): 1,
                                ("exactfields.py", "supersolution_margin"): 1})
+
+
+def test_every_clamp_comes_whole_from_the_schedule():
+    # radii are derived in `lattice` alone: no module outside it names the
+    # old one-radius helpers, and no call site reads a single radius off
+    # `clamp_schedule` to clamp every step with it
+    names, indexed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                names.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", None))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call) and \
+                    "clamp_schedule" in ast.dump(node.value.func):
+                indexed.append(f"{path.name}:{node.lineno}")
+    assert not names & {"clamp_radius", "escape_bound"}
+    assert indexed == []

@@ -7,12 +7,13 @@ import pytest
 from brwlab import forward as fw
 from brwlab import lattice as lat
 from brwlab import spine as sp
-from brwlab.lattice import clamp_radius, sample_srw_batch, sites_in_ball, sweep, transition_field
+from brwlab.lattice import clamp_schedule, sample_srw_batch, sites_in_ball, sweep, transition_field
 from brwlab.offspring import binary
 from brwlab.rngstreams import substream
 from brwlab.stats import chi_square
 
 B = binary()
+RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
 
 
 def test_exact_mean_gamma_first_term_and_monotone():
@@ -26,7 +27,7 @@ def test_exact_mean_gamma_first_term_and_monotone():
 def test_gamma_growth_rate_approaches_half_return_coefficient():
     gamma = sp.exact_mean_gamma(256)
     r = (gamma[256] - gamma[128]) / math.log(2)
-    assert abs(r - sp.RETURN_COEF_2D / 2) < 0.01
+    assert abs(r - RETURN_COEF_2D / 2) < 0.01
 
 
 def test_spine_increments_uniform():
@@ -185,7 +186,7 @@ def _matrix_split(batch):
     reps, n = S.shape[0], S.shape[1] - 1
     vals = np.zeros((reps, n + 1))
     misses = np.zeros(reps, dtype=np.int64)
-    for f in sweep(n, 2, clamp=clamp_radius(n, 2, 1e-14)):
+    for f in sweep(n, 2, clamp=clamp_schedule(n, 2, 1e-14)):
         if f.step:
             vals[:, f.step] = f.values_at(S[:, f.step])
             misses += ~f.in_box(S[:, f.step])
@@ -196,7 +197,7 @@ def test_gamma_split_matches_the_matrix_form(monkeypatch):
     n, reps = 128, 3000
     batch = sp.spine_typical_batch(n, reps, substream(45, "spine"), keep_increments=(2, 17, n))
     batch["S"][:7, 100] = 300  # outside the clamped box: seven clamp misses
-    assert clamp_radius(n, 2, 1e-14) < 300
+    assert clamp_schedule(n, 2, 1e-14).max() < 300
     steps = _count_steps(monkeypatch)
     out = sp.gamma_split(batch)
     assert len(steps) == n
@@ -321,7 +322,7 @@ def test_delta_variance_band_at_1024_as_stated():
     rng = substream(27, "spine")
     out = sp.gamma_split(sp.spine_typical_batch(1024, 1500, rng))
     v = out["Delta"].var(ddof=1) / math.log(1024) ** 2
-    target = sp.RETURN_COEF_2D**2 / 8
+    target = RETURN_COEF_2D**2 / 8
     assert 0.5 * target <= v <= 2.0 * target
 
 
@@ -366,7 +367,7 @@ def test_delta_variance_decreasing_toward_limit():
         out = sp.gamma_split(sp.spine_typical_batch(n, reps, rng))
         v[n] = out["Delta"].var(ddof=1) / math.log(n) ** 2
     assert v[1024] < v[64]
-    assert v[1024] > sp.RETURN_COEF_2D**2 / 8  # approaches the limit from above
+    assert v[1024] > RETURN_COEF_2D**2 / 8  # approaches the limit from above
 
 
 def test_ball_count_floor_and_saturation():
@@ -389,7 +390,7 @@ def test_ball_count_mean_band_and_exact_window_sums():
     n, ell = 512, 7
     exact = _exact_ball_mean(n, ell, eps=1e-13)
     norm = math.pi * ell**2 * math.log(n)
-    band = (sp.RETURN_COEF_2D / 4, sp.RETURN_COEF_2D)
+    band = (RETURN_COEF_2D / 4, RETURN_COEF_2D)
     assert band[0] <= exact / norm <= band[1]
     rng = substream(31, "spine-ball")
     w = sp.spine_typical_batch(n, 400, rng, ell=ell)["W"]
@@ -402,7 +403,7 @@ def _exact_ball_mean(n: int, ell: float, eps: float = 1e-14) -> float:
     i, is read at S_{i+1} + xi_i, two independent walks of i + 1 steps."""
     offsets = sites_in_ball(2, ell)
     return 1.0 + sum(float(p.values_at(offsets).sum())
-                     for p in sweep(2 * n, 2, clamp=clamp_radius(2 * n, 2, eps))
+                     for p in sweep(2 * n, 2, clamp=clamp_schedule(2 * n, 2, eps))
                      if p.step >= 2 and p.step % 2 == 0)
 
 
