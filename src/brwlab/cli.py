@@ -341,12 +341,12 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in vf.SUITES:
             raise SystemExit(f"unknown suite {name!r}; choose from {sorted(vf.SUITES)}")
-    rows, suite_seconds = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
+    rows, per_suite = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
     resolved = {"command": "verify", "suite": ",".join(names), "seed": seed,
                 "budget": budget}
     with _output(args.out) as out:
         st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
-    _write_sidecar(args.out, {**resolved, "suite_seconds": suite_seconds})
+    _write_sidecar(args.out, {**resolved, **per_suite})
     summary = st.summary_dict(rows)
     if args.summary:
         with open(args.summary, "w") as fh:

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .lattice import Field, ahead, clamp_schedule, last, stencil_step, sweep
+from .lattice import Field, clamp_schedule, last, stencil_step, sweep
 from .offspring import OffspringDist
 
 
@@ -192,7 +191,7 @@ def second_moment_field(dist: OffspringDist, n: int, d: int = 2,
 def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
                          clamp: int | np.ndarray | None = None) -> Iterator[Field]:
     """f_0, ..., f_n for f_k(x) = E U_k(x)^2: the update map f_k = P f_{k-1} +
-    sigma^2 P_k^2, its source terms one field ahead (`lattice.ahead`).  The tail
+    sigma^2 P_k^2, its source terms from a second sweep of P.  The tail
     adds f's killed mass to the sources' loss, at most sigma^2 (2 max P~_j + t_j)
     t_j at step j, since 0 <= P_j - P~_j sums to t_j, the killed mass of P~_j."""
     def sources():  # sigma^2 P~_k^2, carrying the source loss summed to step k
@@ -206,10 +205,10 @@ def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
         term = next(terms)
         return np.add(pf, term.values, out=pf)
 
-    with closing(ahead(sources())) as terms:  # closing joins the read-ahead worker
-        term = next(terms)  # f_0 = delta takes no source term
-        for f in sweep(n, d, update, clamp):
-            yield Field(f.values, d, f.tail_bound + term.tail_bound, f.step)
+    terms = sources()
+    term = next(terms)  # f_0 = delta takes no source term
+    for f in sweep(n, d, update, clamp):
+        yield Field(f.values, d, f.tail_bound + term.tail_bound, f.step)
 
 
 def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
@@ -350,6 +349,10 @@ class SuperSolutionParams:
     def amplitude(self, n) -> float:
         return self.kappa / (n * np.log(n))
 
+    def value(self, n, square_norm):
+        """v_n at sites of squared norm `square_norm` (module doc)."""
+        return self.amplitude(n) * np.exp(-self.beta_n(n) * square_norm / (2.0 * n))
+
 
 KAPPA0 = 4.0 * math.exp(6.0 * BETA)  # smallest prefactor covering the core regime
 
@@ -363,9 +366,7 @@ def supersolution_field(params: SuperSolutionParams, n: int, d: int = 2,
         raise ValueError("needs n >= 2 (log n)")
     if radius is None:
         radius = 3 * n
-    amp, beta = params.amplitude(n), params.beta_n(n)
-    return Field.tabulate(lambda x: amp * np.exp(-beta * _square_norm(x) / (2.0 * n)),
-                          2, radius, step=n)
+    return Field.tabulate(lambda x: params.value(n, _square_norm(x)), 2, radius, step=n)
 
 
 def _square_norm(sites: np.ndarray) -> np.ndarray:

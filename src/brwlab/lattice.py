@@ -27,26 +27,23 @@ by every block, and allocates only its input extended by zeros and its output.
 Every exact recursion is P followed by a pointwise map, F_{k+1} =
 update(P F_k, F_k), and `sweep` is its one loop: it yields the fields in
 order, from the delta or from any field it yielded (a checkpoint); a
-`ReversedSweep` yields them in reverse from about sqrt(n) checkpoints, and
-`ahead` computes a large sweep one field ahead on a worker thread that keeps
-it to its end.  A field carries a certified `tail_bound` on the mass outside
-its box: a sweep clamped at one radius, or at the radius r_k of each step
-(`clamp_schedule`, which keeps at most eps per step outside), kills mass at
-the boundary, so stored values are exact lower bounds, and it sums the
-killed mass exactly.
+`ReversedSweep` yields them in reverse from about sqrt(n) checkpoints.  The
+package runs on one thread: the stencil is bound by memory bandwidth, so a
+second thread stepping ahead gains nothing.  A field carries a certified
+`tail_bound` on the mass outside its box: a sweep clamped at one radius, or
+at the radius r_k of each step (`clamp_schedule`, which keeps at most eps
+per step outside), kills mass at the boundary, so stored values are exact
+lower bounds, and it sums the killed mass exactly.  `work` counts the
+stencil steps and the output cells they store.
 
 All field arithmetic is double precision and every kernel is a fixed-order
-numpy reduction, so results are bit-identical across runs, block sizes,
-read-ahead or not, and thread counts.
+numpy reduction, so results are bit-identical across runs and block sizes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import queue
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator, Sequence
@@ -156,20 +153,16 @@ class _Layout:
 
 
 _layouts: list[_Layout] = []  # one entry: the layout of the dimension used last
-_layout_lock = threading.Lock()  # `cover` grows the shared table in place
 
 
 def _layout(d: int, radius: int) -> _Layout:
     """The layout of dimension d, covering at least `radius`.  Only the last
     dimension's layout is kept, so a d = 3 table does not outlive its use
-    when the work moves on to d = 2, and vice versa.  A read-ahead thread
-    (`ahead`) calls this alongside the caller's thread; the prefix a caller
-    reads is never rewritten, since growing copies it before swapping."""
-    with _layout_lock:
-        if not _layouts or _layouts[0].dim != d:
-            _layouts[:] = [_Layout(d)]
-        lay = _layouts[0]
-        return lay if lay.radius >= radius else lay.cover(radius)
+    when the work moves on to d = 2, and vice versa."""
+    if not _layouts or _layouts[0].dim != d:
+        _layouts[:] = [_Layout(d)]
+    lay = _layouts[0]
+    return lay if lay.radius >= radius else lay.cover(radius)
 
 
 @dataclass
@@ -258,15 +251,23 @@ class Field:
         return self.values_at(np.moveaxis(grid, 0, -1))
 
 
-# output cells per block of `stencil_step`.  Alone, 2^14 to 2^16 step about
-# equally fast; with a read-ahead thread stepping beside it, 2^14 costs 40%
-# more CPU per d = 3 step than 2^16, which also issues the fewest numpy calls
-# (each takes and gives back the GIL)
+# output cells per block of `stencil_step`: 2^14 to 2^16 step about equally
+# fast, and 2^16 issues the fewest numpy calls
 _BLOCK = 1 << 16
 
 
+@dataclass
+class StencilWork:
+    """Stencil steps, and the output cells they stored, since the last reset."""
+    steps: int = 0
+    cells: int = 0
+
+
+work = StencilWork()  # counted by `stencil_step`
+
+
 def _weighted_sum(vals: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i vals[i] * weights[i], pairwise (the same order on every thread count)."""
+    """sum_i vals[i] * weights[i], pairwise (a fixed order)."""
     return float((vals * weights[:len(vals)]).sum())
 
 
@@ -294,7 +295,7 @@ def stencil_step(vals: np.ndarray, d: int,
     # input box they read 0
     src = np.zeros(_cell_count(d, size + 1))
     src[:len(vals)] = vals
-    nb = lay.neighbors  # grown copies keep this prefix, so the array may be read unlocked
+    nb = lay.neighbors
     acc = np.empty(m)
     # one pair row and one gather row, reused by every block of output cells
     rows = np.empty((2, min(_BLOCK, m)))
@@ -315,6 +316,8 @@ def stencil_step(vals: np.ndarray, d: int,
         keep = _cell_count(d, clamp)
         lost = _weighted_sum(acc[keep:], lay.weights[keep:])
         acc = acc[:keep]
+    work.steps += 1
+    work.cells += len(acc)
     return acc, lost
 
 
@@ -393,65 +396,6 @@ class ReversedSweep:
                 f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
         for mark in reversed(marks):
             yield from reversed(list(sweep(min(mark.step + every - 1, n), *self.args, mark)))
-
-
-AHEAD_MIN_CELLS = 1 << 14  # smaller fields step faster than a hand-off to a thread
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on (all of them where there is no affinity)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def ahead(fields: Iterator[Field]) -> Iterator[Field]:
-    """The fields of a sweep, computed one field ahead on a worker thread.
-
-    From the first field of at least AHEAD_MIN_CELLS values on, and only if
-    this process may run on two or more CPUs, the rest of the sweep runs on
-    one daemon thread: while the caller works on F_k, it computes F_{k+1},
-    and no further.  numpy releases the GIL in the stencil's gathers and
-    ufunc loops, so the two overlap.  The worker keeps the sweep to its end:
-    where another process holds the second CPU the two threads take turns,
-    and a large sweep takes up to a third longer than on one thread
-    (README), but no noisy measurement of the overlap can leave a sweep
-    serial.  The fields are the sweep's own, bit for bit; an exception of
-    the sweep is raised where the caller asks for the field it stopped, and
-    closing the iterator (or dropping it) stops and joins the thread.
-    Smaller fields, and one-CPU processes, run the plain loop.
-    """
-    fields = iter(fields)
-    for f in fields:
-        if len(f.values) >= AHEAD_MIN_CELLS and _cpus() >= 2:
-            break
-        yield f
-    else:
-        return
-    asks, answers = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def work():  # one field per True ask; a False ask (close) or the sweep's end stops it
-        while asks.get():
-            try:
-                answers.put((next(fields), None))
-            except BaseException as exc:  # to the caller: StopIteration ends, others re-raise
-                answers.put((None, exc))
-                return
-
-    worker = threading.Thread(target=work, name="brwlab-ahead", daemon=True)
-    worker.start()
-    try:
-        while True:
-            asks.put(True)
-            yield f
-            f, exc = answers.get()
-            if isinstance(exc, StopIteration):
-                return
-            if exc is not None:
-                raise exc
-    finally:
-        asks.put(False)
-        worker.join()
 
 
 def last(fields: Iterator[Field]) -> Field:

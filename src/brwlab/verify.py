@@ -29,8 +29,8 @@ from . import exactfields as xf
 from . import forward as fw
 from . import spine as sp
 from . import stats as st
-from .lattice import (Field, ahead, clamp_schedule, neighborhood, sites_in_ball, sweep,
-                      transition_field)
+from . import lattice as lat
+from .lattice import Field, clamp_schedule, neighborhood, sites_in_ball, sweep, transition_field
 from .offspring import binary, geometric
 from .rngstreams import substream
 from .stats import ReportRow
@@ -46,6 +46,7 @@ TIGHTNESS_RATIO_BOUND = 1.5
 OCC2D_RATIO_BOUND = 2.0
 U_RATE_GRID = (64, 128, 256, 512)  # n log n * u_n(0) is read at these n (C11)
 U_RATE_RATIO_BOUND = 2.0
+DOMINATION_EPS = 1e-14  # mass C11's hitting sweep may drop per step
 CLUSTER_W_BAND = (0.02, 2.0)
 
 
@@ -364,6 +365,38 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     return rows
 
 
+def _shift_domination(n1: int, top: int, eps: float) -> tuple[float, np.ndarray]:
+    """(bound, origin): a certified upper bound on u_k(x) - v_{N1+k}(x) over
+    1 <= k <= top and every site x, for the bump v of prefactor N1 log N1,
+    and u~_k(0) for k = 0..top, off one hitting sweep clamped by
+    `clamp_schedule(top, 2, eps)`, whose field u~_k lives on the box of
+    radius r_k.  The bound is the largest over k of
+
+        max(max_box(u~_k - v_{N1+k}) + eps,  eps - v_{N1+k}(k, k)).
+
+    - Outside the box, u_k <= P_k <= eps: u_k(x) <= E U_k(x) = P_k(x) for a
+      critical law, and the schedule's Chernoff bound, which holds for the
+      running maximum (Doob), leaves at most eps of the walk beyond r_k.
+    - Inside it, 0 <= u_k - u~_k <= eps.  The update z -> 1 - Phi(1 - z) is
+      monotone and 1-Lipschitz on [0, 1] and P does not raise the sup norm,
+      so inside the box a step's error is at most the previous step's error
+      over all sites: at most eps, by induction from u_0 = u~_0 and the
+      bullet above.
+    - u_k vanishes beyond radius k, and v is radial and decreasing, so on the
+      box of radius k it is smallest at the corner (k, k).
+    k = 0 is left out: u_0(0) = v_{N1}(0) = 1 by construction."""
+    params = xf.SuperSolutionParams(n1 * math.log(n1))
+    bound, origin = -math.inf, np.empty(top + 1)
+    for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, eps)):
+        k = u.step
+        origin[k] = u.value_at((0, 0))
+        if k:
+            v = xf.supersolution_field(params, n1 + k, radius=u.radius)
+            bound = max(bound, float((u.values - v.values).max()) + eps,
+                        eps - float(params.value(n1 + k, 2 * k * k)))
+    return bound, origin
+
+
 def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     """One-step inequality for the quadratic bump (relative margin), domination
     of u_k (k >= 1) by the shifted bump, and the d = 2 decay n log n * u_n(0)."""
@@ -374,18 +407,11 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, ">=0", rel >= 0,
                      n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
-    params = xf.SuperSolutionParams(n1 * math.log(n1))
-    worst = -math.inf
-    rate = {}
-    # k = 0 is excluded: u_0(0) = v_{N1}(0) = 1 by construction
-    for u in itertools.islice(ahead(xf.hitting_sweep(_B, 512, 2)), 1, None):
-        k = u.step
-        v = xf.supersolution_field(params, n1 + k, radius=u.radius)
-        worst = max(worst, float((u.values - v.values).max()))
-        if k in U_RATE_GRID:
-            rate[k] = k * math.log(k) * u.value_at((0, 0))
+    top = U_RATE_GRID[-1]
+    worst, origin = _shift_domination(n1, top, DOMINATION_EPS)
     rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", worst,
-                     "<=1e-12", worst <= 1e-12, n=512))
+                     "<=1e-12", worst <= 1e-12, n=top))
+    rate = {k: k * math.log(k) * origin[k] for k in U_RATE_GRID}
     ratio = max(rate.values()) / min(rate.values())
     rows.append(_row("C11-supersolution", "u-times-n-log-n-ratio", ratio,
                      f"<={U_RATE_RATIO_BOUND}", ratio <= U_RATE_RATIO_BOUND, n=512))
@@ -436,7 +462,7 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     """Orthant monotonicity of P_n and u_n; overlap expectation bound."""
     rows = []
     for d in (2, 3):
-        worst = max(_orthant_violation(p) for p in ahead(sweep(64, d)))
+        worst = max(_orthant_violation(p) for p in sweep(64, d))
         rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
                          worst <= 1e-12, n=64, d=d))
     worst = max(_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2))
@@ -477,13 +503,16 @@ def _verdict(r: ReportRow) -> str:
 
 
 def run_suites(names, seed: int, budget_seconds: float | None = None,
-               echo=None) -> tuple[list[ReportRow], dict[str, float]]:
+               echo=None) -> tuple[list[ReportRow], dict[str, dict]]:
     """Run the named suites in order; one pass/fail line per suite via `echo`,
-    with the suite's wall time.  Returns the rows, which carry no timing, and
-    the wall seconds of each suite that ran."""
+    with the suite's wall time.  Returns the rows, which carry no timing or
+    work counts, and, for the sidecar, three maps over the suites that ran:
+    `suite_seconds` (wall seconds), `suite_stencil_steps` and
+    `suite_cell_steps` (the stencil steps and the output cells they stored,
+    from `lattice.work`)."""
     bank = SimBank(seed)
     rows: list[ReportRow] = []
-    suite_seconds: dict[str, float] = {}
+    per_suite = {"suite_seconds": {}, "suite_stencil_steps": {}, "suite_cell_steps": {}}
     start = time.monotonic()
     for name in names:
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
@@ -492,12 +521,15 @@ def run_suites(names, seed: int, budget_seconds: float | None = None,
             if echo:
                 echo(f"SKIP {name}: budget exceeded")
             continue
+        lat.work.steps = lat.work.cells = 0
         t0 = time.monotonic()
         suite_rows = SUITES[name](seed, bank)
-        seconds = suite_seconds[name] = time.monotonic() - t0
+        seconds = per_suite["suite_seconds"][name] = time.monotonic() - t0
+        per_suite["suite_stencil_steps"][name] = lat.work.steps
+        per_suite["suite_cell_steps"][name] = lat.work.cells
         rows.extend(suite_rows)
         ok = all(r.as_expected for r in suite_rows if not r.soft)
         if echo:
             detail = "; ".join(f"{r.statistic}={_verdict(r)}" for r in suite_rows)
             echo(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.1f} s): {detail}")
-    return rows, suite_seconds
+    return rows, per_suite

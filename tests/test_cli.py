@@ -289,6 +289,20 @@ def test_verify_suite_byte_identical(tmp_path):
     assert json.loads(sa.read_text())["hard_pass"] is True
 
 
+def test_verify_sidecar_counts_each_suites_cell_steps(tmp_path):
+    # the counts go to the sidecar only: the report CSV stays byte-identical
+    outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
+    for out in outs:
+        assert run_cli(["verify", "--suite", "supersolution", "--seed", "42",
+                        "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    for out in outs:
+        meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
+        # C11's sweep is clamped by mass: 1.8M cell-steps, not the full box's 22.6M
+        assert 1e6 < meta["suite_cell_steps"]["supersolution"] < 2.5e6
+        assert 512 < meta["suite_stencil_steps"]["supersolution"] < 1024
+
+
 def test_verify_exits_zero_with_yaglom_expected_failure(tmp_path):
     # the as-stated Yaglom row fails as expected; every hard row passes
     summary = tmp_path / "s.json"

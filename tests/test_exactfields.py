@@ -315,24 +315,12 @@ def test_second_moment_fields_are_the_sweep_prefixes():
 
 
 @pytest.mark.parametrize("d,n,clamp", [(2, 30, 6), (3, 20, 4)])
-def test_second_moments_same_with_and_without_the_read_ahead_worker(monkeypatch, d, n, clamp):
-    # the worker computes the source terms sigma^2 P_k^2; forced on from the
-    # first field, or off (one CPU), f_n, the sums and the tail agree bit for
-    # bit, for a law whose sigma^2 (0.6) is not exact in binary
+def test_second_moments_match_the_plain_loop(d, n, clamp):
+    # f_n and its tail are the plain loop's, bit for bit, for a law whose
+    # sigma^2 (0.6) is not exact in binary: P f, plus sigma^2 P_k^2 squared first
     law = parse_offspring("table:0=0.3,1=0.4,2=0.3")
-    monkeypatch.setattr(lat, "AHEAD_MIN_CELLS", 0)
-    workers, start = [], lat.threading.Thread.start
-    monkeypatch.setattr(lat.threading.Thread, "start",
-                        lambda thread: workers.append(thread.name) or start(thread))
-    runs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
-        runs.append(xf.second_moment_sweep(law, n, d, clamp=clamp))
-    (f1, sums1), (f2, sums2) = runs
-    assert workers == ["brwlab-ahead"]  # the second run had the worker, the first none
-    assert f1.tail_bound > 0.0 and f1.tail_bound == f2.tail_bound
-    assert np.array_equal(f1.values, f2.values) and np.array_equal(sums1, sums2)
-    # and both are the plain loop's f_n: P f, plus sigma^2 P_k^2 squared first
+    f1 = xf.second_moment_field(law, n, d, clamp=clamp)
+    assert f1.tail_bound > 0.0
     p = f = np.ones(1)
     for _ in range(n):
         p, _ = lat.stencil_step(p, d, clamp)
@@ -460,6 +448,46 @@ def test_comparison_with_shifted_bump():
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
     assert n1 * math.log(n1) >= xf.KAPPA0 > (n1 - 1) * math.log(n1 - 1)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_clamped_hitting_sweep_is_within_eps_of_the_full_box(eps):
+    # the argument behind C11's certified bound: the unclamped u_k is at most
+    # eps outside each box r_k, and within eps of the clamped sweep inside it
+    n = 200
+    clamped = xf.hitting_sweep(B, n, 2, clamp=lat.clamp_schedule(n, 2, eps))
+    cut = 0
+    for u, w in zip(xf.hitting_sweep(B, n, 2), clamped, strict=True):
+        m = len(w.values)
+        assert np.abs(u.values[:m] - w.values).max() <= eps
+        assert u.values[m:].max(initial=0.0) <= eps
+        cut += m < len(u.values)
+    assert cut > n // 2  # most steps were clamped
+
+
+@pytest.mark.parametrize("n1", [None, 2000])
+def test_c11_domination_bound_is_certified_and_tight(n1):
+    # at top = 64 the clamped sweep's certified bound lies between the
+    # unclamped full-box max(u_k - v_{N1+k}) and that max plus eps.  With
+    # C11's own N1 (None) the max sits at k = 1 near the origin; with the
+    # narrower bump of N1 = 2000 it sits at the corner (64, 64), outside the
+    # clamped box (r_64 = 35)
+    from brwlab import verify as vf
+
+    if n1 is None:
+        n1 = xf.comparison_shift(xf.KAPPA0, n_min=xf.find_supersolution_start(xf.KAPPA0))
+    params = xf.SuperSolutionParams(n1 * math.log(n1))
+    top, eps = 64, 1e-10
+    assert lat.clamp_schedule(top, 2, eps)[top] < top
+    full, origin = -math.inf, []
+    for u in xf.hitting_sweep(B, top, 2):
+        origin.append(u.value_at((0, 0)))
+        if u.step:
+            v = xf.supersolution_field(params, n1 + u.step, radius=u.radius)
+            full = max(full, float((u.values - v.values).max()))
+    bound, at_origin = vf._shift_domination(n1, top, eps)
+    assert full <= bound <= full + eps
+    assert np.abs(at_origin - origin).max() <= eps
 
 
 def test_supersolution_margin_shrinks_toward_band_edge():

@@ -2,8 +2,6 @@ import dataclasses
 import io
 import itertools
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -188,41 +186,6 @@ def test_blocked_sweep_restarts_from_any_stored_field(monkeypatch, d, update, cl
     test_sweep_restarts_from_any_stored_field(d, update, clamp)
 
 
-def test_threads_growing_one_layout_together_get_the_serial_layout():
-    # a read-ahead worker and its caller grow the shared neighbor table
-    # together; here six threads start growing it at once, to six radii, with
-    # a short switch interval so that their growth steps interleave
-    radii = (5, 12, 20, 28, 36, 44)
-    m = lat._cell_count(3, max(radii))
-    ref = lat._Layout(3).cover(max(radii))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            lat._layouts.clear()
-            start, failed = threading.Barrier(len(radii)), []
-
-            def grow(r):
-                start.wait()
-                try:
-                    lat._layout(3, r)
-                except Exception as exc:  # reported by the assertion below
-                    failed.append(exc)
-            threads = [threading.Thread(target=grow, args=(r,)) for r in radii]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            lay = lat._layout(3, max(radii))
-            assert not failed
-            for name in ("sites", "weights", "neighbors"):
-                assert np.array_equal(getattr(lay, name)[..., :m], getattr(ref, name)[..., :m])
-    finally:
-        sys.setswitchinterval(interval)
-        lat._layouts.clear()
-
-
 @pytest.mark.parametrize("n,clamp,top", [(40, None, 40), (40, 9, 10), (3, 9, 3)])
 def test_sweep_grows_the_table_in_doubling_radii_to_its_last_step(monkeypatch, n, clamp, top):
     covers, cover = [], lat._Layout.cover
@@ -238,65 +201,6 @@ def test_sweep_grows_the_table_in_doubling_radii_to_its_last_step(monkeypatch, n
     lat._layouts.clear()
     assert [f.step for f in itertools.islice(lat.sweep(10**6, 3), 4)] == [0, 1, 2, 3]
     assert lat._layouts[0].radius <= 7
-
-
-def _read_ahead_on(monkeypatch, cpus=2):
-    """Hand every sweep wrapped in `ahead` to its worker from the first field
-    on, as if the process had `cpus` CPUs."""
-    monkeypatch.setattr(lat, "AHEAD_MIN_CELLS", 0)
-    monkeypatch.setattr(lat.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def _ahead_threads():
-    return [t for t in threading.enumerate() if t.name == "brwlab-ahead"]
-
-
-@pytest.mark.parametrize("n,d,update,clamp", [(12, 2, _kpp, 4), (9, 3, None, None)])
-def test_read_ahead_yields_the_sweep_bit_for_bit(monkeypatch, n, d, update, clamp):
-    ref = list(lat.sweep(n, d, update, clamp))
-    _read_ahead_on(monkeypatch)
-    got, workers = [], []
-    for f in lat.ahead(lat.sweep(n, d, update, clamp)):
-        got.append(f)
-        workers.append(len(_ahead_threads()))
-    assert _same_fields(got, ref)
-    assert workers[0] == 1  # the worker ran from the first field on
-    assert not _ahead_threads()
-
-
-def test_dropping_a_read_ahead_stops_its_worker(monkeypatch):
-    _read_ahead_on(monkeypatch)
-    baseline = threading.active_count()
-    it = lat.ahead(lat.sweep(40, 2))
-    assert next(it).step == 0 and threading.active_count() == baseline + 1
-    del it
-    assert threading.active_count() == baseline
-    assert [f.step for f in itertools.islice(lat.ahead(lat.sweep(40, 3)), 5)] == list(range(5))
-    assert threading.active_count() == baseline
-
-
-def test_read_ahead_raises_a_sweep_error_where_the_plain_sweep_does(monkeypatch):
-    from brwlab import exactfields as xf
-    from brwlab.offspring import binary
-
-    _read_ahead_on(monkeypatch)
-    seen = []
-    with pytest.raises(xf.MgfBlowupError) as err:
-        for g in lat.ahead(xf.mgf_sweep(binary(), 20, 50.0, 2)):
-            seen.append(g.step)
-    assert seen == [0, 1, 2, 3] and err.value.step == 4
-    del err  # its traceback holds the sweep's frames
-    # a consumer that stops before the blowup sees none
-    assert [g.step for g in itertools.islice(
-        lat.ahead(xf.mgf_sweep(binary(), 20, 50.0, 2)), 3)] == [0, 1, 2]
-    assert not _ahead_threads()
-
-
-def test_read_ahead_starts_no_thread_on_one_cpu(monkeypatch):
-    _read_ahead_on(monkeypatch, cpus=1)
-    baseline = threading.active_count()
-    counts = [threading.active_count() for _ in lat.ahead(lat.sweep(12, 2))]
-    assert counts == [baseline] * 13
 
 
 @pytest.mark.parametrize("n", [9, 12, 13])

@@ -61,3 +61,16 @@ def test_every_clamp_comes_whole_from_the_schedule():
                 indexed.append(f"{path.name}:{node.lineno}")
     assert not names & {"clamp_radius", "escape_bound"}
     assert indexed == []
+
+
+def test_the_package_starts_no_second_thread():
+    # the stencil is memory-bound, so a second thread buys nothing; no module
+    # may import the means to start one
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert not imported & {"threading", "queue", "_thread"}

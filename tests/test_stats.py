@@ -108,9 +108,9 @@ def test_kappa_estimates_identity():
 def test_verify_budget_flags_skipped_suites():
     from brwlab import verify as vf
     lines = []
-    rows, seconds = vf.run_suites(["fundamental"], 1, budget_seconds=0.0, echo=lines.append)
+    rows, per_suite = vf.run_suites(["fundamental"], 1, budget_seconds=0.0, echo=lines.append)
     assert len(rows) == 1 and rows[0].band == "not-run" and not rows[0].passed
-    assert seconds == {}
+    assert per_suite == {"suite_seconds": {}, "suite_stencil_steps": {}, "suite_cell_steps": {}}
     assert lines and lines[0].startswith("SKIP")
     assert st.summary_dict(rows)["hard_pass"] is False
 
@@ -122,7 +122,8 @@ def test_verify_lines_carry_suite_seconds():
     from brwlab import verify as vf
     lines = []
     t0 = time.monotonic()
-    _, seconds = vf.run_suites(["fundamental"], 1, echo=lines.append)
+    _, per_suite = vf.run_suites(["fundamental"], 1, echo=lines.append)
+    seconds = per_suite["suite_seconds"]
     wall = time.monotonic() - t0
     m = re.match(r"PASS fundamental \((\d+\.\d) s\): ", lines[0])
     assert m, lines[0]
