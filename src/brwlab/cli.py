@@ -2,13 +2,16 @@
 
 Subcommands: simulate | spine | exact | conditioned | verify | report.
 
-Reproducibility contract: every stochastic command requires --seed.
-`simulate`, `spine` and `conditioned` run replicates in fixed blocks of BLOCK
-on the batched engines, block b drawing from the substream (seed, stream id,
-b).  Outputs are sorted by replicate index, so reruns are byte-identical and
-independent of the worker count (BRW_THREADS, a positive integer; the pool
-never has more workers than blocks).  Primary outputs carry no timestamps;
-wall-clock metadata goes to a `<out>.meta.json` sidecar.
+Reproducibility contract: every stochastic command requires --seed, and
+`exact`, which draws nothing, takes none.  `simulate`, `spine` and
+`conditioned` run replicates through one block runner, `_run_blocks`: fixed
+blocks of BLOCK on the batched engines, block b drawing from the substream
+(seed, stream id, b).  Outputs are sorted by replicate index, so reruns are
+byte-identical and independent of the worker count (BRW_THREADS, a positive
+integer; the pool never has more workers than blocks).  Primary outputs carry
+no timestamps; wall-clock metadata goes to a `<out>.meta.json` sidecar.
+A `--config` file may set only the command's parameter flags; any other key
+fails, naming it, and a boolean reads `true` or `false`.
 """
 
 from __future__ import annotations
@@ -38,12 +41,19 @@ BLOCK = 256  # replicates per block (and per substream) in every stochastic comm
 _json_row = json.JSONEncoder(sort_keys=True).encode  # `json.dumps` builds one per row
 
 
-def load_config(path: str | None) -> dict[str, str]:
-    """Flat key = value file; # starts a comment."""
+# dests a config file cannot set: the command, the files it reads and writes,
+# and what it runs
+_NOT_PARAMETERS = {"command", "fn", "config", "out", "kind", "suite", "summary",
+                   "chi_square_report"}
+
+
+def load_config(args) -> dict[str, str]:
+    """Flat key = value file (# starts a comment) at --config; every key must
+    be a parameter flag of the subcommand."""
     cfg: dict[str, str] = {}
-    if not path:
+    if not args.config:
         return cfg
-    with open(path) as fh:
+    with open(args.config) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -52,17 +62,36 @@ def load_config(path: str | None) -> dict[str, str]:
                 raise SystemExit(f"config line without '=': {line!r}")
             k, v = line.split("=", 1)
             cfg[k.strip()] = v.strip()
+    unknown = sorted(set(cfg) - (set(vars(args)) - _NOT_PARAMETERS))
+    if unknown:
+        raise SystemExit(f"config key {unknown[0]!r} is not a parameter flag of {args.command}")
     return cfg
 
 
 def resolve(args, cfg: dict, key: str, cast, default):
     """Precedence: explicit flag > config file > default."""
-    val = getattr(args, key.replace("-", "_"), None)
+    val = getattr(args, key, None)
     if val is not None:
         return val
     if key in cfg:
-        return cast(cfg[key])
+        try:
+            return cast(cfg[key])
+        except ValueError as exc:
+            raise SystemExit(f"config key {key} = {cfg[key]!r}: {exc}") from None
     return default
+
+
+def _boolean(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text == "true"
+
+
+def _seed(args, cfg: dict) -> int:
+    seed = resolve(args, cfg, "seed", int, None)
+    if seed is None:
+        raise SystemExit("--seed is required for stochastic commands")
+    return seed
 
 
 @contextmanager
@@ -119,14 +148,33 @@ def _workers() -> int:
     return w
 
 
+def _parallel_map(fn, tasks):
+    w = min(_workers(), len(tasks))
+    if w == 1 or len(tasks) < 4:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=w) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * w))))
+
+
+def _run_blocks(args, resolved: dict, block, *params) -> list:
+    """Map `block` over the tasks (seed, block index, first replicate, count,
+    *params) that cover resolved["reps"] in blocks of BLOCK; write each
+    block's JSONL lines in replicate order to --out, then the sidecar.
+    Returns each block's (lines, extra)."""
+    seed, reps = resolved["seed"], resolved["reps"]
+    tasks = [(seed, b, first, min(BLOCK, reps - first), *params)
+             for b, first in enumerate(range(0, reps, BLOCK))]
+    blocks = _parallel_map(block, tasks)
+    with _output(args.out) as out:
+        for lines, _ in blocks:
+            for line in lines:
+                out.write(line + "\n")
+    _write_sidecar(args.out, resolved)
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _blocks(reps: int) -> list[tuple[int, int, int]]:
-    """(block index, first replicate, replicate count) covering 0..reps-1."""
-    return [(b, first, min(BLOCK, reps - first))
-            for b, first in enumerate(range(0, reps, BLOCK))]
 
 
 def _simulate_block(task):
@@ -144,41 +192,21 @@ def _simulate_block(task):
     for i in range(count):
         kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
         lines.append(_json_row(stats.row(i, n, rep=first + i, seed=seed, **kw)))
-    return lines
+    return lines, None
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     n = _check_range(resolve(args, cfg, "n", int, 32), "--n", 0)
     d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
     spec = resolve(args, cfg, "offspring", str, "binary")
     reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
-    seed = resolve(args, cfg, "seed", int, None)
-    conditioned = bool(resolve(args, cfg, "conditioned", lambda s: s == "true", False))
-    if seed is None:
-        raise SystemExit("--seed is required for stochastic commands")
+    conditioned = resolve(args, cfg, "conditioned", _boolean, False)
     resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
-                "reps": reps, "seed": seed, "conditioned": conditioned}
+                "reps": reps, "seed": _seed(args, cfg), "conditioned": conditioned}
     survival = xf.survival_sequence(_offspring(spec), n) if conditioned else None
-    tasks = [(seed, *blk, spec, n, d, survival) for blk in _blocks(reps)]
-    _write_blocks(args.out, _parallel_map(_simulate_block, tasks))
-    _write_sidecar(args.out, resolved)
+    _run_blocks(args, resolved, _simulate_block, spec, n, d, survival)
     return 0
-
-
-def _write_blocks(path: str | None, blocks) -> None:
-    with _output(path) as out:
-        for lines in blocks:
-            for line in lines:
-                out.write(line + "\n")
-
-
-def _parallel_map(fn, tasks):
-    w = min(_workers(), len(tasks))
-    if w == 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * w))))
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +231,19 @@ def _spine_block(task):
             row["W"] = int(out["W"][i])
             row["ell"] = ell
         lines.append(_json_row(row))
-    return lines
+    return lines, None
 
 
 def cmd_spine(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     n = _check_range(resolve(args, cfg, "n", int, 64), "--n", 2)
     reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
-    seed = resolve(args, cfg, "seed", int, None)
     ell = resolve(args, cfg, "ell", float, None)
     if ell is not None:
         _check_range(ell, "--ell", 0)
-    if seed is None:
-        raise SystemExit("--seed is required for stochastic commands")
-    resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,
+    resolved = {"command": "spine", "n": n, "reps": reps, "seed": _seed(args, cfg),
                 "ell": ell, "dim": 2, "offspring": "binary"}
-    tasks = [(seed, *blk, n, 2, ell) for blk in _blocks(reps)]
-    _write_blocks(args.out, _parallel_map(_spine_block, tasks))
-    _write_sidecar(args.out, resolved)
+    _run_blocks(args, resolved, _spine_block, n, 2, ell)
     return 0
 
 
@@ -229,7 +252,7 @@ def cmd_spine(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     kind = args.kind
     n = _check_range(resolve(args, cfg, "n", int, 8), "--n", 0)
     d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
@@ -265,8 +288,7 @@ def cmd_exact(args) -> int:
     elif kind == "supersolution-verify":
         kappa = _check_range(resolve(args, cfg, "kappa", float, xf.KAPPA0), "--kappa")
         n0 = resolve(args, cfg, "n0", int, None)
-        if n0 is None:
-            n0 = xf.find_supersolution_start(kappa)
+        n0 = xf.find_supersolution_start(kappa) if n0 is None else _check_range(n0, "--n0", 2)
         result = xf.verify_supersolution(xf.SuperSolutionParams(kappa),
                                          range(n0, 4 * n0 + 1))
     else:
@@ -297,23 +319,19 @@ def _conditioned_block(task):
 
 
 def cmd_conditioned(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     n = _check_range(resolve(args, cfg, "n", int, 2), "--n", 1, fw.COORD_OFF - 1)
     reps = _check_range(resolve(args, cfg, "reps", int, 100), "--reps", 1)
-    seed = resolve(args, cfg, "seed", int, None)
-    if seed is None:
-        raise SystemExit("--seed is required for stochastic commands")
+    seed = _seed(args, cfg)
     raw_x = resolve(args, cfg, "x", str, "1,0")
     try:
         x = tuple(int(c) for c in raw_x.split(","))
     except ValueError:
         raise SystemExit(f"--x must be comma-separated integers, got {raw_x!r}") from None
     _check_range(len(x), "--x dimension", 1, 3)
-    blocks = _parallel_map(_conditioned_block, [(seed, *blk, n, x) for blk in _blocks(reps)])
-    _write_blocks(args.out, [lines for lines, _ in blocks])
     resolved = {"command": "conditioned", "n": n, "x": ",".join(map(str, x)),
                 "reps": reps, "seed": seed}
-    _write_sidecar(args.out, resolved)
+    blocks = _run_blocks(args, resolved, _conditioned_block, n, x)
     if args.chi_square_report:
         pf = xf.pmf_oracle(parse_offspring("binary"), n, len(x), degree=64)
         cond = pf.conditional_pmf_at(x)
@@ -330,20 +348,13 @@ def cmd_conditioned(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    seed = resolve(args, cfg, "seed", int, None)
-    if seed is None:
-        raise SystemExit("--seed is required for stochastic commands")
-    budget = resolve(args, cfg, "budget", float, None)
-    if budget is not None:
-        _check_range(budget, "--budget", 0)
+    seed = _seed(args, load_config(args))
     names = list(vf.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in vf.SUITES:
             raise SystemExit(f"unknown suite {name!r}; choose from {sorted(vf.SUITES)}")
-    rows, per_suite = vf.run_suites(names, seed, budget_seconds=budget, echo=print)
-    resolved = {"command": "verify", "suite": ",".join(names), "seed": seed,
-                "budget": budget}
+    rows, per_suite = vf.run_suites(names, seed, echo=print)
+    resolved = {"command": "verify", "suite": ",".join(names), "seed": seed}
     with _output(args.out) as out:
         st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
     _write_sidecar(args.out, {**resolved, **per_suite})
@@ -382,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="critical branching random walk laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q):
+    def common(q, seed=True):
         q.add_argument("--config", help="flat key=value config file")
-        q.add_argument("--seed", type=int)
+        if seed:
+            q.add_argument("--seed", type=int)
         q.add_argument("--out", help="output path ('-' for stdout)", default="-")
 
     q = sub.add_parser("simulate", help="forward occupancy runs (JSONL)")
@@ -404,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_spine)
 
     q = sub.add_parser("exact", help="deterministic fields and scalars")
-    common(q)
+    common(q, seed=False)
     q.add_argument("kind", choices=["p-field", "u-field", "mgf-field", "h-field",
                                     "m2-field", "survival", "mean-occupied", "gamma",
                                     "supersolution-verify"])
@@ -428,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="run verification suites")
     common(q)
     q.add_argument("--suite", default="all")
-    q.add_argument("--budget", type=float, help="wall-clock budget in seconds")
     q.add_argument("--summary", help="write a pass/fail summary JSON here")
     q.set_defaults(fn=cmd_verify)
 

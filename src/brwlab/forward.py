@@ -346,7 +346,7 @@ def _staggered_walks(query, ell, dist, rng):
         keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng), entries + (age << shift)))
     walk = keys >> shift
     rel = decode_sites(keys, d) - query.reshape(-1, d)[walk]
-    near = (rel.astype(np.float64) ** 2).sum(axis=1) <= float(ell) ** 2 + 1e-9
+    near = in_ball(rel, ell)
     return walk[near], rel[near]
 
 
@@ -412,13 +412,7 @@ def overlap_batch(dist: OffspringDist, n: int, d: int, x_u, x_v, reps: int,
                           n, dist, d, rng)
     uu, cu = np.unique(ku, return_counts=True)
     uv, cv = np.unique(kv, return_counts=True)
-    allk = np.concatenate([uu, uv])
-    allc = np.concatenate([cu, cv])
-    order = np.argsort(allk, kind="stable")
-    sk, sc = allk[order], allc[order]
-    both = np.nonzero(sk[1:] == sk[:-1])[0]
+    both, iu, iv = np.intersect1d(uu, uv, assume_unique=True, return_indices=True)
     d_n = np.zeros(reps, dtype=np.int64)
-    if len(both):
-        contrib = sc[both] + sc[both + 1]
-        np.add.at(d_n, (sk[both] >> shift).astype(np.int64), contrib)
+    np.add.at(d_n, both >> shift, cu[iu] + cv[iv])
     return d_n

@@ -502,25 +502,17 @@ def _verdict(r: ReportRow) -> str:
     return "ok" if r.passed else "FAIL"
 
 
-def run_suites(names, seed: int, budget_seconds: float | None = None,
-               echo=None) -> tuple[list[ReportRow], dict[str, dict]]:
+def run_suites(names, seed: int, echo=None) -> tuple[list[ReportRow], dict[str, dict]]:
     """Run the named suites in order; one pass/fail line per suite via `echo`,
     with the suite's wall time.  Returns the rows, which carry no timing or
-    work counts, and, for the sidecar, three maps over the suites that ran:
+    work counts, and, for the sidecar, three maps over the suites:
     `suite_seconds` (wall seconds), `suite_stencil_steps` and
     `suite_cell_steps` (the stencil steps and the output cells they stored,
     from `lattice.work`)."""
     bank = SimBank(seed)
     rows: list[ReportRow] = []
     per_suite = {"suite_seconds": {}, "suite_stencil_steps": {}, "suite_cell_steps": {}}
-    start = time.monotonic()
     for name in names:
-        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            rows.append(_row(f"SKIP-{name}", "skipped-budget-exceeded", 0.0,
-                             "not-run", False))
-            if echo:
-                echo(f"SKIP {name}: budget exceeded")
-            continue
         lat.work.steps = lat.work.cells = 0
         t0 = time.monotonic()
         suite_rows = SUITES[name](seed, bank)

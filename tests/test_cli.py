@@ -109,7 +109,7 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
       for v in ("nan", "inf")],
     *[(["spine", "--n", "8", "--ell", v, "--seed", "1"], "--ell") for v in ("inf", "nan")],
     (["exact", "survival", "--n", "2", "--theta", "nan"], "--theta"),
-    (["verify", "--suite", "clustering", "--budget", "nan", "--seed", "1"], "--budget"),
+    (["exact", "supersolution-verify", "--n0", "-5"], "--n0"),
 ])
 def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
     out = tmp_path / "o"
@@ -326,6 +326,51 @@ def test_config_file_with_flag_override(tmp_path):
     rows = out.read_text().splitlines()
     assert len(rows) == 5  # flag wins over config
     assert json.loads(rows[0])["n"] == 2  # config wins over default
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--seed", "1"], "rep"),  # a typo for reps
+    (["verify", "--suite", "fundamental", "--seed", "1"], "budget"),
+    (["exact", "survival"], "seed"),
+    (["simulate", "--seed", "1"], "out"),  # a flag, but not a parameter
+])
+def test_config_key_that_is_no_parameter_flag_fails_naming_it(tmp_path, argv, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2\n{key} = 3\n")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match=f"^config key '{key}' is not a parameter flag"):
+        run_cli([*argv, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,conditioned", [("true", True), ("false", False),
+                                               ("True", None), ("1", None), ("yes", None)])
+def test_config_boolean_reads_only_true_or_false(tmp_path, value, conditioned):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2\nreps = 3\nseed = 4\nconditioned = {value}\n")
+    out = tmp_path / "o.jsonl"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    if conditioned is None:
+        with pytest.raises(SystemExit, match="^config key conditioned = .*true or false"):
+            run_cli(argv)
+        assert not out.exists()
+    else:
+        assert run_cli(argv) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["conditioned"] for r in rows] == [conditioned] * 3
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--suite", "fundamental", "--seed", "1", "--budget", "1"], "--budget"),
+    (["exact", "u-field", "--n", "2", "--seed", "1"], "--seed"),
+])
+def test_removed_options_fail_at_parse(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_and_p_values_load_no_scipy_module(tmp_path):

@@ -105,16 +105,6 @@ def test_kappa_estimates_identity():
         st.kappa_estimates(m, np.zeros(reps), overflow)
 
 
-def test_verify_budget_flags_skipped_suites():
-    from brwlab import verify as vf
-    lines = []
-    rows, per_suite = vf.run_suites(["fundamental"], 1, budget_seconds=0.0, echo=lines.append)
-    assert len(rows) == 1 and rows[0].band == "not-run" and not rows[0].passed
-    assert per_suite == {"suite_seconds": {}, "suite_stencil_steps": {}, "suite_cell_steps": {}}
-    assert lines and lines[0].startswith("SKIP")
-    assert st.summary_dict(rows)["hard_pass"] is False
-
-
 def test_verify_lines_carry_suite_seconds():
     import re
     import time
