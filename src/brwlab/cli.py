@@ -4,14 +4,14 @@ Subcommands: simulate | spine | exact | conditioned | verify | report.
 
 Reproducibility contract: every stochastic command requires --seed, and
 `exact`, which draws nothing, takes none.  `simulate`, `spine` and
-`conditioned` run replicates through one block runner, `_run_blocks`: fixed
-blocks of BLOCK on the batched engines, block b drawing from the substream
-(seed, stream id, b).  Outputs are sorted by replicate index, so reruns are
-byte-identical and independent of the worker count (BRW_THREADS, a positive
-integer; the pool never has more workers than blocks).  Primary outputs carry
-no timestamps; wall-clock metadata goes to a `<out>.meta.json` sidecar.
-A `--config` file may set only the command's parameter flags; any other key
-fails, naming it, and a boolean reads `true` or `false`.
+`conditioned` run replicates through one block runner, `_run_blocks`, in one
+process: fixed blocks of BLOCK on the batched engines, in replicate order,
+block b drawing from the substream (seed, stream id, b), so reruns are
+byte-identical.  Primary outputs carry no timestamps; wall-clock metadata
+goes to a `<out>.meta.json` sidecar.  Each `exact` kind takes only the flags
+it reads.  A `--config` file may set only the command's (or the kind's)
+parameter flags; any other key fails, naming it, and a boolean reads `true`
+or `false`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -137,62 +136,23 @@ def _offspring(spec: str):
         raise ValueError(f"--offspring {spec}: {exc}") from None
 
 
-def _workers() -> int:
-    raw = os.environ.get("BRW_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        w = 0
-    if w < 1:
-        raise SystemExit(f"BRW_THREADS must be a positive integer, got {raw!r}")
-    return w
-
-
-def _parallel_map(fn, tasks):
-    w = min(_workers(), len(tasks))
-    if w == 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * w))))
-
-
-def _run_blocks(args, resolved: dict, block, *params) -> list:
-    """Map `block` over the tasks (seed, block index, first replicate, count,
-    *params) that cover resolved["reps"] in blocks of BLOCK; write each
-    block's JSONL lines in replicate order to --out, then the sidecar.
-    Returns each block's (lines, extra)."""
+def _run_blocks(args, resolved: dict, stream: str, block) -> None:
+    """Call block(rng, first replicate, count), which returns the block's
+    JSONL lines, on each block of BLOCK replicates that covers
+    resolved["reps"], in order, block b drawing from substream(seed, stream,
+    b); then write every line to --out, and the sidecar."""
     seed, reps = resolved["seed"], resolved["reps"]
-    tasks = [(seed, b, first, min(BLOCK, reps - first), *params)
-             for b, first in enumerate(range(0, reps, BLOCK))]
-    blocks = _parallel_map(block, tasks)
+    blocks = [block(substream(seed, stream, b), first, min(BLOCK, reps - first))
+              for b, first in enumerate(range(0, reps, BLOCK))]
     with _output(args.out) as out:
-        for lines, _ in blocks:
+        for lines in blocks:
             for line in lines:
                 out.write(line + "\n")
     _write_sidecar(args.out, resolved)
-    return blocks
 
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def _simulate_block(task):
-    seed, block, first, count, spec, n, d, survival = task
-    dist = _offspring(spec)
-    if survival is None:
-        stats = fw.run_batch(dist, n, d, count, substream(seed, "simulate", block),
-                             want_typical=True)
-    else:
-        rng = substream(seed, "conditioned-sim", block)
-        stats = fw.run_conditioned_batch(dist, n, d, count, rng, survival, want_typical=True)
-        # the free runs rejection would have needed per survivor, from its exact law
-        attempts = rng.geometric(survival[n], size=count)
-    lines = []
-    for i in range(count):
-        kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
-        lines.append(_json_row(stats.row(i, n, rep=first + i, seed=seed, **kw)))
-    return lines, None
 
 
 def cmd_simulate(args) -> int:
@@ -202,36 +162,31 @@ def cmd_simulate(args) -> int:
     spec = resolve(args, cfg, "offspring", str, "binary")
     reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
     conditioned = resolve(args, cfg, "conditioned", _boolean, False)
+    seed = _seed(args, cfg)
     resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
-                "reps": reps, "seed": _seed(args, cfg), "conditioned": conditioned}
-    survival = xf.survival_sequence(_offspring(spec), n) if conditioned else None
-    _run_blocks(args, resolved, _simulate_block, spec, n, d, survival)
+                "reps": reps, "seed": seed, "conditioned": conditioned}
+    dist = _offspring(spec)
+    survival = xf.survival_sequence(dist, n) if conditioned else None
+
+    def block(rng, first, count):
+        if survival is None:
+            stats = fw.run_batch(dist, n, d, count, rng, want_typical=True)
+        else:
+            stats = fw.run_conditioned_batch(dist, n, d, count, rng, survival, want_typical=True)
+            # the free runs rejection would have needed per survivor, from its exact law
+            attempts = rng.geometric(survival[n], size=count)
+        lines = []
+        for i in range(count):
+            kw = {} if survival is None else {"conditioned": True, "attempts": int(attempts[i])}
+            lines.append(_json_row(stats.row(i, n, rep=first + i, seed=seed, **kw)))
+        return lines
+
+    _run_blocks(args, resolved, "conditioned-sim" if conditioned else "simulate", block)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # spine
-
-
-def _spine_block(task):
-    seed, block, first, count, n, d, ell = task
-    rng = substream(seed, "spine", block)
-    out = sp.spine_typical_batch(n, count, rng, d, ell=0 if ell is None else ell)
-    split = sp.gamma_split(out)
-    lines = []
-    for i in range(count):
-        row = {
-            "rep": first + i, "n": n, "seed": seed,
-            "Tstar": int(out["Tstar"][i]),
-            "Gamma": float(split["Gamma"][i]),
-            "Delta": float(split["Delta"][i]),
-            "clamp_miss_count": int(split["clamp_misses"][i]),
-        }
-        if ell is not None:
-            row["W"] = int(out["W"][i])
-            row["ell"] = ell
-        lines.append(_json_row(row))
-    return lines, None
 
 
 def cmd_spine(args) -> int:
@@ -241,9 +196,29 @@ def cmd_spine(args) -> int:
     ell = resolve(args, cfg, "ell", float, None)
     if ell is not None:
         _check_range(ell, "--ell", 0)
-    resolved = {"command": "spine", "n": n, "reps": reps, "seed": _seed(args, cfg),
+    seed = _seed(args, cfg)
+    resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,
                 "ell": ell, "dim": 2, "offspring": "binary"}
-    _run_blocks(args, resolved, _spine_block, n, 2, ell)
+
+    def block(rng, first, count):
+        out = sp.spine_typical_batch(n, count, rng, 2, ell=0 if ell is None else ell)
+        split = sp.gamma_split(out)
+        lines = []
+        for i in range(count):
+            row = {
+                "rep": first + i, "n": n, "seed": seed,
+                "Tstar": int(out["Tstar"][i]),
+                "Gamma": float(split["Gamma"][i]),
+                "Delta": float(split["Delta"][i]),
+                "clamp_miss_count": int(split["clamp_misses"][i]),
+            }
+            if ell is not None:
+                row["W"] = int(out["W"][i])
+                row["ell"] = ell
+            lines.append(_json_row(row))
+        return lines
+
+    _run_blocks(args, resolved, "spine", block)
     return 0
 
 
@@ -251,19 +226,38 @@ def cmd_spine(args) -> int:
 # exact
 
 
+# the flags each kind reads, which its sidecar records, in the order they are checked
+_EXACT_KINDS = {
+    "p-field": ("n", "dim", "clamp"),
+    "u-field": ("n", "dim", "offspring", "clamp"),
+    "mgf-field": ("n", "dim", "offspring", "theta", "clamp"),
+    "h-field": ("n", "dim", "offspring", "theta", "clamp"),
+    "m2-field": ("n", "dim", "offspring", "clamp"),
+    "survival": ("n", "offspring"),
+    "mean-occupied": ("n", "dim", "offspring", "clamp"),
+    "gamma": ("n", "dim"),
+    "supersolution-verify": ("kappa", "n0"),
+}
+# flag: (type, default, range for `_check_range` or None); a None value is not checked
+_EXACT_FLAGS = {"n": (int, 8, (0,)), "dim": (int, 2, (1, 3)), "offspring": (str, "binary", None),
+                "theta": (float, 0.05, (0,)), "clamp": (int, None, (1,)),
+                "kappa": (float, xf.KAPPA0, ()), "n0": (int, None, (2,))}
+
+
 def cmd_exact(args) -> int:
     cfg = load_config(args)
     kind = args.kind
-    n = _check_range(resolve(args, cfg, "n", int, 8), "--n", 0)
-    d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
-    spec = resolve(args, cfg, "offspring", str, "binary")
-    theta = _check_range(resolve(args, cfg, "theta", float, 0.05), "--theta", 0)
-    clamp = resolve(args, cfg, "clamp", int, None)
-    if clamp is not None:
-        _check_range(clamp, "--clamp", 1)
-    dist = _offspring(spec)
-    resolved = {"command": "exact", "kind": kind, "n": n, "dim": d,
-                "offspring": spec, "theta": theta, "clamp": clamp}
+    resolved = {"command": "exact", "kind": kind}
+    for flag in _EXACT_KINDS[kind]:
+        cast, default, bounds = _EXACT_FLAGS[flag]
+        value = resolved[flag] = resolve(args, cfg, flag, cast, default)
+        if value is not None and bounds is not None:
+            _check_range(value, f"--{flag}", *bounds)
+    if kind == "supersolution-verify" and resolved["n0"] is None:
+        resolved["n0"] = xf.find_supersolution_start(resolved["kappa"])
+    n, d, spec, theta, clamp = (resolved.get(flag)
+                                for flag in ("n", "dim", "offspring", "theta", "clamp"))
+    dist = None if spec is None else _offspring(spec)
     # a field or a JSON document, computed before --out is opened so that a
     # failure leaves no file behind
     if kind == "p-field":
@@ -285,14 +279,10 @@ def cmd_exact(args) -> int:
                   "tail_bound": tail}
     elif kind == "gamma":
         result = {"n": n, "exact_mean_gamma": float(sp.exact_mean_gamma(n, d)[-1])}
-    elif kind == "supersolution-verify":
-        kappa = _check_range(resolve(args, cfg, "kappa", float, xf.KAPPA0), "--kappa")
-        n0 = resolve(args, cfg, "n0", int, None)
-        n0 = xf.find_supersolution_start(kappa) if n0 is None else _check_range(n0, "--n0", 2)
-        result = xf.verify_supersolution(xf.SuperSolutionParams(kappa),
+    else:  # supersolution-verify
+        n0 = resolved["n0"]
+        result = xf.verify_supersolution(xf.SuperSolutionParams(resolved["kappa"]),
                                          range(n0, 4 * n0 + 1))
-    else:
-        raise SystemExit(f"unknown exact kind {kind!r}")
     with _output(args.out) as out:
         if isinstance(result, dict):
             json.dump(result, out, sort_keys=True)
@@ -305,17 +295,6 @@ def cmd_exact(args) -> int:
 
 # ---------------------------------------------------------------------------
 # conditioned
-
-
-def _conditioned_block(task):
-    seed, block, first, count, n, x = task
-    rng = substream(seed, "conditioned-rep", block)
-    values, paths = cr.ConditionedSampler(n, x).sample(count, rng)
-    checksums = (np.arange(1, n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
-    lines = [_json_row({"n": n, "x": list(x), "rep": first + i, "value": int(values[i]),
-                        "path_len_checksum": int(checksums[i])})
-             for i in range(count)]
-    return lines, values
 
 
 def cmd_conditioned(args) -> int:
@@ -331,12 +310,22 @@ def cmd_conditioned(args) -> int:
     _check_range(len(x), "--x dimension", 1, 3)
     resolved = {"command": "conditioned", "n": n, "x": ",".join(map(str, x)),
                 "reps": reps, "seed": seed}
-    blocks = _run_blocks(args, resolved, _conditioned_block, n, x)
+    sampler = cr.ConditionedSampler(n, x)
+    drawn = []  # each block's values, for the chi-square report
+
+    def block(rng, first, count):
+        values, paths = sampler.sample(count, rng)
+        drawn.append(values)
+        checksums = (np.arange(1, n + 2)[:, None] * np.abs(paths)).sum(axis=(1, 2)) % (1 << 31)
+        return [_json_row({"n": n, "x": list(x), "rep": first + i, "value": int(values[i]),
+                           "path_len_checksum": int(checksums[i])})
+                for i in range(count)]
+
+    _run_blocks(args, resolved, "conditioned-rep", block)
     if args.chi_square_report:
         pf = xf.pmf_oracle(parse_offspring("binary"), n, len(x), degree=64)
         cond = pf.conditional_pmf_at(x)
-        values = np.concatenate([v for _, v in blocks])
-        obs = np.bincount(values, minlength=len(cond) + 1)[1:]
+        obs = np.bincount(np.concatenate(drawn), minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         with open(args.chi_square_report, "w") as fh:
             json.dump({"n": n, "x": list(x), "reps": reps, **chi}, fh, sort_keys=True)
@@ -416,17 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_spine)
 
     q = sub.add_parser("exact", help="deterministic fields and scalars")
-    common(q, seed=False)
-    q.add_argument("kind", choices=["p-field", "u-field", "mgf-field", "h-field",
-                                    "m2-field", "survival", "mean-occupied", "gamma",
-                                    "supersolution-verify"])
-    q.add_argument("--n", type=int)
-    q.add_argument("--dim", type=int)
-    q.add_argument("--offspring")
-    q.add_argument("--theta", type=float)
-    q.add_argument("--clamp", type=int)
-    q.add_argument("--kappa", type=float)
-    q.add_argument("--n0", type=int)
+    kinds = q.add_subparsers(dest="kind", required=True)
+    for kind, flags in _EXACT_KINDS.items():
+        k = kinds.add_parser(kind)
+        common(k, seed=False)
+        for flag in flags:
+            k.add_argument(f"--{flag}", type=_EXACT_FLAGS[flag][0])
     q.set_defaults(fn=cmd_exact)
 
     q = sub.add_parser("conditioned", help="conditional single-site law (JSONL)")

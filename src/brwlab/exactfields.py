@@ -355,17 +355,13 @@ class SuperSolutionParams:
 
 
 KAPPA0 = 4.0 * math.exp(6.0 * BETA)  # smallest prefactor covering the core regime
+_START_CAP = 256  # the largest N0 `find_supersolution_start` tries
 
 
-def supersolution_field(params: SuperSolutionParams, n: int, d: int = 2,
-                        radius: int | None = None) -> Field:
-    """v_n(x) = kappa/(n log n) * exp(-beta_n |x|^2 / (2n)) on a centered box."""
-    if d != 2:
-        raise ValueError("the super-solution construction is two-dimensional")
+def supersolution_field(params: SuperSolutionParams, n: int, radius: int) -> Field:
+    """v_n(x) = kappa/(n log n) * exp(-beta_n |x|^2 / (2n)) on the d = 2 box of this radius."""
     if n < 2:
         raise ValueError("needs n >= 2 (log n)")
-    if radius is None:
-        radius = 3 * n
     return Field.tabulate(lambda x: params.value(n, _square_norm(x)), 2, radius, step=n)
 
 
@@ -433,8 +429,8 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     return {**report, "holds": holds, "min_relative_margin": worst, "argmin": arg}
 
 
-def find_supersolution_start(kappa: float = KAPPA0, cap: int = 256) -> int:
-    """Smallest N0 <= cap with nonnegative margin on all of [N0, 4*N0]."""
+def find_supersolution_start(kappa: float = KAPPA0) -> int:
+    """Smallest N0 <= _START_CAP with nonnegative margin on all of [N0, 4*N0]."""
     params = SuperSolutionParams(kappa)
     n0 = 2
     margins: dict[int, float] = {}
@@ -444,12 +440,12 @@ def find_supersolution_start(kappa: float = KAPPA0, cap: int = 256) -> int:
             margins[n] = supersolution_margin(params, n)[0]
         return margins[n]
 
-    while n0 <= cap:
+    while n0 <= _START_CAP:
         bad = next((n for n in range(n0, 4 * n0 + 1) if margin(n) < 0), None)
         if bad is None:
             return n0
         n0 = bad + 1
-    raise ValueError(f"no super-solution start found below {cap}")
+    raise ValueError(f"no super-solution start found below {_START_CAP}")
 
 
 def comparison_shift(kappa0: float = KAPPA0, n_min: int = 2) -> int:

@@ -97,13 +97,7 @@ def decode_sites(keys: np.ndarray, d: int) -> np.ndarray:
 
 def _move_deltas(d: int) -> np.ndarray:
     """Encoded key increments for the 2d+1 neighbor offsets (hold first)."""
-    offs = neighborhood(d)
-    deltas = np.zeros(2 * d + 1, dtype=np.int64)
-    for j, off in enumerate(offs):
-        acc = 0
-        for i in range(d):
-            acc = (acc << COORD_BITS) + int(off[i])
-        deltas[j] = acc
+    deltas = encode_sites(neighborhood(d), d) - encode_sites(np.zeros((1, d)), d)[0]
     deltas.flags.writeable = False
     return deltas
 
@@ -350,8 +344,8 @@ def _staggered_walks(query, ell, dist, rng):
     return walk[near], rel[near]
 
 
-# the tree's hitting update (binary fission), one object for the tree and the
-# conditioned sampler: `ReversedSweep` keys its checkpoints on its identity
+# the tree's hitting update (binary fission), shared by the tree and the
+# conditioned sampler
 BINARY_HITTING = hitting_update(binary())
 
 

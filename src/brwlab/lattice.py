@@ -337,16 +337,14 @@ def sweep(n: int, d: int, update: Callable[[np.ndarray, Field], np.ndarray] | No
         raise ValueError(f"start field has dimension {start.dim}, not {d}")
     if n < start.step:
         raise ValueError(f"n = {n} is below the start step {start.step}")
-    return _sweep(n, d, update, _radii(clamp, n), start)
-
-
-def _radii(clamp, n: int) -> np.ndarray | None:
-    """The clamp of each step 0..n, from one radius or a schedule."""
+    # the clamp of each step 0..n, from one radius or a schedule
     if clamp is None or np.ndim(clamp) == 0:
-        return None if clamp is None else np.full(n + 1, int(clamp))
-    if len(clamp) <= n:
+        radii = None if clamp is None else np.full(n + 1, int(clamp))
+    elif len(clamp) <= n:
         raise ValueError(f"a clamp schedule of {len(clamp)} radii ends before step {n}")
-    return np.asarray(clamp[:n + 1], dtype=np.intp)
+    else:
+        radii = np.asarray(clamp[:n + 1], dtype=np.intp)
+    return _sweep(n, d, update, radii, start)
 
 
 def _sweep(n, d, update, radii, f):
@@ -364,37 +362,25 @@ def _sweep(n, d, update, radii, f):
         yield f
 
 
-_marks: dict[tuple, list[Field]] = {}  # the checkpoints of the stream used last
-
-
 class ReversedSweep:
     """F_n, ..., F_start of `sweep(n, d, update, clamp, start)`, bit for
-    bit, on every iteration: every isqrt(n - start.step)-th field is kept and
-    the block after each is recomputed from it.  The stream used last keeps
-    its checkpoints, keyed by the arguments (update by identity, the rest by
-    value): successive CLI `spine` or `conditioned` blocks read one stream."""
+    bit, on every iteration: every isqrt(n - start.step)-th field is kept in
+    `marks`, filled on the first iteration, and the block after each is
+    recomputed from it."""
 
     def __init__(self, n: int, d: int, update: Callable | None = None,
                  clamp: int | np.ndarray | None = None, start: Field | None = None):
         start = Field.delta(d) if start is None else start
         sweep(n, d, update, clamp, start)  # checks the arguments
-        # the radius each step keeps: a clamp that cuts no step counts as none
-        natural = start.radius + np.arange(1, n + 1 - start.step)  # steps start.step + 1..n
-        kept = None if clamp is None else np.minimum(_radii(clamp, n)[start.step + 1:],
-                                                     natural).tobytes()
-        if kept == natural.tobytes():
-            clamp = kept = None
         self.n, self.start, self.args = n, start, (d, update, clamp)
-        self.key = (n, d, update, kept, start.step, start.tail_bound, start.values.tobytes())
+        self.marks: list[Field] = []
 
     def __iter__(self) -> Iterator[Field]:
         n, first, every = self.n, self.start.step, max(1, math.isqrt(self.n - self.start.step))
-        marks = _marks.get(self.key)
-        if marks is None:
-            _marks.clear()  # before the new checkpoints, to lower the peak
-            marks = _marks[self.key] = [
-                f for f in sweep(n, *self.args, self.start) if (f.step - first) % every == 0]
-        for mark in reversed(marks):
+        if not self.marks:
+            self.marks = [f for f in sweep(n, *self.args, self.start)
+                          if (f.step - first) % every == 0]
+        for mark in reversed(self.marks):
             yield from reversed(list(sweep(min(mark.step + every - 1, n), *self.args, mark)))
 
 

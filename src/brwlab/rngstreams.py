@@ -2,8 +2,7 @@
 
 Every stochastic computation derives its generator from a 64-bit master seed,
 a named stream id, and a replicate index through numpy's SeedSequence spawn
-keys, so replaying any command with the same (config, seed) is byte-identical
-and independent of worker scheduling.
+keys, so replaying any command with the same (config, seed) is byte-identical.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 
 import brwlab
 from brwlab import conditioned as cr
+from brwlab import exactfields as xf
 from brwlab import lattice as lat
 from brwlab.cli import BLOCK, main
 from brwlab.rngstreams import substream
@@ -45,8 +46,8 @@ def test_simulate_requires_seed(tmp_path):
         run_cli(["simulate", "--n", "1", "--reps", "2", "--out", str(tmp_path / "x")])
 
 
-def test_simulate_byte_identical_and_thread_invariant(tmp_path):
-    # 1100 replicates span 5 blocks, so BRW_THREADS=3 takes the process pool
+def test_stochastic_commands_byte_identical_across_reruns_and_interpreters(tmp_path):
+    # 1100 replicates span 5 blocks
     for argv in (["simulate", "--n", "4", "--reps", "1100", "--seed", "3"],
                  ["simulate", "--n", "4", "--conditioned", "--reps", "1100", "--seed", "3"],
                  ["spine", "--n", "3", "--reps", "1100", "--ell", "2", "--seed", "3"],
@@ -58,16 +59,25 @@ def test_simulate_byte_identical_and_thread_invariant(tmp_path):
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 1100
         subprocess.run([sys.executable, "-m", "brwlab.cli", *argv, "--out", str(c)],
-                       check=True, env=child_env(BRW_THREADS="3"))
+                       check=True, env=child_env())
         assert a.read_bytes() == c.read_bytes()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_invalid_brw_threads_fail_fast(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("BRW_THREADS", value)
-    with pytest.raises(SystemExit, match="BRW_THREADS"):
-        run_cli(["simulate", "--n", "1", "--reps", "2", "--seed", "1",
-                 "--out", str(tmp_path / "x.jsonl")])
+def test_conditioned_run_builds_one_sampler_for_all_its_blocks(tmp_path, monkeypatch):
+    # 600 replicates span 3 blocks, which share one sampler and its checkpoints
+    built = []
+
+    class Counted(cr.ConditionedSampler):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cr, "ConditionedSampler", Counted)
+    out = tmp_path / "c.jsonl"
+    assert run_cli(["conditioned", "--n", "40", "--reps", "600", "--seed", "3",
+                    "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 600
+    assert built == [(40, (1, 0))]
 
 
 def test_conditioned_simulate_records_attempts(tmp_path):
@@ -108,7 +118,7 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     *[(["exact", "supersolution-verify", "--kappa", v, "--n0", "2"], "--kappa")
       for v in ("nan", "inf")],
     *[(["spine", "--n", "8", "--ell", v, "--seed", "1"], "--ell") for v in ("inf", "nan")],
-    (["exact", "survival", "--n", "2", "--theta", "nan"], "--theta"),
+    (["exact", "mgf-field", "--n", "2", "--theta", "nan"], "--theta"),
     (["exact", "supersolution-verify", "--n0", "-5"], "--n0"),
 ])
 def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
@@ -181,6 +191,22 @@ def test_exact_scalars_and_supersolution(tmp_path):
     rep = json.loads(out2.read_text())
     assert rep["holds"] is True and rep["min_relative_margin"] >= 0
     assert "min_margin" not in rep and rep["argmin"]["n"] >= 8
+
+
+@pytest.mark.parametrize("argv,recorded", [
+    (["survival", "--n", "2"], {"n": 2, "offspring": "binary"}),
+    (["p-field", "--n", "2", "--clamp", "1"], {"n": 2, "dim": 2, "clamp": 1}),
+    (["gamma", "--n", "4", "--dim", "3"], {"n": 4, "dim": 3}),
+    (["mgf-field", "--n", "2"], {"n": 2, "dim": 2, "offspring": "binary", "theta": 0.05,
+                                 "clamp": None}),
+    (["supersolution-verify", "--n0", "8"], {"kappa": xf.KAPPA0, "n0": 8}),
+])
+def test_exact_sidecar_records_exactly_the_values_its_kind_read(tmp_path, argv, recorded):
+    out = tmp_path / "o"
+    assert run_cli(["exact", *argv, "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "o.meta.json").read_text())
+    del meta["written_at_unix"]
+    assert meta == {"command": "exact", "kind": argv[0], **recorded}
 
 
 def test_degenerate_supersolution_report_is_strict_json(tmp_path):
@@ -333,6 +359,8 @@ def test_config_file_with_flag_override(tmp_path):
     (["verify", "--suite", "fundamental", "--seed", "1"], "budget"),
     (["exact", "survival"], "seed"),
     (["simulate", "--seed", "1"], "out"),  # a flag, but not a parameter
+    (["exact", "survival"], "kappa"),  # a flag of another kind
+    (["exact", "p-field"], "offspring"),
 ])
 def test_config_key_that_is_no_parameter_flag_fails_naming_it(tmp_path, argv, key):
     cfg = tmp_path / "run.cfg"
@@ -363,6 +391,10 @@ def test_config_boolean_reads_only_true_or_false(tmp_path, value, conditioned):
 @pytest.mark.parametrize("argv,flag", [
     (["verify", "--suite", "fundamental", "--seed", "1", "--budget", "1"], "--budget"),
     (["exact", "u-field", "--n", "2", "--seed", "1"], "--seed"),
+    # each exact kind takes only the flags it reads
+    (["exact", "survival", "--n", "2", "--clamp", "5"], "--clamp"),
+    (["exact", "supersolution-verify", "--dim", "3", "--offspring", "geometric:2",
+      "--theta", "9"], "--dim"),
 ])
 def test_removed_options_fail_at_parse(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"

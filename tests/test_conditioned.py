@@ -220,7 +220,6 @@ def test_far_target_lies_inside_the_clamped_box():
 def test_sampler_holds_no_field_per_horizon():
     # every u_m, m <= 256, on the unclamped box took C(259, 3) doubles
     rng = substream(46, "conditioned-rep")
-    lat._marks.clear()
     tracemalloc.start()
     try:
         cr.ConditionedSampler(256, (1, 0)).sample(64, rng)

@@ -64,8 +64,9 @@ def test_every_clamp_comes_whole_from_the_schedule():
 
 
 def test_the_package_starts_no_second_thread():
-    # the stencil is memory-bound, so a second thread buys nothing; no module
-    # may import the means to start one
+    # the stencil is memory-bound, so a second thread buys nothing, and the
+    # CLI runs its replicate blocks in one process; no module may import the
+    # means to start another thread or process
     imported = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -73,4 +74,4 @@ def test_the_package_starts_no_second_thread():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert not imported & {"threading", "queue", "_thread"}
+    assert not imported & {"threading", "queue", "_thread", "concurrent", "multiprocessing"}

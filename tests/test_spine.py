@@ -155,7 +155,6 @@ def test_tree_batch_takes_one_reversed_pass(monkeypatch):
     steps = []
     real = lat.stencil_step
     monkeypatch.setattr(lat, "stencil_step", lambda *a, **k: steps.append(1) or real(*a, **k))
-    lat._marks.clear()
     out = sp.spine_typical_batch(n, reps, substream(43, "spine"))
     assert out["Tstar"].shape == (reps,)
     assert 0 < len(steps) <= 2 * (n - 1)
@@ -163,7 +162,6 @@ def test_tree_batch_takes_one_reversed_pass(monkeypatch):
 
 def test_tree_batch_traced_peak_is_bounded():
     # int16 spines and query sites (2.6 MB each here) and row-blocked draws
-    lat._marks.clear()
     tracemalloc.start()
     try:
         sp.spine_typical_batch(64, 10_000, substream(44, "spine"))
