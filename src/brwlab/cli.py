@@ -431,11 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True)
     q.add_argument("--out", default="-")
     q.set_defaults(fn=cmd_report)
+    # each leaf parser names itself, so that an unknown flag is reported with
+    # its usage line (a subcommand's default overrides its parent's)
+    for q in [*sub.choices.values(), *kinds.choices.values()]:
+        q.set_defaults(parser=q)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    leaf = vars(args).pop("parser")
+    if unknown:
+        leaf.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit

@@ -24,9 +24,9 @@ so they are symmetric under sign flips and permutations, and `lattice.Field`
 stores one value per symmetry orbit; the update maps are pointwise, so they
 act on the stored values directly.  `hitting_sweep`, `mgf_sweep`,
 `second_moment_fields` and `pmf_oracle_sweep` yield the whole sequence, and
-the single-field functions keep only its last field; `second_moment_sweep`
-returns f_n with the total of every f_k.  The pmf oracle alone keeps its own
-full-box average, so that the checks compare two independent computations.
+the single-field functions keep only its last field.  The pmf oracle alone
+keeps its own full-box average, so that the checks compare two independent
+computations.
 """
 
 from __future__ import annotations
@@ -209,15 +209,6 @@ def second_moment_fields(dist: OffspringDist, n: int, d: int = 2,
     term = next(terms)  # f_0 = delta takes no source term
     for f in sweep(n, d, update, clamp):
         yield Field(f.values, d, f.tail_bound + term.tail_bound, f.step)
-
-
-def second_moment_sweep(dist: OffspringDist, n: int, d: int = 2,
-                        clamp: int | np.ndarray | None = None):
-    """(f_n, sums) with sums[k] = sum_x f_k(x), off `second_moment_fields`."""
-    sums = np.empty(n + 1)
-    for f in second_moment_fields(dist, n, d, clamp):
-        sums[f.step] = f.total()
-    return f, sums
 
 
 # ---------------------------------------------------------------------------

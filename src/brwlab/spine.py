@@ -17,7 +17,9 @@ count at the typical site is the same construction at radius 0:
 where B_0 = 1{S_1 + xi_0 = 0}, the age-0 term, is Bernoulli(1/(2d+1)) and
 independent of S.  The sum over j >= 2 splits into Gamma_n = sum_{i=2..n}
 P_i(S_i) (a walk functional with exact mean sum P_{2i}(0)) plus a centered
-part Delta_n with orthogonal increments.
+part Delta_n with orthogonal increments.  P is symmetric, so P_{2i}(0) =
+sum_x P_i(x)^2: `even_return_probs` reads the exact means off one sweep of
+n steps, not 2n.
 
 The vacancy statistics are readings of the same batch.  In the forward
 construction sibling j has age n-1-j and is read at S_n - S_j - xi_j, the tip
@@ -48,23 +50,25 @@ import math
 import numpy as np
 
 from . import forward as fw
-from .lattice import clamp_schedule, neighborhood, row_blocks, sample_srw_batch, sweep
+from .lattice import Field, clamp_schedule, neighborhood, row_blocks, sample_srw_batch, sweep
 from .offspring import binary
 
 _BINARY = binary()
 
 
-def return_probs(max_n: int, d: int = 2) -> np.ndarray:
-    """P_m(0) for m = 0..max_n, from one sweep clamped at 1e-14 per step."""
-    return np.array([f.values[0] for f in sweep(max_n, d, clamp=clamp_schedule(max_n, d, 1e-14))])
+def even_return_probs(n: int, d: int = 2, clamp: int | np.ndarray | None = None) -> np.ndarray:
+    """P_{2i}(0) for i = 0..n, off one n-step sweep: P is symmetric, so
+    P_{2i}(0) = sum_x P_i(x)^2 (Chapman-Kolmogorov).  `clamp` is taken as by
+    `lattice.transition_field`; a clamped sweep gives lower bounds."""
+    return np.array([Field(np.square(f.values), d).total() for f in sweep(n, d, clamp=clamp)])
 
 
 def exact_mean_gamma(n: int, d: int = 2) -> np.ndarray:
-    """E Gamma_m = sum_{i=2}^{m} P_{2i}(0) for m = 0..n, from one sweep of 2n
-    steps: the exact means of Gamma_m (and of the attached single-site counts
-    in the typical-site representation)."""
+    """E Gamma_m = sum_{i=2}^{m} P_{2i}(0) for m = 0..n, from one sweep of n
+    steps clamped at 1e-14 per step: the exact means of Gamma_m (and of the
+    attached single-site counts in the typical-site representation)."""
     gamma = np.zeros(n + 1)
-    np.cumsum(return_probs(2 * n, d)[4::2], out=gamma[2:])
+    np.cumsum(even_return_probs(n, d, clamp_schedule(n, d, 1e-14))[2:], out=gamma[2:])
     return gamma
 
 

@@ -87,8 +87,11 @@ def _sorted_tuple_slices(k: int, d: int) -> Iterator[np.ndarray]:
         yield np.column_stack((np.full(len(rest) - s, i), rest[s:]))
 
 
-def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
-    """P_{2j}(0) for j = 0..max_j via the spectral average on a torus.
+def _spectral_return_probs(max_j: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_{2j}(0), A_j) for j = 0..max_j via the spectral average on a torus,
+    with A_j = sum_y |y|^2 P_j(y)^2 = j^2 (2 pi)^-d int phi^{2j-2} |grad phi|^2
+    (Parseval, since y_a P_j(y) has transform -i d/dtheta_a phi^j) and
+    |grad phi|^2 = 4 sum_a sin^2(theta_a) / (2d+1)^2.
 
     Independent of the stencil recursions.  The torus value exceeds P_m(0) by
     the image mass at distance >= L/2, below exp(-(L/2)^2 / (2 n Var)) ~ 1e-12
@@ -104,7 +107,7 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
     # weighted by its number of distinct orderings d! / prod(multiplicity!),
     # one first frequency at a time
     m = math.comb(len(k) + d - 1, d)
-    phi2, wt = np.empty(m), np.empty(m)
+    phi2, wt, grad = np.empty(m), np.empty(m), np.empty(m)
     at = 0
     for idx in _sorted_tuple_slices(len(k), d):
         ties = np.ones(len(idx))
@@ -113,19 +116,22 @@ def _spectral_return_probs(max_j: int, d: int) -> np.ndarray:
         phi = (1.0 + 2.0 * sum(c[col] for col in idx.T)) / (2 * d + 1)
         phi2[at:at + len(idx)] = phi * phi
         wt[at:at + len(idx)] = math.factorial(d) / ties * math.prod(w[col] for col in idx.T) / L**d
+        grad[at:at + len(idx)] = 4.0 * sum(1.0 - c[col] ** 2 for col in idx.T) / (2 * d + 1) ** 2
         at += len(idx)
     order = np.argsort(-phi2)
     phi2, wt = phi2[order], wt[order]
+    grad = np.multiply(grad[order], wt, out=grad)  # the weight of A_j's sum
     del order  # before the power loop's buffers
-    out = np.empty(max_j + 1)
+    out, spread = np.empty(max_j + 1), np.zeros(max_j + 1)
     out[0] = 1.0
     pw, term = np.ones_like(phi2), np.empty_like(phi2)
     live = len(pw)
-    for j in range(1, max_j + 1):
+    for j in range(1, max_j + 1):  # pw holds phi^{2j-2} on entry
+        spread[j] = j * j * float(np.multiply(pw[:live], grad[:live], out=term[:live]).sum())
         pw[:live] *= phi2[:live]
         live = int(np.searchsorted(-pw[:live], -1e-20))
         out[j] = float(np.multiply(pw[:live], wt[:live], out=term[:live]).sum())
-    return out
+    return out, spread
 
 
 def _bank_mean_max_z(bank: SimBank, d: int, grid) -> float:
@@ -185,22 +191,47 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     return rows
 
 
+def _spread_error(f: Field, p2: np.ndarray, spread: np.ndarray) -> float:
+    """Relative error of sum_x |x|^2 f_n(x), for the second-moment field f_n of
+    binary fission, against Duhamel's formula f_n = P^n delta + sigma^2
+    sum_{k=1..n} P^{n-k}(P_k^2).  With E|y + W_m|^2 = |y|^2 + m v for the lazy
+    walk W, v = 2d/(2d+1), it gives
+
+        sum_x |x|^2 f_n(x) = n v + sigma^2 sum_{k=1..n} [A_k + (n - k) v P_{2k}(0)],
+
+    with P_{2k}(0) and A_k = sum_y |y|^2 P_k(y)^2 from `_spectral_return_probs`."""
+    n, d = f.step, f.dim
+    v = 2 * d / (2 * d + 1)
+    k = np.arange(1, n + 1)
+    want = n * v + _B.sigma2 * float((spread[1:n + 1] + (n - k) * v * p2[1:n + 1]).sum())
+    got = Field(f.values * np.square(f.sites()).sum(axis=1), d).total()
+    return abs(got - want) / want
+
+
 def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
-    """Second-moment recursion vs oracle, and the summed identity
-    sum_x E U_n(x)^2 = 1 + sigma^2 sum_{j<=n} P_{2j}(0)."""
+    """Second-moment recursion vs the pmf oracle site by site (d = 2 at n = 12,
+    d = 3 at n = 8); the summed identity sum_x E U_n(x)^2 = 1 + sigma^2
+    sum_{j<=n} P_{2j}(0), its right side read off one P sweep of n <= 512 steps
+    (`spine.even_return_probs`) against the spectral oracle; and the spread
+    sum_x |x|^2 f_n(x) at n = 128 against Duhamel's formula (`_spread_error`),
+    which every step of the f recursion reaches."""
     rows = []
-    worst = max(float(np.abs(pf.second_moment_values() - f.unfolded()).max())
-                for pf, f in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64),
-                                 xf.second_moment_fields(_B, 12, 2)))
-    rows.append(_row("C03-second-moment", "oracle-vs-recursion", worst, "<=1e-8",
-                     worst <= 1e-8, n=12))
+    for d, n in ((2, 12), (3, 8)):
+        worst = max(float(np.abs(pf.second_moment_values() - f.unfolded()).max())
+                    for pf, f in zip(xf.pmf_oracle_sweep(_B, n, d, degree=64),
+                                     xf.second_moment_fields(_B, n, d)))
+        name = "oracle-vs-recursion" if d == 2 else f"oracle-vs-recursion-d{d}"
+        rows.append(_row("C03-second-moment", name, worst, "<=1e-8", worst <= 1e-8, n=n, d=d))
     for d, eps in ((2, 1e-11), (3, 3e-11)):  # eps per step
-        _, sums = xf.second_moment_sweep(_B, 512, d, clamp=clamp_schedule(512, d, eps))
-        p2 = _spectral_return_probs(512, d)
-        rhs = 1.0 + _B.sigma2 * np.cumsum(np.concatenate(([0.0], p2[1:])))
-        worst = float(np.abs(sums - rhs).max())
+        p2, spread = _spectral_return_probs(512, d)
+        swept = sp.even_return_probs(512, d, clamp_schedule(512, d, eps))
+        worst = _B.sigma2 * float(np.abs(np.cumsum(swept[1:]) - np.cumsum(p2[1:])).max())
         rows.append(_row("C03-second-moment", f"summed-identity-d{d}", worst, "<=1e-8",
                          worst <= 1e-8, n=512, d=d))
+        err = _spread_error(xf.second_moment_field(_B, 128, d, clamp_schedule(128, d, 1e-14)),
+                            p2, spread)
+        rows.append(_row("C03-second-moment", f"spread-identity-d{d}", err, "rel<=1e-8",
+                         err <= 1e-8, n=128, d=d))
     return rows
 
 

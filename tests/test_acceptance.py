@@ -11,10 +11,12 @@ nothing else at criterion level.
 
 import pytest
 
+from brwlab import lattice as lat
 from brwlab import verify as vf
 
 SEED = 20240817
 _MEMO: dict[str, list] = {}
+_CELLS: dict[str, int] = {}  # each suite's stencil cell-steps, counted on its run
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,9 @@ def bank():
 
 def run_suite(name, bank):
     if name not in _MEMO:
+        lat.work.steps = lat.work.cells = 0
         _MEMO[name] = vf.SUITES[name](SEED, bank)
+        _CELLS[name] = lat.work.cells
         for r in _MEMO[name]:
             flag = "PASS" if r.passed else ("soft-FAIL" if r.soft else "FAIL")
             print(f"{flag} {r.theorem} {r.statistic}: {r.value:.6g} (band {r.band})")
@@ -46,6 +50,9 @@ def test_c02_hitting_recursion(bank):
 
 def test_c03_second_moments(bank):
     assert_hard_rows(run_suite("second-moment", bank))
+    # the identity rows sweep P alone to n = 512 (sweeping f there as well
+    # stores 53.9M), and the spread rows sweep f to n = 128
+    assert 29e6 < _CELLS["second-moment"] < 31e6
 
 
 def test_c04_kolmogorov_survival(bank):

@@ -401,7 +401,13 @@ def test_removed_options_fail_at_parse(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         run_cli([*argv, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    # under the usage line of the command (or exact kind) given, which lists
+    # the flags it does take
+    command = " ".join(argv[:2] if argv[0] == "exact" else argv[:1])
+    assert err.startswith(f"usage: brwlab {command} [-h]")
+    assert f"brwlab {command}: error: unrecognized" in err
     assert not out.exists()
 
 

@@ -272,11 +272,27 @@ def test_second_moment_one_step_frozen():
 
 
 def test_second_moment_summed_identity_small():
-    from brwlab.spine import return_probs
-    _, sums = xf.second_moment_sweep(B, 12, 2)
-    p0 = return_probs(24, 2)
-    rhs = 1.0 + np.cumsum(np.concatenate(([0.0], p0[2:25:2])))
+    from brwlab.spine import even_return_probs
+    sums = np.array([f.total() for f in xf.second_moment_fields(B, 12, 2)])
+    p2 = even_return_probs(12, 2)
+    rhs = 1.0 + np.cumsum(np.concatenate(([0.0], p2[1:])))
     assert np.abs(sums - rhs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spread_row_rejects_the_f_recursion_without_P(d):
+    # f_k = f_{k-1} + sigma^2 P_k^2 keeps every total of f, so the summed
+    # identity cannot see it; C03's spread comparison at its n = 128 can
+    from brwlab.verify import _spectral_return_probs, _spread_error
+    n = 128
+    p2, spread = _spectral_return_probs(n, d)
+    clamp = lat.clamp_schedule(n, d, 1e-14)
+    assert _spread_error(xf.second_moment_field(B, n, d, clamp), p2, spread) <= 1e-8
+    f = np.zeros(1)
+    for p in lat.sweep(n, d, clamp=clamp):  # the radii never shrink
+        f = np.concatenate((f, np.zeros(len(p.values) - len(f))))
+        f += B.sigma2 * np.square(p.values) if p.step else p.values
+    assert _spread_error(lat.Field(f, d, step=n), p2, spread) > 0.9
 
 
 @pytest.mark.parametrize("d,clamp", [(2, None), (2, 5), (3, None), (3, 4)])

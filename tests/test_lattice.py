@@ -407,12 +407,12 @@ def test_orthant_monotonicity_small():
 
 def test_return_probability_asymptote_d2():
     # n * P_n(0) -> 5/(4*pi); tolerance 1% is ours (no error term available)
-    from brwlab.spine import return_probs
+    from brwlab.spine import even_return_probs
     RETURN_COEF_2D = 5.0 / (4.0 * math.pi)
-    p0 = return_probs(2048, 2)
-    val = 2048 * p0[2048]
+    p0 = even_return_probs(1024, 2, lat.clamp_schedule(1024, 2, 1e-14))  # P_{2i}(0)
+    val = 2048 * p0[1024]
     assert abs(val - RETURN_COEF_2D) <= 0.01 * RETURN_COEF_2D
-    assert abs(1024 * p0[1024] - RETURN_COEF_2D) >= abs(val - RETURN_COEF_2D) * 0.2
+    assert abs(1024 * p0[512] - RETURN_COEF_2D) >= abs(val - RETURN_COEF_2D) * 0.2
 
 
 def full_torus_return_probs(max_j, d):
@@ -459,7 +459,7 @@ def _old_spectral_return_probs(max_j, d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_spectral_oracle_matches_its_all_tuples_form_bit_for_bit(d):
     from brwlab.verify import _sorted_tuple_slices, _spectral_return_probs
-    assert np.array_equal(_spectral_return_probs(512, d), _old_spectral_return_probs(512, d))
+    assert np.array_equal(_spectral_return_probs(512, d)[0], _old_spectral_return_probs(512, d))
     tuples = np.concatenate(list(_sorted_tuple_slices(6, d)))
     assert tuples.tolist() == [list(t) for t in itertools.combinations_with_replacement(
         range(6), d)]
@@ -467,12 +467,17 @@ def test_spectral_oracle_matches_its_all_tuples_form_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_spectral_oracle_matches_full_torus_sum_and_stencil(d):
-    from brwlab.spine import return_probs
+    from brwlab.spine import even_return_probs
     from brwlab.verify import _spectral_return_probs
-    spectral = _spectral_return_probs(64, d)
+    spectral, spread = _spectral_return_probs(64, d)
     ref = full_torus_return_probs(64, d)
     assert np.abs(spectral / ref - 1.0).max() <= 1e-13  # summation order only
-    assert np.abs(spectral - return_probs(128, d)[::2]).max() <= 1e-14
+    assert np.abs(spectral - even_return_probs(64, d)).max() <= 1e-14
+    # A_j = sum_y |y|^2 P_j(y)^2, summed over the stencil's fields
+    stencil = [lat.Field(np.square(p.values) * np.square(p.sites()).sum(axis=1), d).total()
+               for p in lat.sweep(64, d)]
+    assert spread[0] == stencil[0] == 0.0
+    assert np.abs(spread[1:] / stencil[1:] - 1.0).max() <= 1e-14
 
 
 def test_walk_sampling_start_and_empty():

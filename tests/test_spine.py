@@ -223,21 +223,30 @@ def test_gamma_split_traced_peak_is_bounded(monkeypatch):
 
 
 def test_exact_mean_gamma_takes_one_sweep_and_keeps_no_state(monkeypatch):
-    # E Gamma_m for every m <= n off one sweep of 2n steps, on every call
+    # E Gamma_m for every m <= n off one sweep of n steps, on every call
     n = 64
     before = dict(vars(sp))
     steps = _count_steps(monkeypatch)
     for _ in range(2):
         steps.clear()
         gamma = sp.exact_mean_gamma(n)
-        assert len(steps) == 2 * n
+        assert len(steps) == n
     assert vars(sp).keys() == before.keys()
     assert all(vars(sp)[k] is v for k, v in before.items())
     assert not [k for k, v in vars(sp).items()
                 if not k.startswith("__") and isinstance(v, (dict, list, set))]
-    p0 = sp.return_probs(2 * n)
-    want = [p0[4:2 * m + 1:2].sum() for m in range(n + 1)]
+    # against P_{2i}(0) read at the origin of a sweep of 2n steps
+    p0 = [p.values[0] for p in sweep(2 * n, 2, clamp=clamp_schedule(2 * n, 2, 1e-14))]
+    want = [sum(p0[4:2 * m + 1:2]) for m in range(n + 1)]
     assert np.allclose(gamma, want, rtol=1e-14, atol=0.0)
+
+
+def test_exact_mean_gamma_work_at_the_c09_horizon():
+    # C09's E Gamma_m for m <= 1024: one clamped sweep of 1024 steps
+    lat.work.steps = lat.work.cells = 0
+    sp.exact_mean_gamma(1024)
+    assert lat.work.steps == 1024
+    assert 7.0e6 < lat.work.cells < 7.5e6  # a sweep of 2n steps stores 28.8M
 
 
 def test_centered_increments_uncorrelated():
