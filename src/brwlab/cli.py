@@ -17,6 +17,7 @@ or `false`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -377,7 +378,10 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it,
+    and argparse makes a help formatter for every argument it adds."""
     p = argparse.ArgumentParser(prog="brwlab",
                                 description="critical branching random walk laboratory")
     sub = p.add_subparsers(dest="command", required=True)

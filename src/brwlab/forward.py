@@ -46,11 +46,12 @@ from where it ends in the ball, which the reversed walk does with
 probability at most 1e-14, so a walk of age i is low by at most i 1e-14 in
 expected count.  The tree is taken when the staggered array's expected
 particle-generations exceed the 2 sum_m C(r_m + d, d) cells that the tree's
-two sweeps store (about 30 ns per particle-generation and 22 ns per stored
-cell at n = 512 in d = 2 on a 2-core VM; break-even near 28 replicates at
-ell = 0 and 33 at ell = 7), and whenever the reps n walk tags do not fit the
-key packing range (d = 3 batches of 2**17 walks or more), which bounds only
-the staggered array's keys.
+two sweeps store, that is from 28 replicates at ell = 0 and 33 at ell = 7
+for n = 512 in d = 2 (measured on a 2-core VM: 17-25 ns per
+particle-generation and 17-30 ns per stored cell, so the timed break-even
+lies near 28-40 and 37-46 replicates), and whenever the reps n walk tags do
+not fit the key packing range (d = 3 batches of 2**17 walks or more), which
+bounds only the staggered array's keys.
 """
 
 from __future__ import annotations
@@ -269,14 +270,17 @@ def _check_survival(survival: np.ndarray, n: int) -> None:
 def population_batch(dist: OffspringDist, n: int, reps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Z_n for `reps` free runs; particle motion is irrelevant to Z."""
-    idx = np.arange(reps)
     z = np.ones(reps, dtype=np.int64)
+    idx = None  # the surviving runs' indices, once a generation has been drawn
     for _ in range(n):
         if len(z) == 0:
             break
         z = dist.sample_offspring_sum(z, rng)
-        alive = z > 0
-        idx, z = idx[alive], z[alive]
+        keep = np.flatnonzero(z > 0)
+        idx = keep if idx is None else idx.take(keep)
+        z = z.take(keep)
+    if idx is None:
+        return z
     z_final = np.zeros(reps, dtype=np.int64)  # allocated last, to lower the peak
     z_final[idx] = z
     return z_final
@@ -364,9 +368,13 @@ def tree_step(u: Field, x: np.ndarray, rng: np.random.Generator) -> tuple[np.nda
     and each child steps by the row of u_m around x."""
     row, p = u.neighbor_row(x)
     k = 1 + (rng.random(len(x)) < p / (2.0 - p))
-    x, row = np.repeat(x, k, axis=0), np.repeat(row, k, axis=0)
-    pick = (np.cumsum(row, axis=1) <= rng.random((len(x), 1))).sum(axis=1)
-    return k, x - neighborhood(u.dim)[np.minimum(pick, 2 * u.dim)]
+    # each parent's cumulative row, then one copy per child (the same bits as
+    # the cumsum of the repeated rows)
+    cdf = np.repeat(np.cumsum(row, axis=1, out=row), k, axis=0)
+    x = np.repeat(x, k, axis=0)
+    pick = (cdf <= rng.random((len(x), 1))).sum(axis=1)
+    x -= neighborhood(u.dim)[np.minimum(pick, 2 * u.dim, out=pick)]
+    return k, x
 
 
 def _tree_walks(query, ell, rng):

@@ -43,6 +43,7 @@ numpy reduction, so results are bit-identical across runs and block sizes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -50,10 +51,15 @@ from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
+
+@functools.cache
 def neighborhood(d: int) -> np.ndarray:
-    """The 2d+1 neighbor offsets, hold first then +e1, -e1, +e2, ... (fixed order)."""
+    """The 2d+1 neighbor offsets, hold first then +e1, -e1, +e2, ... (fixed
+    order): one read-only array per d, shared by every caller."""
     eye = np.eye(d, dtype=np.int64)
-    return np.concatenate((0 * eye[:1], np.stack((eye, -eye), axis=1).reshape(-1, d)))
+    offs = np.concatenate((0 * eye[:1], np.stack((eye, -eye), axis=1).reshape(-1, d)))
+    offs.flags.writeable = False
+    return offs
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +224,8 @@ class Field:
         """Values at the integer sites sites[..., d]; sites outside the box read as 0."""
         # a coordinate beyond the box is cut to radius + 1, which keeps the
         # site outside: its index is then past the stored prefix
-        x = np.minimum(np.abs(np.asarray(sites, dtype=np.int64)), self.radius + 1)
-        idx = _cell_index(x)
+        x = np.abs(np.asarray(sites, dtype=np.int64))
+        idx = _cell_index(np.minimum(x, self.radius + 1, out=x))
         return np.where(idx < len(self.values), self.values.take(idx, mode="clip"), 0.0)
 
     def neighbor_row(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -227,9 +233,15 @@ class Field:
         at x - e_j (e_j the `neighborhood` offsets) divided by the sum of the
         2d+1 values, and mean = (P f)(x) is their mean.  Where every value
         vanishes the row is 0."""
-        w = self.values_at(np.asarray(x, dtype=np.int64)[..., None, :] - neighborhood(self.dim))
+        nb = neighborhood(self.dim)
+        # x - e_j as one copy per neighbor, shifted in place: the subtraction
+        # then runs over whole (2d+1, d) blocks, not over rows of d values
+        sites = np.repeat(np.asarray(x, dtype=np.int64)[..., None, :], len(nb), axis=-2)
+        sites -= nb
+        w = self.values_at(sites)
         total = w.sum(axis=-1)
-        return w / np.where(total > 0.0, total, 1.0)[..., None], total / w.shape[-1]
+        w /= np.where(total > 0.0, total, 1.0)[..., None]
+        return w, total / w.shape[-1]
 
     def axis_increments(self) -> np.ndarray:
         """f(x + e_a) - f(x) over every site x of the box's nonnegative orthant

@@ -96,15 +96,20 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     walk, rel = fw.attached_walks(query, ell, _BINARY, rng)
     rep = walk // n
     rep0, age0 = np.divmod(walk[~rel.any(axis=1)], n)  # the particles at offset 0
-    # distinct (replicate, offset) pairs, each replicate's tip at offset 0
-    tips = np.zeros((reps, d + 1), dtype=np.int64)
-    tips[:, 0] = np.arange(reps)
-    pairs = np.unique(np.concatenate((tips, np.column_stack((rep, rel)))), axis=0)
+    # distinct (replicate, offset) pairs, each replicate's tip at offset 0, as
+    # int64 keys over (replicate, the offsets' bounding box): offsets reach 2n
+    # per axis at any ell, so in d = 3 at n = 2**14 fewer than 2**15 replicates
+    # fit, and np.ravel_multi_index refuses a larger box rather than wrap
+    lo, hi = rel.min(axis=0, initial=0), rel.max(axis=0, initial=0)
+    box = tuple(hi - lo + 1)
+    cells = math.prod(box)
+    keys = np.concatenate((np.arange(reps) * cells + np.ravel_multi_index(tuple(-lo), box),
+                           np.ravel_multi_index((rep, *(rel - lo).T), (reps, *box))))
     return {
         "Tstar": 1 + np.bincount(rep0, minlength=reps),  # 1: the spine tip
         "B0": np.bincount(rep0[age0 == 0], minlength=reps).astype(bool),
         "W": 1 + np.bincount(rep, minlength=reps),
-        "occupied": np.bincount(pairs[:, 0], minlength=reps),
+        "occupied": np.bincount(np.unique(keys) // cells, minlength=reps),
         "S": S,
         "kept": {j: np.bincount(rep0[age0 == j - 1], minlength=reps)
                  for j in keep_increments if 2 <= j <= n},
@@ -147,7 +152,8 @@ def sizebias_population_batch(n: int, reps: int, rng: np.random.Generator) -> np
     process of age n-1-j for every spine height j < n."""
     z = np.ones(reps, dtype=np.int64)
     for j in range(n):
-        z += fw.population_batch(_BINARY, n - 1 - j, reps, rng)
+        # the process of age 0 is one particle and draws nothing
+        z += fw.population_batch(_BINARY, n - 1 - j, reps, rng) if j < n - 1 else 1
     assert z.min() >= 1  # the spine survives on every sample
     return z
 

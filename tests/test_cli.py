@@ -11,6 +11,7 @@ import brwlab
 from brwlab import conditioned as cr
 from brwlab import exactfields as xf
 from brwlab import lattice as lat
+from brwlab import cli
 from brwlab.cli import BLOCK, main
 from brwlab.rngstreams import substream
 
@@ -409,6 +410,30 @@ def test_removed_options_fail_at_parse(tmp_path, capsys, argv, flag):
     assert err.startswith(f"usage: brwlab {command} [-h]")
     assert f"brwlab {command}: error: unrecognized" in err
     assert not out.exists()
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    # the parser is built once per process; calls with different subcommands
+    # still parse their own flags, and an unknown flag still gets the usage
+    # line of the kind given
+    cli.build_parser.cache_clear()
+    assert run_cli(["exact", "survival", "--offspring", "binary", "--n", "3",
+                    "--out", str(tmp_path / "s.json")]) == 0
+    assert run_cli(["spine", "--n", "4", "--reps", "2", "--seed", "3",
+                    "--out", str(tmp_path / "spine.jsonl")]) == 0
+    survival = json.loads((tmp_path / "s.json").read_text())
+    assert survival["n"] == 3 and survival["survival"] == 0.3046875
+    rows = [json.loads(line) for line in (tmp_path / "spine.jsonl").read_text().splitlines()]
+    assert [(r["rep"], r["n"], r["seed"]) for r in rows] == [(0, 4, 3), (1, 4, 3)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["exact", "survival", "--n", "2", "--clamp", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: brwlab exact survival [-h]")
+    assert "brwlab exact survival: error: unrecognized arguments: --clamp 5" in err
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_cli_and_p_values_load_no_scipy_module(tmp_path):

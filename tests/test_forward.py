@@ -401,6 +401,82 @@ def test_population_batch_survival_matches_recursion():
     assert abs(z.mean() - 1.0) <= 3 * se_z
 
 
+def _next_draws(rng):
+    """The stream's next few words: equal for two streams that made the same draws."""
+    return rng.integers(0, 2**63, size=4).tolist()
+
+
+def _population_batch_masked(dist, n, reps, rng):
+    """The boolean-mask compaction of `population_batch`, as a reference."""
+    idx = np.arange(reps)
+    z = np.ones(reps, dtype=np.int64)
+    for _ in range(n):
+        if len(z) == 0:
+            break
+        z = dist.sample_offspring_sum(z, rng)
+        alive = z > 0
+        idx, z = idx[alive], z[alive]
+    z_final = np.zeros(reps, dtype=np.int64)
+    z_final[idx] = z
+    return z_final
+
+
+@pytest.mark.parametrize("spec", ["binary", "geometric:2"])
+@pytest.mark.parametrize("n, reps", [(0, 100), (1, 20_000), (3, 20_000), (64, 20_000), (64, 4)])
+def test_population_batch_matches_the_masked_reference(spec, n, reps):
+    # at (64, 4) every run dies before generation 64
+    dist = parse_offspring(spec)
+    rng, ref_rng = substream(1, "selftest"), substream(1, "selftest")
+    z = fw.population_batch(dist, n, reps, rng)
+    assert np.array_equal(z, _population_batch_masked(dist, n, reps, ref_rng))
+    assert z.dtype == np.int64 and z.any() == (reps > 4)
+    assert _next_draws(rng) == _next_draws(ref_rng)  # the same draws
+
+
+def test_population_batch_traced_peak_is_bounded():
+    # one generation of 1M runs: the draw's input and output (8 MB each),
+    # the survivors' mask and indices, and the result.  Measured 18.8 MiB;
+    # the boolean-mask compaction with an index array of every run took 26.4
+    tracemalloc.start()
+    try:
+        fw.population_batch(B, 1, 1_000_000, substream(8, "sizebias"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2**20, peak / 2**20
+
+
+def _tree_step_repeated_rows(u, x, rng):
+    """`forward.tree_step` as the rows repeated per child, then summed, as a
+    reference."""
+    nb = lat.neighborhood(u.dim)
+    w = u.values_at(x[:, None, :] - nb)
+    total = w.sum(axis=-1)
+    row, p = w / np.where(total > 0.0, total, 1.0)[:, None], total / w.shape[-1]
+    k = 1 + (rng.random(len(x)) < p / (2.0 - p))
+    x, row = np.repeat(x, k, axis=0), np.repeat(row, k, axis=0)
+    pick = (np.cumsum(row, axis=1) <= rng.random((len(x), 1))).sum(axis=1)
+    return k, x - nb[np.minimum(pick, 2 * u.dim)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tree_step_matches_the_repeated_rows_reference(d):
+    # every horizon of a ball-targeted sweep, from random offsets of one seed
+    # that reach past each field's box
+    ell, top = 2.0, 40
+    ball = lat.Field.tabulate(lambda s: lat.in_ball(s, ell), d, 2, step=0)
+    draw = substream(9, "selftest")
+    for u in lat.sweep(top, d, fw.BINARY_HITTING, fw._tree_clamp(top, d, ell), ball):
+        x = draw.integers(-u.radius - 2, u.radius + 3, size=(300, d))
+        seed = int(draw.integers(2**32))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        k, children = fw.tree_step(u, x, rng)
+        ref_k, ref_children = _tree_step_repeated_rows(u, x, ref_rng)
+        assert np.array_equal(k, ref_k) and np.array_equal(children, ref_children)
+        assert children.dtype == np.int64
+        assert _next_draws(rng) == _next_draws(ref_rng)
+
+
 def test_overlap_one_step_matches_enumeration():
     oracle = exact_overlap_mean_one_step()
     assert oracle == pytest.approx(9 / 25, abs=1e-12)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from brwlab import forward as fw
 from brwlab import lattice as lat
 from brwlab.rngstreams import substream
 
@@ -289,6 +290,25 @@ def test_one_step_kernel_is_uniform_on_neighborhood():
         site = tuple(i - 1 for i in idx)
         expect = 0.2 if site in offs else 0.0
         assert vals[idx] == expect
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_neighborhood_is_one_read_only_array_per_dimension(d):
+    offs = lat.neighborhood(d)
+    assert lat.neighborhood(d) is offs and not offs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offs[0, 0] = 1
+    eye = np.eye(d, dtype=np.int64)
+    assert offs.dtype == np.int64
+    assert np.array_equal(offs, np.concatenate((np.zeros((1, d), np.int64),
+                                                np.stack((eye, -eye), axis=1).reshape(-1, d))))
+    # callers that need their own array make one
+    own = offs.astype(np.int16)
+    own[0, 0] = 1
+    assert offs[0, 0] == 0
+    deltas = fw._move_deltas(d)
+    assert np.array_equal(fw.decode_sites(fw.encode_sites(np.zeros((1, d)), d)[0] + deltas, d),
+                          offs)
 
 
 def test_kernel_preserves_constants_in_the_interior():

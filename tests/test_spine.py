@@ -456,6 +456,52 @@ def test_ball_occupancy_bounds():
     assert np.all(out["occupied"] <= out["W"])
 
 
+def _occupied_unique_rows(walk, rel, n, reps):
+    """The occupied sites per replicate by np.unique over (replicate, offset)
+    rows, each replicate's tip at offset 0, as a reference."""
+    tips = np.zeros((reps, rel.shape[1] + 1), dtype=np.int64)
+    tips[:, 0] = np.arange(reps)
+    pairs = np.unique(np.concatenate((tips, np.column_stack((walk // n, rel)))), axis=0)
+    return np.bincount(pairs[:, 0], minlength=reps)
+
+
+def _recording_attached_walks(monkeypatch, fake=None):
+    """Record what `spine_typical_batch` reads off `forward.attached_walks`
+    (or hand it `fake`'s output instead)."""
+    seen, real = [], fw.attached_walks
+    monkeypatch.setattr(fw, "attached_walks",
+                        lambda *args: seen.append((fake or real)(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("ell", [0, 3])
+@pytest.mark.parametrize("route", ["staggered", "tree"])
+def test_occupied_count_matches_the_unique_rows_reference(monkeypatch, d, ell, route):
+    n, reps = (16, 10) if route == "staggered" else (48, 400)
+    assert fw._takes_tree(reps, n, ell, B, d) == (route == "tree")
+    seen = _recording_attached_walks(monkeypatch)
+    out = sp.spine_typical_batch(n, reps, substream(45, "spine"), d=d, ell=ell)
+    (walk, rel), = seen
+    assert np.array_equal(out["occupied"], _occupied_unique_rows(walk, rel, n, reps))
+    assert out["occupied"].max() > 1 or ell == 0
+
+
+def test_occupied_count_key_holds_at_the_widest_offsets(monkeypatch):
+    # a walk of age i ends within i of the origin and is read at a site within
+    # i + 2 of it, so offsets reach 2n per axis at any ell; here n = 2**14 in
+    # d = 3, with offsets at opposite corners of that box
+    n, reps, d = fw.COORD_OFF, 3, 3
+    corners = np.array([[2 * n, -2 * n, 2 * n], [-2 * n, 2 * n, -2 * n], [0, 0, 0],
+                        [2 * n, -2 * n, 2 * n], [1, 0, -1]], dtype=np.int64)
+    walk = np.array([0, 0, 1, 2 * n + 5, 2 * n + 7], dtype=np.int64)
+    seen = _recording_attached_walks(monkeypatch, lambda *args: (walk, corners))
+    out = sp.spine_typical_batch(n, reps, substream(46, "spine"), d=d, ell=1e9)
+    assert len(seen) == 1
+    assert out["occupied"].tolist() == [3, 1, 3]
+    assert np.array_equal(out["occupied"], _occupied_unique_rows(walk, corners, n, reps))
+
+
 def test_ball_batch_memory_does_not_scale_with_the_ball():
     # (2 ell + 1)^2 int64 cells at ell = 1e5 would be 3.2e11 bytes
     rng = substream(35, "spine-ball")
