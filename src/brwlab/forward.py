@@ -303,14 +303,16 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 # attached walks: many independent walks, each read near its own query site
 
 
-def _takes_tree(reps: int, n: int, ell: float, dist: OffspringDist, d: int) -> bool:
+def _takes_tree(reps: int, n: int, d: int, radii: np.ndarray | None) -> bool:
     """The route rule for `reps` replicates of n walks (module doc): binary
-    fission, and either the reps n walk tags do not fit the key packing
-    range, or the staggered array's expected particle-generations exceed the
-    cells that the tree's two sweeps store."""
-    if not dist.is_binary:
+    fission, which alone has the tree's clamp schedule `radii`
+    (`_tree_clamp(n - 1, d, ell)`, None for other laws), and either the
+    reps n walk tags do not fit the key packing range, or the staggered
+    array's expected particle-generations exceed the cells that the tree's
+    two sweeps store."""
+    if radii is None:
         return False
-    cells = 2 * sum(math.comb(int(r) + d, d) for r in _tree_clamp(n - 1, d, ell)[1:])
+    cells = 2 * sum(math.comb(int(r) + d, d) for r in radii[1:])
     return reps * n >= _max_tags(d) or reps * n * (n - 1) // 2 > cells
 
 
@@ -327,8 +329,9 @@ def attached_walks(query: np.ndarray, ell: float, dist: OffspringDist,
     from the shape, `ell` and the law alone."""
     reps, n, d = query.shape
     _check_capacity(n - 1, d, 0)  # the reach; walk tags only bound the staggered keys
-    if _takes_tree(reps, n, ell, dist, d):
-        return _tree_walks(query, ell, rng)
+    radii = _tree_clamp(n - 1, d, ell) if dist.is_binary else None  # one schedule per batch
+    if _takes_tree(reps, n, d, radii):
+        return _tree_walks(query, ell, radii, rng)
     _check_capacity(n - 1, d, reps * n)
     return _staggered_walks(query, ell, dist, rng)
 
@@ -377,14 +380,15 @@ def tree_step(u: Field, x: np.ndarray, rng: np.random.Generator) -> tuple[np.nda
     return k, x
 
 
-def _tree_walks(query, ell, rng):
+def _tree_walks(query, ell, radii, rng):
     """`attached_walks` for binary fission on the ball-targeted reduced tree
-    (module doc); x holds the kept particles' offsets, query site minus site."""
+    (module doc), its horizon m clamped at radii[m] (`_tree_clamp`); x holds
+    the kept particles' offsets, query site minus site."""
     reps, n, d = query.shape
     owner = np.empty(0, dtype=np.int64)
     x = np.empty((0, d), dtype=np.int64)
     ball = Field.tabulate(lambda s: in_ball(s, ell), d, math.floor(ell), step=0)
-    for u in ReversedSweep(n - 1, d, BINARY_HITTING, _tree_clamp(n - 1, d, ell), start=ball):
+    for u in ReversedSweep(n - 1, d, BINARY_HITTING, radii, start=ball):
         if len(x):
             k, x = tree_step(u, x, rng)
             owner = np.repeat(owner, k)

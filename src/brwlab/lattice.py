@@ -71,8 +71,10 @@ def _cell_count(d: int, radius: int) -> int:
     return math.comb(radius + d, d)
 
 
+@functools.cache
 def _radius_of(count: int, d: int) -> int:
-    """The radius R with C(R + d, d) == count; ValueError if there is none."""
+    """The radius R with C(R + d, d) == count; ValueError if there is none.
+    Cached: every sweep step asks it of its input and output lengths."""
     if not 1 <= d <= 3:
         raise ValueError(f"fields live in dimension 1..3, not {d}")
     r = max(0, int((count * math.factorial(d)) ** (1.0 / d)) - d)

@@ -15,7 +15,8 @@ geometric table ends where the remaining mass drops below 1e-15.
 Sampling of offspring sums is exact.  Binary fission's sum over k parents is
 twice the number of set bits among k fair bits: the entries of a parent-count
 array own disjoint runs of a stream of uniform 64-bit words, read block by
-block as differences of prefix popcounts (`_fair_bit_counts`).  Every other
+block as differences of prefix popcounts, or bit by bit where every entry of
+a block owns the same one or two bits (`_fair_bit_counts`).  Every other
 law adds up per-particle draws (`sample_each`), the draws the particle engine
 makes: inverse CDF on the head, and a uniform past the head's mass draws from
 the tail by rejection from a continuous Pareto envelope (`PowerTail.draw`).
@@ -238,7 +239,7 @@ class OffspringDist:
         `k` may be a scalar or an integer array; the output matches its shape.
         """
         karr = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        if np.any(karr < 0):
+        if karr.min(initial=0) < 0:  # one reduction, no mask of len(k)
             raise ValueError("parent count must be >= 0")
         if self.is_binary:
             out = _fair_bit_counts(karr, rng)
@@ -336,12 +337,23 @@ def _fair_bit_counts(karr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     of the entries before it in the block.  The set bits below bit b of the
     stream are the popcounts of its b >> 6 full words plus those of the low
     b & 63 bits of the next word; an entry's count is the difference of these
-    at its run's two ends.  The draws depend only on karr and the rng state."""
+    at its run's two ends.  The draws depend only on karr and the rng state.
+
+    A block whose entries all own the same c = 1 or 2 bits (a population
+    batch's first generation is all ones, its second all twos) reads its
+    counts bit by bit instead (`_constant_fair_bits`).  It draws the same
+    (c len >> 6) + 1 words, since its bits end at c len, and bit b of the
+    stream is bit b & 63 of word b >> 6 in both readings, so every count and
+    every later draw are the word path's."""
     out = np.empty_like(karr)
     for lo in range(0, len(karr), _FAIR_BLOCK):
-        ends = np.cumsum(karr[lo:lo + _FAIR_BLOCK])
-        words = rng.integers(0, 2**64 - 1, size=(int(ends[-1]) >> 6) + 1,
-                             dtype=np.uint64, endpoint=True)
+        block = karr[lo:lo + _FAIR_BLOCK]
+        c = int(block[0])
+        if c in (1, 2) and block.max() == c == block.min():
+            out[lo:lo + len(block)] = _constant_fair_bits(c, len(block), rng)
+            continue
+        ends = np.cumsum(block)
+        words = _fair_words(int(ends[-1]), rng)
         below = np.zeros(len(words) + 1, dtype=np.int64)  # set bits in words[:j]
         np.cumsum(np.bitwise_count(words), out=below[1:])
         word = ends >> 6
@@ -349,6 +361,21 @@ def _fair_bit_counts(karr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out[lo] = upto[0]
         np.subtract(upto[1:], upto[:-1], out=out[lo + 1:lo + len(upto)])
     return out
+
+
+def _fair_words(bits: int, rng: np.random.Generator) -> np.ndarray:
+    """The (bits >> 6) + 1 uniform words of a block whose runs end at bit
+    `bits`."""
+    return rng.integers(0, 2**64 - 1, size=(bits >> 6) + 1, dtype=np.uint64, endpoint=True)
+
+
+def _constant_fair_bits(c: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """`_fair_bit_counts` of m entries that each own c = 1 or 2 bits: entry i
+    owns stream bits c i .. c i + c - 1, read least significant bit first."""
+    words = _fair_words(c * m, rng)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         count=c * m, bitorder="little")
+    return bits if c == 1 else bits[0::2] + bits[1::2]
 
 
 def _success_positions(trials: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -202,10 +202,16 @@ def test_attached_walks_counts_match_transition_field():
             assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps), (age, exact)
 
 
+def tree_clamp(query, ell):
+    """The clamp schedule `attached_walks` hands the tree for `query`."""
+    _, n, d = query.shape
+    return fw._tree_clamp(n - 1, d, ell)
+
+
 # both attached-walk engines, called directly whatever route the rule picks
 ENGINES = {
     "staggered": lambda query, ell, rng: fw._staggered_walks(query, ell, B, rng),
-    "tree": lambda query, ell, rng: fw._tree_walks(query, ell, rng),
+    "tree": lambda query, ell, rng: fw._tree_walks(query, ell, tree_clamp(query, ell), rng),
 }
 
 
@@ -249,7 +255,7 @@ def test_clamped_tree_ball_count_matches_transition_mass():
     assert fw._tree_clamp(top, 2, ell).max() < top
     query = queries(site, reps, top + 1)
     query[:, :top] = 300  # the younger walks never reach their balls
-    walk, _ = fw._tree_walks(query, ell, substream(64, "selftest"))
+    walk, _ = fw._tree_walks(query, ell, tree_clamp(query, ell), substream(64, "selftest"))
     x = np.bincount(walk[walk % (top + 1) == top] // (top + 1), minlength=reps)
     exact = lat.transition_field(top, 2).values_at(site + lat.sites_in_ball(2, ell)).sum()
     assert abs(x.mean() - exact) <= 4 * x.std(ddof=1) / math.sqrt(reps) + 1e-14
@@ -261,7 +267,7 @@ def test_tree_fields_cold_and_warm_cache_agree_bit_for_bit():
     query = queries([(1, 0), (2, -1), (0, 3), (1, 1)], 500, 13)
 
     def draw(ell, seed):
-        return fw._tree_walks(query, ell, substream(seed, "selftest"))
+        return fw._tree_walks(query, ell, tree_clamp(query, ell), substream(seed, "selftest"))
 
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -316,6 +322,19 @@ def test_attached_walks_beyond_the_tag_range_take_the_tree(route):
     assert reps * n >= fw._max_tags(3) > 250 * n
     assert route(n, reps, d=3) == "_tree_walks"
     assert route(n, 250, d=3) == "_staggered_walks"
+
+
+def test_tree_batch_computes_one_clamp_schedule(monkeypatch):
+    # the route rule and the tree's sweep share one schedule
+    query = queries([(1, 0), (0, 2)], 200, 32)
+    assert fw._takes_tree(200, 32, 2, fw._tree_clamp(31, 2, 1.5))
+    calls, real = [], fw.clamp_schedule
+    monkeypatch.setattr(fw, "clamp_schedule", lambda *a: calls.append(a) or real(*a))
+    walk, _ = fw.attached_walks(query, 1.5, B, substream(70, "selftest"))
+    assert walk.size and calls == [(31, 2, 1e-14)]
+    calls.clear()
+    fw.attached_walks(query, 1.5, geometric(2), substream(70, "selftest"))
+    assert calls == []  # the staggered array needs no schedule
 
 
 def test_attached_walks_checks_range_before_choosing_a_route(monkeypatch):

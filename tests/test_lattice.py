@@ -259,6 +259,21 @@ def test_field_rejects_a_length_that_is_no_box(d, count):
         lat.Field(np.ones((3, 3)), 2)
     with pytest.raises(ValueError, match="dimension 1..3"):
         lat.Field(np.ones(1), 4)
+    # a failed lookup is not cached: the same length fails again
+    with pytest.raises(ValueError, match=r"C\(R \+ \d, \d\) values"):
+        lat.Field(np.ones(count), d)
+
+
+def test_sweep_finds_each_radius_once_not_on_every_step():
+    # a 64-step sweep clamped at 8 asks the radius of each field twice (as
+    # the step's input and as the next field), but its fields have only 9
+    # lengths; a second sweep finds every one of them cached
+    lat._radius_of.cache_clear()
+    list(lat.sweep(64, 2, clamp=8))
+    info = lat._radius_of.cache_info()
+    assert info.hits + info.misses >= 2 * 64 and info.misses <= 9
+    list(lat.sweep(64, 2, clamp=8))
+    assert lat._radius_of.cache_info().misses == info.misses
 
 
 def test_sweep_rejects_a_horizon_below_its_start():

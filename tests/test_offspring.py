@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from brwlab import forward as fw
 from brwlab import offspring as off
 from brwlab.rngstreams import substream
 from brwlab.stats import chi_square
@@ -167,6 +168,75 @@ def test_fair_bit_sums_are_binomial_half(families, monkeypatch):
     for lag in (1, 2):
         r = np.corrcoef(bits[:-lag], bits[lag:])[0, 1]
         assert abs(r) <= 5 / math.sqrt(len(bits)), (lag, r)
+
+
+def word_path_counts(karr, rng):
+    """`_fair_bit_counts` read by prefix popcounts in every block, the
+    one- and two-bit blocks included: the reference for their bit reading."""
+    out = np.empty_like(karr)
+    for lo in range(0, len(karr), off._FAIR_BLOCK):
+        ends = np.cumsum(karr[lo:lo + off._FAIR_BLOCK])
+        words = rng.integers(0, 2**64 - 1, size=(int(ends[-1]) >> 6) + 1,
+                             dtype=np.uint64, endpoint=True)
+        below = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words), out=below[1:])
+        word = ends >> 6
+        upto = below[word] + np.bitwise_count(words[word] & off._LOW_BITS[ends & 63])
+        out[lo:lo + len(upto)] = np.diff(upto, prepend=0)
+    return out
+
+
+@pytest.fixture
+def bit_blocks(monkeypatch):
+    """(c, entries) of every block that `_fair_bit_counts` reads bit by bit."""
+    seen, real = [], off._constant_fair_bits
+    monkeypatch.setattr(off, "_constant_fair_bits",
+                        lambda c, m, rng: seen.append((c, m)) or real(c, m, rng))
+    return seen
+
+
+_F = off._FAIR_BLOCK
+_MIXED = substream(16, "selftest").integers(1, 3, size=_F // 2)  # ones and twos
+FAIR_CASES = {  # entries -> the (c, entries) blocks read bit by bit
+    "ones": (np.ones(3 * _F + 17, dtype=np.int64), [(1, _F)] * 3 + [(1, 17)]),
+    "twos": (np.full(2 * _F - 5, 2, dtype=np.int64), [(2, _F), (2, _F - 5)]),
+    "ones-then-mixed": (np.concatenate((np.ones(_F, dtype=np.int64), _MIXED)), [(1, _F)]),
+    "mixed-then-twos": (np.concatenate((_MIXED, np.full(_F // 2 + 3, 2))), [(2, 3)]),
+    "zeros": (np.zeros(1000, dtype=np.int64), []),
+    "single-one": (np.ones(1, dtype=np.int64), [(1, 1)]),
+    "single-two": (np.full(1, 2, dtype=np.int64), [(2, 1)]),
+    "threes": (np.full(_F + 3, 3, dtype=np.int64), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIR_CASES))
+def test_one_and_two_bit_blocks_match_the_word_path(bit_blocks, case):
+    # the same counts, and the generator left where the word path leaves it
+    k, blocks = FAIR_CASES[case]
+    rng, twin = substream(17, "selftest"), substream(17, "selftest")
+    got = off._fair_bit_counts(k, rng)
+    assert np.array_equal(got, word_path_counts(k, twin))
+    assert rng.integers(0, 2**63) == twin.integers(0, 2**63)
+    assert bit_blocks == blocks
+
+
+def test_population_batch_reads_both_generations_bit_by_bit(bit_blocks):
+    # one particle per replicate: all ones, then all twos after compaction
+    reps = 5000
+    z = fw.population_batch(off.binary(), 2, reps, substream(18, "selftest"))
+    assert [c for c, _ in bit_blocks] == [1, 2] and bit_blocks[0][1] == reps
+    assert 0 < bit_blocks[1][1] < reps and z.max() > 0
+
+
+def test_negative_parent_count_raises(families):
+    rng = substream(19, "selftest")
+    for k in (-1, np.array([3, 0, -2, 5]), np.array([-1])):
+        with pytest.raises(ValueError, match="parent count must be >= 0"):
+            families["binary"].sample_offspring_sum(k, rng)
+        with pytest.raises(ValueError, match="parent count must be >= 0"):
+            families["geometric"].sample_offspring_sum(k, rng)
+    empty = families["binary"].sample_offspring_sum(np.empty(0, dtype=np.int64), rng)
+    assert empty.shape == (0,)
 
 
 def binomial_pmf(r, q):

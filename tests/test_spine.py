@@ -16,6 +16,11 @@ B = binary()
 RETURN_COEF_2D = 5.0 / (4.0 * math.pi)  # n * P_n(0) -> 5/(4*pi) in d = 2
 
 
+def takes_tree(reps, n, ell, d):
+    """The route `attached_walks` picks for a binary batch of this shape."""
+    return fw._takes_tree(reps, n, d, fw._tree_clamp(n - 1, d, ell))
+
+
 def test_exact_mean_gamma_first_term_and_monotone():
     p4 = transition_field(4, 2).value_at((0, 0))
     assert sp.exact_mean_gamma(2)[-1] == pytest.approx(p4, abs=1e-12)
@@ -117,7 +122,7 @@ def test_tstar_read_off_a_ball_batch(route):
     # 1 + 1/5 + E Gamma_n, and no replicate has fewer particles in the ball
     n, ell = (16, 3) if route == "staggered" else (64, 3)
     batches, reps = (200, 10) if route == "staggered" else (1, 3000)
-    assert fw._takes_tree(reps, n, ell, B, 2) == (route == "tree")
+    assert takes_tree(reps, n, ell, 2) == (route == "tree")
     rng = substream(42, "spine")
     outs = [sp.spine_typical_batch(n, reps, rng, ell=ell) for _ in range(batches)]
     t = np.concatenate([o["Tstar"] for o in outs]).astype(np.float64)
@@ -140,7 +145,7 @@ def test_d3_batch_beyond_the_tag_range_takes_the_tree():
     # the d = 3 tag range of one particle array; they run as one tree batch
     rng = substream(39, "spine")
     n, reps = 2, 2**17 + 10
-    assert reps * n >= fw._max_tags(3) and fw._takes_tree(reps, n, 0, B, 3)
+    assert reps * n >= fw._max_tags(3) and takes_tree(reps, n, 0, 3)
     t = sp.spine_typical_batch(n, reps, rng, d=3)["Tstar"].astype(np.float64)
     exact = 1.0 + 1.0 / 7.0 + sp.exact_mean_gamma(n, 3)[n]
     assert abs(t.mean() - exact) <= 4 * t.std(ddof=1) / math.sqrt(reps)
@@ -151,7 +156,7 @@ def test_tree_batch_takes_one_reversed_pass(monkeypatch):
     # sweep to the checkpoints and one recomputed block after each, at most
     # 2 (n - 1) stencil steps whatever the batch size
     n, reps = 64, 10_000
-    assert fw._takes_tree(reps, n, 0, B, 2)
+    assert takes_tree(reps, n, 0, 2)
     steps = []
     real = lat.stencil_step
     monkeypatch.setattr(lat, "stencil_step", lambda *a, **k: steps.append(1) or real(*a, **k))
@@ -479,7 +484,7 @@ def _recording_attached_walks(monkeypatch, fake=None):
 @pytest.mark.parametrize("route", ["staggered", "tree"])
 def test_occupied_count_matches_the_unique_rows_reference(monkeypatch, d, ell, route):
     n, reps = (16, 10) if route == "staggered" else (48, 400)
-    assert fw._takes_tree(reps, n, ell, B, d) == (route == "tree")
+    assert takes_tree(reps, n, ell, d) == (route == "tree")
     seen = _recording_attached_walks(monkeypatch)
     out = sp.spine_typical_batch(n, reps, substream(45, "spine"), d=d, ell=ell)
     (walk, rel), = seen
