@@ -8,10 +8,12 @@ Reproducibility contract: every stochastic command requires --seed, and
 process: fixed blocks of BLOCK on the batched engines, in replicate order,
 block b drawing from the substream (seed, stream id, b), so reruns are
 byte-identical.  Primary outputs carry no timestamps; wall-clock metadata
-goes to a `<out>.meta.json` sidecar.  Each `exact` kind takes only the flags
-it reads.  A `--config` file may set only the command's (or the kind's)
-parameter flags; any other key fails, naming it, and a boolean reads `true`
-or `false`.
+goes to a `<out>.meta.json` sidecar.  One table, `_PARAMETERS`, declares
+each command's (and each `exact` kind's) parameter flags with their
+defaults, and `_FLAGS` their casts and ranges: the parser takes exactly those
+flags, a `--config` file may set exactly those keys (any other fails, naming
+it; a boolean reads `true` or `false`), `_resolve` range-checks every value
+before any work and the sidecar records them.
 """
 
 from __future__ import annotations
@@ -41,10 +43,52 @@ BLOCK = 256  # replicates per block (and per substream) in every stochastic comm
 _json_row = json.JSONEncoder(sort_keys=True).encode  # `json.dumps` builds one per row
 
 
-# dests a config file cannot set: the command, the files it reads and writes,
-# and what it runs
-_NOT_PARAMETERS = {"command", "fn", "config", "out", "kind", "suite", "summary",
-                   "chi_square_report"}
+def _boolean(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return text == "true"
+
+
+def _site(text: str) -> tuple[int, ...]:
+    """A target site such as `1,0`: one to three comma-separated integers."""
+    try:
+        x = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ValueError(f"must be comma-separated integers, got {text!r}") from None
+    if not 1 <= len(x) <= 3:
+        raise ValueError(f"dimension must be in [1, 3], got {len(x)}")
+    return x
+
+
+# flag: (cast, range); a range is (lo,) or (lo, hi) for `_check_range`, () for
+# finite only, or None for no check
+_FLAGS = {"n": (int, (0,)), "dim": (int, (1, 3)), "offspring": (str, None),
+          "reps": (int, (1,)), "conditioned": (_boolean, None), "seed": (int, None),
+          "ell": (float, (0,)), "x": (_site, None), "theta": (float, (0,)),
+          "clamp": (int, (1,)), "kappa": (float, ()), "n0": (int, (2,))}
+_FIELD = {"n": 8, "dim": 2, "offspring": "binary", "clamp": None}
+_MGF = {"n": 8, "dim": 2, "offspring": "binary", "theta": 0.05, "clamp": None}
+# command (or exact kind): {flag: default, or (default, range) where the range
+# overrides the flag's}, in the order the values are checked.  These are the
+# flags its parser takes, the keys its config file may set and the values its
+# sidecar records; a command that lists seed requires it.
+_PARAMETERS = {
+    "simulate": {"n": 32, "dim": 2, "offspring": "binary", "reps": 10, "conditioned": False,
+                 "seed": None},
+    "spine": {"n": (64, (2,)), "reps": 10, "ell": None, "seed": None},
+    "conditioned": {"n": (2, (1, fw.COORD_OFF - 1)), "reps": 100, "seed": None, "x": "1,0"},
+    "verify": {"seed": None},
+    "exact": {"p-field": {"n": 8, "dim": 2, "clamp": None}, "u-field": _FIELD, "mgf-field": _MGF,
+              "h-field": _MGF, "m2-field": _FIELD, "survival": {"n": 8, "offspring": "binary"},
+              "mean-occupied": _FIELD, "gamma": {"n": 8, "dim": 2},
+              "supersolution-verify": {"kappa": xf.KAPPA0, "n0": None}},
+}
+
+
+def _parameters(args) -> dict:
+    """The table's {flag: default} of the command (or exact kind) parsed into args."""
+    table = _PARAMETERS[args.command]
+    return table[args.kind] if args.command == "exact" else table
 
 
 def load_config(args) -> dict[str, str]:
@@ -62,36 +106,38 @@ def load_config(args) -> dict[str, str]:
                 raise SystemExit(f"config line without '=': {line!r}")
             k, v = line.split("=", 1)
             cfg[k.strip()] = v.strip()
-    unknown = sorted(set(cfg) - (set(vars(args)) - _NOT_PARAMETERS))
+    unknown = sorted(set(cfg) - set(_parameters(args)))
     if unknown:
         raise SystemExit(f"config key {unknown[0]!r} is not a parameter flag of {args.command}")
     return cfg
 
 
-def resolve(args, cfg: dict, key: str, cast, default):
-    """Precedence: explicit flag > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise SystemExit(f"config key {key} = {cfg[key]!r}: {exc}") from None
-    return default
-
-
-def _boolean(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError("must be true or false")
-    return text == "true"
-
-
-def _seed(args, cfg: dict) -> int:
-    seed = resolve(args, cfg, "seed", int, None)
-    if seed is None:
-        raise SystemExit("--seed is required for stochastic commands")
-    return seed
+def _resolve(args) -> dict:
+    """The command's parameters, which its sidecar records: each value from
+    its flag, else the config file, else the table's default (precedence flag
+    > config > default), cast if it is still text and range-checked in table
+    order; a listed --seed must be given."""
+    cfg = load_config(args)
+    resolved = {k: v for k, v in vars(args).items() if k in ("command", "kind")}
+    for flag, entry in _parameters(args).items():
+        cast, bounds = _FLAGS[flag]
+        default, bounds = entry if isinstance(entry, tuple) else (entry, bounds)
+        value, where = getattr(args, flag), f"--{flag}"
+        if value is None and flag in cfg:
+            value, where = cfg[flag], f"config key {flag} = {cfg[flag]!r}:"
+        elif value is None:
+            value = default
+        if isinstance(value, str):
+            try:
+                value = cast(value)
+            except ValueError as exc:
+                raise SystemExit(f"{where} {exc}") from None
+        if value is None and flag == "seed":
+            raise SystemExit("--seed is required for stochastic commands")
+        if value is not None and bounds is not None:
+            _check_range(value, f"--{flag}", *bounds)
+        resolved[flag] = value
+    return resolved
 
 
 @contextmanager
@@ -107,14 +153,8 @@ def _output(path: str | None):
 def _write_sidecar(path: str | None, resolved: dict) -> None:
     if not path or path == "-":
         return
-    meta = dict(resolved)
-    meta["written_at_unix"] = time.time()
     with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-
-
-def _provenance(resolved: dict) -> str:
-    return " ".join(f"{k}={resolved[k]}" for k in sorted(resolved))
+        json.dump({**resolved, "written_at_unix": time.time()}, fh, sort_keys=True, indent=1)
 
 
 def _check_range(value, flag: str, lo=-math.inf, hi=math.inf):
@@ -126,7 +166,6 @@ def _check_range(value, flag: str, lo=-math.inf, hi=math.inf):
         if isinstance(value, float) and lo > -math.inf:
             bound = f"finite and {bound}"
         raise SystemExit(f"{flag} must be {bound}, got {value}")
-    return value
 
 
 def _offspring(spec: str):
@@ -146,9 +185,7 @@ def _run_blocks(args, resolved: dict, stream: str, block) -> None:
     blocks = [block(substream(seed, stream, b), first, min(BLOCK, reps - first))
               for b, first in enumerate(range(0, reps, BLOCK))]
     with _output(args.out) as out:
-        for lines in blocks:
-            for line in lines:
-                out.write(line + "\n")
+        out.writelines(line + "\n" for lines in blocks for line in lines)
     _write_sidecar(args.out, resolved)
 
 
@@ -157,16 +194,9 @@ def _run_blocks(args, resolved: dict, stream: str, block) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args)
-    n = _check_range(resolve(args, cfg, "n", int, 32), "--n", 0)
-    d = _check_range(resolve(args, cfg, "dim", int, 2), "--dim", 1, 3)
-    spec = resolve(args, cfg, "offspring", str, "binary")
-    reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
-    conditioned = resolve(args, cfg, "conditioned", _boolean, False)
-    seed = _seed(args, cfg)
-    resolved = {"command": "simulate", "n": n, "dim": d, "offspring": spec,
-                "reps": reps, "seed": seed, "conditioned": conditioned}
-    dist = _offspring(spec)
+    resolved = _resolve(args)
+    n, d, seed, conditioned = (resolved[k] for k in ("n", "dim", "seed", "conditioned"))
+    dist = _offspring(resolved["offspring"])
     survival = xf.survival_sequence(dist, n) if conditioned else None
 
     def block(rng, first, count):
@@ -191,28 +221,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spine(args) -> int:
-    cfg = load_config(args)
-    n = _check_range(resolve(args, cfg, "n", int, 64), "--n", 2)
-    reps = _check_range(resolve(args, cfg, "reps", int, 10), "--reps", 1)
-    ell = resolve(args, cfg, "ell", float, None)
-    if ell is not None:
-        _check_range(ell, "--ell", 0)
-    seed = _seed(args, cfg)
-    resolved = {"command": "spine", "n": n, "reps": reps, "seed": seed,
-                "ell": ell, "dim": 2, "offspring": "binary"}
+    resolved = _resolve(args)
+    n, ell, seed = resolved["n"], resolved["ell"], resolved["seed"]
 
     def block(rng, first, count):
         out = sp.spine_typical_batch(n, count, rng, 2, ell=0 if ell is None else ell)
         split = sp.gamma_split(out)
         lines = []
         for i in range(count):
-            row = {
-                "rep": first + i, "n": n, "seed": seed,
-                "Tstar": int(out["Tstar"][i]),
-                "Gamma": float(split["Gamma"][i]),
-                "Delta": float(split["Delta"][i]),
-                "clamp_miss_count": int(split["clamp_misses"][i]),
-            }
+            row = {"rep": first + i, "n": n, "seed": seed, "Tstar": int(out["Tstar"][i]),
+                   "Gamma": float(split["Gamma"][i]), "Delta": float(split["Delta"][i]),
+                   "clamp_miss_count": int(split["clamp_misses"][i])}
             if ell is not None:
                 row["W"] = int(out["W"][i])
                 row["ell"] = ell
@@ -227,37 +246,10 @@ def cmd_spine(args) -> int:
 # exact
 
 
-# the flags each kind reads, which its sidecar records, in the order they are checked
-_EXACT_KINDS = {
-    "p-field": ("n", "dim", "clamp"),
-    "u-field": ("n", "dim", "offspring", "clamp"),
-    "mgf-field": ("n", "dim", "offspring", "theta", "clamp"),
-    "h-field": ("n", "dim", "offspring", "theta", "clamp"),
-    "m2-field": ("n", "dim", "offspring", "clamp"),
-    "survival": ("n", "offspring"),
-    "mean-occupied": ("n", "dim", "offspring", "clamp"),
-    "gamma": ("n", "dim"),
-    "supersolution-verify": ("kappa", "n0"),
-}
-# flag: (type, default, range for `_check_range` or None); a None value is not checked
-_EXACT_FLAGS = {"n": (int, 8, (0,)), "dim": (int, 2, (1, 3)), "offspring": (str, "binary", None),
-                "theta": (float, 0.05, (0,)), "clamp": (int, None, (1,)),
-                "kappa": (float, xf.KAPPA0, ()), "n0": (int, None, (2,))}
-
-
 def cmd_exact(args) -> int:
-    cfg = load_config(args)
+    resolved = _resolve(args)
     kind = args.kind
-    resolved = {"command": "exact", "kind": kind}
-    for flag in _EXACT_KINDS[kind]:
-        cast, default, bounds = _EXACT_FLAGS[flag]
-        value = resolved[flag] = resolve(args, cfg, flag, cast, default)
-        if value is not None and bounds is not None:
-            _check_range(value, f"--{flag}", *bounds)
-    if kind == "supersolution-verify" and resolved["n0"] is None:
-        resolved["n0"] = xf.find_supersolution_start(resolved["kappa"])
-    n, d, spec, theta, clamp = (resolved.get(flag)
-                                for flag in ("n", "dim", "offspring", "theta", "clamp"))
+    n, d, spec, theta, clamp = map(resolved.get, ("n", "dim", "offspring", "theta", "clamp"))
     dist = None if spec is None else _offspring(spec)
     # a field or a JSON document, computed before --out is opened so that a
     # failure leaves no file behind
@@ -280,8 +272,8 @@ def cmd_exact(args) -> int:
                   "tail_bound": tail}
     elif kind == "gamma":
         result = {"n": n, "exact_mean_gamma": float(sp.exact_mean_gamma(n, d)[-1])}
-    else:  # supersolution-verify
-        n0 = resolved["n0"]
+    else:  # supersolution-verify; the start search gives --n0's default
+        n0 = resolved["n0"] = resolved["n0"] or xf.find_supersolution_start(resolved["kappa"])
         result = xf.verify_supersolution(xf.SuperSolutionParams(resolved["kappa"]),
                                          range(n0, 4 * n0 + 1))
     with _output(args.out) as out:
@@ -299,18 +291,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_conditioned(args) -> int:
-    cfg = load_config(args)
-    n = _check_range(resolve(args, cfg, "n", int, 2), "--n", 1, fw.COORD_OFF - 1)
-    reps = _check_range(resolve(args, cfg, "reps", int, 100), "--reps", 1)
-    seed = _seed(args, cfg)
-    raw_x = resolve(args, cfg, "x", str, "1,0")
-    try:
-        x = tuple(int(c) for c in raw_x.split(","))
-    except ValueError:
-        raise SystemExit(f"--x must be comma-separated integers, got {raw_x!r}") from None
-    _check_range(len(x), "--x dimension", 1, 3)
-    resolved = {"command": "conditioned", "n": n, "x": ",".join(map(str, x)),
-                "reps": reps, "seed": seed}
+    resolved = _resolve(args)
+    n, x = resolved["n"], resolved["x"]
     sampler = cr.ConditionedSampler(n, x)
     drawn = []  # each block's values, for the chi-square report
 
@@ -329,7 +311,7 @@ def cmd_conditioned(args) -> int:
         obs = np.bincount(np.concatenate(drawn), minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         with open(args.chi_square_report, "w") as fh:
-            json.dump({"n": n, "x": list(x), "reps": reps, **chi}, fh, sort_keys=True)
+            json.dump({"n": n, "x": list(x), "reps": resolved["reps"], **chi}, fh, sort_keys=True)
     return 0
 
 
@@ -338,15 +320,15 @@ def cmd_conditioned(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _seed(args, load_config(args))
+    resolved = _resolve(args)
     names = list(vf.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in vf.SUITES:
-            raise SystemExit(f"unknown suite {name!r}; choose from {sorted(vf.SUITES)}")
-    rows, per_suite = vf.run_suites(names, seed, echo=print)
-    resolved = {"command": "verify", "suite": ",".join(names), "seed": seed}
+    if not set(names) <= set(vf.SUITES):
+        raise SystemExit(f"unknown suite {args.suite!r}; choose from {sorted(vf.SUITES)}")
+    rows, per_suite = vf.run_suites(names, resolved["seed"], echo=print)
+    resolved["suite"] = ",".join(names)
     with _output(args.out) as out:
-        st.write_report_csv(rows, out, header_lines=[_provenance(resolved)])
+        provenance = " ".join(f"{k}={resolved[k]}" for k in sorted(resolved))
+        st.write_report_csv(rows, out, header_lines=[provenance])
     _write_sidecar(args.out, {**resolved, **per_suite})
     summary = st.summary_dict(rows)
     if args.summary:
@@ -386,50 +368,34 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="critical branching random walk laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, seed=True):
+    def parameters(q, table):
+        """--config, --out and the table's parameter flags; a text cast (--x)
+        runs in `_resolve`, where a failure names the flag."""
         q.add_argument("--config", help="flat key=value config file")
-        if seed:
-            q.add_argument("--seed", type=int)
         q.add_argument("--out", help="output path ('-' for stdout)", default="-")
+        for flag in table:
+            cast = _FLAGS[flag][0]
+            if cast is _boolean:
+                q.add_argument(f"--{flag}", action="store_const", const=True)
+            else:
+                q.add_argument(f"--{flag}", type=cast if cast in (int, float) else None)
 
-    q = sub.add_parser("simulate", help="forward occupancy runs (JSONL)")
-    common(q)
-    q.add_argument("--n", type=int)
-    q.add_argument("--dim", type=int)
-    q.add_argument("--offspring")
-    q.add_argument("--reps", type=int)
-    q.add_argument("--conditioned", action="store_const", const=True, default=None)
-    q.set_defaults(fn=cmd_simulate)
-
-    q = sub.add_parser("spine", help="size-biased spine samples (JSONL)")
-    common(q)
-    q.add_argument("--n", type=int)
-    q.add_argument("--reps", type=int)
-    q.add_argument("--ell", type=float)
-    q.set_defaults(fn=cmd_spine)
-
-    q = sub.add_parser("exact", help="deterministic fields and scalars")
-    kinds = q.add_subparsers(dest="kind", required=True)
-    for kind, flags in _EXACT_KINDS.items():
-        k = kinds.add_parser(kind)
-        common(k, seed=False)
-        for flag in flags:
-            k.add_argument(f"--{flag}", type=_EXACT_FLAGS[flag][0])
-    q.set_defaults(fn=cmd_exact)
-
-    q = sub.add_parser("conditioned", help="conditional single-site law (JSONL)")
-    common(q)
-    q.add_argument("--n", type=int)
-    q.add_argument("--x")
-    q.add_argument("--reps", type=int)
-    q.add_argument("--chi-square-report", help="write a chi-square JSON report here")
-    q.set_defaults(fn=cmd_conditioned)
-
-    q = sub.add_parser("verify", help="run verification suites")
-    common(q)
-    q.add_argument("--suite", default="all")
-    q.add_argument("--summary", help="write a pass/fail summary JSON here")
-    q.set_defaults(fn=cmd_verify)
+    for name, fn, text in (("simulate", cmd_simulate, "forward occupancy runs (JSONL)"),
+                           ("spine", cmd_spine, "size-biased spine samples (JSONL)"),
+                           ("exact", cmd_exact, "deterministic fields and scalars"),
+                           ("conditioned", cmd_conditioned, "conditional single-site law (JSONL)"),
+                           ("verify", cmd_verify, "run verification suites")):
+        q = sub.add_parser(name, help=text)
+        q.set_defaults(fn=fn)
+        if name != "exact":
+            parameters(q, _PARAMETERS[name])
+    kinds = sub.choices["exact"].add_subparsers(dest="kind", required=True)
+    for kind, table in _PARAMETERS["exact"].items():
+        parameters(kinds.add_parser(kind), table)
+    sub.choices["conditioned"].add_argument(
+        "--chi-square-report", help="write a chi-square JSON report here")
+    sub.choices["verify"].add_argument("--suite", default="all")
+    sub.choices["verify"].add_argument("--summary", help="write a pass/fail summary JSON here")
 
     q = sub.add_parser("report", help="aggregate a JSONL file into a stats CSV")
     q.add_argument("--input", required=True)

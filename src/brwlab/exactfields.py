@@ -38,7 +38,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .lattice import Field, clamp_schedule, last, stencil_step, sweep
+from .lattice import Field, clamp_schedule, last, sweep
 from .offspring import OffspringDist
 
 
@@ -337,12 +337,9 @@ class SuperSolutionParams:
     def beta_n(self, n) -> float:
         return self.beta * (1.0 - 1.0 / np.log(n))
 
-    def amplitude(self, n) -> float:
-        return self.kappa / (n * np.log(n))
-
     def value(self, n, square_norm):
         """v_n at sites of squared norm `square_norm` (module doc)."""
-        return self.amplitude(n) * np.exp(-self.beta_n(n) * square_norm / (2.0 * n))
+        return self.kappa / (n * np.log(n)) * np.exp(-self.beta_n(n) * square_norm / (2.0 * n))
 
 
 KAPPA0 = 4.0 * math.exp(6.0 * BETA)  # smallest prefactor covering the core regime
@@ -365,25 +362,38 @@ def _square_norm(sites: np.ndarray) -> np.ndarray:
     return out
 
 
-def supersolution_margin(params: SuperSolutionParams, n: int):
-    """Margins of the one-step inequality v_{n+1} >= Pv_n (1 - Pv_n / 2) over
-    |x| <= 3n, with Pv_n from the stencil on the box of radius 3n + 1.
+def _bump_step(params: SuperSolutionParams, n: int, x: np.ndarray):
+    """(Pv_n, log(Pv_n / v_{n+1})) at the integer sites x[m, 2], in closed
+    form: P of the Gaussian bump is Pv_n(x) = v_n(x) (1 + 2 e^{-b/(2n)}
+    (cosh(b x_1/n) + cosh(b x_2/n))) / 5 with b = beta_n, and the log ratio,
+    in which kappa cancels, does not underflow where v_n and v_{n+1} do."""
+    b, r2 = params.beta_n(n), _square_norm(x)
+    cosh = np.cosh(b / n * x[:, 0]) + np.cosh(b / n * x[:, 1])
+    gain = (1.0 + 2.0 * math.exp(-b / (2 * n)) * cosh) / 5.0
+    log_ratio = (math.log((n + 1) * math.log(n + 1) / (n * math.log(n))) + np.log(gain)
+                 + (params.beta_n(n + 1) / (2 * (n + 1)) - b / (2 * n)) * r2)
+    return params.value(n, r2) * gain, log_ratio
 
-    Returns (min margin, min relative margin, argmin site (x1 <= x2) of the
-    relative margin); the relative margin is (v_{n+1} - Pv_n (1 - Pv_n/2)) /
-    v_{n+1}, taken where v_{n+1} does not underflow to 0.
+
+def supersolution_margin(params: SuperSolutionParams, n: int):
+    """The smallest relative margin of the one-step inequality v_{n+1} >=
+    Pv_n (1 - Pv_n / 2) over |x| <= 3n, and its site (x1 <= x2).
+
+    The relative margin (v_{n+1} - Pv_n (1 - Pv_n/2)) / v_{n+1} is read as
+    1 - exp(log(Pv_n / v_{n+1})) (1 - Pv_n/2) (`_bump_step`), so its sign
+    holds where the bump underflows (|x| near 3n from n = 256 on).
     """
-    S = 3 * n  # margin grid: the box of radius 3n
-    pv, _ = stencil_step(supersolution_field(params, n, radius=S + 1).values, 2, clamp=S)
-    v_next = supersolution_field(params, n + 1, radius=S)
-    margin = v_next.values - pv * (1.0 - 0.5 * pv)
-    sites = v_next.sites()
-    inside = _square_norm(sites) <= (3.0 * n) ** 2
-    rel = np.divide(margin, v_next.values, out=np.full_like(margin, np.inf),
-                    where=inside & (v_next.values > 0.0))
-    i = int(np.argmin(rel))
+    def relative(x):
+        pv, log_ratio = _bump_step(params, n, x)
+        return 1.0 - np.exp(log_ratio) * (1.0 - 0.5 * pv)
+
+    S = 3 * n  # margin grid: the disk of radius 3n
+    rel = Field.tabulate(relative, 2, S)
+    sites = rel.sites()
+    values = np.where(_square_norm(sites) <= S * S, rel.values, np.inf)
+    i = int(np.argmin(values))
     x2, x1 = sites[i]
-    return float(np.where(inside, margin, np.inf).min()), float(rel[i]), (int(x1), int(x2))
+    return float(values[i]), (int(x1), int(x2))
 
 
 def _regime(n: int, site) -> str:
@@ -398,10 +408,11 @@ def _regime(n: int, site) -> str:
 def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     """Direct numerical check of the one-step inequality over n_range.
 
-    holds=False is a valid outcome.  The report carries the smallest relative
-    margin and where it sits (the absolute margin is smallest at the far edge
-    of the box, where the bump itself is negligible).  A non-finite kappa is
-    rejected: its margins are NaN, which no comparison would flag.
+    holds=False is a valid outcome: `holds` is the sign of the smallest
+    relative margin, which the report carries with where it sits (the
+    absolute margin is smallest at the far edge of the box, where the bump
+    itself is negligible).  A non-finite kappa is rejected: its margins are
+    NaN or infinite, which no comparison would flag.
     """
     if not math.isfinite(params.kappa):
         raise ValueError(f"kappa must be finite, got {params.kappa}")
@@ -410,29 +421,22 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     if params.kappa <= 0:
         return {**report, "holds": False, "min_relative_margin": None, "argmin": None,
                 "note": "degenerate prefactor: the zero bump dominates nothing"}
-    worst, arg, holds = math.inf, None, True
+    worst, arg = math.inf, None
     for n in n_range:
-        m, rel, site = supersolution_margin(params, int(n))
+        rel, site = supersolution_margin(params, int(n))
         if rel < worst:
             worst, arg = rel, {"n": int(n), "x": [int(site[0]), int(site[1])],
                                "regime": _regime(int(n), site)}
-        holds = holds and not m < 0
-    return {**report, "holds": holds, "min_relative_margin": worst, "argmin": arg}
+    return {**report, "holds": worst >= 0, "min_relative_margin": worst, "argmin": arg}
 
 
 def find_supersolution_start(kappa: float = KAPPA0) -> int:
-    """Smallest N0 <= _START_CAP with nonnegative margin on all of [N0, 4*N0]."""
+    """Smallest N0 <= _START_CAP with nonnegative relative margin on all of [N0, 4*N0]."""
     params = SuperSolutionParams(kappa)
     n0 = 2
-    margins: dict[int, float] = {}
-
-    def margin(n: int) -> float:
-        if n not in margins:
-            margins[n] = supersolution_margin(params, n)[0]
-        return margins[n]
-
-    while n0 <= _START_CAP:
-        bad = next((n for n in range(n0, 4 * n0 + 1) if margin(n) < 0), None)
+    while n0 <= _START_CAP:  # each n is read once: a failure at n moves N0 past it
+        bad = next((n for n in range(n0, 4 * n0 + 1)
+                    if supersolution_margin(params, n)[0] < 0), None)
         if bad is None:
             return n0
         n0 = bad + 1

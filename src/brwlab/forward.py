@@ -23,17 +23,17 @@ the n^2/2 that rejection of free runs spends.
 Population-only (Galton-Watson) batches drop the spatial part entirely; the
 survival event and Z_n do not depend on particle motion.
 
-Attached walks.  `attached_walks` runs n independent walks from the origin
-per replicate, walk i of age i, each read near its own query site (the
-spine's), on one of two routes.  The staggered array (any law) enters the
+Attached walks.  `attached_walks` runs n independent binary-fission walks
+from the origin per replicate, walk i of age i, each read near its own query
+site (the spine's), on one of two routes.  The staggered array enters the
 walks of age n-1-t, one per replicate, after t one-generation steps of one
 particle array tagged per walk, at an expected cost of the sum of the ages in
 particle-generations; ell only selects the particles it returns, so its draws
-are the same at every radius.  The reduced tree (binary fission) is the
-site-targeted form of the tree above: with u_m(x) the probability that a walk
-from offset x (query site minus position) has a descendant in B(0, ell)
-after m generations (the hitting recursion from the ball's indicator), the
-walks of age m enter as Bernoulli(u_m(q)) on one clock m = n-1..0, and a kept
+are the same at every radius.  The reduced tree is the site-targeted form
+of the tree above: with u_m(x) the probability that a walk from offset x
+(query site minus position) has a descendant in B(0, ell) after m
+generations (the hitting recursion from the ball's indicator), the walks of
+age m enter as Bernoulli(u_m(q)) on one clock m = n-1..0, and a kept
 particle at x has K = 1 + Bernoulli(p/(2-p)) kept children, p = (P u_{m-1})(x),
 each moving to x - e with probability u_{m-1}(x - e) / ((2d+1) p)
 (`tree_step`, which the conditioned sampler shares: its tree is this one at
@@ -67,6 +67,7 @@ from .offspring import OffspringDist, binary
 J_MAX = 64          # multiplicity histogram cap; larger counts go to the overflow bucket
 COORD_BITS = 15
 COORD_OFF = 1 << 14  # coordinates must stay in (-COORD_OFF, COORD_OFF)
+_BINARY = binary()  # the law of the attached walks and the tree
 
 
 def _rep_shift(d: int) -> int:
@@ -303,40 +304,37 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
 # attached walks: many independent walks, each read near its own query site
 
 
-def _takes_tree(reps: int, n: int, d: int, radii: np.ndarray | None) -> bool:
-    """The route rule for `reps` replicates of n walks (module doc): binary
-    fission, which alone has the tree's clamp schedule `radii`
-    (`_tree_clamp(n - 1, d, ell)`, None for other laws), and either the
-    reps n walk tags do not fit the key packing range, or the staggered
-    array's expected particle-generations exceed the cells that the tree's
-    two sweeps store."""
-    if radii is None:
-        return False
+def _takes_tree(reps: int, n: int, d: int, radii: np.ndarray) -> bool:
+    """The route rule for `reps` replicates of n walks (module doc), given the
+    tree's clamp schedule `radii` (`_tree_clamp(n - 1, d, ell)`): the reps n
+    walk tags do not fit the key packing range, or the staggered array's
+    expected particle-generations exceed the cells that the tree's two sweeps
+    store."""
     cells = 2 * sum(math.comb(int(r) + d, d) for r in radii[1:])
     return reps * n >= _max_tags(d) or reps * n * (n - 1) // 2 > cells
 
 
-def attached_walks(query: np.ndarray, ell: float, dist: OffspringDist,
+def attached_walks(query: np.ndarray, ell: float,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Independent branching random walks from the origin, each read near its
-    own query site.
+    """Independent binary-fission branching random walks from the origin, each
+    read near its own query site.
 
     query[reps, n, d] (int16) holds n walks per replicate: walk (r, i) has
     age i, query site query[r, i] and flat index r n + i.  Returns (walk,
     rel): for every final particle within Euclidean distance `ell` of its
     walk's query site, the walk's flat index and the particle's offset from
     that site.  The range check runs first; the route (module doc) follows
-    from the shape, `ell` and the law alone."""
+    from the shape and `ell` alone, and the tree takes every batch whose walk
+    tags do not fit the staggered array's keys."""
     reps, n, d = query.shape
     _check_capacity(n - 1, d, 0)  # the reach; walk tags only bound the staggered keys
-    radii = _tree_clamp(n - 1, d, ell) if dist.is_binary else None  # one schedule per batch
+    radii = _tree_clamp(n - 1, d, ell)  # one schedule per batch
     if _takes_tree(reps, n, d, radii):
         return _tree_walks(query, ell, radii, rng)
-    _check_capacity(n - 1, d, reps * n)
-    return _staggered_walks(query, ell, dist, rng)
+    return _staggered_walks(query, ell, rng)
 
 
-def _staggered_walks(query, ell, dist, rng):
+def _staggered_walks(query, ell, rng):
     """`attached_walks` on the staggered particle array (module doc): the
     walks of age i enter after n - 1 - i steps, tagged r n + i."""
     reps, n, d = query.shape
@@ -344,16 +342,16 @@ def _staggered_walks(query, ell, dist, rng):
     entries = _origin_keys(np.arange(reps) * n, d)  # the age-0 walks' keys
     keys = np.empty(0, dtype=np.int64)
     for age in range(n - 1, -1, -1):
-        keys = np.concatenate((evolve_particles(keys, 1, dist, d, rng), entries + (age << shift)))
+        keys = np.concatenate((evolve_particles(keys, 1, _BINARY, d, rng),
+                               entries + (age << shift)))
     walk = keys >> shift
     rel = decode_sites(keys, d) - query.reshape(-1, d)[walk]
     near = in_ball(rel, ell)
     return walk[near], rel[near]
 
 
-# the tree's hitting update (binary fission), shared by the tree and the
-# conditioned sampler
-BINARY_HITTING = hitting_update(binary())
+# the tree's hitting update, shared by the tree and the conditioned sampler
+BINARY_HITTING = hitting_update(_BINARY)
 
 
 def _tree_clamp(top: int, d: int, ell: float) -> np.ndarray:

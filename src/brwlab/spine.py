@@ -93,7 +93,7 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
     offs = neighborhood(d).astype(np.int16)
     for lo, hi in row_blocks(reps, n):
         query[lo:hi] += offs[rng.integers(0, 2 * d + 1, size=(hi - lo, n))]
-    walk, rel = fw.attached_walks(query, ell, _BINARY, rng)
+    walk, rel = fw.attached_walks(query, ell, rng)
     rep = walk // n
     rep0, age0 = np.divmod(walk[~rel.any(axis=1)], n)  # the particles at offset 0
     # distinct (replicate, offset) pairs, each replicate's tip at offset 0, as

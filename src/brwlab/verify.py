@@ -434,7 +434,7 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     params = xf.SuperSolutionParams(xf.KAPPA0)
-    rel = min(xf.supersolution_margin(params, n)[1] for n in range(n0, 4 * n0 + 1))
+    rel = min(xf.supersolution_margin(params, n)[0] for n in range(n0, 4 * n0 + 1))
     rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, ">=0", rel >= 0,
                      n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)

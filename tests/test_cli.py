@@ -1,6 +1,9 @@
+import argparse
 import itertools
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -327,7 +330,8 @@ def test_verify_sidecar_counts_each_suites_cell_steps(tmp_path):
         meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
         # C11's sweep is clamped by mass: 1.8M cell-steps, not the full box's 22.6M
         assert 1e6 < meta["suite_cell_steps"]["supersolution"] < 2.5e6
-        assert 512 < meta["suite_stencil_steps"]["supersolution"] < 1024
+        # the domination sweep's 512 steps are all: the margin is closed-form
+        assert meta["suite_stencil_steps"]["supersolution"] == 512
 
 
 def test_verify_exits_zero_with_yaglom_expected_failure(tmp_path):
@@ -461,3 +465,65 @@ def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) != 0
     assert err.splitlines() == ["brwlab exact: output closed early (broken pipe)"]
+
+
+def test_supersolution_verdict_reads_the_relative_margin(tmp_path):
+    # at n = 256 the bump underflows near |x| = 3n; the verdict reads the
+    # relative margin's sign, which holds there, not the absolute margin's
+    out = tmp_path / "v.json"
+    assert run_cli(["exact", "supersolution-verify", "--n0", "64", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["holds"] is True and rep["n_range"] == [64, 256]
+    assert 0.0079 < rep["min_relative_margin"] < 0.008
+
+
+# the flags that are no parameters: what a command reads and writes, and what it runs
+NOT_PARAMETERS = {"help", "config", "out", "suite", "summary", "chi-square-report"}
+# what a sidecar records beyond the command, the kind, the parameters and the time
+SIDECAR_EXTRAS = {"verify": {"suite", "suite_seconds", "suite_stencil_steps", "suite_cell_steps"}}
+SMALL_RUNS = {"simulate": ["--n", "1", "--reps", "2", "--seed", "1"],
+              "spine": ["--n", "2", "--reps", "1", "--seed", "1"],
+              "conditioned": ["--n", "1", "--reps", "1", "--seed", "1"],
+              "verify": ["--suite", "fundamental", "--seed", "1"]}
+COMMANDS = [*[(c,) for c in SMALL_RUNS], *[("exact", k) for k in cli._PARAMETERS["exact"]]]
+
+
+def leaf_parser(path):
+    q = cli.build_parser()
+    for name in path:
+        q = next(a for a in q._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return q
+
+
+def readme_exact_flags(kind):
+    """The flags that README's `exact` table lists for this kind."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    rows = [line.split("|")[1:3] for line in readme.read_text().splitlines()
+            if line.startswith("| `") and f"`{kind}`" in line.split("|")[1]]
+    assert len(rows) == 1, kind
+    return set(re.findall(r"`--([\w-]+)`", rows[0][1]))
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=" ".join)
+def test_one_table_gives_the_flags_the_config_keys_and_the_sidecar(tmp_path, path):
+    flags = {s[2:] for a in leaf_parser(path)._actions for s in a.option_strings
+             if s.startswith("--")} - NOT_PARAMETERS
+    # every name any command knows, tried one at a time as a config key
+    names = set(cli._FLAGS) | NOT_PARAMETERS | {"command", "kind", "rep", "budget"}
+    cfg, accepted = tmp_path / "run.cfg", set()
+    for name in names:
+        cfg.write_text(f"{name} = 1\n")
+        args, _ = cli.build_parser().parse_known_args([*path, "--config", str(cfg)])
+        try:
+            cli.load_config(args)
+            accepted.add(name)
+        except SystemExit as exc:
+            assert str(exc).startswith(f"config key {name!r} is not a parameter flag")
+    out = tmp_path / "o"
+    assert run_cli([*path, *SMALL_RUNS.get(path[0], []), "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "o.meta.json").read_text())
+    recorded = set(meta) - {"command", "kind", "written_at_unix"} - SIDECAR_EXTRAS.get(path[0], set())
+    assert flags and flags == accepted == recorded
+    assert meta["command"] == path[0] and meta.get("kind") == (path[1:] or [None])[0]
+    if path[0] == "exact":  # the docs list the same flags
+        assert readme_exact_flags(path[1]) == flags

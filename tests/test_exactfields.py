@@ -519,5 +519,32 @@ def test_supersolution_margin_shrinks_toward_band_edge():
               + v.value_at((x1, -1)) + v.value_at((x1, 0))) / 5.0
         m.append(vnext.value_at((x1, 0)) - pv * (1 - pv / 2))
     assert m[0] > m[1] > m[2] >= 0
-    # the margin's minimum over the disk |x| <= 3n agrees with these closed forms
-    assert xf.supersolution_margin(p, n)[0] <= m[2]
+    # the relative margin's minimum over the disk |x| <= 3n agrees with these
+    assert xf.supersolution_margin(p, n)[0] <= m[2] / vnext.value_at((3 * n - 1, 0))
+
+
+@pytest.mark.parametrize("kappa,beta", [(xf.KAPPA0, xf.BETA), (1.3e7, xf.BETA),
+                                        (xf.KAPPA0, 1.3 * xf.BETA)])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_closed_form_bump_step_matches_the_stencil(kappa, beta, n):
+    # P of the tabulated bump, by the stencil, against `_bump_step`'s closed
+    # form, wherever the stencil's value and v_{n+1} are normal doubles
+    p, S = xf.SuperSolutionParams(kappa, beta), 3 * n
+    stencil, _ = lat.stencil_step(xf.supersolution_field(p, n, radius=S + 1).values, 2, clamp=S)
+    vnext = xf.supersolution_field(p, n + 1, radius=S)
+    pv, log_ratio = xf._bump_step(p, n, vnext.sites())
+    normal = (stencil > 1e-290) & (vnext.values > 1e-290)
+    assert normal.sum() > 100  # n = 256: 22% of the box
+    assert np.abs(pv[normal] / stencil[normal] - 1.0).max() <= 1e-12
+    assert np.abs(log_ratio[normal] - np.log(stencil[normal] / vnext.values[normal])).max() <= 1e-12
+
+
+def test_scaled_bump_still_fails_the_one_step_inequality():
+    # beta x 1.3 makes the bump too narrow: its relative margin is negative at
+    # every n, in the core (about -0.02 from n = 16 on), and `holds` says so
+    p = xf.SuperSolutionParams(xf.KAPPA0, 1.3 * xf.BETA)
+    assert xf.supersolution_margin(p, 8)[0] < -0.19
+    rep = xf.verify_supersolution(p, range(16, 65))
+    assert rep["holds"] is False
+    assert -0.03 < rep["min_relative_margin"] < -0.015
+    assert rep["argmin"]["x"][0] == 0

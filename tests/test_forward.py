@@ -180,9 +180,9 @@ def queries(sites, reps: int, n: int) -> np.ndarray:
 def test_attached_walks_age_zero_is_its_start_particle():
     rng = substream(60, "selftest")
     query = queries([(2, -1), (0, 3), (5, 5)], 3, 1)
-    walk, rel = fw.attached_walks(query, 10, B, rng)
+    walk, rel = fw.attached_walks(query, 10, rng)
     assert walk.tolist() == [0, 1, 2] and rel.tolist() == [[-2, 1], [0, -3], [-5, -5]]
-    walk, rel = fw.attached_walks(query, 3, B, rng)
+    walk, rel = fw.attached_walks(query, 3, rng)
     assert walk.tolist() == [0, 1] and rel.tolist() == [[-2, 1], [0, -3]]
 
 
@@ -191,7 +191,7 @@ def test_attached_walks_counts_match_transition_field():
     # (1, 0) and summed over the ball of radius 1.5 around it
     rng = substream(61, "selftest")
     reps, n, ell, site = 40_000, 4, 1.5, np.array([1, 0])
-    walk, rel = fw.attached_walks(queries(site, reps, n), ell, B, rng)
+    walk, rel = fw.attached_walks(queries(site, reps, n), ell, rng)
     at_site = np.bincount(walk[np.all(rel == 0, axis=1)], minlength=reps * n).reshape(reps, n)
     in_ball = np.bincount(walk, minlength=reps * n).reshape(reps, n)
     ball = site + lat.sites_in_ball(2, ell)
@@ -210,7 +210,7 @@ def tree_clamp(query, ell):
 
 # both attached-walk engines, called directly whatever route the rule picks
 ENGINES = {
-    "staggered": lambda query, ell, rng: fw._staggered_walks(query, ell, B, rng),
+    "staggered": fw._staggered_walks,
     "tree": lambda query, ell, rng: fw._tree_walks(query, ell, tree_clamp(query, ell), rng),
 }
 
@@ -294,10 +294,10 @@ def route(monkeypatch):
     for name in ("_tree_walks", "_staggered_walks"):
         monkeypatch.setattr(fw, name, lambda *a, name=name: calls.append(name))
 
-    def pick(n, reps, dist=B, d=2):
+    def pick(n, reps, d=2):
         calls.clear()
         query = np.broadcast_to(np.int16(0), (reps, n, d))
-        fw.attached_walks(query, 0, dist, substream(67, "selftest"))
+        fw.attached_walks(query, 0, substream(67, "selftest"))
         return calls[0]
     return pick
 
@@ -309,7 +309,6 @@ def test_attached_walks_route_follows_cost_rule(route):
     assert route(512, 100) == "_tree_walks"      # README spine --n 512 --reps 100
     assert route(512, 10_000) == "_tree_walks"   # C09
     assert route(3, 256) == "_tree_walks"
-    assert route(512, 512, geometric(2)) == "_staggered_walks"
     assert route(1, 1000) == "_staggered_walks"  # age 0 only: nothing to step
 
 
@@ -330,11 +329,8 @@ def test_tree_batch_computes_one_clamp_schedule(monkeypatch):
     assert fw._takes_tree(200, 32, 2, fw._tree_clamp(31, 2, 1.5))
     calls, real = [], fw.clamp_schedule
     monkeypatch.setattr(fw, "clamp_schedule", lambda *a: calls.append(a) or real(*a))
-    walk, _ = fw.attached_walks(query, 1.5, B, substream(70, "selftest"))
+    walk, _ = fw.attached_walks(query, 1.5, substream(70, "selftest"))
     assert walk.size and calls == [(31, 2, 1e-14)]
-    calls.clear()
-    fw.attached_walks(query, 1.5, geometric(2), substream(70, "selftest"))
-    assert calls == []  # the staggered array needs no schedule
 
 
 def test_attached_walks_checks_range_before_choosing_a_route(monkeypatch):
@@ -345,7 +341,7 @@ def test_attached_walks_checks_range_before_choosing_a_route(monkeypatch):
         monkeypatch.setattr(fw, name, never)
     query = np.broadcast_to(np.int16(0), (8, 2**14 + 1, 2))
     with pytest.raises(ValueError, match="packing range"):
-        fw.attached_walks(query, 0, B, substream(68, "selftest"))
+        fw.attached_walks(query, 0, substream(68, "selftest"))
 
 
 def test_key_packing_lives_in_forward():
@@ -539,12 +535,9 @@ def test_key_packing_range_checked():
         fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
     with pytest.raises(ValueError):
         fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)
-    # attached walks: particle reach, and the staggered array's walk tags
-    # (2**17 in d = 3 for a law other than binary), checked before any step
+    # attached walks: particle reach, checked before any step
     with pytest.raises(ValueError):
-        fw.attached_walks(np.zeros((1, 2**14 + 1, 2), dtype=np.int16), 0, B, rng)
-    with pytest.raises(ValueError):
-        fw.attached_walks(np.zeros((2**16, 2, 3), dtype=np.int16), 0, geometric(2), rng)
+        fw.attached_walks(np.zeros((1, 2**14 + 1, 2), dtype=np.int16), 0, rng)
 
 
 COND_LAWS = ("binary", "geometric:2", "table:0=0.4,1=0.3,2=0.2,3=0.1")

@@ -30,9 +30,8 @@ def test_every_function_and_class_is_referenced_in_the_package():
 
 
 def test_every_field_recursion_runs_on_the_one_sweep():
-    # P f is computed by `lattice._sweep` alone; the super-solution margin,
-    # which applies P once to a tabulated bump that no sweep yields, is the
-    # one other caller of the stencil
+    # P f is computed by `lattice._sweep` alone: the super-solution margin
+    # reads P of its Gaussian bump in closed form
     callers = Counter()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
@@ -40,8 +39,7 @@ def test_every_field_recursion_runs_on_the_one_sweep():
                 if isinstance(node, ast.Call) and "stencil_step" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers[(path.name, getattr(top, "name", "<module>"))] += 1
-    assert callers == Counter({("lattice.py", "_sweep"): 1,
-                               ("exactfields.py", "supersolution_margin"): 1})
+    assert callers == Counter({("lattice.py", "_sweep"): 1})
 
 
 def test_every_clamp_comes_whole_from_the_schedule():
