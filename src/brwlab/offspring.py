@@ -2,10 +2,11 @@
 
 Built-in families:
   binary          Q_0 = Q_2 = 1/2 (double-or-nothing), sigma^2 = 1
-  geometric:<m>   Q_0 = r, Q_l = (1-r)^2 r^(l-1), r = 1 - 1/m; exponential tail
+  geometric:<m>   Q_0 = r, Q_l = (1-r)^2 r^(l-1), r = 1 - 1/m; exponential tail;
+                  1 < m <= 4e4
   zeta:<alpha>    Q_l = c l^(-(alpha+1.5)) for l >= 2, Q_0/Q_1 forcing mean 1;
-                  exactly alpha finite integer moments
-  table:<l=p,...> inline finite-support law
+                  exactly alpha finite integer moments; 2 <= alpha <= 298
+  table:<l=p,...> inline finite-support law, each litter size l >= 0 once
 
 A law is a head table plus, for zeta laws, the tail c*l^(-power) on
 _CHUNK..lmax kept as parameters (`PowerTail`): its sums come from
@@ -42,6 +43,12 @@ _LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)  # r
 _UNDERFLOW = -800.0       # exp below this is under half the least subnormal: z^l rounds to 0
 _EXPM1_SATURATES = -50.0  # expm1 below this rounds to exactly -1
 _DENSE = 1.0              # placed coins per entry above which binomials are cheaper (measured)
+# The families' double-precision limits.  Past m = 40097.5 the geometric
+# table, cut where its mass is within 1e-15 of 1, misses more than 1e-9 of
+# the mean; past alpha = 298.36 the zeta table's last weight, 12^-(alpha+1.5),
+# underflows to zero (both measured by bisection).
+_GEOMETRIC_MAX_M = 4e4
+_ZETA_MAX_ALPHA = 298.0
 
 
 class PgfDomainError(ValueError):
@@ -441,8 +448,9 @@ def binary() -> OffspringDist:
 def geometric(m: float) -> OffspringDist:
     """Exponential-tail family; m > 1 is the mean offspring count of parents
     that reproduce at all.  m = 2 gives the standard critical geometric law."""
-    if not (math.isfinite(m) and m > 1):
-        raise ValueError(f"geometric family needs a finite m > 1, got {m}")
+    if not (math.isfinite(m) and 1 < m <= _GEOMETRIC_MAX_M):
+        raise ValueError(f"geometric family needs a finite m with 1 < m <= {_GEOMETRIC_MAX_M:g}"
+                         f" (tabulable in double precision), got {m}")
     r = 1.0 - 1.0 / m
     # Table for draws and inspection; the pgf uses the closed forms.  The
     # first L litters l >= 1 carry mass 1 - r - (1-r) r^L, so L is the least
@@ -465,8 +473,9 @@ def zeta(alpha: float) -> OffspringDist:
     Q_l = c*l^(-(alpha+1.5)) for 2 <= l <= lmax, scale fixed by
     sum_{l>=2} l*Q_l = 1/2.  The table holds l < _CHUNK; the rest of the
     support is a `PowerTail`."""
-    if not (math.isfinite(alpha) and alpha >= 2):
-        raise ValueError(f"zeta family needs a finite alpha >= 2 (finite variance), got {alpha}")
+    if not (math.isfinite(alpha) and 2 <= alpha <= _ZETA_MAX_ALPHA):
+        raise ValueError(f"zeta family needs a finite alpha with 2 <= alpha <= {_ZETA_MAX_ALPHA:g}"
+                         f" (finite variance, tabulable in double precision), got {alpha}")
     power = alpha + 1.5
     lmax = int(math.ceil((10.0 / _TRUNC) ** (1.0 / (power - 1.0)))) + 10
     top = min(lmax, _CHUNK - 1)
@@ -497,6 +506,8 @@ def zeta(alpha: float) -> OffspringDist:
 
 def table(entries: dict[int, float], name: str = "table") -> OffspringDist:
     ls = np.array(sorted(entries), dtype=np.int64)
+    if ls.size and ls[0] < 0:
+        raise ValueError(f"litter sizes must be >= 0, got {ls[0]}")
     qs = np.array([entries[int(l)] for l in ls])
     sigma2 = float((qs * ls.astype(np.float64) ** 2).sum()) - 1.0
     return OffspringDist(
@@ -521,7 +532,13 @@ def parse_offspring(spec: str) -> OffspringDist:
     if spec.startswith("table:"):
         entries = {}
         for part in spec.split(":", 1)[1].split(","):
-            l, p = part.split("=")
-            entries[int(l)] = float(p)
+            l, _, p = part.partition("=")
+            try:
+                litter, prob = int(l), float(p)
+            except ValueError:
+                raise ValueError(f"table entry {part!r} is not <litter size>=<probability>") from None
+            if litter in entries:
+                raise ValueError(f"table lists litter size {litter} twice")
+            entries[litter] = prob
         return table(entries, name=spec)
     raise ValueError(f"unknown offspring spec {spec!r}")

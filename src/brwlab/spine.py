@@ -150,10 +150,13 @@ def gamma_split(batch: dict) -> dict:
 def sizebias_population_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Z_n under the size-biased law: the spine plus one ordinary offspring
     process of age n-1-j for every spine height j < n."""
-    z = np.ones(reps, dtype=np.int64)
-    for j in range(n):
-        # the process of age 0 is one particle and draws nothing
-        z += fw.population_batch(_BINARY, n - 1 - j, reps, rng) if j < n - 1 else 1
+    # height 0, the oldest process, is drawn first, while no other array is alive
+    z = fw.population_batch(_BINARY, n - 1, reps, rng)
+    for j in range(1, n - 1):
+        z += fw.population_batch(_BINARY, n - 1 - j, reps, rng)
+    # the spine, and the process of age 0 (one particle, no draw) unless it
+    # was height 0's
+    z += min(n, 2)
     assert z.min() >= 1  # the spine survives on every sample
     return z
 
@@ -162,14 +165,20 @@ def sizebias_check(f, n: int, reps: int, rng: np.random.Generator) -> dict:
     """Compare E_{P_H}[f(Z_n)] (spine construction) against E_P[Z_n f(Z_n)]
     (forward runs); the two agree exactly under the change of measure.
 
-    `f` must be vectorized over integer population arrays.
+    `f` must be vectorized over integer population arrays and return a fresh
+    array: Z f(Z) is formed in place in it.  Each side is reduced to its mean
+    and variance and dropped before the next array is drawn, so at most about
+    25 bytes per replicate are held at once.
     """
-    z_sb = sizebias_population_batch(n, reps, rng)
-    lhs = np.asarray(f(z_sb), dtype=np.float64)
+    lhs = np.asarray(f(sizebias_population_batch(n, reps, rng)), dtype=np.float64)
+    lhs_m, lhs_v = float(lhs.mean()), float(lhs.var(ddof=1))
+    del lhs
     z = fw.population_batch(_BINARY, n, reps, rng)
-    rhs = np.asarray(f(z), dtype=np.float64) * z
-    lhs_m, rhs_m = float(lhs.mean()), float(rhs.mean())
-    se = math.sqrt(lhs.var(ddof=1) / reps + rhs.var(ddof=1) / reps)
+    rhs = np.asarray(f(z), dtype=np.float64)
+    rhs *= z
+    del z
+    rhs_m, rhs_v = float(rhs.mean()), float(rhs.var(ddof=1))
+    se = math.sqrt(lhs_v / reps + rhs_v / reps)
     return {
         "lhs": lhs_m,
         "rhs": rhs_m,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import resource
+import sys
 import time
 from functools import cached_property
 from typing import Iterator
@@ -536,18 +538,23 @@ def _verdict(r: ReportRow) -> str:
 def run_suites(names, seed: int, echo=None) -> tuple[list[ReportRow], dict[str, dict]]:
     """Run the named suites in order; one pass/fail line per suite via `echo`,
     with the suite's wall time.  Returns the rows, which carry no timing or
-    work counts, and, for the sidecar, three maps over the suites:
-    `suite_seconds` (wall seconds), `suite_stencil_steps` and
-    `suite_cell_steps` (the stencil steps and the output cells they stored,
-    from `lattice.work`)."""
+    work counts, and, for the sidecar, four maps over the suites:
+    `suite_seconds` (wall seconds), `suite_peak_rss_mb` (the process's
+    resident high-water mark once the suite is done, in MiB),
+    `suite_stencil_steps` and `suite_cell_steps` (the stencil steps and the
+    output cells they stored, from `lattice.work`)."""
     bank = SimBank(seed)
     rows: list[ReportRow] = []
-    per_suite = {"suite_seconds": {}, "suite_stencil_steps": {}, "suite_cell_steps": {}}
+    per_suite = {"suite_seconds": {}, "suite_peak_rss_mb": {}, "suite_stencil_steps": {},
+                 "suite_cell_steps": {}}
+    rss_unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes, else KiB
     for name in names:
         lat.work.steps = lat.work.cells = 0
         t0 = time.monotonic()
         suite_rows = SUITES[name](seed, bank)
         seconds = per_suite["suite_seconds"][name] = time.monotonic() - t0
+        per_suite["suite_peak_rss_mb"][name] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_unit)
         per_suite["suite_stencil_steps"][name] = lat.work.steps
         per_suite["suite_cell_steps"][name] = lat.work.cells
         rows.extend(suite_rows)

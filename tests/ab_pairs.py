@@ -8,9 +8,19 @@ each tree, in a fresh process, the first side alternating from pair to pair.
 Only the last stdout line of a run is read (the benchmark's JSON result).
 For every end-to-end metric named in CHANGE_TREE/BENCHMARK.json it prints
 each side's median and quartiles, the pairs the change won (ties count for
-neither side) and whether a gain is resolved: the change won at least nine
+neither side), whether a gain is resolved (the change won at least nine
 tenths of the pairs, and its median is better than the parent's by more than
-the parent's interquartile range.  Exit status 1 if a run fails.
+the parent's interquartile range) and a no-regression verdict against the
+metric's bound, read as a fraction of the parent's median:
+
+    within bound  every change run beats every parent run, or the parent's
+                  interquartile range is within the bound and so is the
+                  change's median (worse by at most the bound)
+    unresolved    otherwise, if the parent's interquartile range exceeds the
+                  bound: the runs spread too widely to tell
+    regression    otherwise
+
+Exit status 1 if a run fails.
 
 Not a test module (no `test_` prefix): pytest does not collect it.
 """
@@ -44,15 +54,25 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], higher_is_better: bool) -> dict:
-    """Medians, quartiles, pair wins and the gain rule for one metric."""
+def verdict(parent: list[float], change: list[float], higher_is_better: bool,
+            bound: float) -> dict:
+    """Medians, quartiles, pair wins, the gain rule and the no-regression
+    verdict (module doc) for one metric with the given fractional bound."""
     sign = 1.0 if higher_is_better else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (cq[1] - pq[1])  # > 0 when the change's median is better
+    limit = bound * abs(pq[1])
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        regression = "within bound"
+    elif pq[2] - pq[0] > limit:
+        regression = "unresolved"
+    else:
+        regression = "within bound" if gap >= -limit else "regression"
     return {"parent": pq, "change": cq, "wins": wins, "losses": losses,
-            "gain": 10 * wins >= 9 * len(parent) and gap > pq[2] - pq[0]}
+            "gain": 10 * wins >= 9 * len(parent) and gap > pq[2] - pq[0],
+            "regression": regression}
 
 
 def main() -> int:
@@ -86,12 +106,13 @@ def main() -> int:
             print(f"  {name}: missing from some run")
             continue
         v = verdict([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                    metric["better"] == "higher")
+                    metric["better"] == "higher", metric["bound"])
         p, c = v["parent"], v["change"]
         print(f"  {name} ({metric['better']} is better): parent median {p[1]:.4g} "
               f"[{p[0]:.4g}, {p[2]:.4g}], change median {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]; "
               f"change won {v['wins']}/{args.pairs}, lost {v['losses']}; "
-              f"gain resolved: {'yes' if v['gain'] else 'no'}")
+              f"gain resolved: {'yes' if v['gain'] else 'no'}; "
+              f"against its {metric['bound']:.0%} bound: {v['regression']}")
     return 0
 
 

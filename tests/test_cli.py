@@ -124,6 +124,12 @@ def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     *[(["spine", "--n", "8", "--ell", v, "--seed", "1"], "--ell") for v in ("inf", "nan")],
     (["exact", "mgf-field", "--n", "2", "--theta", "nan"], "--theta"),
     (["exact", "supersolution-verify", "--n0", "-5"], "--n0"),
+    # specs no offspring table can carry: a negative or repeated litter size,
+    # or a family parameter past the double-precision limits
+    *[(["exact", "survival", "--n", "10", "--offspring", spec], "--offspring")
+      for spec in ("table:-1=0.5,3=0.5", "geometric:1e17", "zeta:1e9")],
+    *[(["simulate", "--n", "2", "--offspring", spec, "--seed", "1"], "--offspring")
+      for spec in ("table:-1=0.5,3=0.5", "table:0=0.5,2=0.3,2=0.5")],
 ])
 def test_out_of_range_flags_fail_fast_and_write_nothing(tmp_path, argv, flag):
     out = tmp_path / "o"
@@ -312,9 +318,10 @@ def test_verify_suite_byte_identical(tmp_path):
                   "--out", str(b), "--summary", str(sb)])
     assert rc == 0
     assert a.read_bytes() == b.read_bytes()
-    for out in (a, b):  # the suite's wall time goes to the sidecar only
+    for out in (a, b):  # the suite's wall time and memory go to the sidecar only
         meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
         assert meta["suite_seconds"]["fundamental"] >= 0.0
+        assert meta["suite_peak_rss_mb"]["fundamental"] > 1.0  # numpy alone holds more
     assert json.loads(sa.read_text()) == json.loads(sb.read_text())
     assert json.loads(sa.read_text())["hard_pass"] is True
 
@@ -480,7 +487,8 @@ def test_supersolution_verdict_reads_the_relative_margin(tmp_path):
 # the flags that are no parameters: what a command reads and writes, and what it runs
 NOT_PARAMETERS = {"help", "config", "out", "suite", "summary", "chi-square-report"}
 # what a sidecar records beyond the command, the kind, the parameters and the time
-SIDECAR_EXTRAS = {"verify": {"suite", "suite_seconds", "suite_stencil_steps", "suite_cell_steps"}}
+SIDECAR_EXTRAS = {"verify": {"suite", "suite_seconds", "suite_peak_rss_mb", "suite_stencil_steps",
+                             "suite_cell_steps"}}
 SMALL_RUNS = {"simulate": ["--n", "1", "--reps", "2", "--seed", "1"],
               "spine": ["--n", "2", "--reps", "1", "--seed", "1"],
               "conditioned": ["--n", "1", "--reps", "1", "--seed", "1"],

@@ -506,6 +506,8 @@ def test_parse_offspring_specs():
     assert t.sigma2 == pytest.approx(1.0)
     with pytest.raises(ValueError):
         off.parse_offspring("poisson")
+    # the families' double-precision limits still build
+    assert off.geometric(4e4).sigma2 > 0 and off.zeta(298).sigma2 > 0
 
 
 NON_FINITE_SPECS = ["table:0=nan,2=0.5", "table:0=0.5,2=inf", "geometric:inf",
@@ -516,6 +518,22 @@ NON_FINITE_SPECS = ["table:0=nan,2=0.5", "table:0=0.5,2=inf", "geometric:inf",
 def test_parse_offspring_rejects_non_finite_specs(spec):
     # NaN compares false with everything, so it used to pass every check
     with pytest.raises(ValueError, match="finite"):
+        off.parse_offspring(spec)
+
+
+@pytest.mark.parametrize("spec,match", [
+    ("table:-1=0.5,3=0.5", "litter sizes must be >= 0"),
+    ("table:0=0.5,2=0.3,2=0.5", "litter size 2 twice"),
+    ("table:", "table entry '' is not"),
+    ("table:0=0.5,2=0.5,", "table entry '' is not"),
+    ("table:0=0.5=1,2=0.5", "table entry '0=0.5=1' is not"),
+    ("geometric:1e16", r"1 < m <= 40000"),
+    ("geometric:1e17", r"1 < m <= 40000"),
+    ("zeta:1e9", r"2 <= alpha <= 298"),
+    ("zeta:300", r"2 <= alpha <= 298"),
+])
+def test_pathological_specs_fail_naming_the_fault(spec, match):
+    with pytest.raises(ValueError, match=match):
         off.parse_offspring(spec)
 
 

@@ -531,6 +531,23 @@ def test_sizebias_trivial_and_hand_values():
     assert abs(chk2["lhs"] - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
     assert abs(chk2["rhs"] - 2 * 0.25) <= 4 * chk2["se"]
     assert abs(chk2["z_score"]) < 4
+    # n = 1: the spine and its sibling of age 0, with no draw
+    assert list(sp.sizebias_population_batch(1, 3, rng)) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sizebias_check_holds_under_32_bytes_per_replicate(n):
+    # each side is reduced and dropped before the next array is drawn, so the
+    # peak is one caller array plus a population batch's first generation
+    reps = 250_000
+    rng = substream(36, "sizebias")
+    tracemalloc.start()
+    try:
+        sp.sizebias_check(lambda z: z.astype(np.float64), n, reps, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * reps
 
 
 def test_typical_histogram_matches_weighted_multiplicities():
