@@ -35,7 +35,7 @@ from . import lattice as lat
 from .lattice import Field, clamp_schedule, neighborhood, sites_in_ball, sweep, transition_field
 from .offspring import binary, geometric
 from .rngstreams import substream
-from .stats import ReportRow
+from .stats import Band, ReportRow
 
 _B = binary()
 
@@ -44,12 +44,12 @@ COND_REPS = {
     (3, 128): 3000, (3, 256): 3000, (3, 512): 2500, (3, 1024): 500,
     (2, 128): 3000, (2, 256): 2500, (2, 512): 2000, (2, 1024): 500,
 }
-TIGHTNESS_RATIO_BOUND = 1.5
-OCC2D_RATIO_BOUND = 2.0
 U_RATE_GRID = (64, 128, 256, 512)  # n log n * u_n(0) is read at these n (C11)
-U_RATE_RATIO_BOUND = 2.0
 DOMINATION_EPS = 1e-14  # mass C11's hitting sweep may drop per step
-CLUSTER_W_BAND = (0.02, 2.0)
+Z_BAND = Band("<", 4, center=0)  # a z-score or the largest |z| of several
+KS_BAND = Band("<", 0.05)  # Kolmogorov-Smirnov distance
+CHI2_BAND = Band(">", 0.01)  # chi-square p-value
+RATIO_2X_BAND = Band("<=", 2.0)  # the d = 2 rate ratios of C11 and C12
 
 
 class SimBank:
@@ -73,10 +73,11 @@ class SimBank:
         return self._cond[key]
 
 
-def _row(theorem, statistic, value, band, passed, n=0, d=2, offspring="binary", soft=False,
+def _row(theorem, statistic, value, band: Band, n=0, d=2, offspring="binary", soft=False,
          expect_fail=False):
-    return ReportRow(theorem, n, d, offspring, statistic, float(value), band, bool(passed), soft,
-                     expect_fail)
+    value = float(value)
+    return ReportRow(theorem, n, d, offspring, statistic, value, str(band), band.holds(value),
+                     soft, expect_fail)
 
 
 def _sorted_tuple_slices(k: int, d: int) -> Iterator[np.ndarray]:
@@ -160,19 +161,16 @@ def _orthant_violation(f: Field) -> float:
 def c01_fundamental(seed: int, bank: SimBank) -> list[ReportRow]:
     """E U_n(x) = P_n(x): oracle means for n <= 12, Monte Carlo at n = 32."""
     rows = []
-    worst = 0.0
-    for pf, pn in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), sweep(12, 2)):
-        worst = max(worst, float(np.abs(pf.mean_field() - pn.unfolded()).max()))
-    rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, "<=1e-9",
-                     worst <= 1e-9, n=12))
+    worst = max(float(np.abs(pf.mean_field() - pn.unfolded()).max())
+                for pf, pn in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), sweep(12, 2)))
+    rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, Band("<=", 1e-9), n=12))
     rng = substream(seed, "simulate", rep=1)
     reps = 20000
     counts = fw.site_count_batch(_B, 32, 2, (1, 0), reps, rng)
     exact = transition_field(32, 2).value_at((1, 0))
     se = counts.std(ddof=1) / math.sqrt(reps)
     dev = abs(counts.mean() - exact)
-    rows.append(_row("C01-fundamental", "mc-mean-occupancy", dev, f"<=3SE({3*se:.2e})",
-                     dev <= 3 * se, n=32))
+    rows.append(_row("C01-fundamental", "mc-mean-occupancy", dev, Band("<=", 3, se=se), n=32))
     return rows
 
 
@@ -183,13 +181,12 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     worst = 0.0
     for pf, u in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), xf.hitting_sweep(_B, 12, 2)):
         worst = max(worst, float(np.abs(pf.hitting_values() - u.unfolded()).max()))
-    rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, "<=1e-9",
-                     worst <= 1e-9, n=12))
+    rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, Band("<=", 1e-9), n=12))
     g = geometric(2)
     pf = xf.pmf_oracle(g, 6, 2, degree=48)
     worst = float(np.abs(pf.hitting_values() - xf.hitting_field(g, 6, 2).unfolded()).max())
-    rows.append(_row("C02-hitting", "general-law-oracle-vs-recursion", worst, "<=1e-9",
-                     worst <= 1e-9, n=6, offspring=g.name))
+    rows.append(_row("C02-hitting", "general-law-oracle-vs-recursion", worst, Band("<=", 1e-9),
+                     n=6, offspring=g.name))
     return rows
 
 
@@ -218,22 +215,21 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
     sum_x |x|^2 f_n(x) at n = 128 against Duhamel's formula (`_spread_error`),
     which every step of the f recursion reaches."""
     rows = []
+    tol = Band("<=", 1e-8)  # every row's tolerance
     for d, n in ((2, 12), (3, 8)):
         worst = max(float(np.abs(pf.second_moment_values() - f.unfolded()).max())
                     for pf, f in zip(xf.pmf_oracle_sweep(_B, n, d, degree=64),
                                      xf.second_moment_fields(_B, n, d)))
         name = "oracle-vs-recursion" if d == 2 else f"oracle-vs-recursion-d{d}"
-        rows.append(_row("C03-second-moment", name, worst, "<=1e-8", worst <= 1e-8, n=n, d=d))
+        rows.append(_row("C03-second-moment", name, worst, tol, n=n, d=d))
     for d, eps in ((2, 1e-11), (3, 3e-11)):  # eps per step
         p2, spread = _spectral_return_probs(512, d)
         swept = sp.even_return_probs(512, d, clamp_schedule(512, d, eps))
         worst = _B.sigma2 * float(np.abs(np.cumsum(swept[1:]) - np.cumsum(p2[1:])).max())
-        rows.append(_row("C03-second-moment", f"summed-identity-d{d}", worst, "<=1e-8",
-                         worst <= 1e-8, n=512, d=d))
+        rows.append(_row("C03-second-moment", f"summed-identity-d{d}", worst, tol, n=512, d=d))
         err = _spread_error(xf.second_moment_field(_B, 128, d, clamp_schedule(128, d, 1e-14)),
                             p2, spread)
-        rows.append(_row("C03-second-moment", f"spread-identity-d{d}", err, "rel<=1e-8",
-                         err <= 1e-8, n=128, d=d))
+        rows.append(_row("C03-second-moment", f"spread-identity-d{d}", err, tol, n=128, d=d))
     return rows
 
 
@@ -248,11 +244,9 @@ def c04_kolmogorov(seed: int, bank: SimBank) -> list[ReportRow]:
     s_exact = xf.survival_prob(_B, n)
     se = math.sqrt(pi_hat * (1 - pi_hat) / reps)
     dev = abs(pi_hat - s_exact) * n
-    rows.append(_row("C04-kolmogorov", "mc-survival-vs-exact", dev, f"<=3SE({3*n*se:.2e})",
-                     dev <= 3 * n * se, n=n))
+    rows.append(_row("C04-kolmogorov", "mc-survival-vs-exact", dev, Band("<=", 3, se=n * se), n=n))
     ns = 10_000 * xf.survival_prob(_B, 10_000)
-    rows.append(_row("C04-kolmogorov", "n-times-survival", ns, "[1.85,2.0]",
-                     1.85 <= ns <= 2.0, n=10_000))
+    rows.append(_row("C04-kolmogorov", "n-times-survival", ns, Band("<=", 2.0, lo=1.85), n=10_000))
     return rows
 
 
@@ -264,11 +258,10 @@ def c05_yaglom(seed: int, bank: SimBank) -> list[ReportRow]:
     z = fw.population_conditioned_batch(_B, n, want, rng, xf.survival_sequence(_B, n))
     x = z / n
     stated = st.ks_against_exponential(x, 2.0 / _B.sigma2)
-    rows.append(_row("C05-yaglom", "ks-exp-mean-2-as-stated", stated["D"], "<0.05",
-                     stated["D"] < 0.05, n=n, expect_fail=True))
+    rows.append(_row("C05-yaglom", "ks-exp-mean-2-as-stated", stated["D"], KS_BAND, n=n,
+                     expect_fail=True))
     classical = st.ks_against_exponential(x, _B.sigma2 / 2.0)
-    rows.append(_row("C05-yaglom", "ks-exp-classical-sigma2-over-2", classical["D"],
-                     "<0.05", classical["D"] < 0.05, n=n))
+    rows.append(_row("C05-yaglom", "ks-exp-classical-sigma2-over-2", classical["D"], KS_BAND, n=n))
     return rows
 
 
@@ -285,17 +278,16 @@ def c06_multiplicity(seed: int, bank: SimBank) -> list[ReportRow]:
         sd1[n] = float((s.M[:, 0] / s.Z).std(ddof=1))
     w = est[512]["weighted_sum"]
     # sum_j j M_n(j) + overflow mass = Z_n per replicate: a bookkeeping identity
-    rows.append(_row("C06-multiplicity", "histogram-accounts-for-Z", w, "|.-1|<=1e-12",
-                     abs(w - 1.0) <= 1e-12, n=512, d=3))
+    rows.append(_row("C06-multiplicity", "histogram-accounts-for-Z", w,
+                     Band("<=", 1e-12, center=1), n=512, d=3))
     k1a, k1b = est[256]["kappa"][0], est[512]["kappa"][0]
     drift = abs(k1b / k1a - 1.0)
-    rows.append(_row("C06-multiplicity", "kappa1-stability-256-512", drift, "<=0.05",
-                     drift <= 0.05, n=512, d=3))
-    rows.append(_row("C06-multiplicity", "sd-M1-over-Z-decreasing", sd1[512] - sd1[128],
-                     "<0", sd1[512] < sd1[128], n=512, d=3))
-    z = _bank_mean_max_z(bank, 3, grid)
-    rows.append(_row("C06-multiplicity", "mean-Z-vs-exact-max-z", z, "|z|<4", z < 4,
+    rows.append(_row("C06-multiplicity", "kappa1-stability-256-512", drift, Band("<=", 0.05),
                      n=512, d=3))
+    rows.append(_row("C06-multiplicity", "sd-M1-over-Z-decreasing", sd1[512] - sd1[128],
+                     Band("<", 0), n=512, d=3))
+    z = _bank_mean_max_z(bank, 3, grid)
+    rows.append(_row("C06-multiplicity", "mean-Z-vs-exact-max-z", z, Z_BAND, n=512, d=3))
     return rows
 
 
@@ -305,10 +297,9 @@ def c07_tightness(seed: int, bank: SimBank) -> list[ReportRow]:
     grid = (128, 256, 512, 1024)
     for d, f, label in ((3, lambda n: math.log(n), "V-over-log-n"),
                         (2, lambda n: math.log(n) ** 2, "V-over-log2-n")):
-        samples = {n: bank.conditioned(d, n).V for n in grid}
-        t = st.tightness_table(samples, f, TIGHTNESS_RATIO_BOUND)
-        rows.append(_row("C07-tightness", f"{label}-q90-ratio", t["ratio"],
-                         f"<={TIGHTNESS_RATIO_BOUND}", t["passed"], n=1024, d=d))
+        t = st.tightness_table({n: bank.conditioned(d, n).V for n in grid}, f)
+        rows.append(_row("C07-tightness", f"{label}-q90-ratio", t["ratio"], Band("<=", 1.5),
+                         n=1024, d=d))
     return rows
 
 
@@ -324,13 +315,10 @@ def c08_sizebias(seed: int, bank: SimBank) -> list[ReportRow]:
     ]
     for label, n, f, hand in checks:
         chk = sp.sizebias_check(f, n, reps, rng)
-        rows.append(_row("C08-sizebias", f"zscore-{label}", chk["z_score"], "|z|<4",
-                         abs(chk["z_score"]) < 4, n=n))
+        rows.append(_row("C08-sizebias", f"zscore-{label}", chk["z_score"], Z_BAND, n=n))
         if hand is not None:
-            se = 3 * math.sqrt(hand * (1 - hand) / reps)
-            dev = abs(chk["lhs"] - hand)
-            rows.append(_row("C08-sizebias", f"hand-value-{label}", dev,
-                             f"<=3SE({se:.1e})", dev <= se, n=n))
+            rows.append(_row("C08-sizebias", f"hand-value-{label}", abs(chk["lhs"] - hand),
+                             Band("<=", 3, se=math.sqrt(hand * (1 - hand) / reps)), n=n))
     return rows
 
 
@@ -345,12 +333,10 @@ def c09_spine_mean(seed: int, bank: SimBank) -> list[ReportRow]:
     exact = 1.0 + 1.0 / 5.0 + gamma[n]
     se = t.std(ddof=1) / math.sqrt(reps)
     dev = abs(t.mean() - exact)
-    rows.append(_row("C09-spine-mean", "tstar-mean-identity", dev, f"<=3SE({3*se:.2e})",
-                     dev <= 3 * se, n=n))
+    rows.append(_row("C09-spine-mean", "tstar-mean-identity", dev, Band("<=", 3, se=se), n=n))
     growth = (gamma[2 * n] - gamma[n]) / math.log(2.0)
     dev = abs(growth - 5.0 / (8.0 * math.pi))
-    rows.append(_row("C09-spine-mean", "gamma-growth-constant", dev, "<0.01",
-                     dev < 0.01, n=1024))
+    rows.append(_row("C09-spine-mean", "gamma-growth-constant", dev, Band("<", 0.01), n=1024))
     return rows
 
 
@@ -365,25 +351,22 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     rng = substream(seed, "conditioned-rep", rep=10)
     reps = 100_000
     draws = cr.ConditionedSampler(1, (1, 0)).sample(reps, rng)[0]
-    support_ok = bool(np.all((draws == 1) | (draws == 2)))
+    outside = np.count_nonzero((draws != 1) & (draws != 2))
     obs = np.bincount(draws, minlength=3)[1:3]
     chi = st.chi_square(obs, np.array([8.0, 1.0]) / 9.0)
-    rows.append(_row("C10-conditioned", "n1-support", float(support_ok), "=={1,2}",
-                     support_ok, n=1))
-    rows.append(_row("C10-conditioned", "n1-bernoulli-ninth", chi["p_value"], ">0.01",
-                     chi["p_value"] > 0.01, n=1))
+    rows.append(_row("C10-conditioned", "n1-support", outside, Band("==", 0), n=1))
+    rows.append(_row("C10-conditioned", "n1-bernoulli-ninth", chi["p_value"], CHI2_BAND, n=1))
     for n in (2, 3):
         cond = xf.pmf_oracle(_B, n, 2, degree=32).conditional_pmf_at((1, 0))
         draws = cr.ConditionedSampler(n, (1, 0)).sample(reps, rng)[0]
         obs = np.bincount(draws, minlength=len(cond) + 1)[1:]
         chi = st.chi_square(obs, cond)
         rows.append(_row("C10-conditioned", f"n{n}-chi-square-vs-oracle", chi["p_value"],
-                         ">0.01", chi["p_value"] > 0.01, n=n))
+                         CHI2_BAND, n=n))
     n, x = 6, np.array([2, 0])
     draws, paths = cr.ConditionedSampler(n, x).sample(reps, rng)
     jumps = int((np.abs(np.diff(paths, axis=1)).sum(axis=2) > 1).sum())
-    rows.append(_row("C10-conditioned", "path-steps-beyond-neighbours", jumps, "==0",
-                     jumps == 0, n=n))
+    rows.append(_row("C10-conditioned", "path-steps-beyond-neighbours", jumps, Band("==", 0), n=n))
     u = xf.hitting_field(_B, n - 1, 2)
     p_prev, p_n = itertools.islice(sweep(n, 2), n - 1, None)
     second = p_n.value_at(x) / (2.0 - float(u.neighbor_row(x)[1]))
@@ -393,8 +376,7 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
         z = (mine.mean() - p_prev.value_at(x - y) / u.value_at(x - y) - second) \
             / (mine.std(ddof=1) / math.sqrt(len(mine)))
         worst = max(worst, abs(z))
-    rows.append(_row("C10-conditioned", "first-step-coupling-max-z", worst, "|z|<4",
-                     worst < 4, n=n))
+    rows.append(_row("C10-conditioned", "first-step-coupling-max-z", worst, Z_BAND, n=n))
     return rows
 
 
@@ -437,17 +419,15 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     params = xf.SuperSolutionParams(xf.KAPPA0)
     rel = min(xf.supersolution_margin(params, n)[0] for n in range(n0, 4 * n0 + 1))
-    rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, ">=0", rel >= 0,
-                     n=4 * n0))
+    rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, Band(">=", 0), n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
     top = U_RATE_GRID[-1]
     worst, origin = _shift_domination(n1, top, DOMINATION_EPS)
     rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", worst,
-                     "<=1e-12", worst <= 1e-12, n=top))
+                     Band("<=", 1e-12), n=top))
     rate = {k: k * math.log(k) * origin[k] for k in U_RATE_GRID}
     ratio = max(rate.values()) / min(rate.values())
-    rows.append(_row("C11-supersolution", "u-times-n-log-n-ratio", ratio,
-                     f"<={U_RATE_RATIO_BOUND}", ratio <= U_RATE_RATIO_BOUND, n=512))
+    rows.append(_row("C11-supersolution", "u-times-n-log-n-ratio", ratio, RATIO_2X_BAND, n=512))
     return rows
 
 
@@ -461,14 +441,13 @@ def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
             for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, 1e-12))
             if u.step in grid}
     ratio = max(vals.values()) / min(vals.values())
-    rows.append(_row("C12-occupied-2d", "mean-occupied-times-log", ratio,
-                     f"<={OCC2D_RATIO_BOUND}", ratio <= OCC2D_RATIO_BOUND, n=512))
+    rows.append(_row("C12-occupied-2d", "mean-occupied-times-log", ratio, RATIO_2X_BAND, n=512))
     t = st.tightness_table({n: bank.conditioned(2, n).Omega for n in grid},
-                           lambda n: n / math.log(n), OCC2D_RATIO_BOUND)
-    rows.append(_row("C12-occupied-2d", "conditional-omega-q90-ratio", t["ratio"],
-                     f"<={OCC2D_RATIO_BOUND}", t["passed"], n=512))
+                           lambda n: n / math.log(n))
+    rows.append(_row("C12-occupied-2d", "conditional-omega-q90-ratio", t["ratio"], RATIO_2X_BAND,
+                     n=512))
     z = _bank_mean_max_z(bank, 2, grid)
-    rows.append(_row("C12-occupied-2d", "mean-Z-vs-exact-max-z", z, "|z|<4", z < 4, n=512))
+    rows.append(_row("C12-occupied-2d", "mean-Z-vs-exact-max-z", z, Z_BAND, n=512))
     return rows
 
 
@@ -482,12 +461,11 @@ def c13_clustering(seed: int, bank: SimBank) -> list[ReportRow]:
         out[n] = sp.spine_typical_batch(n, reps, rng, ell=ell)
         frac[n] = 1.0 - float(out[n]["occupied"].mean()) / len(sites_in_ball(2, ell))
     rows.append(_row("C13-clustering", "vacancy-fraction-decreasing", frac[1024] - frac[128],
-                     "<0", frac[1024] < frac[128], n=1024, soft=True))
+                     Band("<", 0), n=1024, soft=True))
     n, ell = 1024, math.ceil(math.log(1024))
     q90 = float(np.quantile(out[n]["W"] / (math.pi * ell**2 * math.log(n)), 0.9))
-    lo, hi = CLUSTER_W_BAND
-    rows.append(_row("C13-clustering", "ball-count-q90-band", q90, f"[{lo},{hi}]",
-                     lo <= q90 <= hi, n=n, soft=True))
+    rows.append(_row("C13-clustering", "ball-count-q90-band", q90, Band("<=", 2.0, lo=0.02), n=n,
+                     soft=True))
     return rows
 
 
@@ -496,18 +474,17 @@ def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     for d in (2, 3):
         worst = max(_orthant_violation(p) for p in sweep(64, d))
-        rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst, "<=1e-12",
-                         worst <= 1e-12, n=64, d=d))
+        rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst,
+                         Band("<=", 1e-12), n=64, d=d))
     worst = max(_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2))
-    rows.append(_row("C14-monotonicity", "hitting-orthant-d2", worst, "<=1e-12",
-                     worst <= 1e-12, n=64))
+    rows.append(_row("C14-monotonicity", "hitting-orthant-d2", worst, Band("<=", 1e-12), n=64))
     rng = substream(seed, "overlap", rep=14)
     reps, n, dx = 200_000, 16, (2, 0)
     dvals = fw.overlap_batch(_B, n, 2, (0, 0), dx, reps, rng)
     bound = 2.0 * transition_field(2 * n, 2).value_at(dx)
     se = dvals.std(ddof=1) / math.sqrt(reps)
     rows.append(_row("C14-monotonicity", "overlap-mean-bound", dvals.mean(),
-                     f"<={bound:.4g}+3SE", dvals.mean() <= bound + 3 * se, n=n))
+                     Band("<=", bound + 3 * se), n=n))
     return rows
 
 
@@ -529,10 +506,9 @@ SUITES = {
 }
 
 
-def _verdict(r: ReportRow) -> str:
-    if r.expect_fail:
-        return "xfail" if not r.passed else "XPASS"
-    return "ok" if r.passed else "FAIL"
+# a row's verdict by (passed, expect_fail): a strict expected failure must fail
+_VERDICT = {(True, False): "ok", (False, False): "FAIL", (False, True): "xfail",
+            (True, True): "XPASS"}
 
 
 def run_suites(names, seed: int, echo=None) -> tuple[list[ReportRow], dict[str, dict]]:
@@ -558,8 +534,9 @@ def run_suites(names, seed: int, echo=None) -> tuple[list[ReportRow], dict[str, 
         per_suite["suite_stencil_steps"][name] = lat.work.steps
         per_suite["suite_cell_steps"][name] = lat.work.cells
         rows.extend(suite_rows)
-        ok = all(r.as_expected for r in suite_rows if not r.soft)
+        ok = st.summary_dict(suite_rows)["hard_pass"]
         if echo:
-            detail = "; ".join(f"{r.statistic}={_verdict(r)}" for r in suite_rows)
+            detail = "; ".join(f"{r.statistic}={_VERDICT[r.passed, r.expect_fail]}"
+                               for r in suite_rows)
             echo(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.1f} s): {detail}")
     return rows, per_suite

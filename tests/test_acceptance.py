@@ -9,9 +9,14 @@ exponential mean (the classical constant is sigma^2/2, its reciprocal), and
 nothing else at criterion level.
 """
 
+import io
+import operator
+import re
+
 import pytest
 
 from brwlab import lattice as lat
+from brwlab import stats as st
 from brwlab import verify as vf
 
 SEED = 20240817
@@ -122,3 +127,38 @@ def test_c13_clustering_soft_bands(bank):
 
 def test_c14_monotonicity_and_overlap(bank):
     assert_hard_rows(run_suite("monotonicity", bank))
+
+
+# the band texts, read without `Band`: an interval [lo;hi], or an optional
+# |.| or |.-c|, a comparison, and a number or kSE(limit)
+_BAND_TEXT = re.compile(r"\[(?P<lo>[^;]+);(?P<hi>[^]]+)\]|(?P<abs>\|\.(?:-(?P<c>[^|]+))?\|)?"
+                        r"(?P<op><=|<|>=|>|==)(?P<x>[^S]+)(?:SE\((?P<limit>[^)]+)\))?")
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
+
+
+def _recheck(value: float, band: str) -> bool:
+    m = _BAND_TEXT.fullmatch(band)
+    assert m, band
+    if m["lo"]:
+        return float(m["lo"]) <= value <= float(m["hi"])
+    v = abs(value - float(m["c"] or 0)) if m["abs"] else value
+    return _OPS[m["op"]](v, float(m["limit"] or m["x"]))
+
+
+def test_report_csv_rechecks_from_its_own_text(bank):
+    # every row's verdict follows from its value and band text alone, and the
+    # passed, soft and expect_fail columns alone give the run's verdict
+    rows = [r for name in vf.SUITES for r in run_suite(name, bank)]
+    buf = io.StringIO()
+    st.write_report_csv(rows, buf, header_lines=[f"seed={SEED}"])
+    header, *lines = [line for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    columns = header.split(",")
+    assert len(lines) == len(rows)
+    hard_pass = True
+    for line in lines:
+        assert line.count(",") == len(columns) - 1, line
+        row = dict(zip(columns, line.split(",")))
+        assert row["passed"] == str(int(_recheck(float(row["value"]), row["band"]))), line
+        if row["soft"] == "0":
+            hard_pass &= row["passed"] != row["expect_fail"]
+    assert hard_pass == st.summary_dict(rows)["hard_pass"]

@@ -73,3 +73,24 @@ def test_the_package_starts_no_second_thread():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert not imported & {"threading", "queue", "_thread", "concurrent", "multiprocessing"}
+
+
+def test_every_report_row_takes_its_rule_from_one_band():
+    # `verify._row` decides pass from its Band: no call states a threshold
+    # twice, as a comparison beside a hand-written band string
+    tree = ast.parse((SRC / "verify.py").read_text())
+
+    def is_band(node):
+        return isinstance(node, ast.Call) and "Band" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    bands = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and is_band(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_row"]
+    assert len(calls) >= 36  # the 36 call sites of 45 report rows
+    for call in calls:
+        band = call.args[3] if len(call.args) > 3 else next(
+            k.value for k in call.keywords if k.arg == "band")
+        assert is_band(band) or (isinstance(band, ast.Name) and band.id in bands), call.lineno
+        assert not any(isinstance(n, ast.Compare) for n in ast.walk(call)), call.lineno

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -274,6 +275,7 @@ def _gamma(S):
     return sp.gamma_split({"S": S, "Tstar": 1, "B0": 0, "kept": {}})["Gamma"]
 
 
+@functools.cache  # two tests read the same draws: (1024, 40_000, 27) and (64, 40_000, 25)
 def _gamma_var(n, reps, seed):
     rng = substream(seed, "spine")
     g = _gamma(sample_srw_batch(n, 2, reps, rng))

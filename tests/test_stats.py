@@ -22,12 +22,12 @@ def test_ks_self_test_accepts_true_law():
     rng = substream(50, "selftest")
     x = rng.exponential(2.0, size=5000)
     out = st.ks_against_exponential(x, 2.0)
-    assert out["passed"] and out["D"] < 0.03
+    assert out["p_value"] > 0.05 and out["D"] < 0.03
 
 
 def test_ks_rejects_constant_samples():
     out = st.ks_against_exponential(np.full(500, 1.3), 2.0)
-    assert out["D"] >= 0.5 and not out["passed"]
+    assert out["D"] >= 0.5 and out["p_value"] <= 0.05
 
 
 def test_ks_needs_samples():
@@ -85,11 +85,11 @@ def test_chi_square_pools_sparse_tail():
 def test_tightness_table_pass_and_sanity_fail():
     rng = substream(52, "selftest")
     stable = {n: 3.0 * rng.random(2000) * math.log(n) for n in (64, 128, 256)}
-    out = st.tightness_table(stable, lambda n: math.log(n), 1.5)
-    assert out["passed"] and out["ratio"] < 1.2
+    out = st.tightness_table(stable, lambda n: math.log(n))
+    assert out["ratio"] <= 1.5 and out["ratio"] < 1.2
     growing = {n: rng.random(2000) * n for n in (64, 128, 256)}
-    out_bad = st.tightness_table(growing, lambda n: 1.0, 1.5)
-    assert not out_bad["passed"]
+    out_bad = st.tightness_table(growing, lambda n: 1.0)
+    assert out_bad["ratio"] > 1.5
 
 
 def test_kappa_estimates_identity():
@@ -130,7 +130,7 @@ def test_report_rows_csv_shape():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# seed=1"
     assert lines[1] == st.ReportRow.CSV_HEADER
-    assert lines[2].endswith(",1,0") and lines[3].endswith(",0,1")
+    assert lines[2].endswith(",1,0,0") and lines[3].endswith(",0,1,0")
     summary = st.summary_dict(rows)
     assert summary["hard_pass"] is True
     assert summary["failed_rows"] == ["C00-demo:stat-b"]
@@ -146,3 +146,37 @@ def test_expected_failure_row_breaks_gate_only_when_it_passes():
     summary = st.summary_dict([ok, xpass])
     assert summary["hard_pass"] is False
     assert summary["expected_failures"] == ["C00-demo:stat-x"]
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+# band, its text, values that pass, values that fail: each boundary sits on the
+# side its comparison puts it, so a flipped comparison fails here
+SE = np.float64(1.2345678901234567e-05)
+BANDS = [
+    (st.Band("<=", 1e-9), "<=1e-9", [1e-9, -1.0], [_up(1e-9)]),
+    (st.Band("<", 0.05), "<0.05", [_down(0.05)], [0.05]),
+    (st.Band(">=", 0), ">=0", [0.0, 1.0], [_down(0.0)]),
+    (st.Band(">", 0.01), ">0.01", [_up(0.01)], [0.01]),
+    (st.Band("==", 0), "==0", [0.0, -0.0], [_up(0.0), 1.0]),
+    (st.Band("<", 4, center=0), "|.|<4", [_down(4.0), _up(-4.0)], [4.0, -4.0]),
+    (st.Band("<=", 0.5, center=1), "|.-1|<=0.5", [0.5, 1.5, 1.0], [0.4999999999999999, _up(1.5)]),
+    (st.Band("<=", 2.0, lo=1.85), "[1.85;2.0]", [1.85, 2.0], [_down(1.85), _up(2.0)]),
+    (st.Band("<=", 3, se=0.001), "<=3SE(0.003)", [0.003, -1.0], [_up(0.003)]),
+    (st.Band("<=", 3, se=SE), f"<=3SE({float(3 * SE)!r})".replace("e-05", "e-5"),
+     [float(3 * SE)], [_up(float(3 * SE))]),
+]
+
+
+@pytest.mark.parametrize("band, text, good, bad", BANDS, ids=[b[1] for b in BANDS])
+def test_band_renders_its_rule_and_decides_at_the_boundary(band, text, good, bad):
+    assert str(band) == text
+    assert all(band.holds(v) is True for v in good)
+    assert not any(band.holds(v) for v in bad)
+    assert band.holds(math.nan) is False
