@@ -79,7 +79,8 @@ _PARAMETERS = {
     "conditioned": {"n": (2, (1, fw.COORD_OFF - 1)), "reps": 100, "seed": None, "x": "1,0"},
     "verify": {"seed": None},
     "exact": {"p-field": {"n": 8, "dim": 2, "clamp": None}, "u-field": _FIELD, "mgf-field": _MGF,
-              "h-field": _MGF, "m2-field": _FIELD, "survival": {"n": 8, "offspring": "binary"},
+              "h-field": {**_MGF, "n": (8, (1,))},  # H_n is defined from n = 1
+              "m2-field": _FIELD, "survival": {"n": 8, "offspring": "binary"},
               "mean-occupied": _FIELD, "gamma": {"n": 8, "dim": 2},
               "supersolution-verify": {"kappa": xf.KAPPA0, "n0": None}},
 }
@@ -200,10 +201,8 @@ def cmd_simulate(args) -> int:
     survival = xf.survival_sequence(dist, n) if conditioned else None
 
     def block(rng, first, count):
-        if survival is None:
-            stats = fw.run_batch(dist, n, d, count, rng, want_typical=True)
-        else:
-            stats = fw.run_conditioned_batch(dist, n, d, count, rng, survival, want_typical=True)
+        stats = fw.run_batch(dist, n, d, count, rng, survival)
+        if survival is not None:
             # the free runs rejection would have needed per survivor, from its exact law
             attempts = rng.geometric(survival[n], size=count)
         lines = []
@@ -264,7 +263,7 @@ def cmd_exact(args) -> int:
     elif kind == "m2-field":
         result = xf.second_moment_field(dist, n, d, clamp=clamp)
     elif kind == "survival":
-        s_n = xf.survival_prob(dist, n)
+        s_n = float(xf.survival_sequence(dist, n)[n])
         result = {"n": n, "offspring": spec, "survival": s_n, "n_times_survival": n * s_n}
     elif kind == "mean-occupied":
         total, tail = xf.mean_occupied(dist, n, d, clamp=clamp)

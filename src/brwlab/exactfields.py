@@ -60,17 +60,13 @@ class PmfTruncationError(ValueError):
 
 def survival_sequence(dist: OffspringDist, n: int) -> np.ndarray:
     """s_0..s_n with s_k = P(Z_k > 0), via s_{k+1} = 1 - Phi(1 - s_k)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     s = np.empty(n + 1)
     s[0] = 1.0
     for k in range(n):
         s[k + 1] = -dist.pgf_at_one_plus(-s[k])
     return s
-
-
-def survival_prob(dist: OffspringDist, n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return float(survival_sequence(dist, n)[n])
 
 
 # ---------------------------------------------------------------------------

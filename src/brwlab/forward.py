@@ -6,10 +6,11 @@ count and each child picks a uniform neighbor.  `BatchStats` reads every
 per-replicate occupancy statistic (Z_n, V_n, M_n(j), Omega_n and the count at
 a typical site) off the final array in one pass, sorting it in place.
 
-Runs conditioned on survival to generation n (the event G_n) are drawn
-exactly from the reduced tree (Fleischmann & Siegmund-Schultze 1977; Geiger
-1999): only particles with a descendant at generation n are kept.  A kept
-particle with m generations left has K >= 1 kept children, each child
+Runs conditioned on survival to generation n (the event G_n; `run_batch`
+given the survival sequence) are drawn exactly from the reduced tree
+(Fleischmann & Siegmund-Schultze 1977; Geiger 1999): only particles with a
+descendant at generation n are kept.
+A kept particle with m generations left has K >= 1 kept children, each child
 surviving independently with probability s_{m-1} = P(Z_{m-1} > 0) given that
 at least one does (`OffspringDist.sample_kept`); under binary fission
 K = 1 + Bernoulli(s/(2-s)), and only the parents whose coin comes up are
@@ -140,10 +141,10 @@ class BatchStats:
     `keys` is sorted in place (callers hand over the array).  Each site's
     replicate and count are read off it without the copies np.unique makes,
     and the typical particle is drawn by its index in the sorted array, so no
-    per-site array outlives the histogram."""
+    per-site array outlives the histogram.  That draw is the batch's last, so
+    every other statistic is the same for any `rng`."""
 
-    def __init__(self, keys: np.ndarray, reps: int, d: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, keys: np.ndarray, reps: int, d: int, rng: np.random.Generator):
         keys.sort()
         first = np.ones(keys.size, dtype=bool)  # a site's first particle
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -182,7 +183,7 @@ class BatchStats:
         self.overflow_sites = M[:, J_MAX].copy()
         self.T = np.full(reps, -1, dtype=np.int64)
         self.S = np.zeros((reps, d), dtype=np.int64)
-        if rng is not None and keys.size:
+        if keys.size:
             # a uniform particle of each live replicate; replicate r's
             # particles are keys[zc[r]:zc[r + 1]]
             zc = np.concatenate(([0], np.cumsum(self.Z)))
@@ -195,8 +196,8 @@ class BatchStats:
             conditioned: bool = False, attempts: int | None = None) -> dict:
         """Replicate i as a JSON row; `attempts` is the number of free runs
         rejection would have needed (Geometric(s_n)), T and S the typical
-        particle's count and site (None where none was drawn)."""
-        drawn = self.Z[i] > 0 and self.T[i] >= 0
+        particle's count and site (None for an extinct replicate)."""
+        drawn = self.Z[i] > 0
         return {
             "rep": rep, "n": n, "d": self.d, "seed": seed,
             "conditioned": conditioned, "attempts": attempts,
@@ -219,23 +220,16 @@ def _origin_keys(tags: np.ndarray, d: int) -> np.ndarray:
 
 
 def run_batch(dist: OffspringDist, n: int, d: int, reps: int,
-              rng: np.random.Generator, want_typical: bool = False) -> BatchStats:
-    """`reps` independent free runs in one particle array."""
+              rng: np.random.Generator, survival: np.ndarray | None = None) -> BatchStats:
+    """`reps` independent runs in one particle array: free runs, or, given
+    `survival` = `xf.survival_sequence(dist, n')` for some n' >= n (s_0..s_n'),
+    runs conditioned on survival to generation n, drawn exactly from the
+    reduced tree."""
     _check_capacity(n, d, reps)
-    keys = evolve_particles(_origin_keys(np.arange(reps), d), n, dist, d, rng)
-    return BatchStats(keys, reps, d, rng if want_typical else None)
-
-
-def run_conditioned_batch(dist: OffspringDist, n: int, d: int, want: int,
-                          rng: np.random.Generator, survival: np.ndarray,
-                          want_typical: bool = False) -> BatchStats:
-    """`want` independent runs conditioned on survival to generation n, drawn
-    exactly from the reduced tree.  `survival` is `xf.survival_sequence(dist,
-    n')` for some n' >= n (s_0..s_n')."""
-    _check_capacity(n, d, want)
-    _check_survival(survival, n)
-    keys = evolve_particles(_origin_keys(np.arange(want), d), n, dist, d, rng, survival)
-    return BatchStats(keys, want, d, rng if want_typical else None)
+    if survival is not None:
+        _check_survival(survival, n)
+    keys = evolve_particles(_origin_keys(np.arange(reps), d), n, dist, d, rng, survival)
+    return BatchStats(keys, reps, d, rng)
 
 
 def site_count_batch(dist: OffspringDist, n: int, d: int, site, reps: int,
@@ -291,8 +285,7 @@ def population_conditioned_batch(dist: OffspringDist, n: int, want: int,
                                  rng: np.random.Generator,
                                  survival: np.ndarray) -> np.ndarray:
     """Z_n for `want` runs conditioned on survival to generation n: the size
-    of the reduced tree's last generation (`survival` as in
-    `run_conditioned_batch`)."""
+    of the reduced tree's last generation (`survival` as in `run_batch`)."""
     _check_survival(survival, n)
     r = np.ones(want, dtype=np.int64)
     for g in range(n):

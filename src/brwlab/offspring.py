@@ -154,8 +154,6 @@ class OffspringDist:
         if self.geo_r is not None:
             r = self.geo_r
             return (1 - r) ** 2 / np.square(1 - r * np.asarray(z, dtype=np.float64))
-        if self.name == "binary":
-            return np.asarray(z, dtype=np.float64) if isinstance(z, np.ndarray) else float(z)
         lz = _log_of_max(np.log, z)
         return self._series(z, lambda ls, qs, zz: np.where(ls >= 1, qs * ls, 0.0)
                             * np.power(zz, np.maximum(ls - 1, 0)),

@@ -87,6 +87,9 @@ def spine_typical_batch(n: int, reps: int, rng: np.random.Generator, d: int = 2,
         raise ValueError("ell must be >= 0")
     if n > fw.COORD_OFF:  # before the draws: S_{i+1} + xi_i then fits int16
         raise ValueError(f"n = {n} exceeds the packing range n <= {fw.COORD_OFF}")
+    # walk i lies within i of the origin per axis and its query site within
+    # i + 2, so every offset lies in the ball of radius 2n sqrt(d)
+    ell = min(ell, 2 * n * math.sqrt(d))
     S = sample_srw_batch(n, d, reps, rng)
     # walk i, of age i, is read at S_{i+1} + xi_i
     query = S[:, 1:].copy()

@@ -102,7 +102,8 @@ def test_exact_u_field_contains_two_step_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["mgf-field", "--n", "-1"], ["m2-field", "--n", "-1"],
                                   ["u-field", "--n", "3", "--clamp", "-2"],
-                                  ["h-field", "--n", "3", "--clamp", "0"]])
+                                  ["h-field", "--n", "3", "--clamp", "0"],
+                                  ["h-field", "--n", "0"]])
 def test_exact_fields_reject_out_of_range_input(tmp_path, argv):
     # argv ends with the offending flag and its value
     out = tmp_path / "f.csv"

@@ -16,9 +16,11 @@ B = binary()
 
 
 def test_survival_first_steps():
-    assert xf.survival_prob(B, 0) == 1.0
-    assert xf.survival_prob(B, 1) == 0.5
-    assert xf.survival_prob(B, 2) == pytest.approx(3 / 8, abs=1e-15)
+    s = xf.survival_sequence(B, 2)
+    assert s[0] == 1.0 and s[1] == 0.5
+    assert s[2] == pytest.approx(3 / 8, abs=1e-15)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        xf.survival_sequence(B, -1)
 
 
 def test_survival_monotone_and_asymptotic():
@@ -30,7 +32,7 @@ def test_survival_monotone_and_asymptotic():
 def test_survival_general_families():
     g = geometric(2)
     # sigma2 = 2: n*s_n -> 2/sigma2 = 1
-    assert 0.92 <= 2048 * xf.survival_prob(g, 2048) <= 1.0
+    assert 0.92 <= 2048 * xf.survival_sequence(g, 2048)[2048] <= 1.0
     z = zeta(2.0)
     s = xf.survival_sequence(z, 64)
     assert np.all(np.diff(s) < 0) and s[64] > 0

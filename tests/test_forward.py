@@ -76,7 +76,7 @@ def test_step_from_single_particle_law():
     keys = fw.evolve_particles(_tagged([(0, 0)], reps, 2), 1, B, 2, rng)
     site_mask = (np.int64(1) << fw._rep_shift(2)) - 1
     assert {tuple(s) for s in fw.decode_sites(keys & site_mask, 2)} <= offs
-    bs = fw.BatchStats(keys, reps, 2)
+    bs = fw.BatchStats(keys, reps, 2, rng)
     assert set(np.unique(bs.Z)) <= {0, 2}
     extinct = int((bs.Z == 0).sum())
     assert abs(extinct / reps - 0.5) <= 3 * math.sqrt(0.25 / reps)
@@ -86,7 +86,7 @@ def test_step_preserves_mean_population():
     rng = substream(3, "selftest")
     sites = [(0, 0)] * 3 + [(1, 0)] * 2
     reps = 20000
-    zs = fw.BatchStats(fw.evolve_particles(_tagged(sites, reps, 2), 1, B, 2, rng), reps, 2).Z
+    zs = fw.BatchStats(fw.evolve_particles(_tagged(sites, reps, 2), 1, B, 2, rng), reps, 2, rng).Z
     se = zs.std(ddof=1) / math.sqrt(len(zs))
     assert abs(zs.mean() - len(sites)) <= 3 * se
 
@@ -96,16 +96,17 @@ def test_step_general_offspring_mean():
     g = geometric(2)
     reps = 20000
     zs = fw.BatchStats(fw.evolve_particles(_tagged([(0, 0, 0)] * 4, reps, 3), 1, g, 3, rng),
-                       reps, 3).Z
+                       reps, 3, rng).Z
     se = zs.std(ddof=1) / math.sqrt(len(zs))
     assert abs(zs.mean() - 4) <= 3 * se
 
 
 def test_stats_from_handmade_occupancy():
-    s = fw.BatchStats(_tagged([(0, 0)] * 2, 1, 2), 1, 2).row(0, 5)
+    rng = np.random.default_rng(0)
+    s = fw.BatchStats(_tagged([(0, 0)] * 2, 1, 2), 1, 2, rng).row(0, 5)
     assert (s["Z"], s["V"], s["Omega"]) == (2, 2, 1)
     assert s["M"][1] == 1 and sum(s["M"]) == 1
-    big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2).row(0, 5)
+    big = fw.BatchStats(_tagged([(0, 0)] * 70 + [(1, 0)] * 3, 1, 2), 1, 2, rng).row(0, 5)
     assert big["overflow"] == {"sites": 1, "mass": 70}
     assert big["Z"] == 73 and big["V"] == 70
 
@@ -117,7 +118,8 @@ def test_batch_stats_match_per_replicate_counts():
              4: [(-1, 0)]}
     keys = np.concatenate([_tagged(v, 1, d) + (np.int64(r) << fw._rep_shift(d))
                            for r, v in sites.items()])
-    bs = fw.BatchStats(np.random.default_rng(0).permutation(keys), reps, d)
+    rng = np.random.default_rng(0)
+    bs = fw.BatchStats(rng.permutation(keys), reps, d, rng)
     for r in range(reps):
         _, cnt = np.unique(keys[keys >> fw._rep_shift(d) == r], return_counts=True)
         assert bs.Z[r] == cnt.sum() and bs.Omega[r] == len(cnt)
@@ -142,6 +144,24 @@ def test_batch_stats_traced_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3.2 * keys.nbytes, peak / keys.nbytes
+
+
+def test_bank_statistics_do_not_depend_on_the_typical_draw():
+    # the typical particle is the batch's last draw: two rngs give one bank
+    reps, n, d = 300, 64, 3
+    keys = fw.evolve_particles(fw._origin_keys(np.arange(reps), d), n, B, d,
+                               substream(12, "conditioned-sim"), xf.survival_sequence(B, n))
+    a, b = keys.copy(), keys.copy()
+    sa = fw.BatchStats(a, reps, d, substream(13, "selftest"))
+    sb = fw.BatchStats(b, reps, d, substream(14, "selftest"))
+    for name in ("Z", "V", "Omega", "M", "overflow_sites", "overflow_mass"):
+        assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+    assert not np.array_equal(sa.S, sb.S)
+    for bs, k in ((sa, a), (sb, b)):  # k is sorted in place
+        live = np.flatnonzero(bs.Z > 0)
+        at = (live << fw._rep_shift(d)) + fw.encode_sites(bs.S[live], d)
+        assert np.array_equal(bs.T[live], np.searchsorted(k, at, side="right")
+                              - np.searchsorted(k, at))
 
 
 def test_run_batch_invariants_and_martingale():
@@ -359,7 +379,7 @@ def test_key_packing_lives_in_forward():
 
 def test_run_conditioned_one_step_always_pair():
     rng = substream(7, "selftest")
-    bs = fw.run_conditioned_batch(B, 1, 2, 50, rng, xf.survival_sequence(B, 1))
+    bs = fw.run_batch(B, 1, 2, 50, rng, xf.survival_sequence(B, 1))
     assert np.all(bs.Z == 2)
 
 
@@ -370,7 +390,7 @@ def test_run_conditioned_attempt_count_geometric(tmp_path):
     main(["simulate", "--n", str(n), "--conditioned", "--reps", "3000", "--seed", "8",
           "--out", str(out)])
     attempts = np.array([json.loads(line)["attempts"] for line in out.read_text().splitlines()])
-    s_n = xf.survival_prob(B, n)
+    s_n = xf.survival_sequence(B, n)[n]
     assert attempts.min() >= 1
     se = attempts.std(ddof=1) / math.sqrt(len(attempts))
     assert abs(attempts.mean() - 1.0 / s_n) <= 3 * se
@@ -381,7 +401,7 @@ def test_conditioned_batch_matches_survival_conditioning():
     n = 32
     s = xf.survival_sequence(B, n)
     s_n = s[n]
-    bs = fw.run_conditioned_batch(B, n, 2, 4000, rng, s)
+    bs = fw.run_batch(B, n, 2, 4000, rng, s)
     assert np.all(bs.Z > 0)
     # conditional mean Z equals 1/s_n exactly
     se = bs.Z.std(ddof=1) / math.sqrt(len(bs.Z))
@@ -408,7 +428,7 @@ def test_population_batch_survival_matches_recursion():
     rng = substream(11, "selftest")
     n, reps = 64, 400_000
     z = fw.population_batch(B, n, reps, rng)
-    s_exact = xf.survival_prob(B, n)
+    s_exact = xf.survival_sequence(B, n)[n]
     pi_hat = (z > 0).mean()
     se = math.sqrt(pi_hat * (1 - pi_hat) / reps)
     assert abs(pi_hat - s_exact) <= 3 * se
@@ -520,7 +540,7 @@ def test_overlap_mean_bounded_by_double_step():
 
 def test_genstats_json_schema():
     rng = substream(15, "selftest")
-    bs = fw.run_conditioned_batch(B, 3, 2, 1, rng, xf.survival_sequence(B, 3), want_typical=True)
+    bs = fw.run_batch(B, 3, 2, 1, rng, xf.survival_sequence(B, 3))
     d = bs.row(0, 3, conditioned=True, attempts=4, rep=7, seed=123)
     assert set(d) == {"rep", "n", "d", "seed", "conditioned", "attempts", "Z", "V",
                       "Omega", "M", "overflow", "T", "S"}
@@ -532,7 +552,7 @@ def test_genstats_json_schema():
 def test_key_packing_range_checked():
     rng = substream(16, "selftest")
     with pytest.raises(ValueError):
-        fw.run_conditioned_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
+        fw.run_batch(B, 4, 3, 2**17, rng, xf.survival_sequence(B, 4))
     with pytest.raises(ValueError):
         fw.overlap_batch(B, 4, 2, (2**14 - 2, 0), (0, 0), 10, rng)
     # attached walks: particle reach, checked before any step
@@ -569,7 +589,7 @@ def test_conditioned_z_law_matches_pgf_iteration(spec):
     assert 1.0 - law[0] == pytest.approx(s[n], rel=1e-12)
     cond = law[1:] / s[n]
     pop = fw.population_conditioned_batch(dist, n, want, substream(20, "selftest"), s)
-    spatial = fw.run_conditioned_batch(dist, n, 2, want, substream(21, "selftest"), s).Z
+    spatial = fw.run_batch(dist, n, 2, want, substream(21, "selftest"), s).Z
     for z in (pop, spatial):
         assert z.min() >= 1
         obs = np.bincount(np.minimum(z, len(cond) + 1), minlength=len(cond) + 2)[1:-1]
@@ -611,7 +631,7 @@ def test_conditioned_runs_match_rejection_reference(spec):
     s = xf.survival_sequence(dist, n)
     free = fw.run_batch(dist, n, d, 120_000, substream(22, "selftest"))
     alive = free.Z > 0
-    tree = fw.run_conditioned_batch(dist, n, d, 20_000, substream(23, "selftest"), s)
+    tree = fw.run_batch(dist, n, d, 20_000, substream(23, "selftest"), s)
     for ref, got in ((free.V[alive], tree.V), (free.Omega[alive], tree.Omega)):
         se = math.hypot(ref.std(ddof=1) / math.sqrt(len(ref)),
                         got.std(ddof=1) / math.sqrt(len(got)))

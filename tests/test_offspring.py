@@ -26,6 +26,10 @@ def test_binary_pgf_values(families):
     assert b.pgf_at_one_plus(0.0) == 0.0    # Phi(1) = 1
     assert b.pgf_prime(1.0) == 1.0
     assert b.sigma2 == 1.0
+    # Phi'(z) = z exactly on the series path, for arrays and for floats
+    z = np.concatenate(([0.0, 5e-324, 2.2e-308], np.geomspace(1e-300, 1e200, 4001)))
+    assert np.array_equal(b.pgf_prime(z), z)
+    assert all(type(b.pgf_prime(x)) is float and b.pgf_prime(x) == x for x in z.tolist())
 
 
 def test_construction_rejects_noncritical_tables():

@@ -398,6 +398,20 @@ def test_ball_count_floor_and_saturation():
         sp.spine_typical_batch(8, 10, rng, ell=-0.5)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_radius_past_every_offset_reads_the_same_batch(d):
+    # every offset lies within 2n sqrt(d) of its query site, so a larger
+    # radius reads the batch at that radius; 1e300 once overflowed the tree's
+    # clamp schedule
+    n, reps = 6, 40
+    ref = sp.spine_typical_batch(n, reps, substream(37, "spine-ball"), d, ell=2 * n * math.sqrt(d))
+    assert np.all(ref["W"] >= ref["Tstar"])
+    for ell in (1e18, 1e300, math.inf):
+        out = sp.spine_typical_batch(n, reps, substream(37, "spine-ball"), d, ell=ell)
+        for key in ("Tstar", "W", "occupied", "S"):
+            assert np.array_equal(out[key], ref[key]), (ell, key)
+
+
 def test_ball_count_mean_band_and_exact_window_sums():
     # exact E W = 2 + sum_{i=1}^{n-1} sum_{|x|<=ell} P_{2i+2}(x); the mean over
     # pi*ell^2*log n must sit in [A/4, A]
