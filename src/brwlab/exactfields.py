@@ -407,8 +407,8 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     holds=False is a valid outcome: `holds` is the sign of the smallest
     relative margin, which the report carries with where it sits (the
     absolute margin is smallest at the far edge of the box, where the bump
-    itself is negligible).  A non-finite kappa is rejected: its margins are
-    NaN or infinite, which no comparison would flag.
+    itself is negligible).  A NaN margin is the minimum, so it reads false.
+    A non-finite kappa is rejected: an infinite one makes every margin +inf.
     """
     if not math.isfinite(params.kappa):
         raise ValueError(f"kappa must be finite, got {params.kappa}")
@@ -417,22 +417,21 @@ def verify_supersolution(params: SuperSolutionParams, n_range) -> dict:
     if params.kappa <= 0:
         return {**report, "holds": False, "min_relative_margin": None, "argmin": None,
                 "note": "degenerate prefactor: the zero bump dominates nothing"}
-    worst, arg = math.inf, None
-    for n in n_range:
-        rel, site = supersolution_margin(params, int(n))
-        if rel < worst:
-            worst, arg = rel, {"n": int(n), "x": [int(site[0]), int(site[1])],
-                               "regime": _regime(int(n), site)}
+    ns = [int(n) for n in n_range]
+    margins = [supersolution_margin(params, n) for n in ns]
+    i = int(np.argmin([rel for rel, _ in margins]))
+    worst, site = margins[i]
+    arg = {"n": ns[i], "x": [int(site[0]), int(site[1])], "regime": _regime(ns[i], site)}
     return {**report, "holds": worst >= 0, "min_relative_margin": worst, "argmin": arg}
 
 
 def find_supersolution_start(kappa: float = KAPPA0) -> int:
-    """Smallest N0 <= _START_CAP with nonnegative relative margin on all of [N0, 4*N0]."""
+    """Smallest N0 <= _START_CAP whose relative margins on [N0, 4*N0] all read >= 0."""
     params = SuperSolutionParams(kappa)
     n0 = 2
     while n0 <= _START_CAP:  # each n is read once: a failure at n moves N0 past it
         bad = next((n for n in range(n0, 4 * n0 + 1)
-                    if supersolution_margin(params, n)[0] < 0), None)
+                    if not supersolution_margin(params, n)[0] >= 0), None)
         if bad is None:
             return n0
         n0 = bad + 1

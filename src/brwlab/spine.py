@@ -182,10 +182,12 @@ def sizebias_check(f, n: int, reps: int, rng: np.random.Generator) -> dict:
     del z
     rhs_m, rhs_v = float(rhs.mean()), float(rhs.var(ddof=1))
     se = math.sqrt(lhs_v / reps + rhs_v / reps)
+    diff = lhs_m - rhs_m
     return {
         "lhs": lhs_m,
         "rhs": rhs_m,
         "se": se,
-        "z_score": (lhs_m - rhs_m) / se if se > 0 else 0.0,
+        # se = 0: 0 if the means agree, else +-inf; a NaN mean or se reads NaN
+        "z_score": diff / se if se else 0.0 if diff == 0 else diff * math.inf,
         "reps": reps,
     }

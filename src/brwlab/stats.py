@@ -117,7 +117,7 @@ def ks_against_exponential(samples, mean: float) -> dict:
     cdf = -np.expm1(-x / mean)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
-    d = float(max(np.abs(cdf - hi).max(), np.abs(cdf - lo).max()))
+    d = float(np.max([np.abs(cdf - hi).max(), np.abs(cdf - lo).max()]))
     p = _kolmogorov_sf(math.sqrt(n) * d)
     return {"D": d, "n": n, "p_value": p}
 
@@ -160,13 +160,19 @@ def chi_square(observed, probs) -> dict:
     return {"stat": stat, "dof": dof, "p_value": _chi2_sf(dof, stat)}
 
 
-def tightness_table(samples_by_n: dict[int, np.ndarray], normalizer) -> dict:
-    """Stability of the 90% quantile of X_n / f(n) across a geometric n grid."""
-    qs = {n: float(np.quantile(np.asarray(x) / normalizer(n), 0.9))
-          for n, x in sorted(samples_by_n.items())}
-    vals = list(qs.values())
-    ratio = max(vals) / min(vals) if min(vals) > 0 else math.inf
-    return {"quantiles": qs, "ratio": ratio}
+def max_over_min(values) -> float:
+    """The largest value over the smallest, read by numpy: NaN if any value
+    is NaN, inf if the smallest is not positive."""
+    a = np.asarray(values, dtype=np.float64)
+    lo = a.min()
+    return float(a.max() / lo) if lo > 0 or np.isnan(lo) else math.inf
+
+
+def tightness_table(samples_by_n: dict[int, np.ndarray], normalizer) -> float:
+    """Stability of the 90% quantile of X_n / f(n) across a geometric n grid:
+    the largest quantile over the smallest."""
+    return max_over_min([np.quantile(np.asarray(x) / normalizer(n), 0.9)
+                         for n, x in samples_by_n.items()])
 
 
 def kappa_estimates(m_hist: np.ndarray, z: np.ndarray, overflow_mass: np.ndarray) -> dict:

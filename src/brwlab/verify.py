@@ -75,7 +75,9 @@ class SimBank:
 
 def _row(theorem, statistic, value, band: Band, n=0, d=2, offspring="binary", soft=False,
          expect_fail=False):
-    value = float(value)
+    """`value` is the row's value or the list of its terms.  Numpy folds the
+    terms to the largest, so a NaN term reads NaN and fails every band."""
+    value = float(np.max(value))
     return ReportRow(theorem, n, d, offspring, statistic, value, str(band), band.holds(value),
                      soft, expect_fail)
 
@@ -137,15 +139,10 @@ def _spectral_return_probs(max_j: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return out, spread
 
 
-def _bank_mean_max_z(bank: SimBank, d: int, grid) -> float:
-    """The largest |z| of the bank's mean Z_n against its exact value
-    E[Z_n | G_n] = 1/s_n, over the horizons n of `grid`."""
-    worst = 0.0
-    for n in grid:
-        z = bank.conditioned(d, n).Z
-        se = z.std(ddof=1) / math.sqrt(len(z))
-        worst = max(worst, abs(z.mean() - 1.0 / bank.survival[n]) / se)
-    return float(worst)
+def _bank_mean_abs_z(bank: SimBank, d: int, n: int) -> float:
+    """|z| of the bank's mean Z_n against its exact value E[Z_n | G_n] = 1/s_n."""
+    z = bank.conditioned(d, n).Z
+    return abs(z.mean() - 1.0 / bank.survival[n]) / (z.std(ddof=1) / math.sqrt(len(z)))
 
 
 def _orthant_violation(f: Field) -> float:
@@ -161,9 +158,9 @@ def _orthant_violation(f: Field) -> float:
 def c01_fundamental(seed: int, bank: SimBank) -> list[ReportRow]:
     """E U_n(x) = P_n(x): oracle means for n <= 12, Monte Carlo at n = 32."""
     rows = []
-    worst = max(float(np.abs(pf.mean_field() - pn.unfolded()).max())
-                for pf, pn in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), sweep(12, 2)))
-    rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", worst, Band("<=", 1e-9), n=12))
+    gaps = [np.abs(pf.mean_field() - pn.unfolded()).max()
+            for pf, pn in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), sweep(12, 2))]
+    rows.append(_row("C01-fundamental", "oracle-mean-vs-transition", gaps, Band("<=", 1e-9), n=12))
     rng = substream(seed, "simulate", rep=1)
     reps = 20000
     counts = fw.site_count_batch(_B, 32, 2, (1, 0), reps, rng)
@@ -178,10 +175,9 @@ def c02_hitting(seed: int, bank: SimBank) -> list[ReportRow]:
     """Hitting recursion vs the pmf oracle, for binary fission and a law with
     unbounded support (geometric:2)."""
     rows = []
-    worst = 0.0
-    for pf, u in zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), xf.hitting_sweep(_B, 12, 2)):
-        worst = max(worst, float(np.abs(pf.hitting_values() - u.unfolded()).max()))
-    rows.append(_row("C02-hitting", "oracle-vs-recursion", worst, Band("<=", 1e-9), n=12))
+    gaps = [np.abs(pf.hitting_values() - u.unfolded()).max() for pf, u in
+            zip(xf.pmf_oracle_sweep(_B, 12, 2, degree=64), xf.hitting_sweep(_B, 12, 2))]
+    rows.append(_row("C02-hitting", "oracle-vs-recursion", gaps, Band("<=", 1e-9), n=12))
     g = geometric(2)
     pf = xf.pmf_oracle(g, 6, 2, degree=48)
     worst = float(np.abs(pf.hitting_values() - xf.hitting_field(g, 6, 2).unfolded()).max())
@@ -217,11 +213,11 @@ def c03_second_moments(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     tol = Band("<=", 1e-8)  # every row's tolerance
     for d, n in ((2, 12), (3, 8)):
-        worst = max(float(np.abs(pf.second_moment_values() - f.unfolded()).max())
-                    for pf, f in zip(xf.pmf_oracle_sweep(_B, n, d, degree=64),
-                                     xf.second_moment_fields(_B, n, d)))
+        gaps = [np.abs(pf.second_moment_values() - f.unfolded()).max()
+                for pf, f in zip(xf.pmf_oracle_sweep(_B, n, d, degree=64),
+                                 xf.second_moment_fields(_B, n, d))]
         name = "oracle-vs-recursion" if d == 2 else f"oracle-vs-recursion-d{d}"
-        rows.append(_row("C03-second-moment", name, worst, tol, n=n, d=d))
+        rows.append(_row("C03-second-moment", name, gaps, tol, n=n, d=d))
     for d, eps in ((2, 1e-11), (3, 3e-11)):  # eps per step
         p2, spread = _spectral_return_probs(512, d)
         swept = sp.even_return_probs(512, d, clamp_schedule(512, d, eps))
@@ -287,8 +283,8 @@ def c06_multiplicity(seed: int, bank: SimBank) -> list[ReportRow]:
                      n=512, d=3))
     rows.append(_row("C06-multiplicity", "sd-M1-over-Z-decreasing", sd1[512] - sd1[128],
                      Band("<", 0), n=512, d=3))
-    z = _bank_mean_max_z(bank, 3, grid)
-    rows.append(_row("C06-multiplicity", "mean-Z-vs-exact-max-z", z, Z_BAND, n=512, d=3))
+    rows.append(_row("C06-multiplicity", "mean-Z-vs-exact-max-z",
+                     [_bank_mean_abs_z(bank, 3, n) for n in grid], Z_BAND, n=512, d=3))
     return rows
 
 
@@ -298,9 +294,9 @@ def c07_tightness(seed: int, bank: SimBank) -> list[ReportRow]:
     grid = (128, 256, 512, 1024)
     for d, f, label in ((3, lambda n: math.log(n), "V-over-log-n"),
                         (2, lambda n: math.log(n) ** 2, "V-over-log2-n")):
-        t = st.tightness_table({n: bank.conditioned(d, n).V for n in grid}, f)
-        rows.append(_row("C07-tightness", f"{label}-q90-ratio", t["ratio"], Band("<=", 1.5),
-                         n=1024, d=d))
+        ratio = st.tightness_table({n: bank.conditioned(d, n).V for n in grid}, f)
+        rows.append(_row("C07-tightness", f"{label}-q90-ratio", ratio, Band("<=", 1.5), n=1024,
+                         d=d))
     return rows
 
 
@@ -371,24 +367,23 @@ def c10_conditioned_rep(seed: int, bank: SimBank) -> list[ReportRow]:
     u = xf.hitting_field(_B, n - 1, 2)
     p_prev, p_n = itertools.islice(sweep(n, 2), n - 1, None)
     second = p_n.value_at(x) / (2.0 - float(u.neighbor_row(x)[1]))
-    worst = 0.0
+    abs_z = []
     for y in neighborhood(2):
         mine = draws[(paths[:, 1] == y).all(axis=1)]
-        z = (mine.mean() - p_prev.value_at(x - y) / u.value_at(x - y) - second) \
-            / (mine.std(ddof=1) / math.sqrt(len(mine)))
-        worst = max(worst, abs(z))
-    rows.append(_row("C10-conditioned", "first-step-coupling-max-z", worst, Z_BAND, n=n))
+        abs_z.append(abs((mine.mean() - p_prev.value_at(x - y) / u.value_at(x - y) - second)
+                         / (mine.std(ddof=1) / math.sqrt(len(mine)))))
+    rows.append(_row("C10-conditioned", "first-step-coupling-max-z", abs_z, Z_BAND, n=n))
     return rows
 
 
-def _shift_domination(n1: int, top: int, eps: float) -> tuple[float, np.ndarray]:
-    """(bound, origin): a certified upper bound on u_k(x) - v_{N1+k}(x) over
-    1 <= k <= top and every site x, for the bump v of prefactor N1 log N1,
-    and u~_k(0) for k = 0..top, off one hitting sweep clamped by
-    `clamp_schedule(top, 2, eps)`, whose field u~_k lives on the box of
-    radius r_k.  The bound is the largest over k of
+def _shift_domination(n1: int, top: int, eps: float) -> tuple[list[float], np.ndarray]:
+    """(terms, origin): the terms of a certified upper bound on
+    u_k(x) - v_{N1+k}(x) over 1 <= k <= top and every site x, for the bump v
+    of prefactor N1 log N1, and u~_k(0) for k = 0..top, off one hitting sweep
+    clamped by `clamp_schedule(top, 2, eps)`, whose field u~_k lives on the
+    box of radius r_k.  The bound is the largest term; each k gives two,
 
-        max(max_box(u~_k - v_{N1+k}) + eps,  eps - v_{N1+k}(k, k)).
+        max_box(u~_k - v_{N1+k}) + eps  and  eps - v_{N1+k}(k, k).
 
     - Outside the box, u_k <= P_k <= eps: u_k(x) <= E U_k(x) = P_k(x) for a
       critical law, and the schedule's Chernoff bound, which holds for the
@@ -402,15 +397,15 @@ def _shift_domination(n1: int, top: int, eps: float) -> tuple[float, np.ndarray]
       box of radius k it is smallest at the corner (k, k).
     k = 0 is left out: u_0(0) = v_{N1}(0) = 1 by construction."""
     params = xf.SuperSolutionParams(n1 * math.log(n1))
-    bound, origin = -math.inf, np.empty(top + 1)
+    terms, origin = [], np.empty(top + 1)
     for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, eps)):
         k = u.step
         origin[k] = u.value_at((0, 0))
         if k:
             v = xf.supersolution_field(params, n1 + k, radius=u.radius)
-            bound = max(bound, float((u.values - v.values).max()) + eps,
-                        eps - float(params.value(n1 + k, 2 * k * k)))
-    return bound, origin
+            terms += [float((u.values - v.values).max()) + eps,
+                      eps - float(params.value(n1 + k, 2 * k * k))]
+    return terms, origin
 
 
 def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
@@ -419,15 +414,14 @@ def c11_supersolution(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     params = xf.SuperSolutionParams(xf.KAPPA0)
-    rel = min(xf.supersolution_margin(params, n)[0] for n in range(n0, 4 * n0 + 1))
+    rel = np.min([xf.supersolution_margin(params, n)[0] for n in range(n0, 4 * n0 + 1)])
     rows.append(_row("C11-supersolution", f"relative-margin-N0-{n0}", rel, Band(">=", 0), n=4 * n0))
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
     top = U_RATE_GRID[-1]
-    worst, origin = _shift_domination(n1, top, DOMINATION_EPS)
-    rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", worst,
+    terms, origin = _shift_domination(n1, top, DOMINATION_EPS)
+    rows.append(_row("C11-supersolution", f"u-dominated-by-shift-N1-{n1}", terms,
                      Band("<=", 1e-12), n=top))
-    rate = {k: k * math.log(k) * origin[k] for k in U_RATE_GRID}
-    ratio = max(rate.values()) / min(rate.values())
+    ratio = st.max_over_min([k * math.log(k) * origin[k] for k in U_RATE_GRID])
     rows.append(_row("C11-supersolution", "u-times-n-log-n-ratio", ratio, RATIO_2X_BAND, n=512))
     return rows
 
@@ -438,17 +432,14 @@ def c12_occupied_2d(seed: int, bank: SimBank) -> list[ReportRow]:
     rows = []
     grid = (128, 256, 512)
     top = grid[-1]  # u_128, u_256 and u_512 off one sweep
-    vals = {u.step: u.total() * math.log(u.step)
-            for u in xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, 1e-12))
-            if u.step in grid}
-    ratio = max(vals.values()) / min(vals.values())
+    fields = xf.hitting_sweep(_B, top, 2, clamp=clamp_schedule(top, 2, 1e-12))
+    ratio = st.max_over_min([u.total() * math.log(u.step) for u in fields if u.step in grid])
     rows.append(_row("C12-occupied-2d", "mean-occupied-times-log", ratio, RATIO_2X_BAND, n=512))
-    t = st.tightness_table({n: bank.conditioned(2, n).Omega for n in grid},
-                           lambda n: n / math.log(n))
-    rows.append(_row("C12-occupied-2d", "conditional-omega-q90-ratio", t["ratio"], RATIO_2X_BAND,
-                     n=512))
-    z = _bank_mean_max_z(bank, 2, grid)
-    rows.append(_row("C12-occupied-2d", "mean-Z-vs-exact-max-z", z, Z_BAND, n=512))
+    ratio = st.tightness_table({n: bank.conditioned(2, n).Omega for n in grid},
+                               lambda n: n / math.log(n))
+    rows.append(_row("C12-occupied-2d", "conditional-omega-q90-ratio", ratio, RATIO_2X_BAND, n=512))
+    rows.append(_row("C12-occupied-2d", "mean-Z-vs-exact-max-z",
+                     [_bank_mean_abs_z(bank, 2, n) for n in grid], Z_BAND, n=512))
     return rows
 
 
@@ -473,12 +464,12 @@ def c13_clustering(seed: int, bank: SimBank) -> list[ReportRow]:
 def c14_monotonicity(seed: int, bank: SimBank) -> list[ReportRow]:
     """Orthant monotonicity of P_n and u_n; overlap expectation bound."""
     rows = []
+    tol = Band("<=", 1e-12)  # every orthant row's tolerance
     for d in (2, 3):
-        worst = max(_orthant_violation(p) for p in sweep(64, d))
-        rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}", worst,
-                         Band("<=", 1e-12), n=64, d=d))
-    worst = max(_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2))
-    rows.append(_row("C14-monotonicity", "hitting-orthant-d2", worst, Band("<=", 1e-12), n=64))
+        rows.append(_row("C14-monotonicity", f"transition-orthant-d{d}",
+                         [_orthant_violation(p) for p in sweep(64, d)], tol, n=64, d=d))
+    rows.append(_row("C14-monotonicity", "hitting-orthant-d2",
+                     [_orthant_violation(u) for u in xf.hitting_sweep(_B, 64, 2)], tol, n=64))
     rng = substream(seed, "overlap", rep=14)
     reps, n, dx = 200_000, 16, (2, 0)
     dvals = fw.overlap_batch(_B, n, 2, (0, 0), dx, reps, rng)

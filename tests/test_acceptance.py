@@ -10,6 +10,7 @@ nothing else at criterion level.
 """
 
 import io
+import math
 import operator
 import re
 
@@ -127,6 +128,34 @@ def test_c13_clustering_soft_bands(bank):
 
 def test_c14_monotonicity_and_overlap(bank):
     assert_hard_rows(run_suite("monotonicity", bank))
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_row_reads_a_nan_term_as_nan_and_fails(at):
+    # builtin max(0.0, nan) is 0.0: the terms are folded by numpy, which
+    # keeps the NaN wherever it sits
+    terms = [1e-14, 5e-13, 2e-14, 3e-13, 4e-14]
+    terms[at] = math.nan
+    row = vf._row("C00-test", "terms", terms, st.Band("<=", 1e-12))
+    assert math.isnan(row.value) and not row.passed
+    assert row.to_csv().endswith(",nan,<=1e-12,0,0,0")
+
+
+def test_c01_oracle_row_fails_on_a_nan_in_the_outermost_cell(monkeypatch):
+    # a stencil that writes NaN into its outermost stored cell from radius 10
+    # on: the oracle gaps of steps 10..12 read NaN, and so must the row
+    real = lat.stencil_step
+
+    def step(vals, d, clamp=None):
+        out, lost = real(vals, d, clamp)
+        if lat._radius_of(len(out), d) >= 10:
+            out[-1] = math.nan
+        return out, lost
+
+    monkeypatch.setattr(lat, "stencil_step", step)
+    rows = {r.statistic: r for r in vf.SUITES["fundamental"](SEED, vf.SimBank(SEED))}
+    row = rows["oracle-mean-vs-transition"]
+    assert math.isnan(row.value) and not row.passed
 
 
 # the band texts, read without `Band`: an interval [lo;hi], or an optional

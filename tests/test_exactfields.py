@@ -462,6 +462,18 @@ def test_supersolution_non_finite_prefactor_rejected(kappa):
         xf.verify_supersolution(xf.SuperSolutionParams(kappa), range(8, 10))
 
 
+def test_a_nan_margin_fails_the_window_and_is_no_start(monkeypatch):
+    # a NaN margin at n = 9 is the window's minimum, so `holds` is false, and
+    # no window that holds n = 9 is accepted as a start
+    real = xf.supersolution_margin
+    monkeypatch.setattr(xf, "supersolution_margin",
+                        lambda params, n: (math.nan, (0, 0)) if n == 9 else real(params, n))
+    rep = xf.verify_supersolution(xf.SuperSolutionParams(xf.KAPPA0), range(8, 33))
+    assert rep["holds"] is False and math.isnan(rep["min_relative_margin"])
+    assert rep["argmin"]["n"] == 9
+    assert xf.find_supersolution_start(xf.KAPPA0) > 9
+
+
 def test_comparison_with_shifted_bump():
     n0 = xf.find_supersolution_start(xf.KAPPA0)
     n1 = xf.comparison_shift(xf.KAPPA0, n_min=n0)
@@ -503,8 +515,8 @@ def test_c11_domination_bound_is_certified_and_tight(n1):
         if u.step:
             v = xf.supersolution_field(params, n1 + u.step, radius=u.radius)
             full = max(full, float((u.values - v.values).max()))
-    bound, at_origin = vf._shift_domination(n1, top, eps)
-    assert full <= bound <= full + eps
+    terms, at_origin = vf._shift_domination(n1, top, eps)
+    assert full <= np.max(terms) <= full + eps
     assert np.abs(at_origin - origin).max() <= eps
 
 

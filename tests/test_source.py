@@ -94,3 +94,23 @@ def test_every_report_row_takes_its_rule_from_one_band():
             k.value for k in call.keywords if k.arg == "band")
         assert is_band(band) or (isinstance(band, ast.Name) and band.id in bands), call.lineno
         assert not any(isinstance(n, ast.Compare) for n in ast.walk(call)), call.lineno
+
+
+def test_no_report_fold_calls_the_builtin_max_or_min():
+    # builtin max(0.0, nan) is 0.0, so a Python fold drops the NaN that a
+    # band would fail: a row's terms are folded by numpy in `verify._row`.
+    # The one call left reads the largest integer horizon of the bank
+    calls = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in ("max", "min"):
+                calls.append(f"{path.name}:{scope}:{child.func.id}")
+            visit(child, path, scope)
+
+    for name in ("verify.py", "stats.py"):
+        visit(ast.parse((SRC / name).read_text()), SRC / name, "")
+    assert calls == ["verify.py:SimBank.survival:max"]

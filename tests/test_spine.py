@@ -551,6 +551,19 @@ def test_sizebias_trivial_and_hand_values():
     assert list(sp.sizebias_population_batch(1, 3, rng)) == [2, 2, 2]
 
 
+def test_sizebias_z_score_is_nan_or_infinite_where_it_cannot_be_read():
+    # a NaN mean or SE reads NaN, which fails |z| < 4; at SE 0 the z-score is
+    # 0 only if the means agree, and infinite if they differ
+    rng = substream(37, "sizebias")
+    chk = sp.sizebias_check(lambda z: np.where(z == 4, np.nan, 1.0), 3, 20_000, rng)
+    assert math.isnan(chk["se"]) and math.isnan(chk["z_score"])
+    sides = iter([1.0, 0.0])  # the spine side reads 1, the forward side 0
+    chk = sp.sizebias_check(lambda z: np.full(len(z), next(sides)), 3, 1000, rng)
+    assert chk["se"] == 0 and chk["z_score"] == math.inf
+    chk = sp.sizebias_check(lambda z: np.zeros(len(z)), 3, 1000, rng)
+    assert chk["se"] == 0 and chk["z_score"] == 0.0
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sizebias_check_holds_under_32_bytes_per_replicate(n):
     # each side is reduced and dropped before the next array is drawn, so the

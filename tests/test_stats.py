@@ -85,11 +85,20 @@ def test_chi_square_pools_sparse_tail():
 def test_tightness_table_pass_and_sanity_fail():
     rng = substream(52, "selftest")
     stable = {n: 3.0 * rng.random(2000) * math.log(n) for n in (64, 128, 256)}
-    out = st.tightness_table(stable, lambda n: math.log(n))
-    assert out["ratio"] <= 1.5 and out["ratio"] < 1.2
+    ratio = st.tightness_table(stable, lambda n: math.log(n))
+    assert ratio <= 1.5 and ratio < 1.2
     growing = {n: rng.random(2000) * n for n in (64, 128, 256)}
-    out_bad = st.tightness_table(growing, lambda n: 1.0)
-    assert out_bad["ratio"] > 1.5
+    assert st.tightness_table(growing, lambda n: 1.0) > 1.5
+
+
+def test_tightness_table_fails_on_a_nan_sample():
+    # a NaN sample makes its horizon's quantile NaN; a Python max/min over
+    # the quantiles would drop it and read the other two
+    rng = substream(52, "selftest")
+    samples = {n: 3.0 * rng.random(2000) * math.log(n) for n in (64, 128, 256)}
+    samples[128][7] = math.nan
+    ratio = st.tightness_table(samples, lambda n: math.log(n))
+    assert math.isnan(ratio) and not ratio <= 1.5
 
 
 def test_kappa_estimates_identity():
